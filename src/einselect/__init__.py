@@ -14,12 +14,10 @@ reconstructed input states.
 from .channels import (
     DecayRate,
     KrausChannel,
-    OverlapMatrix,
     amplitude_damping,
     apply_to_apparatus,
     phase_damping,
     pointer_decoherence,
-    state_from_overlaps,
 )
 from .correlations import (
     CorrelationRecord,
@@ -63,12 +61,10 @@ from .qstate import (
     STATE_1,
     STATE_2,
     DensityMatrix,
-    Spectrum,
     XStateParams,
     make_x_state,
     partial_trace,
     remark_state,
-    spectrum,
     von_neumann_entropy,
     x_state_params,
 )
@@ -99,7 +95,6 @@ __all__ = [
     "MonteCarloBands",
     "OptimizationError",
     "OptimizerSettings",
-    "OverlapMatrix",
     "PhysicalityReport",
     "ProjectiveBasis",
     "REGIME_CONSTANT",
@@ -109,7 +104,6 @@ __all__ = [
     "RunConfig",
     "STATE_1",
     "STATE_2",
-    "Spectrum",
     "TrajectoryReport",
     "VerificationOutcome",
     "XStateParams",
@@ -137,8 +131,6 @@ __all__ = [
     "random_density_matrix",
     "random_x_state_params",
     "remark_state",
-    "spectrum",
-    "state_from_overlaps",
     "sweep",
     "verify_lemma1",
     "verify_remark",

@@ -15,7 +15,8 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +58,12 @@ class KrausChannel:
         object.__setattr__(self, "operators", ops)
 
 
+def check_gamma(gamma: float, error: type = InvalidStateError) -> None:
+    """Raise `error` unless gamma and the decoherence time 1/gamma are finite and positive."""
+    if not (gamma > 0 and math.isfinite(gamma) and math.isfinite(1.0 / gamma)):
+        raise error(f"gamma must be positive and finite, with finite 1/gamma; got {gamma}")
+
+
 @dataclass(frozen=True)
 class DecayRate:
     """Exponential decoherence clock: p(t) = 1 - exp(-gamma t), tau_d = 1/gamma."""
@@ -64,8 +71,7 @@ class DecayRate:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise InvalidStateError(f"gamma must be positive, got {self.gamma}")
+        check_gamma(self.gamma)
 
     @property
     def tau_d(self) -> float:
@@ -78,32 +84,6 @@ class DecayRate:
         if not 0 <= p < 1:
             raise InvalidStateError(f"p must be in [0, 1), got {p}")
         return -float(np.log1p(-p)) / self.gamma
-
-
-@dataclass(frozen=True)
-class OverlapMatrix:
-    """Gram matrix of environment branch states: entries[i][j] = <E_j|E_i>.
-
-    Hermitian, positive semidefinite, unit diagonal, |entries| <= 1.
-    Limited to two branches (a two-level system).
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (2, 2):
-            raise InvalidStateError(f"overlap matrix must be 2x2, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise InvalidStateError("overlap matrix must be Hermitian")
-        if np.max(np.abs(np.diag(m) - 1.0)) > 1e-12:
-            raise InvalidStateError("overlap matrix must have unit diagonal")
-        if np.linalg.eigvalsh(m)[0] < -1e-12:
-            raise InvalidStateError(
-                "overlap matrix must be positive semidefinite (it is a Gram matrix)"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
 
 
 def _check_p(p: float) -> float:
@@ -173,25 +153,3 @@ def apply_to_apparatus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatr
         out += lifted @ rho.entries @ lifted.conj().T
     return DensityMatrix(out)
 
-
-def state_from_overlaps(coeffs, overlaps: OverlapMatrix) -> DensityMatrix:
-    """Reduced system-apparatus state left by a partially decohering environment.
-
-    For amplitudes c_i on the branches |s_i>|A_i> = |ii> the joint state is
-    rho[(ii), (jj)] = c_i conj(c_j) <E_j|E_i>. Unit off-diagonal overlap gives
-    the coherent superposition; zero overlap gives the fully decohered
-    classically correlated mixture. The entrywise (Schur) product of the two
-    positive matrices keeps the result positive semidefinite.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (2,):
-        raise InvalidStateError(f"expected 2 branch amplitudes, got shape {c.shape}")
-    norm = float(np.sum(np.abs(c) ** 2))
-    if abs(norm - 1.0) > 1e-12:
-        raise InvalidStateError(f"branch amplitudes must be normalized, got sum |c|^2 = {norm:.15g}")
-    m = np.zeros((4, 4), dtype=complex)
-    corners = [0, 3]
-    for i in range(2):
-        for j in range(2):
-            m[corners[i], corners[j]] = c[i] * np.conj(c[j]) * overlaps.entries[i, j]
-    return DensityMatrix(m)

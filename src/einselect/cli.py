@@ -17,19 +17,13 @@ applies): no timestamps, no machine identifiers, stable float formatting.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 from typing import Optional
 
 import numpy as np
 
-from .correlations import (
-    ProjectiveBasis,
-    classical_correlation,
-    clamp_discord,
-    maximize_classical_correlation,
-    mutual_information,
-)
+from .correlations import ProjectiveBasis, correlation_record
 from .dynamics import CHANNEL_FAMILIES, emergence_time, sweep
 from .errors import (
     DataQualityError,
@@ -37,18 +31,12 @@ from .errors import (
     InvalidStateError,
     OptimizationError,
 )
-from .matrixio import (
-    emergence_payload,
-    emit_report,
-    outcome_payload,
-    parse_matrix_file,
-    trajectory_payload,
-)
+from .matrixio import FORMATS, emit_analysis, emit_emergence, emit_report, parse_matrix_file
 from .montecarlo import RunConfig, monte_carlo_bands
 from .qstate import DensityMatrix, XStateParams, make_x_state, x_state_params
 from .verify import SUITES, verify_lemma1, verify_remark, verify_theorem1, verify_theorem2
 
-SUITE_CHOICES = ("theorem1", "theorem2", "lemma1", "remark", "all")
+SUITE_CHOICES = (*SUITES, "all")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,6 +56,8 @@ def _parse_state_flag(text: str) -> DensityMatrix:
         c, b, z, w = (float(tok) for tok in parts)
     except ValueError as exc:
         raise InvalidInputError(f"--state contains a non-number: {text!r}") from exc
+    if not all(math.isfinite(v) for v in (c, b, z, w)):
+        raise InvalidInputError(f"--state needs finite numbers; got {text!r}")
     return make_x_state(XStateParams(c=c, b=b, z=z, w=w))
 
 
@@ -96,7 +86,7 @@ def _add_state_flags(sub) -> None:
 
 def _add_output_flags(sub) -> None:
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--format", choices=FORMATS, default="csv")
 
 
 def _add_channel_flags(sub) -> None:
@@ -126,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_flags(sw)
     sw.add_argument("--gamma", type=float, default=1.0)
     sw.add_argument("--grid", type=int, default=201, help="number of strength points")
-    sw.add_argument("--seed", type=int, default=0, help="accepted for interface uniformity; sweeps are deterministic")
     _add_output_flags(sw)
     sw.set_defaults(func=_cmd_sweep)
 
@@ -198,44 +187,14 @@ def _cmd_emergence(args) -> int:
         raise InvalidInputError(
             "emergence needs an X-form state (diagonal plus anti-diagonal entries)"
         )
-    payload = emergence_payload(emergence_time(params, args.gamma), args.gamma)
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        keys = ("gamma", "tau_d", "tau_e", "p_e", "p_at_tau_d", "transition")
-        vals = [
-            "" if payload[k] is None else (f"{payload[k]:.12g}" if isinstance(payload[k], float) else str(payload[k]).lower())
-            for k in keys
-        ]
-        text = ",".join(keys) + "\n" + ",".join(vals) + "\n"
+    text = emit_emergence(emergence_time(params, args.gamma), args.gamma, args.format)
     _write_or_print(text, args.out)
     return 0
 
 
 def _cmd_maximize(args) -> int:
-    rho = _load_state(args)
-    j_max, basis = maximize_classical_correlation(rho)
-    mi = mutual_information(rho)
-    payload = {
-        "j_z": classical_correlation(rho, ProjectiveBasis.sigma_z()),
-        "j_x": classical_correlation(rho, ProjectiveBasis.sigma_x()),
-        "j_max": j_max,
-        "opt_theta": basis.theta,
-        "opt_phi": basis.phi,
-        "mutual_info": mi,
-        "discord": clamp_discord(mi - j_max),
-    }
-    if args.format == "json":
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        keys = list(payload)
-        text = (
-            ",".join(keys)
-            + "\n"
-            + ",".join(f"{payload[k]:.12g}" for k in keys)
-            + "\n"
-        )
-    _write_or_print(text, args.out)
+    record = correlation_record(_load_state(args))
+    _write_or_print(emit_report(record, args.format), args.out)
     return 0
 
 
@@ -259,17 +218,7 @@ def _run_suite(name: str, args):
 def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     outcomes = [_run_suite(name, args) for name in names]
-    if args.format == "json":
-        payload = [outcome_payload(o) for o in outcomes]
-        text = json.dumps(payload if len(payload) > 1 else payload[0], indent=2) + "\n"
-    else:
-        header = "theorem_id,trials,failures,worst_violation,seed"
-        rows = [
-            f"{o.theorem_id},{o.trials},{o.failures},{o.worst_violation:.12g},{o.seed}"
-            for o in outcomes
-        ]
-        text = "\n".join([header] + rows) + "\n"
-    _write_or_print(text, args.out)
+    _write_or_print(emit_report(outcomes, args.format), args.out)
     return 3 if any(o.failures > 0 for o in outcomes) else 0
 
 
@@ -295,22 +244,7 @@ def _cmd_analyze(args) -> int:
             pointer_phi=args.phi if args.channel == "pointer" else 0.0,
         )
         bands = monte_carlo_bands(matrix, config)
-    if args.format == "json":
-        payload = {
-            "deviations": {
-                "hermiticity": matrix.deviations.hermiticity_deviation,
-                "trace": matrix.deviations.trace_deviation,
-                "min_eigenvalue": matrix.deviations.min_eigenvalue,
-                "projection_distance": matrix.deviations.projection_distance,
-            },
-            "report": trajectory_payload(report),
-            "bands": bands.to_payload() if bands is not None else None,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        # CSV keeps the exact trajectory table; bands live in the JSON format.
-        text = emit_report(report, "csv")
-    _write_or_print(text, args.out)
+    _write_or_print(emit_analysis(matrix, report, bands, args.format), args.out)
     return 0
 
 

@@ -103,20 +103,23 @@ def basis_distance(a: ProjectiveBasis, b: ProjectiveBasis) -> float:
     return math.acos(min(dot, 1.0))
 
 
+# Compass refinement halves its step once a move gains less than this many
+# bits, and gives up after MAX_REFINE_STEPS candidate batches.
+REFINE_GAIN = 1e-10
+MAX_REFINE_STEPS = 400
+
+
 @dataclass(frozen=True)
 class OptimizerSettings:
     """Knobs for maximize_classical_correlation.
 
     n_theta x n_phi is the coarse grid (theta in [0, pi] inclusive, phi in
-    [0, 2 pi) exclusive). Refinement shrinks its step once a move gains less
-    than refine_gain bits and stops below min_step.
+    [0, 2 pi) exclusive). Refinement stops once its step falls below min_step.
     """
 
     n_theta: int = 64
     n_phi: int = 128
-    refine_gain: float = 1e-10
     min_step: float = 1e-10
-    max_iterations: int = 400
 
     def __post_init__(self):
         if self.n_theta < 2 or self.n_phi < 2:
@@ -263,7 +266,7 @@ def maximize_classical_correlation(
     phi = float(phis[best_idx])
 
     step = max(math.pi / (cfg.n_theta - 1), 2.0 * math.pi / cfg.n_phi)
-    for _ in range(cfg.max_iterations):
+    for _ in range(MAX_REFINE_STEPS):
         if step < cfg.min_step:
             break
         cand_t = np.clip([theta + step, theta - step, theta, theta], 0.0, math.pi)
@@ -275,7 +278,7 @@ def maximize_classical_correlation(
             best = float(vals[k])
             theta = float(cand_t[k])
             phi = float(cand_p[k])
-            if gain < cfg.refine_gain:
+            if gain < REFINE_GAIN:
                 step /= 2.0
         else:
             step /= 2.0
@@ -285,6 +288,28 @@ def maximize_classical_correlation(
             raise OptimizationError(f"optimizer produced negative maximum {best:.3e}")
         best = 0.0
     return best, ProjectiveBasis(theta, phi)
+
+
+def correlation_record(
+    rho: DensityMatrix, p: float = 0.0, settings: OptimizerSettings | None = None
+) -> CorrelationRecord:
+    """Every correlation quantity of one state, labelled with channel strength p.
+
+    J in the sigma_z and sigma_x bases, the maximum with its argmax angles,
+    mutual information, and discord.
+    """
+    j_max, argmax = maximize_classical_correlation(rho, settings)
+    mi = mutual_information(rho)
+    return CorrelationRecord(
+        p=p,
+        j_z=classical_correlation(rho, ProjectiveBasis.sigma_z()),
+        j_x=classical_correlation(rho, ProjectiveBasis.sigma_x()),
+        j_max=j_max,
+        opt_theta=argmax.theta,
+        opt_phi=argmax.phi,
+        mutual_info=mi,
+        discord=clamp_discord(mi - j_max),
+    )
 
 
 def quantum_discord(rho: DensityMatrix, settings: OptimizerSettings | None = None) -> float:

@@ -7,8 +7,11 @@ the crossing of the two competing bases' correlation values, classifies the
 trajectory into one of four regimes, and evaluates the closed-form emergence
 time for X states under pointer-preserving dephasing:
 
-    tau_E = (1/gamma) ln |(z + w) / (c - b)|,   p_E = 1 - |c - b| / |z + w|.
+    tau_E = (1/gamma) ln ((|z| + |w|) / |c - b|),   p_E = 1 - |c - b| / (|z| + |w|).
 
+The transverse correlation that competes with the pointer value is carried by
+sigma_x or sigma_y, whichever is larger: max(|z + w|, |z - w|) = |z| + |w|.
+For same-sign coherences (z w >= 0) this is the |z + w| of the source paper.
 After t = tau_E (p >= p_E) the maximal correlation is constant and attained
 by the pointer basis; tau_D = 1/gamma is the conventional decoherence time,
 and tau_E may fall on either side of it.
@@ -27,6 +30,7 @@ from .channels import (
     KrausChannel,
     amplitude_damping,
     apply_to_apparatus,
+    check_gamma,
     phase_damping,
     pointer_decoherence,
 )
@@ -35,10 +39,8 @@ from .correlations import (
     OptimizerSettings,
     ProjectiveBasis,
     basis_distance,
-    clamp_discord,
     classical_correlation,
-    maximize_classical_correlation,
-    mutual_information,
+    correlation_record,
 )
 from .errors import InvalidInputError, InvalidStateError
 from .qstate import DensityMatrix, XStateParams, x_state_params
@@ -129,11 +131,6 @@ class TrajectoryReport:
             return None
         return 1.0 - math.exp(-self.gamma * self.emergence_time)
 
-    @property
-    def p_at_tau_d(self) -> float:
-        """Channel strength reached at the decoherence time tau_D: 1 - 1/e."""
-        return 1.0 - math.exp(-1.0)
-
 
 def _channel_maker(
     family: str, pointer_basis: Optional[ProjectiveBasis]
@@ -175,12 +172,11 @@ def detect_transition(
     records: Sequence[CorrelationRecord],
     *,
     pointer_basis: Optional[ProjectiveBasis] = None,
-    jump_threshold: float = JUMP_THRESHOLD,
 ) -> Optional[float]:
     """Locate the sudden change of the optimal measurement basis, if any.
 
     Scans consecutive records for the first argmax-basis jump larger than
-    jump_threshold (antipodal-identified), then refines the crossing point of
+    JUMP_THRESHOLD (antipodal-identified), then refines the crossing point of
     the two competing bases' correlation values by bisection down to an
     interval of 1e-12 in p. Records whose j_max is below BASIS_FLOOR carry no
     basis information and never anchor a jump. Returns None when the argmax
@@ -192,7 +188,7 @@ def detect_transition(
         b1 = _record_basis(after)
         if b0 is None or b1 is None:
             continue
-        if basis_distance(b0, b1) <= jump_threshold:
+        if basis_distance(b0, b1) <= JUMP_THRESHOLD:
             continue
 
         def crossing(p: float) -> float:
@@ -257,14 +253,16 @@ def emergence_time(
 ) -> Optional[EmergenceResult]:
     """Closed-form emergence point for an X state under sigma_z dephasing.
 
-    Returns None when |z + w| <= |c - b|: the pointer-basis value dominates
-    from the start, so there is no transition (the trajectory is constant).
-    Raises for c = b, where the formula diverges (zero pointer correlation,
-    no finite emergence; the decay is asymptotic).
+    The transverse competitor is |z| + |w|, the larger of the sigma_x and
+    sigma_y coherences |z + w| and |z - w|. Returns None when
+    |z| + |w| <= |c - b|: the pointer-basis value dominates from the start,
+    so there is no transition (the trajectory is constant). Raises for c = b,
+    where the formula diverges (zero pointer correlation, no finite
+    emergence; the decay is asymptotic).
     """
     rate = gamma if isinstance(gamma, DecayRate) else DecayRate(float(gamma))
     gap = abs(params.c - params.b)
-    transverse = abs(params.z + params.w)
+    transverse = abs(params.z) + abs(params.w)
     if gap < 1e-15:
         raise InvalidStateError(
             "emergence time diverges for c = b (no pointer-basis correlation)"
@@ -298,29 +296,12 @@ def sweep(
     closed-form emergence time complete the report.
     """
     ps = _validate_grid(grid)
-    if not gamma > 0:
-        raise InvalidInputError(f"gamma must be positive, got {gamma}")
+    check_gamma(gamma, InvalidInputError)
     make = _channel_maker(channel_family, pointer_basis)
-    sigma_z = ProjectiveBasis.sigma_z()
-    sigma_x = ProjectiveBasis.sigma_x()
-
-    records = []
-    for p in ps:
-        evolved = apply_to_apparatus(make(float(p)), rho0)
-        j_max, argmax = maximize_classical_correlation(evolved, settings)
-        mi = mutual_information(evolved)
-        records.append(
-            CorrelationRecord(
-                p=float(p),
-                j_z=classical_correlation(evolved, sigma_z),
-                j_x=classical_correlation(evolved, sigma_x),
-                j_max=j_max,
-                opt_theta=argmax.theta,
-                opt_phi=argmax.phi,
-                mutual_info=mi,
-                discord=clamp_discord(mi - j_max),
-            )
-        )
+    records = [
+        correlation_record(apply_to_apparatus(make(float(p)), rho0), float(p), settings)
+        for p in ps
+    ]
 
     transition = detect_transition(
         rho0, channel_family, records, pointer_basis=pointer_basis

@@ -21,10 +21,13 @@ symmetrize, renormalize the trace, clip negative eigenvalues to zero, and
 renormalize again. If the projected state differs from the raw matrix by more
 than 0.05 in max-norm the data is too unphysical to trust and ingestion aborts.
 
-Report serialization writes sweep trajectories and verification outcomes as
-CSV (12 significant digits) or JSON; matrix files are written at 17
-significant digits so a write/parse round trip is exact well beyond the
-12-digit requirement. Nothing time- or machine-dependent is ever emitted, so
+This module is also the only one that knows the output format. Every CLI
+table (trajectories, verification outcomes, emergence, maximization, and
+analysis reports with their Monte Carlo bands) is built as payload dicts and
+written by one CSV table writer, with one cell formatter (12 significant
+digits), or by one JSON writer. Matrix files are written at 17 significant
+digits so a write/parse round trip is exact well beyond the 12-digit
+requirement. Nothing time- or machine-dependent is ever emitted, so
 identical inputs produce byte-identical files.
 """
 
@@ -32,11 +35,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
+from .correlations import CorrelationRecord
 from .dynamics import TrajectoryReport
 from .errors import DataQualityError, InvalidInputError
 from .qstate import DensityMatrix
@@ -44,7 +48,17 @@ from .verify import VerificationOutcome
 
 MAX_PROJECTION_DISTANCE = 0.05
 
-CSV_COLUMNS = ("p", "j_z", "j_x", "j_max", "opt_theta", "opt_phi", "mutual_info", "discord")
+FORMATS = ("csv", "json")
+
+# Output columns. A trajectory row is one CorrelationRecord, fields in
+# declaration order; `maximize` prints one record without its strength p.
+CSV_COLUMNS = tuple(f.name for f in fields(CorrelationRecord))
+MAXIMUM_COLUMNS = CSV_COLUMNS[1:]
+OUTCOME_COLUMNS = ("theorem_id", "trials", "failures", "worst_violation", "seed")
+EMERGENCE_COLUMNS = ("gamma", "tau_d", "tau_e", "p_e", "p_at_tau_d", "transition")
+
+# Channel strength reached at the decoherence time tau_D = 1/gamma.
+P_AT_TAU_D = 1.0 - math.exp(-1.0)
 
 
 @dataclass(frozen=True)
@@ -137,6 +151,8 @@ def _parse_block(lines: list, start: int, dim: int, label: str) -> tuple[np.ndar
             raise InvalidInputError(
                 f"bad number in {label!r} block: {text!r}"
             ) from exc
+        if not all(math.isfinite(v) for v in row):
+            raise InvalidInputError(f"non-finite number in {label!r} block: {text!r}")
         if len(row) != dim:
             raise InvalidInputError(
                 f"{label!r} block row has {len(row)} entries, expected {dim}: {text!r}"
@@ -235,31 +251,38 @@ def write_matrix_file(path, matrix, std: Optional[np.ndarray] = None, comment: s
         fh.write("\n".join(lines) + "\n")
 
 
-def _fmt(value) -> str:
+def format_cell(value) -> str:
+    """One CSV cell: empty for None, true/false for bools, 12 digits for floats."""
     if value is None:
         return ""
-    return f"{value:.12g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
 
 
-def _trajectory_csv(report: TrajectoryReport) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in report.records:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.p,
-                    r.j_z,
-                    r.j_x,
-                    r.j_max,
-                    r.opt_theta,
-                    r.opt_phi,
-                    r.mutual_info,
-                    r.discord,
-                )
-            )
-        )
+def csv_table(columns, rows) -> str:
+    """A header line of column names, then one line per payload dict."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(format_cell(row[name]) for name in columns) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def json_text(payload) -> str:
+    """Indented JSON. NaN and infinities raise ValueError: JSON cannot carry them."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _render(fmt: str, columns, rows, payload) -> str:
+    if fmt not in FORMATS:
+        raise InvalidInputError(f"format must be 'csv' or 'json', got {fmt!r}")
+    return json_text(payload) if fmt == "json" else csv_table(columns, rows)
+
+
+def _record_payload(record: CorrelationRecord) -> dict:
+    """JSON-ready dict of one record's fields, in CSV column order."""
+    return {name: getattr(record, name) for name in CSV_COLUMNS}
 
 
 def trajectory_payload(report: TrajectoryReport) -> dict:
@@ -271,80 +294,15 @@ def trajectory_payload(report: TrajectoryReport) -> dict:
         "p_e": report.p_e,
         "tau_d": report.tau_d,
         "gamma": report.gamma,
-        "records": [
-            {
-                "p": r.p,
-                "j_z": r.j_z,
-                "j_x": r.j_x,
-                "j_max": r.j_max,
-                "opt_theta": r.opt_theta,
-                "opt_phi": r.opt_phi,
-                "mutual_info": r.mutual_info,
-                "discord": r.discord,
-            }
-            for r in report.records
-        ],
+        "records": [_record_payload(r) for r in report.records],
     }
 
 
 def outcome_payload(outcome: VerificationOutcome) -> dict:
     """JSON-ready dict for a verification outcome."""
-    return {
-        "theorem_id": outcome.theorem_id,
-        "trials": outcome.trials,
-        "failures": outcome.failures,
-        "worst_violation": outcome.worst_violation,
-        "seed": outcome.seed,
-        "passed": outcome.passed,
-    }
-
-
-def _trajectory_json(report: TrajectoryReport) -> str:
-    return json.dumps(trajectory_payload(report), indent=2) + "\n"
-
-
-def _outcome_csv(outcome: VerificationOutcome) -> str:
-    header = "theorem_id,trials,failures,worst_violation,seed"
-    row = ",".join(
-        [
-            outcome.theorem_id,
-            str(outcome.trials),
-            str(outcome.failures),
-            _fmt(outcome.worst_violation),
-            str(outcome.seed),
-        ]
-    )
-    return header + "\n" + row + "\n"
-
-
-def _outcome_json(outcome: VerificationOutcome) -> str:
-    return json.dumps(outcome_payload(outcome), indent=2) + "\n"
-
-
-def emit_report(report, fmt: str = "csv", path=None) -> str:
-    """Serialize a trajectory or verification outcome; optionally write it.
-
-    Returns the serialized text. CSV trajectory columns are exactly
-    p, j_z, j_x, j_max, opt_theta, opt_phi, mutual_info, discord at 12
-    significant digits; JSON mirrors the records and adds the regime,
-    transition, and emergence metadata.
-    """
-    if fmt not in ("csv", "json"):
-        raise InvalidInputError(f"format must be 'csv' or 'json', got {fmt!r}")
-    if isinstance(report, TrajectoryReport):
-        if not report.records:
-            raise InvalidInputError("refusing to emit an empty trajectory")
-        text = _trajectory_csv(report) if fmt == "csv" else _trajectory_json(report)
-    elif isinstance(report, VerificationOutcome):
-        text = _outcome_csv(report) if fmt == "csv" else _outcome_json(report)
-    else:
-        raise InvalidInputError(
-            f"cannot emit a report of type {type(report).__name__}"
-        )
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    payload = {name: getattr(outcome, name) for name in OUTCOME_COLUMNS}
+    payload["passed"] = outcome.passed
+    return payload
 
 
 def emergence_payload(result, gamma: float) -> dict:
@@ -353,20 +311,77 @@ def emergence_payload(result, gamma: float) -> dict:
     result may be None (no transition: the pointer-basis value dominates from
     the start); the payload then carries nulls and transition = false.
     """
-    if result is None:
-        return {
-            "gamma": gamma,
-            "tau_d": 1.0 / gamma,
-            "tau_e": None,
-            "p_e": None,
-            "p_at_tau_d": 1.0 - math.exp(-1.0),
-            "transition": False,
-        }
+    gamma = float(gamma)
     return {
-        "gamma": result.gamma,
-        "tau_d": result.tau_d,
-        "tau_e": result.tau_e,
-        "p_e": result.p_e,
-        "p_at_tau_d": 1.0 - math.exp(-1.0),
-        "transition": True,
+        "gamma": gamma,
+        "tau_d": 1.0 / gamma,
+        "tau_e": None if result is None else result.tau_e,
+        "p_e": None if result is None else result.p_e,
+        "p_at_tau_d": P_AT_TAU_D,
+        "transition": result is not None,
     }
+
+
+def bands_payload(bands) -> dict:
+    """JSON-ready dict of Monte Carlo bands (a montecarlo.MonteCarloBands)."""
+    return {
+        "samples": bands.samples,
+        "seed": bands.seed,
+        "transition_mean": bands.transition_mean,
+        "transition_std": bands.transition_std,
+        "transition_count": bands.transition_count,
+        "p": [float(v) for v in bands.p],
+        "means": {k: [float(v) for v in vs] for k, vs in bands.means.items()},
+        "stds": {k: [float(v) for v in vs] for k, vs in bands.stds.items()},
+    }
+
+
+def emit_report(report, fmt: str = "csv") -> str:
+    """Serialize a trajectory, one or more verification outcomes, or one record.
+
+    A trajectory's CSV has the CSV_COLUMNS of every record at 12 significant
+    digits; its JSON mirrors the records and adds the regime, transition, and
+    emergence metadata. Outcomes give one CSV row each; in JSON a single
+    outcome is an object and several are a list. A lone CorrelationRecord
+    describes one state, so it is written without its strength p.
+    """
+    if isinstance(report, TrajectoryReport):
+        payload = trajectory_payload(report)
+        return _render(fmt, CSV_COLUMNS, payload["records"], payload)
+    if isinstance(report, CorrelationRecord):
+        row = _record_payload(report)
+        del row["p"]
+        return _render(fmt, MAXIMUM_COLUMNS, [row], row)
+    outcomes = [report] if isinstance(report, VerificationOutcome) else report
+    if isinstance(outcomes, (list, tuple)) and outcomes and all(
+        isinstance(o, VerificationOutcome) for o in outcomes
+    ):
+        rows = [outcome_payload(o) for o in outcomes]
+        return _render(fmt, OUTCOME_COLUMNS, rows, rows if len(rows) > 1 else rows[0])
+    raise InvalidInputError(f"cannot emit a report of type {type(report).__name__}")
+
+
+def emit_emergence(result, gamma: float, fmt: str = "csv") -> str:
+    """Serialize a closed-form emergence result (None: no transition)."""
+    payload = emergence_payload(result, gamma)
+    return _render(fmt, EMERGENCE_COLUMNS, [payload], payload)
+
+
+def emit_analysis(matrix: MatrixFile, report: TrajectoryReport, bands, fmt: str = "csv") -> str:
+    """Serialize an ingested matrix's analysis.
+
+    JSON carries the ingestion deviations, the trajectory, and the Monte Carlo
+    bands (null without them); CSV is the trajectory table alone.
+    """
+    deviations = matrix.deviations
+    payload = {
+        "deviations": {
+            "hermiticity": deviations.hermiticity_deviation,
+            "trace": deviations.trace_deviation,
+            "min_eigenvalue": deviations.min_eigenvalue,
+            "projection_distance": deviations.projection_distance,
+        },
+        "report": trajectory_payload(report),
+        "bands": None if bands is None else bands_payload(bands),
+    }
+    return _render(fmt, CSV_COLUMNS, payload["report"]["records"], payload)

@@ -20,12 +20,12 @@ is generally not published alongside the matrices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from .channels import check_gamma
 from .correlations import OptimizerSettings, ProjectiveBasis
 from .dynamics import sweep
 from .errors import InvalidInputError
@@ -46,16 +46,11 @@ class RunConfig:
     optimizer: OptimizerSettings = field(default_factory=OptimizerSettings)
     pointer_theta: float = 0.0
     pointer_phi: float = 0.0
-    out: Optional[str] = None
-    format: str = "csv"
 
     def __post_init__(self):
         if self.grid_points < 2:
             raise InvalidInputError("grid needs at least 2 points")
-        if not self.gamma > 0:
-            raise InvalidInputError(f"gamma must be positive, got {self.gamma}")
-        if self.format not in ("csv", "json"):
-            raise InvalidInputError(f"format must be 'csv' or 'json', got {self.format!r}")
+        check_gamma(self.gamma, InvalidInputError)
 
     @property
     def grid(self) -> np.ndarray:
@@ -78,34 +73,6 @@ class MonteCarloBands:
     transition_mean: Optional[float]
     transition_std: Optional[float]
     transition_count: int
-
-    def to_csv(self) -> str:
-        columns = ["p"]
-        for name in _QUANTITIES:
-            columns.extend([f"{name}_mean", f"{name}_std"])
-        lines = [",".join(columns)]
-        for i, p in enumerate(self.p):
-            row = [f"{p:.12g}"]
-            for name in _QUANTITIES:
-                row.append(f"{self.means[name][i]:.12g}")
-                row.append(f"{self.stds[name][i]:.12g}")
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2) + "\n"
-
-    def to_payload(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "transition_mean": self.transition_mean,
-            "transition_std": self.transition_std,
-            "transition_count": self.transition_count,
-            "p": [float(v) for v in self.p],
-            "means": {k: [float(v) for v in vs] for k, vs in self.means.items()},
-            "stds": {k: [float(v) for v in vs] for k, vs in self.stds.items()},
-        }
 
 
 def monte_carlo_bands(matrix: MatrixFile, config: RunConfig) -> MonteCarloBands:

@@ -1,8 +1,8 @@
 """Exact density-matrix algebra for one- and two-qubit states.
 
 Construction and validation of states, the X-state family, partial trace,
-von Neumann entropy (in bits), and Hermitian eigendecomposition. Two-qubit
-basis ordering is |system> tensor |apparatus>: index (s, a) -> 2 s + a.
+and von Neumann entropy (in bits). Two-qubit basis ordering is
+|system> tensor |apparatus>: index (s, a) -> 2 s + a.
 All values are immutable after construction and all operations are pure.
 """
 
@@ -19,9 +19,6 @@ TRACE_TOL = 1e-12
 # Eigenvalues in [-PSD_FLOOR, 0) are treated as exact zeros; anything below
 # -PSD_FLOOR is an invalid state, not a rounding artifact.
 PSD_FLOOR = 1e-10
-
-_EIG_SUM_TOL = 1e-10
-_ORTHO_TOL = 1e-10
 
 
 def _as_complex_matrix(entries) -> np.ndarray:
@@ -106,32 +103,6 @@ class XStateParams:
 # Reference states: strongly and weakly corner-coherent.
 STATE_1 = XStateParams(c=0.4, b=0.1, z=0.1, w=0.4)
 STATE_2 = XStateParams(c=0.4, b=0.1, z=0.1, w=0.15)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a state: descending eigenvalues, orthonormal vectors.
-
-    eigenvectors[:, k] is the eigenvector for eigenvalues[k].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        vecs = np.asarray(self.eigenvectors, dtype=complex)
-        if abs(vals.sum() - 1.0) > _EIG_SUM_TOL:
-            raise InvalidStateError(
-                f"eigenvalues sum to {vals.sum():.15g}, expected 1"
-            )
-        gram = vecs.conj().T @ vecs
-        if np.max(np.abs(gram - np.eye(vecs.shape[1]))) > _ORTHO_TOL:
-            raise InvalidStateError("eigenvectors are not orthonormal")
-        vals.setflags(write=False)
-        vecs.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
 
 
 def make_x_state(params: XStateParams) -> DensityMatrix:
@@ -225,9 +196,3 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     """
     return _entropy_from_eigenvalues(np.linalg.eigvalsh(rho.entries))
 
-
-def spectrum(rho: DensityMatrix) -> Spectrum:
-    """Full Hermitian eigendecomposition, eigenvalues sorted descending."""
-    vals, vecs = np.linalg.eigh(rho.entries)
-    order = np.argsort(vals)[::-1]
-    return Spectrum(eigenvalues=vals[order], eigenvectors=vecs[:, order])

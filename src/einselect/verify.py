@@ -57,6 +57,12 @@ LEMMA1_ANGLE_TOL = 1e-3
 LEMMA1_VALUE_TOL = 1e-6
 REMARK_POINTER_TOL = 1e-12
 DEFAULT_REMARK_GRID = 201
+THEOREM2_GRID_POINTS = 41
+LEMMA1_PERTURBATIONS = 20
+# Classical-quantum draws: branch weights come from this range, and branch
+# states closer than CQ_MIN_BRANCH_DISTANCE in trace distance are redrawn.
+CQ_WEIGHT_RANGE = (0.1, 0.9)
+CQ_MIN_BRANCH_DISTANCE = 0.1
 
 # Optimizer sizing for the sweep-heavy suites: accuracy ~1e-12 in value is
 # plenty against the 1e-8 plateau tolerance, at a fraction of the default cost.
@@ -106,15 +112,10 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a.entries - b.entries))))
 
 
-def random_cq_state(
-    rng: np.random.Generator,
-    *,
-    min_branch_distance: float = 0.1,
-    weight_range: tuple = (0.1, 0.9),
-) -> tuple[DensityMatrix, ProjectiveBasis]:
+def random_cq_state(rng: np.random.Generator) -> tuple[DensityMatrix, ProjectiveBasis]:
     """A classical-quantum state sum_i p_i rho_s^i x Pi_i and its pointer basis.
 
-    Branch states closer than min_branch_distance in trace distance are
+    Branch states closer than CQ_MIN_BRANCH_DISTANCE in trace distance are
     resampled: coinciding branches make the state a product state whose
     correlation is zero in every basis, so no basis is singled out and the
     uniqueness half of the lemma is vacuous there.
@@ -122,10 +123,10 @@ def random_cq_state(
     basis = random_basis(rng)
     branch0 = random_density_matrix(rng, 2)
     branch1 = random_density_matrix(rng, 2)
-    while trace_distance(branch0, branch1) < min_branch_distance:
+    while trace_distance(branch0, branch1) < CQ_MIN_BRANCH_DISTANCE:
         branch0 = random_density_matrix(rng, 2)
         branch1 = random_density_matrix(rng, 2)
-    weight = float(rng.uniform(*weight_range))
+    weight = float(rng.uniform(*CQ_WEIGHT_RANGE))
     p0, p1 = basis.projectors
     m = weight * np.kron(branch0.entries, p0) + (1.0 - weight) * np.kron(
         branch1.entries, p1
@@ -189,11 +190,7 @@ def verify_theorem1(trials: int = 1000, seed: int = 42) -> VerificationOutcome:
 
 
 def verify_theorem2(
-    trials: int = 200,
-    seed: int = 7,
-    *,
-    grid_points: int = 41,
-    settings: OptimizerSettings | None = None,
+    trials: int = 200, seed: int = 7, *, settings: OptimizerSettings | None = None
 ) -> VerificationOutcome:
     """Maximal correlation of dephased X states is constant or decays to a plateau.
 
@@ -207,7 +204,7 @@ def verify_theorem2(
         raise InvalidInputError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     cfg = settings or _SUITE_SETTINGS
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, THEOREM2_GRID_POINTS)
     sigma_z = ProjectiveBasis.sigma_z()
     worst = 0.0
     failures = 0
@@ -241,18 +238,14 @@ def verify_theorem2(
 
 
 def verify_lemma1(
-    trials: int = 500,
-    seed: int = 3,
-    *,
-    perturbations: int = 20,
-    settings: OptimizerSettings | None = None,
+    trials: int = 500, seed: int = 3, *, settings: OptimizerSettings | None = None
 ) -> VerificationOutcome:
     """The pointer basis of a classical-quantum state is the unique maximizer.
 
     For each random classical-quantum state: the optimizer's argmax must land
     within 1e-3 rad (antipodal-identified) of the construction basis, the
     maximum must equal the mutual information within 1e-6 (zero discord), and
-    the correlation at each of `perturbations` tilted bases must be strictly
+    the correlation at each of LEMMA1_PERTURBATIONS tilted bases must be strictly
     below the pointer-basis value.
     """
     if trials < 1:
@@ -271,7 +264,7 @@ def verify_lemma1(
         )
         ok = angle <= LEMMA1_ANGLE_TOL and value_dev <= LEMMA1_VALUE_TOL
         j_pointer = classical_correlation(rho, basis)
-        for _ in range(perturbations):
+        for _ in range(LEMMA1_PERTURBATIONS):
             tilted = _perturbed_basis(rng, basis)
             margin = j_pointer - classical_correlation(rho, tilted)
             if margin <= 0.0:

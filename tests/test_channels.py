@@ -7,7 +7,6 @@ from einselect import (
     DensityMatrix,
     InvalidStateError,
     KrausChannel,
-    OverlapMatrix,
     ProjectiveBasis,
     amplitude_damping,
     apply_to_apparatus,
@@ -16,7 +15,6 @@ from einselect import (
     phase_damping,
     pointer_decoherence,
     remark_state,
-    state_from_overlaps,
 )
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
@@ -164,40 +162,9 @@ def test_decay_rate_clock():
     assert rate.t_of_p(rate.p_of_t(t)) == pytest.approx(t, abs=1e-12)
     with pytest.raises(InvalidStateError):
         DecayRate(0.0)
+    for gamma in (float("inf"), float("nan")):
+        with pytest.raises(InvalidStateError, match="finite"):
+            DecayRate(gamma)
     with pytest.raises(InvalidStateError):
         rate.t_of_p(1.0)
 
-
-def test_overlap_matrix_validation():
-    OverlapMatrix(np.array([[1.0, 0.3 + 0.4j], [0.3 - 0.4j, 1.0]]))
-    with pytest.raises(InvalidStateError, match="Hermitian"):
-        OverlapMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
-    with pytest.raises(InvalidStateError, match="unit diagonal"):
-        OverlapMatrix(np.array([[0.9, 0.0], [0.0, 1.0]]))
-    with pytest.raises(InvalidStateError, match="positive semidefinite"):
-        OverlapMatrix(np.array([[1.0, 1.5], [1.5, 1.0]]))
-
-
-def test_state_from_overlaps_limits():
-    amps = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    # unit overlap: fully coherent corner state
-    coherent = state_from_overlaps(amps, OverlapMatrix(np.ones((2, 2))))
-    ket = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
-    np.testing.assert_allclose(coherent.entries, np.outer(ket, ket), atol=1e-14)
-    # zero overlap: classical mixture of the branches
-    decohered = state_from_overlaps(amps, OverlapMatrix(np.eye(2)))
-    np.testing.assert_allclose(decohered.entries, np.diag([0.5, 0.0, 0.0, 0.5]), atol=1e-14)
-
-
-def test_state_from_overlaps_partial_overlap():
-    amps = np.array([0.6, 0.8])
-    overlap = OverlapMatrix(np.array([[1.0, 0.3 - 0.2j], [0.3 + 0.2j, 1.0]]))
-    rho = state_from_overlaps(amps, overlap)
-    assert rho.entries[0, 0] == pytest.approx(0.36, abs=1e-15)
-    assert rho.entries[3, 3] == pytest.approx(0.64, abs=1e-15)
-    assert rho.entries[0, 3] == pytest.approx(0.48 * (0.3 - 0.2j), abs=1e-15)
-
-
-def test_state_from_overlaps_requires_normalized_amplitudes():
-    with pytest.raises(InvalidStateError, match="normalized"):
-        state_from_overlaps([1.0, 1.0], OverlapMatrix(np.eye(2)))

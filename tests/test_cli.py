@@ -105,6 +105,23 @@ def test_emergence_without_transition_emits_nulls(capsys):
     assert payload["p_e"] is None
 
 
+def test_emergence_csv_without_transition(capsys):
+    code, out, _ = run(capsys, "emergence", "--state", "0.4,0.1,0.0,0.05")
+    assert code == 0
+    assert out == (
+        "gamma,tau_d,tau_e,p_e,p_at_tau_d,transition\n1,1,,,0.632120558829,false\n"
+    )
+
+
+def test_emergence_with_opposite_sign_coherences(capsys):
+    # the sweep of this state changes basis at p = 0.25
+    code, out, _ = run(capsys, "emergence", "--state", "0.4,0.1,-0.1,0.3", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["transition"] is True
+    assert payload["p_e"] == pytest.approx(0.25, abs=1e-12)
+
+
 def test_emergence_rejects_non_x_states(capsys, tmp_path):
     rng = np.random.default_rng(0)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -149,6 +166,25 @@ def test_verify_csv_rows(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "theorem_id,trials,failures,worst_violation,seed"
     assert lines[1].startswith("theorem1,30,0,")
+
+
+def test_verify_all_suites(capsys):
+    argv = ("verify", "--suite", "all", "--trials", "2", "--grid", "21")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "theorem_id,trials,failures,worst_violation,seed"
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["theorem1", "2", "0"],
+        ["theorem2", "2", "0"],
+        ["lemma1", "2", "0"],
+        ["remark", "21", "0"],
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert [o["theorem_id"] for o in payload] == ["theorem1", "theorem2", "lemma1", "remark"]
+    assert all(o["passed"] is True for o in payload)
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -218,6 +254,12 @@ def test_missing_matrix_file_is_invalid_input(capsys):
         (("sweep", "--state", STATE_FLAG, "--channel", "bogus"), "invalid choice"),
         (("verify", "--suite", "bogus"), "invalid choice"),
         (("bogus-command",), "invalid choice"),
+        (("sweep", "--state", "nan,0.1,0.1,0.4"), "finite"),
+        (("sweep", "--state", "0.4,0.1,inf,0.4"), "finite"),
+        (("sweep", "--state", STATE_FLAG, "--gamma", "inf"), "finite"),
+        (("emergence", "--state", STATE_FLAG, "--gamma", "inf"), "finite"),
+        (("emergence", "--state", STATE_FLAG, "--gamma", "1e-320"), "finite"),
+        (("sweep", "--state", STATE_FLAG, "--seed", "1"), "unrecognized"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv, fragment):

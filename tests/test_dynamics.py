@@ -17,11 +17,13 @@ from einselect import (
     ProjectiveBasis,
     TrajectoryReport,
     XStateParams,
+    classical_correlation,
     classify_regime,
     detect_transition,
     emergence_time,
     make_x_state,
     remark_state,
+    random_x_state_params,
     sweep,
 )
 from einselect.dynamics import max_increase
@@ -45,6 +47,8 @@ def test_sweep_validates_inputs(state1):
         sweep(state1, "pd", [])
     with pytest.raises(InvalidInputError, match="gamma"):
         sweep(state1, "pd", [0.0, 1.0], gamma=0.0)
+    with pytest.raises(InvalidInputError, match="finite"):
+        sweep(state1, "pd", [0.0, 1.0], gamma=math.inf)
     with pytest.raises(InvalidInputError, match="channel"):
         sweep(state1, "depolarizing", [0.0, 1.0])
 
@@ -56,7 +60,6 @@ def test_dephasing_sweep_of_strongly_coherent_state(state1, fast_settings):
     assert report.emergence_time == pytest.approx(TAU_E_STATE_1, abs=1e-12)
     assert report.p_e == pytest.approx(0.4, abs=1e-12)
     assert report.tau_d == 1.0
-    assert report.p_at_tau_d == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
 
 
 def test_sweep_gamma_rescales_times_not_strengths(state1, fast_settings):
@@ -140,6 +143,40 @@ def test_emergence_time_accepts_decay_rate():
 def test_emergence_time_none_when_pointer_dominates():
     assert emergence_time(XStateParams(c=0.4, b=0.1, z=0.0, w=0.1)) is None
     assert emergence_time(STATE_2) is None
+
+
+def test_emergence_time_with_opposite_sign_coherences():
+    # sigma_y carries |z - w| = 0.4 > |z + w| = 0.2, against |c - b| = 0.3
+    result = emergence_time(XStateParams(c=0.4, b=0.1, z=-0.1, w=0.3))
+    assert result.p_e == pytest.approx(0.25, abs=1e-15)
+    assert result.tau_e == pytest.approx(math.log(4.0 / 3.0), abs=1e-15)
+
+
+def test_emergence_time_matches_the_sweep_for_both_coherence_signs(fast_settings):
+    # Draw as the theorem2 suite does: random X states with J_z > 1e-3,
+    # four with z w < 0 and four with z w >= 0.
+    rng = np.random.default_rng(0)
+    drawn = {True: [], False: []}
+    while min(len(states) for states in drawn.values()) < 4:
+        params = random_x_state_params(rng)
+        rho = make_x_state(params)
+        if classical_correlation(rho, ProjectiveBasis.sigma_z()) <= 1e-3:
+            continue
+        states = drawn[params.z * params.w < 0.0]
+        if len(states) < 4:
+            states.append((params, rho))
+    grid = np.linspace(0.0, 1.0, 41)
+    for opposite, states in drawn.items():
+        transitions = 0
+        for params, rho in states:
+            report = sweep(rho, "pd", grid, settings=fast_settings)
+            closed = emergence_time(params)
+            assert (closed is None) == (report.transition_p is None), params
+            assert (report.emergence_time is None) == (closed is None), params
+            if closed is not None:
+                transitions += 1
+                assert closed.p_e == pytest.approx(report.transition_p, abs=1e-9)
+        assert transitions > 0, f"no transition drawn for z w < 0 = {opposite}"
 
 
 def test_emergence_time_diverges_for_balanced_populations():

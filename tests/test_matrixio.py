@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from einselect import (
     write_matrix_file,
 )
 from einselect import emergence_time
-from einselect.matrixio import CSV_COLUMNS, emergence_payload
+from einselect.cli import main
+from einselect.matrixio import CSV_COLUMNS, csv_table, emergence_payload, format_cell
 
 
 def test_write_parse_round_trip(tmp_path):
@@ -54,6 +56,9 @@ def test_parse_skips_comments_and_blank_lines(tmp_path):
         ("dim 2\nreal\n0.5 0\n", "ended inside"),
         ("dim 2\nblock\n", "unexpected"),
         ("dim 2\nreal\n0.5 0\n0 0.5\nimag\n0 0\n0 0\nstd\n-1 0\n0 0\n", "nonnegative"),
+        ("dim 2\nreal\n0.5 nan\n0 0.5\nimag\n0 0\n0 0\n", "non-finite.*'real'"),
+        ("dim 2\nreal\n0.5 0\n0 0.5\nimag\n0 0\ninf 0\n", "non-finite.*'imag'"),
+        ("dim 2\nreal\n0.5 0\n0 0.5\nimag\n0 0\n0 0\nstd\n0 inf\n0 0\n", "non-finite.*'std'"),
     ],
 )
 def test_parse_rejects_malformed_files(tmp_path, text, message):
@@ -138,11 +143,27 @@ def test_emit_verification_outcome_both_formats():
     assert payload["worst_violation"] == pytest.approx(3.2e-15)
 
 
-def test_emit_report_writes_file(tmp_path, state1, fast_settings):
-    report = sweep(state1, "pd", np.linspace(0.0, 1.0, 3), settings=fast_settings)
+def test_emit_report_writes_file(tmp_path, state1):
+    # the CLI's --out file holds exactly the emitted text
     path = tmp_path / "out.csv"
-    text = emit_report(report, "csv", path=path)
-    assert path.read_text() == text
+    assert main(["sweep", "--state", "0.4,0.1,0.1,0.4", "--grid", "3", "--out", str(path)]) == 0
+    report = sweep(state1, "pd", np.linspace(0.0, 1.0, 3))
+    assert path.read_text() == emit_report(report, "csv")
+
+
+def test_emit_report_refuses_non_finite_json():
+    bad = VerificationOutcome("theorem1", 1, 1, math.nan, 42)
+    with pytest.raises(ValueError, match="JSON"):
+        emit_report(bad, "json")
+
+
+def test_format_cell_rules():
+    assert [format_cell(v) for v in (None, True, False, 0.1 + 0.2, 1.0, 7, "pd")] == [
+        "", "true", "false", "0.3", "1", "7", "pd"
+    ]
+    assert csv_table(("a", "b"), [{"a": None, "b": 2.5}, {"b": True, "a": 1}]) == (
+        "a,b\n,2.5\n1,true\n"
+    )
 
 
 def test_emit_report_rejects_bad_arguments(state1, fast_settings):

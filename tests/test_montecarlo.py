@@ -15,6 +15,7 @@ from einselect import (
     sweep,
     write_matrix_file,
 )
+from einselect.matrixio import bands_payload, json_text
 
 FAST = OptimizerSettings(n_theta=32, n_phi=64, min_step=1e-7)
 
@@ -31,8 +32,8 @@ def test_run_config_validation():
         RunConfig(grid_points=1)
     with pytest.raises(InvalidInputError, match="gamma"):
         RunConfig(gamma=0.0)
-    with pytest.raises(InvalidInputError, match="format"):
-        RunConfig(format="yaml")
+    with pytest.raises(InvalidInputError, match="finite"):
+        RunConfig(gamma=float("inf"))
     config = RunConfig(grid_points=5, pointer_theta=1.0, pointer_phi=2.0)
     assert config.grid.size == 5
     assert config.pointer_basis.theta == 1.0
@@ -80,26 +81,14 @@ def test_bands_are_deterministic(tmp_path):
     config = RunConfig(grid_points=11, samples=3, seed=4, optimizer=FAST)
     first = monte_carlo_bands(parsed, config)
     second = monte_carlo_bands(parsed, config)
-    assert first.to_csv() == second.to_csv()
-    assert first.to_json() == second.to_json()
-
-
-def test_bands_csv_layout(tmp_path):
-    parsed = matrix_file(tmp_path, 0.0)
-    config = RunConfig(grid_points=5, samples=2, seed=0, optimizer=FAST)
-    bands = monte_carlo_bands(parsed, config)
-    lines = bands.to_csv().strip().split("\n")
-    assert lines[0] == (
-        "p,j_z_mean,j_z_std,j_x_mean,j_x_std,j_max_mean,j_max_std,discord_mean,discord_std"
-    )
-    assert len(lines) == 6
+    assert json_text(bands_payload(first)) == json_text(bands_payload(second))
 
 
 def test_bands_json_payload(tmp_path):
     parsed = matrix_file(tmp_path, 0.0)
     config = RunConfig(grid_points=5, samples=2, seed=0, optimizer=FAST)
     bands = monte_carlo_bands(parsed, config)
-    payload = json.loads(bands.to_json())
+    payload = json.loads(json_text(bands_payload(bands)))
     assert payload["samples"] == 2
     assert payload["seed"] == 0
     assert len(payload["p"]) == 5
@@ -114,4 +103,4 @@ def test_bands_json_payload(tmp_path):
         transition_std=payload["transition_std"],
         transition_count=payload["transition_count"],
     )
-    assert rebuilt.to_csv() == bands.to_csv()
+    assert bands_payload(rebuilt) == payload

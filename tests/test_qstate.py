@@ -10,7 +10,6 @@ from einselect import (
     make_x_state,
     partial_trace,
     remark_state,
-    spectrum,
     von_neumann_entropy,
     x_state_params,
 )
@@ -77,17 +76,6 @@ def test_make_x_state_layout():
         dtype=complex,
     )
     np.testing.assert_array_equal(rho.entries, expected)
-
-
-def test_spectrum_of_reference_state():
-    spec = spectrum(make_x_state(STATE_1))
-    # eigenvalues are c +- w = 0.8, 0 and b +- z = 0.2, 0
-    np.testing.assert_allclose(spec.eigenvalues, [0.8, 0.2, 0.0, 0.0], atol=1e-12)
-    assert np.all(np.diff(spec.eigenvalues) <= 0)
-    gram = spec.eigenvectors.conj().T @ spec.eigenvectors
-    np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
-    rebuilt = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-    np.testing.assert_allclose(rebuilt, make_x_state(STATE_1).entries, atol=1e-12)
 
 
 def test_x_state_params_round_trip():
