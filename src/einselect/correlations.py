@@ -13,11 +13,35 @@ quantum discord is mutual information minus that maximum.
 Measurement kets are parametrized as
     |u_0> = (cos(theta/2), e^{i phi} sin(theta/2)),
     |u_1> = (sin(theta/2), -e^{i phi} cos(theta/2)),
-so (theta, phi) and (pi - theta, phi + pi) describe the same basis.
+so (theta, phi) and (pi - theta, phi + pi) describe the same basis, whose
+axis is n = (sin theta cos phi, sin theta sin phi, cos theta).
+
+The maximizer evaluates J on the Bloch form of the state,
+
+    rho = (I x I + r.sigma x I + I x s.sigma + sum_ij T_ij sigma_i x sigma_j) / 4,
+
+with r, s and T read off in one Pauli contraction (bloch_form). Measuring
+the apparatus along +-n leaves the system block
+((1 +- s.n) I + (r +- T n).sigma)/4: outcome probability p+- = (1 +- s.n)/2,
+block eigenvalues p+-/2 +- |r +- T n|/4, i.e. a conditional system state of
+Bloch length |r +- T n| / (1 +- s.n). Since sum p+- = 1,
+
+    J = S(rho_s) - 1 + sum_+- p+- (1 - H((1 + length+-)/2)),
+
+real 3-vector arithmetic with no eigensolver, and each outcome's term keeps
+its relative accuracy (see _bloch_information). s.n and T n are written as
+explicit three-term sums, so every value depends only on its own state and
+axis, never on the rest of the batch. maximize_batch runs the coarse grid
+one state at a time and the compass refinement in lockstep over all states;
+maximize_classical_correlation is its one-state case.
+
+classical_correlation, conditional_state and mutual_information stay on the
+density matrix itself (partial trace and eigvalsh).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +58,8 @@ OUTCOME_FLOOR = 1e-14
 _NEGATIVE_J_TOL = 1e-9
 
 DISCORD_CLAMP = 1e-6
+
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -151,40 +177,91 @@ class CorrelationRecord:
             )
 
 
-def _xlog2x(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, None)
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    out[pos] = t[pos] * np.log2(t[pos])
+def _bloch_information(x: np.ndarray) -> np.ndarray:
+    """1 - H((1 + x)/2) in bits: what a qubit of Bloch length x lacks in entropy.
+
+    Below x = 1/2 it is evaluated as (2 x artanh x + ln(1 - x^2)) / (2 ln 2),
+    above as ((1 + x) ln(1 + x) + (1 - x) ln(1 - x)) / (2 ln 2), where 1 - x
+    is exact. Either way the error stays within a few ulp of the value, with
+    no cancellation against the O(1) entropies that the eigenvalue form
+    xlog2x(p) - xlog2x(lambda_hi) - xlog2x(lambda_lo) subtracts. Lengths are
+    clipped to [0, 1]; x = 1 (a pure conditional state) gives 1.
+    """
+    x = np.clip(x, 0.0, 1.0)
+    out = np.ones_like(x)
+    low = x < 0.5
+    t = x[low]
+    out[low] = (t * np.arctanh(t) + 0.5 * np.log1p(-t * t)) / _LN2
+    high = ~low & (x < 1.0)
+    t = x[high]
+    out[high] = ((1.0 + t) * np.log1p(t) + (1.0 - t) * np.log1p(-t)) / (2.0 * _LN2)
     return out
 
 
-def _batch_correlation(r4: np.ndarray, s_entropy: float, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Classical correlation for a batch of measurement bases.
+# sigma_a x sigma_b for a, b in (I, x, y, z), as a (4, 4, 4, 4) array [a, b, row, col].
+_PAULIS = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
+)
+_PAULI_PAIRS = np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(4, 4, 4, 4)
 
-    r4 is the state reshaped to (2, 2, 2, 2) with axes (s, a, s', a').
-    Conditional 2x2 blocks are reduced in one einsum per outcome and their
-    eigenvalues taken in closed form, so the cost is O(batch) with tiny
-    constants. Evaluation order of the batch does not affect any result.
+
+def bloch_form(rho: DensityMatrix) -> np.ndarray:
+    """The real (4, 4) matrix C[a, b] = Tr(rho sigma_a x sigma_b), sigma_0 = I.
+
+    C[0, 0] = 1, the system Bloch vector r = C[1:, 0], the apparatus Bloch
+    vector s = C[0, 1:] and the correlation matrix T = C[1:, 1:].
     """
-    half_t = thetas / 2.0
-    ct, st = np.cos(half_t), np.sin(half_t)
-    e = np.exp(1j * phis)
-    kets0 = np.stack([ct.astype(complex), e * st], axis=1)
-    kets1 = np.stack([st.astype(complex), -e * ct], axis=1)
+    return np.einsum("abji,ij->ab", _PAULI_PAIRS, rho.entries).real
 
-    conditional = np.zeros(thetas.shape, dtype=float)
-    for kets in (kets0, kets1):
-        m = np.einsum("gj,mjnk,gk->gmn", kets.conj(), r4, kets)
-        a = m[:, 0, 0].real
-        d = m[:, 1, 1].real
-        prob = a + d
-        radius = np.sqrt(((a - d) / 2.0) ** 2 + np.abs(m[:, 0, 1]) ** 2)
-        lam_hi = (a + d) / 2.0 + radius
-        lam_lo = (a + d) / 2.0 - radius
-        # p H(lambda / p) = xlog2x(p) - xlog2x(lambda_hi) - xlog2x(lambda_lo)
-        conditional += _xlog2x(prob) - _xlog2x(lam_hi) - _xlog2x(lam_lo)
-    return s_entropy - conditional
+
+def _bloch_correlation(form: np.ndarray, s_entropy, nx, ny, nz) -> np.ndarray:
+    """Classical correlation for apparatus measurement axes (nx, ny, nz).
+
+    J = S(rho_s) - 1 + sum_+- p+- (1 - H(conditional state)), where the
+    conditional Bloch length is |r +- T n| / (1 +- s.n). form[a, b] and
+    s_entropy broadcast elementwise against the axis arrays: one state's
+    (4, 4) form against a batch of axes, or per-state columns against a
+    (states, axes) block.
+    """
+    sn = form[0, 1] * nx + form[0, 2] * ny + form[0, 3] * nz
+    tn = [form[i, 1] * nx + form[i, 2] * ny + form[i, 3] * nz for i in (1, 2, 3)]
+    total = s_entropy - 1.0
+    for sign in (1.0, -1.0):
+        prob = (1.0 + sign * sn) / 2.0
+        x = form[1, 0] + sign * tn[0]
+        y = form[2, 0] + sign * tn[1]
+        z = form[3, 0] + sign * tn[2]
+        length = np.sqrt(x * x + y * y + z * z)
+        # An outcome that never happens (prob <= 0) contributes nothing.
+        ratio = np.divide(length, 2.0 * prob, out=np.zeros_like(length), where=prob > 0.0)
+        total = total + prob * _bloch_information(ratio)
+    return total
+
+
+def _axes(thetas: np.ndarray, phis: np.ndarray) -> tuple:
+    st = np.sin(thetas)
+    return st * np.cos(phis), st * np.sin(phis), np.cos(thetas)
+
+
+@functools.lru_cache(maxsize=8)
+def _coarse_grid(n_theta: int, n_phi: int) -> tuple:
+    """Angles and axes of the coarse grid, then the exact sigma_z, sigma_x, sigma_y.
+
+    Order: theta-major over linspace(0, pi, n_theta) x [0, 2 pi) with n_phi
+    points. Built once per grid size; the arrays are read-only.
+    """
+    theta_grid = np.linspace(0.0, math.pi, n_theta)
+    phi_grid = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
+    thetas = np.concatenate([np.repeat(theta_grid, n_phi), [0.0, math.pi / 2, math.pi / 2]])
+    phis = np.concatenate([np.tile(phi_grid, n_theta), [0.0, 0.0, math.pi / 2]])
+    # x, y and z components of the exact sigma_z, sigma_x and sigma_y axes
+    exact = ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+    grid_axes = _axes(thetas[:-3], phis[:-3])
+    arrays = (thetas, phis) + tuple(np.concatenate(pair) for pair in zip(grid_axes, exact))
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 def conditional_state(rho: DensityMatrix, basis: ProjectiveBasis, outcome: int):
@@ -239,6 +316,67 @@ def mutual_information(rho: DensityMatrix) -> float:
     return float(total)
 
 
+# Compass moves in (theta, phi): +theta, -theta, +phi, -phi.
+_THETA_MOVES = np.array([1.0, -1.0, 0.0, 0.0])
+_PHI_MOVES = np.array([0.0, 0.0, 1.0, -1.0])
+
+
+def maximize_batch(
+    states, settings: OptimizerSettings | None = None
+) -> list[tuple[float, ProjectiveBasis]]:
+    """maximize_classical_correlation for each of a sequence of states.
+
+    The coarse grid runs one state at a time; the compass refinement then
+    runs in lockstep across the states, each with its own step and stopping
+    rule. Every evaluation is elementwise in the batch, so each result is
+    bit-for-bit the one-state result of its state.
+    """
+    cfg = settings or OptimizerSettings()
+    thetas, phis, nx, ny, nz = _coarse_grid(cfg.n_theta, cfg.n_phi)
+    # partial_trace rejects anything but a two-qubit state
+    s_entropy = np.array(
+        [von_neumann_entropy(partial_trace(rho, "system")) for rho in states]
+    )
+    forms = np.array([bloch_form(rho) for rho in states])
+    best = np.empty(len(states))
+    theta = np.empty(len(states))
+    phi = np.empty(len(states))
+    for k, form in enumerate(forms):
+        values = _bloch_correlation(form, s_entropy[k], nx, ny, nz)
+        idx = int(np.argmax(values))
+        best[k], theta[k], phi[k] = values[idx], thetas[idx], phis[idx]
+
+    step = np.full(len(states), max(math.pi / (cfg.n_theta - 1), 2.0 * math.pi / cfg.n_phi))
+    for _ in range(MAX_REFINE_STEPS):
+        live = np.flatnonzero(step >= cfg.min_step)
+        if live.size == 0:
+            break
+        moves = step[live, None]
+        cand_t = np.clip(theta[live, None] + moves * _THETA_MOVES, 0.0, math.pi)
+        cand_p = np.mod(phi[live, None] + moves * _PHI_MOVES, 2.0 * math.pi)
+        form = forms[live].transpose(1, 2, 0)[..., None]
+        vals = _bloch_correlation(form, s_entropy[live, None], *_axes(cand_t, cand_p))
+        rows = np.arange(live.size)
+        k = np.argmax(vals, axis=1)
+        top = vals[rows, k]
+        gain = top - best[live]
+        up = gain > 0.0
+        moved = live[up]
+        best[moved] = top[up]
+        theta[moved] = cand_t[rows, k][up]
+        phi[moved] = cand_p[rows, k][up]
+        step[live[~up | (gain < REFINE_GAIN)]] /= 2.0
+
+    results = []
+    for value, t, f in zip(best.tolist(), theta.tolist(), phi.tolist()):
+        if value < 0.0:
+            if value < -_NEGATIVE_J_TOL:
+                raise OptimizationError(f"optimizer produced negative maximum {value:.3e}")
+            value = 0.0
+        results.append((value, ProjectiveBasis(t, f)))
+    return results
+
+
 def maximize_classical_correlation(
     rho: DensityMatrix, settings: OptimizerSettings | None = None
 ) -> tuple[float, ProjectiveBasis]:
@@ -251,43 +389,33 @@ def maximize_classical_correlation(
     cross, so refinement is derivative-free. On exactly degenerate maxima the
     first candidate in (theta, phi) lexicographic order wins.
     """
-    cfg = settings or OptimizerSettings()
-    r4 = rho.entries.reshape(2, 2, 2, 2)
-    s_entropy = von_neumann_entropy(partial_trace(rho, "system"))
+    return maximize_batch([rho], settings)[0]
 
-    theta_grid = np.linspace(0.0, math.pi, cfg.n_theta)
-    phi_grid = np.linspace(0.0, 2.0 * math.pi, cfg.n_phi, endpoint=False)
-    thetas = np.concatenate([np.repeat(theta_grid, cfg.n_phi), [0.0, math.pi / 2, math.pi / 2]])
-    phis = np.concatenate([np.tile(phi_grid, cfg.n_theta), [0.0, 0.0, math.pi / 2]])
-    values = _batch_correlation(r4, s_entropy, thetas, phis)
-    best_idx = int(np.argmax(values))
-    best = float(values[best_idx])
-    theta = float(thetas[best_idx])
-    phi = float(phis[best_idx])
 
-    step = max(math.pi / (cfg.n_theta - 1), 2.0 * math.pi / cfg.n_phi)
-    for _ in range(MAX_REFINE_STEPS):
-        if step < cfg.min_step:
-            break
-        cand_t = np.clip([theta + step, theta - step, theta, theta], 0.0, math.pi)
-        cand_p = np.mod([phi, phi, phi + step, phi - step], 2.0 * math.pi)
-        vals = _batch_correlation(r4, s_entropy, np.asarray(cand_t), np.asarray(cand_p))
-        k = int(np.argmax(vals))
-        gain = float(vals[k]) - best
-        if gain > 0.0:
-            best = float(vals[k])
-            theta = float(cand_t[k])
-            phi = float(cand_p[k])
-            if gain < REFINE_GAIN:
-                step /= 2.0
-        else:
-            step /= 2.0
+def correlation_records(
+    states, ps, settings: OptimizerSettings | None = None
+) -> list[CorrelationRecord]:
+    """correlation_record for each state, labelled with its channel strength.
 
-    if best < 0.0:
-        if best < -_NEGATIVE_J_TOL:
-            raise OptimizationError(f"optimizer produced negative maximum {best:.3e}")
-        best = 0.0
-    return best, ProjectiveBasis(theta, phi)
+    One maximize_batch call covers all states; the records equal the
+    one-state records bit for bit.
+    """
+    records = []
+    for rho, p, (j_max, argmax) in zip(states, ps, maximize_batch(states, settings)):
+        mi = mutual_information(rho)
+        records.append(
+            CorrelationRecord(
+                p=p,
+                j_z=classical_correlation(rho, ProjectiveBasis.sigma_z()),
+                j_x=classical_correlation(rho, ProjectiveBasis.sigma_x()),
+                j_max=j_max,
+                opt_theta=argmax.theta,
+                opt_phi=argmax.phi,
+                mutual_info=mi,
+                discord=clamp_discord(mi - j_max),
+            )
+        )
+    return records
 
 
 def correlation_record(
@@ -298,18 +426,7 @@ def correlation_record(
     J in the sigma_z and sigma_x bases, the maximum with its argmax angles,
     mutual information, and discord.
     """
-    j_max, argmax = maximize_classical_correlation(rho, settings)
-    mi = mutual_information(rho)
-    return CorrelationRecord(
-        p=p,
-        j_z=classical_correlation(rho, ProjectiveBasis.sigma_z()),
-        j_x=classical_correlation(rho, ProjectiveBasis.sigma_x()),
-        j_max=j_max,
-        opt_theta=argmax.theta,
-        opt_phi=argmax.phi,
-        mutual_info=mi,
-        discord=clamp_discord(mi - j_max),
-    )
+    return correlation_records([rho], [p], settings)[0]
 
 
 def quantum_discord(rho: DensityMatrix, settings: OptimizerSettings | None = None) -> float:

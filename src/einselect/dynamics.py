@@ -40,7 +40,7 @@ from .correlations import (
     ProjectiveBasis,
     basis_distance,
     classical_correlation,
-    correlation_record,
+    correlation_records,
 )
 from .errors import InvalidInputError, InvalidStateError
 from .qstate import DensityMatrix, XStateParams, x_state_params
@@ -298,10 +298,9 @@ def sweep(
     ps = _validate_grid(grid)
     check_gamma(gamma, InvalidInputError)
     make = _channel_maker(channel_family, pointer_basis)
-    records = [
-        correlation_record(apply_to_apparatus(make(float(p)), rho0), float(p), settings)
-        for p in ps
-    ]
+    strengths = [float(p) for p in ps]
+    states = [apply_to_apparatus(make(p), rho0) for p in strengths]
+    records = correlation_records(states, strengths, settings)
 
     transition = detect_transition(
         rho0, channel_family, records, pointer_basis=pointer_basis

@@ -8,6 +8,7 @@ All values are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,11 @@ class DensityMatrix:
         m = _as_complex_matrix(self.entries)
         if m.shape[0] not in (2, 4):
             raise InvalidStateError(f"dim must be 2 or 4, got {m.shape[0]}")
-        herm = np.max(np.abs(m - m.conj().T))
+        # An inf or nan entry makes its element of m - m^dag inf or nan.
+        with np.errstate(invalid="ignore"):
+            herm = np.max(np.abs(m - m.conj().T))
+        if not math.isfinite(herm):
+            raise InvalidStateError("entries must be finite numbers")
         if herm > HERMITICITY_TOL:
             raise InvalidStateError(
                 f"not Hermitian: max |m - m^dag| = {herm:.3e} exceeds {HERMITICITY_TOL}"
@@ -83,6 +88,9 @@ class XStateParams:
     w: float
 
     def __post_init__(self):
+        values = (self.c, self.b, self.z, self.w)
+        if not all(math.isfinite(v) for v in values):
+            raise InvalidStateError(f"parameters must be finite numbers, got {values}")
         if abs(2 * self.c + 2 * self.b - 1.0) > TRACE_TOL:
             raise InvalidStateError(
                 f"trace invariant violated: 2c + 2b = {2 * self.c + 2 * self.b:.15g}, "

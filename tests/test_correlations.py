@@ -11,6 +11,8 @@ from einselect import (
     OptimizationError,
     OptimizerSettings,
     ProjectiveBasis,
+    XStateParams,
+    amplitude_damping,
     apply_to_apparatus,
     basis_distance,
     classical_correlation,
@@ -18,10 +20,19 @@ from einselect import (
     make_x_state,
     maximize_classical_correlation,
     mutual_information,
+    partial_trace,
     phase_damping,
+    pointer_decoherence,
     quantum_discord,
+    sweep,
+    von_neumann_entropy,
 )
-from einselect.correlations import clamp_discord
+from einselect.correlations import (
+    _bloch_correlation,
+    bloch_form,
+    clamp_discord,
+    correlation_record,
+)
 
 H_08 = 0.7219280948873623  # binary entropy of 0.8, in bits
 
@@ -226,3 +237,67 @@ def test_correlation_record_consistency_checks():
             p=0.1, j_z=0.0, j_x=0.0, j_max=0.5, opt_theta=0.0, opt_phi=0.0,
             mutual_info=1.0, discord=-1e-3,
         )
+
+
+def test_bloch_kernel_matches_classical_correlation():
+    rng = np.random.default_rng(2008)
+    for seed in range(50):
+        rho = random_state(seed + 100)
+        form = bloch_form(rho)
+        s_entropy = von_neumann_entropy(partial_trace(rho, "system"))
+        thetas = np.arccos(rng.uniform(-1.0, 1.0, size=20))
+        phis = rng.uniform(0.0, 2.0 * math.pi, size=20)
+        axes = [np.sin(thetas) * np.cos(phis), np.sin(thetas) * np.sin(phis), np.cos(thetas)]
+        kernel = _bloch_correlation(form, s_entropy, *axes)
+        for value, theta, phi in zip(kernel, thetas, phis):
+            direct = classical_correlation(rho, ProjectiveBasis(theta, phi))
+            assert abs(value - direct) <= 1e-12
+
+
+def test_bloch_form_of_reference_state():
+    # STATE_1: no local Bloch vectors, T = diag(2(w+z), 2(z-w), 2(c-b))
+    expected = np.diag([1.0, 1.0, -0.6, 0.6])
+    np.testing.assert_allclose(bloch_form(make_x_state(STATE_1)), expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("family", ["pd", "ad", "pointer"])
+def test_sweep_records_equal_standalone_records(family):
+    channels = {
+        "pd": phase_damping,
+        "ad": amplitude_damping,
+        "pointer": lambda p: pointer_decoherence(ProjectiveBasis(0.9, 2.2), p),
+    }
+    grid = np.linspace(0.0, 1.0, 41)
+    for rho in (make_x_state(STATE_1), random_state(77)):
+        report = sweep(rho, family, grid, pointer_basis=ProjectiveBasis(0.9, 2.2))
+        for record in report.records:
+            evolved = apply_to_apparatus(channels[family](record.p), rho)
+            assert correlation_record(evolved, record.p) == record
+
+
+def _binary_entropy(x):
+    return -sum(t * math.log2(t) for t in (x, 1.0 - x) if t > 0.0)
+
+
+def test_maximize_matches_luo_closed_form_on_bell_diagonal_states():
+    # Bell-diagonal X states (diagonal c, b, b, c): J_max = 1 - h((1 + max|c_i|)/2),
+    # attained on the Pauli axis of the largest |c_i| (Luo, PRA 77, 042303, 2008).
+    pauli_axes = [ProjectiveBasis.sigma_x(), ProjectiveBasis.sigma_y(), ProjectiveBasis.sigma_z()]
+    rng = np.random.default_rng(42)
+    checked_axes = 0
+    for _ in range(12):
+        c = float(rng.uniform(0.0, 0.5))
+        b = 0.5 - c
+        w = float(rng.uniform(-c, c))
+        z = float(rng.uniform(-b, b))
+        rho = make_x_state(XStateParams(c=c, b=b, z=z, w=w))
+        for p in (0.0, 0.3, 0.6, 0.9, 1.0):
+            coeffs = [abs(2 * (w + z) * (1 - p)), abs(2 * (z - w) * (1 - p)), abs(2 * (c - b))]
+            order = sorted(range(3), key=lambda i: -coeffs[i])
+            expected = 1.0 - _binary_entropy((1.0 + coeffs[order[0]]) / 2.0)
+            j_max, basis = maximize_classical_correlation(apply_to_apparatus(phase_damping(p), rho))
+            assert abs(j_max - expected) <= 1e-12
+            if coeffs[order[0]] - coeffs[order[1]] >= 1e-3:
+                assert basis_distance(basis, pauli_axes[order[0]]) <= 1e-6
+                checked_axes += 1
+    assert checked_axes >= 40

@@ -37,6 +37,12 @@ def test_density_matrix_rejects_negative_eigenvalue():
         DensityMatrix(np.diag([1.001, -0.001]).astype(complex))
 
 
+def test_density_matrix_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidStateError, match="finite"):
+            DensityMatrix(np.diag([bad, 1.0, 0.0, 0.0]).astype(complex))
+
+
 def test_density_matrix_tolerates_rounding_dust():
     # eigenvalue -5e-11 is inside the clip floor and must be accepted
     rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
@@ -62,6 +68,13 @@ def test_x_state_params_invariants():
         XStateParams(c=0.4, b=0.1, z=0.0, w=0.5)
     with pytest.raises(InvalidStateError, match="positivity"):
         XStateParams(c=0.4, b=0.1, z=0.2, w=0.0)
+
+
+def test_x_state_params_rejects_non_finite():
+    with pytest.raises(InvalidStateError, match="finite"):
+        make_x_state(XStateParams(c=float("nan"), b=0.1, z=0.1, w=0.1))
+    with pytest.raises(InvalidStateError, match="finite"):
+        XStateParams(c=0.4, b=0.1, z=float("inf"), w=0.1)
 
 
 def test_make_x_state_layout():
