@@ -12,8 +12,9 @@ source trees and compare the directories:
 The commands cover every README command, `sweep`, `maximize` and `emergence`
 of the reference states in both formats, `--out` variants, the pointer, ad
 and z w < 0 paths, and `analyze` on the seed-3 matrix file that
-`einbench/inputs.py` writes. `--slow` adds `verify --suite all` at the
-default trial counts (a few minutes).
+`einbench/inputs.py` writes, Monte Carlo bands on a tilted pointer basis
+included. `--slow` adds `verify --suite all` at the default trial counts
+(a few minutes).
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ def commands(matrix: str, slow: bool) -> list:
         for fmt in ("csv", "json"):
             for command in ("sweep", "maximize", "emergence"):
                 cmds.append([command, "--state", state, "--format", fmt])
+    cmds.append(["analyze", "--matrix-file", matrix, "--channel", "pointer", "--theta", "1.2",
+                 "--phi", "0.4", "--samples", "3", "--grid", "11", "--format", "json"])
     if slow:
         cmds += [["verify", "--suite", "all"], ["verify", "--suite", "all", "--format", "json"]]
     return cmds

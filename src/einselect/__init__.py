@@ -56,7 +56,7 @@ from .matrixio import (
     project_to_physical,
     write_matrix_file,
 )
-from .montecarlo import MonteCarloBands, RunConfig, monte_carlo_bands
+from .montecarlo import MonteCarloBands, monte_carlo_bands
 from .qstate import (
     STATE_1,
     STATE_2,
@@ -101,7 +101,6 @@ __all__ = [
     "REGIME_DECAY_THEN_CONSTANT",
     "REGIME_MONOTONIC_DECAY",
     "REGIME_SUDDEN_CHANGE",
-    "RunConfig",
     "STATE_1",
     "STATE_2",
     "TrajectoryReport",

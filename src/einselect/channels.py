@@ -5,10 +5,9 @@ apparatus (second) qubit, and are parametrized by a strength p in [0, 1] with
 the exponential clock p(t) = 1 - exp(-gamma t).
 
 Conventions fixed here:
-  - phase damping multiplies pointer-basis (sigma_z) coherences by exactly
-    (1 - p) and leaves populations fixed, so its strength coincides with the
-    mixing weight q of the projective decoherence map
-    rho -> (1 - q) rho + q (P0 rho P0 + P1 rho P1);
+  - phase damping is projective decoherence onto the sigma_z pointer basis,
+    rho -> (1 - p) rho + p (P0 rho P0 + P1 rho P1): it multiplies sigma_z
+    coherences by exactly (1 - p) and leaves populations fixed;
   - amplitude damping decays |1> to |0> with K0 = diag(1, sqrt(1-p)),
     K1 = [[0, sqrt(p)], [0, 0]].
 """
@@ -20,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlations import ProjectiveBasis
 from .errors import InvalidStateError
 from .qstate import DensityMatrix
 
@@ -36,8 +36,6 @@ class KrausChannel:
     """
 
     operators: tuple
-    label: str
-    strength: float
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
@@ -50,8 +48,7 @@ class KrausChannel:
         dev = np.max(np.abs(total - _I2))
         if dev > _TP_TOL:
             raise InvalidStateError(
-                f"channel {self.label!r} is not trace preserving: "
-                f"max |sum K^dag K - I| = {dev:.3e}"
+                f"channel is not trace preserving: max |sum K^dag K - I| = {dev:.3e}"
             )
         for k in ops:
             k.setflags(write=False)
@@ -96,14 +93,10 @@ def _check_p(p: float) -> float:
 def phase_damping(p: float) -> KrausChannel:
     """Dephasing in the sigma_z basis: coherences shrink by (1 - p), populations fixed.
 
-    Kraus pair {sqrt(1 - p/2) I, sqrt(p/2) sigma_z}; identical in action to
-    pointer_decoherence with sigma_z eigenprojectors and q = p.
+    The sigma_z case of pointer_decoherence, with Kraus pair
+    {sqrt(1 - p/2) I, sqrt(p/2) sigma_z}.
     """
-    p = _check_p(p)
-    ident = np.sqrt(1.0 - p / 2.0) * _I2
-    flip = np.sqrt(p / 2.0) * np.diag([1.0, -1.0]).astype(complex)
-    ops = (ident,) if p == 0.0 else (ident, flip)
-    return KrausChannel(operators=ops, label="pd", strength=p)
+    return pointer_decoherence(ProjectiveBasis.sigma_z(), p)
 
 
 def amplitude_damping(p: float) -> KrausChannel:
@@ -112,10 +105,10 @@ def amplitude_damping(p: float) -> KrausChannel:
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
     ops = (k0,) if p == 0.0 else (k0, k1)
-    return KrausChannel(operators=ops, label="ad", strength=p)
+    return KrausChannel(operators=ops)
 
 
-def pointer_decoherence(basis, q: float) -> KrausChannel:
+def pointer_decoherence(basis: ProjectiveBasis, q: float) -> KrausChannel:
     """Partial projective decoherence onto an arbitrary pointer basis.
 
     Realizes rho -> (1 - q) rho + q sum_i Pi_i rho Pi_i as the Kraus pair
@@ -136,7 +129,7 @@ def pointer_decoherence(basis, q: float) -> KrausChannel:
     ident = np.sqrt(1.0 - q / 2.0) * _I2
     reflect = np.sqrt(q / 2.0) * (p0 - p1)
     ops = (ident,) if q == 0.0 else (ident, reflect)
-    return KrausChannel(operators=ops, label="pointer", strength=q)
+    return KrausChannel(operators=ops)
 
 
 def apply_to_apparatus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:

@@ -7,8 +7,10 @@ Subcommands:
   verify     run the randomized property suites
   analyze    ingest a matrix file, sweep it, optionally add Monte Carlo bands
 
-Exit codes: 0 success, 1 invalid input, 2 data-quality failure (ingested
-matrix too unphysical), 3 verification suite reported failures.
+Exit codes: 0 success, 1 invalid input (including --grid above
+MAX_GRID_POINTS, or --samples x --grid above MAX_SAMPLE_POINTS), 2
+data-quality failure (ingested matrix too unphysical), 3 verification suite
+reported failures.
 
 All outputs are deterministic for a fixed command line (and seed, where one
 applies): no timestamps, no machine identifiers, stable float formatting.
@@ -32,11 +34,16 @@ from .errors import (
     OptimizationError,
 )
 from .matrixio import FORMATS, emit_analysis, emit_emergence, emit_report, parse_matrix_file
-from .montecarlo import RunConfig, monte_carlo_bands
+from .montecarlo import monte_carlo_bands
 from .qstate import DensityMatrix, XStateParams, make_x_state, x_state_params
 from .verify import SUITES, verify_lemma1, verify_remark, verify_theorem1, verify_theorem2
 
 SUITE_CHOICES = (*SUITES, "all")
+
+# Caps that keep a typo in --grid or --samples from exhausting memory; both
+# are checked before any grid or seed array is allocated.
+MAX_GRID_POINTS = 100_001
+MAX_SAMPLE_POINTS = 10**7
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,9 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid_from_count(count: int) -> np.ndarray:
+def _grid_from_count(count: int, samples: int = 0) -> np.ndarray:
     if count < 2:
         raise InvalidInputError(f"--grid needs at least 2 points, got {count}")
+    if count > MAX_GRID_POINTS:
+        raise InvalidInputError(f"--grid allows at most {MAX_GRID_POINTS} points, got {count}")
+    if samples * count > MAX_SAMPLE_POINTS:
+        raise InvalidInputError(
+            f"--samples x --grid allows at most {MAX_SAMPLE_POINTS} sweep points, "
+            f"got {samples} x {count}"
+        )
     return np.linspace(0.0, 1.0, count)
 
 
@@ -198,14 +212,14 @@ def _cmd_maximize(args) -> int:
     return 0
 
 
-def _run_suite(name: str, args):
+def _run_suite(name: str, args, remark_grid: Optional[np.ndarray]):
     overrides = {}
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["seed"] = args.seed
     if name == "remark":
-        return verify_remark(np.linspace(0.0, 1.0, args.grid))
+        return verify_remark(remark_grid)
     if name == "theorem1":
         return verify_theorem1(**overrides)
     if name == "theorem2":
@@ -217,33 +231,22 @@ def _run_suite(name: str, args):
 
 def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    outcomes = [_run_suite(name, args) for name in names]
+    remark_grid = _grid_from_count(args.grid) if "remark" in names else None
+    outcomes = [_run_suite(name, args, remark_grid) for name in names]
     _write_or_print(emit_report(outcomes, args.format), args.out)
     return 3 if any(o.failures > 0 for o in outcomes) else 0
 
 
 def _cmd_analyze(args) -> int:
     matrix = parse_matrix_file(args.matrix_file)
-    grid = _grid_from_count(args.grid)
-    report = sweep(
-        matrix.state,
-        args.channel,
-        grid,
-        gamma=args.gamma,
-        pointer_basis=_pointer_basis(args),
-    )
+    grid = _grid_from_count(args.grid, args.samples)
+    run = {"gamma": args.gamma, "pointer_basis": _pointer_basis(args)}
+    report = sweep(matrix.state, args.channel, grid, **run)
     bands = None
     if args.samples:
-        config = RunConfig(
-            channel=args.channel,
-            gamma=args.gamma,
-            grid_points=args.grid,
-            samples=args.samples,
-            seed=args.seed,
-            pointer_theta=args.theta if args.channel == "pointer" else 0.0,
-            pointer_phi=args.phi if args.channel == "pointer" else 0.0,
+        bands = monte_carlo_bands(
+            matrix, args.channel, grid, samples=args.samples, seed=args.seed, **run
         )
-        bands = monte_carlo_bands(matrix, config)
     _write_or_print(emit_analysis(matrix, report, bands, args.format), args.out)
     return 0
 

@@ -77,6 +77,9 @@ class ProjectiveBasis:
     def __post_init__(self):
         th = float(self.theta)
         ph = float(self.phi)
+        for name, value in (("theta", th), ("phi", ph)):
+            if not math.isfinite(value):
+                raise OptimizationError(f"{name} must be a finite number, got {value}")
         if th < -1e-9 or th > math.pi + 1e-9:
             raise OptimizationError(f"theta must lie in [0, pi], got {th}")
         th = min(max(th, 0.0), math.pi)

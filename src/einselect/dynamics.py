@@ -31,7 +31,6 @@ from .channels import (
     amplitude_damping,
     apply_to_apparatus,
     check_gamma,
-    phase_damping,
     pointer_decoherence,
 )
 from .correlations import (
@@ -80,12 +79,10 @@ CHANNEL_FAMILIES = ("pd", "ad", "pointer")
 
 @dataclass(frozen=True)
 class EmergenceResult:
-    """Closed-form emergence point: time, strength, and the decoherence scale."""
+    """Closed-form emergence point: time and channel strength."""
 
     tau_e: float
     p_e: float
-    tau_d: float
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,6 @@ class TrajectoryReport:
     transition_p: Optional[float]
     regime: str
     emergence_time: Optional[float]
-    tau_d: float
     gamma: float = 1.0
 
     def __post_init__(self):
@@ -125,6 +121,11 @@ class TrajectoryReport:
                 )
 
     @property
+    def tau_d(self) -> float:
+        """Decoherence time 1/gamma."""
+        return 1.0 / self.gamma
+
+    @property
     def p_e(self) -> Optional[float]:
         """Channel strength at the emergence time, 1 - exp(-gamma tau_E)."""
         if self.emergence_time is None:
@@ -132,19 +133,29 @@ class TrajectoryReport:
         return 1.0 - math.exp(-self.gamma * self.emergence_time)
 
 
-def _channel_maker(
+def _dephasing_basis(
     family: str, pointer_basis: Optional[ProjectiveBasis]
-) -> Callable[[float], KrausChannel]:
+) -> Optional[ProjectiveBasis]:
+    """The pointer basis a dephasing family decoheres onto; None for "ad".
+
+    "pd" is the sigma_z case of "pointer", whose basis defaults to sigma_z.
+    """
     if family == "pd":
-        return phase_damping
-    if family == "ad":
-        return amplitude_damping
+        return ProjectiveBasis.sigma_z()
     if family == "pointer":
-        basis = pointer_basis or ProjectiveBasis.sigma_z()
-        return lambda p: pointer_decoherence(basis, p)
+        return pointer_basis or ProjectiveBasis.sigma_z()
+    if family == "ad":
+        return None
     raise InvalidInputError(
         f"unknown channel family {family!r}; expected one of {CHANNEL_FAMILIES}"
     )
+
+
+def _channel_maker(basis: Optional[ProjectiveBasis]) -> Callable[[float], KrausChannel]:
+    """The channel at strength p: dephasing onto basis, amplitude damping for None."""
+    if basis is None:
+        return amplitude_damping
+    return lambda p: pointer_decoherence(basis, p)
 
 
 def _validate_grid(grid) -> np.ndarray:
@@ -182,7 +193,7 @@ def detect_transition(
     basis information and never anchor a jump. Returns None when the argmax
     basis never jumps.
     """
-    make = _channel_maker(channel_family, pointer_basis)
+    make = _channel_maker(_dephasing_basis(channel_family, pointer_basis))
     for before, after in zip(records, records[1:]):
         b0 = _record_basis(before)
         b1 = _record_basis(after)
@@ -270,10 +281,7 @@ def emergence_time(
     if transverse <= gap:
         return None
     return EmergenceResult(
-        tau_e=math.log(transverse / gap) / rate.gamma,
-        p_e=1.0 - gap / transverse,
-        tau_d=rate.tau_d,
-        gamma=rate.gamma,
+        tau_e=math.log(transverse / gap) / rate.gamma, p_e=1.0 - gap / transverse
     )
 
 
@@ -297,7 +305,8 @@ def sweep(
     """
     ps = _validate_grid(grid)
     check_gamma(gamma, InvalidInputError)
-    make = _channel_maker(channel_family, pointer_basis)
+    basis = _dephasing_basis(channel_family, pointer_basis)
+    make = _channel_maker(basis)
     strengths = [float(p) for p in ps]
     states = [apply_to_apparatus(make(p), rho0) for p in strengths]
     records = correlation_records(states, strengths, settings)
@@ -308,14 +317,7 @@ def sweep(
     regime = classify_regime(records, transition)
 
     tau_e = None
-    dephasing = channel_family == "pd" or (
-        channel_family == "pointer"
-        and basis_distance(
-            pointer_basis or ProjectiveBasis.sigma_z(), ProjectiveBasis.sigma_z()
-        )
-        < 1e-12
-    )
-    if dephasing:
+    if basis is not None and basis_distance(basis, ProjectiveBasis.sigma_z()) < 1e-12:
         params = x_state_params(rho0)
         if params is not None:
             try:
@@ -330,6 +332,5 @@ def sweep(
         transition_p=transition,
         regime=regime,
         emergence_time=tau_e,
-        tau_d=1.0 / gamma,
         gamma=gamma,
     )

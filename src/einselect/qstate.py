@@ -36,10 +36,13 @@ class DensityMatrix:
     Attributes:
         entries: complex (dim, dim) array; read-only.
         dim: 2 (single qubit) or 4 (system-apparatus pair).
+        eigenvalues: ascending eigvalsh(entries) from the positivity check;
+            read-only.
     """
 
     entries: np.ndarray
     dim: int = field(init=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _as_complex_matrix(self.entries)
@@ -59,15 +62,18 @@ class DensityMatrix:
             raise InvalidStateError(
                 f"trace = {tr:.15g} differs from 1 by more than {TRACE_TOL}"
             )
-        lo = float(np.linalg.eigvalsh(m)[0])
+        vals = np.linalg.eigvalsh(m)
+        lo = float(vals[0])
         if lo < -PSD_FLOOR:
             raise InvalidStateError(
                 f"not positive semidefinite: smallest eigenvalue {lo:.3e} "
                 f"below -{PSD_FLOOR}"
             )
         m.setflags(write=False)
+        vals.setflags(write=False)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "dim", m.shape[0])
+        object.__setattr__(self, "eigenvalues", vals)
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.entries, dtype=dtype or complex)
@@ -184,23 +190,13 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     return DensityMatrix(reduced)
 
 
-def _entropy_from_eigenvalues(vals: np.ndarray) -> float:
-    vals = np.asarray(vals, dtype=float)
-    lo = float(vals.min(initial=0.0))
-    if lo < -PSD_FLOOR:
-        raise InvalidStateError(
-            f"eigenvalue {lo:.3e} below -{PSD_FLOOR}: not a valid state"
-        )
-    vals = np.clip(vals, 0.0, None)
-    pos = vals[vals > 0.0]
-    return float(-np.sum(pos * np.log2(pos)))
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum lambda_k log2 lambda_k in bits, with 0 log 0 = 0.
 
-    Eigenvalues in [-1e-10, 0) are clipped to zero; lower ones raise, since a
-    state that negative was never valid.
+    Reads the eigenvalues the state's validation computed; those in
+    [-PSD_FLOOR, 0) are clipped to zero, and validation rejected lower ones.
     """
-    return _entropy_from_eigenvalues(np.linalg.eigvalsh(rho.entries))
+    vals = np.clip(rho.eigenvalues, 0.0, None)
+    pos = vals[vals > 0.0]
+    return float(-np.sum(pos * np.log2(pos)))
 

@@ -37,11 +37,11 @@ def manual_apply(channel, rho):
 
 def test_kraus_channel_requires_trace_preservation():
     with pytest.raises(InvalidStateError, match="trace preserving"):
-        KrausChannel(operators=(0.9 * np.eye(2),), label="broken", strength=0.0)
+        KrausChannel(operators=(0.9 * np.eye(2),))
     with pytest.raises(InvalidStateError, match="2x2"):
-        KrausChannel(operators=(np.eye(3),), label="broken", strength=0.0)
+        KrausChannel(operators=(np.eye(3),))
     with pytest.raises(InvalidStateError, match="at least one"):
-        KrausChannel(operators=(), label="broken", strength=0.0)
+        KrausChannel(operators=())
 
 
 def test_strength_zero_channels_are_the_identity():

@@ -260,6 +260,13 @@ def test_missing_matrix_file_is_invalid_input(capsys):
         (("emergence", "--state", STATE_FLAG, "--gamma", "inf"), "finite"),
         (("emergence", "--state", STATE_FLAG, "--gamma", "1e-320"), "finite"),
         (("sweep", "--state", STATE_FLAG, "--seed", "1"), "unrecognized"),
+        (("sweep", "--state", STATE_FLAG, "--channel", "pointer", "--theta", "nan"),
+         "theta must be a finite number"),
+        (("sweep", "--state", STATE_FLAG, "--channel", "pointer", "--phi", "inf"),
+         "phi must be a finite number"),
+        (("sweep", "--state", STATE_FLAG, "--grid", "1000000000000"), "at most 100001"),
+        (("verify", "--suite", "remark", "--grid", "1000000000000"), "at most 100001"),
+        (("verify", "--suite", "all", "--trials", "1", "--grid", "100002"), "at most 100001"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv, fragment):
@@ -285,3 +292,17 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
         )
         assert code == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_grid_and_sample_caps_apply_before_allocation(capsys, tmp_path):
+    path = state_file(tmp_path, std=np.full((4, 4), 0.01))
+    for grid, samples, fragment in (
+        ("1000000000000", "3", "--grid allows at most 100001"),
+        ("11", "1000000000000", "--samples x --grid allows at most 10000000"),
+        ("100001", "101", "--samples x --grid allows at most 10000000"),
+    ):
+        code, out, err = run(
+            capsys, "analyze", "--matrix-file", path, "--grid", grid, "--samples", samples
+        )
+        assert (code, out) == (1, "")
+        assert fragment in err

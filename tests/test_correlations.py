@@ -56,6 +56,10 @@ def test_basis_angle_normalization():
     assert clamped.theta == 0.0
     with pytest.raises(OptimizationError, match="theta"):
         ProjectiveBasis(4.0, 0.0)
+    # NaN fails every range comparison, so it needs a check of its own.
+    for theta, phi, name in ((math.nan, 0.0, "theta"), (0.5, math.inf, "phi")):
+        with pytest.raises(OptimizationError, match=f"{name} must be a finite number"):
+            ProjectiveBasis(theta, phi)
 
 
 def test_named_bases_point_along_their_axes():

@@ -129,14 +129,11 @@ def test_emergence_time_reference_state():
     result = emergence_time(STATE_1)
     assert result.tau_e == pytest.approx(TAU_E_STATE_1, abs=1e-15)
     assert result.p_e == pytest.approx(0.4, abs=1e-15)
-    assert result.tau_d == 1.0
-    assert result.gamma == 1.0
 
 
 def test_emergence_time_accepts_decay_rate():
     result = emergence_time(STATE_1, DecayRate(4.0))
     assert result.tau_e == pytest.approx(TAU_E_STATE_1 / 4.0, abs=1e-15)
-    assert result.tau_d == 0.25
     assert result.p_e == pytest.approx(0.4, abs=1e-15)
 
 
@@ -217,20 +214,20 @@ def test_trajectory_report_validation():
     with pytest.raises(InvalidInputError, match="sorted"):
         TrajectoryReport(
             records=records, transition_p=None, regime=REGIME_CONSTANT,
-            emergence_time=None, tau_d=1.0,
+            emergence_time=None,
         )
     with pytest.raises(InvalidInputError, match="regime"):
         TrajectoryReport(
             records=(record(0.0, 0.5),), transition_p=None, regime="wiggly",
-            emergence_time=None, tau_d=1.0,
+            emergence_time=None,
         )
     with pytest.raises(InvalidInputError, match="transition"):
         TrajectoryReport(
             records=(record(0.0, 0.5),), transition_p=None,
-            regime=REGIME_DECAY_THEN_CONSTANT, emergence_time=None, tau_d=1.0,
+            regime=REGIME_DECAY_THEN_CONSTANT, emergence_time=None,
         )
     with pytest.raises(InvalidInputError, match="record"):
         TrajectoryReport(
             records=(), transition_p=None, regime=REGIME_CONSTANT,
-            emergence_time=None, tau_d=1.0,
+            emergence_time=None,
         )

@@ -8,7 +8,7 @@ from einselect import (
     InvalidInputError,
     MonteCarloBands,
     OptimizerSettings,
-    RunConfig,
+    ProjectiveBasis,
     make_x_state,
     monte_carlo_bands,
     parse_matrix_file,
@@ -18,6 +18,7 @@ from einselect import (
 from einselect.matrixio import bands_payload, json_text
 
 FAST = OptimizerSettings(n_theta=32, n_phi=64, min_step=1e-7)
+GRID_11 = np.linspace(0.0, 1.0, 11)
 
 
 def matrix_file(tmp_path, sigma):
@@ -27,16 +28,18 @@ def matrix_file(tmp_path, sigma):
     return parse_matrix_file(path)
 
 
-def test_run_config_validation():
+def test_bands_validate_sweep_arguments(tmp_path):
+    parsed = matrix_file(tmp_path, 0.01)
     with pytest.raises(InvalidInputError, match="grid"):
-        RunConfig(grid_points=1)
+        monte_carlo_bands(parsed, "pd", [], samples=2, settings=FAST)
     with pytest.raises(InvalidInputError, match="gamma"):
-        RunConfig(gamma=0.0)
+        monte_carlo_bands(parsed, "pd", [0.0, 1.0], samples=2, gamma=0.0, settings=FAST)
     with pytest.raises(InvalidInputError, match="finite"):
-        RunConfig(gamma=float("inf"))
-    config = RunConfig(grid_points=5, pointer_theta=1.0, pointer_phi=2.0)
-    assert config.grid.size == 5
-    assert config.pointer_basis.theta == 1.0
+        monte_carlo_bands(
+            parsed, "pd", [0.0, 1.0], samples=2, gamma=float("inf"), settings=FAST
+        )
+    with pytest.raises(InvalidInputError, match="channel"):
+        monte_carlo_bands(parsed, "depolarizing", [0.0, 1.0], samples=2, settings=FAST)
 
 
 def test_bands_require_uncertainties_and_samples(tmp_path):
@@ -44,16 +47,15 @@ def test_bands_require_uncertainties_and_samples(tmp_path):
     path = tmp_path / "bare.mat"
     write_matrix_file(path, rho)
     with pytest.raises(InvalidInputError, match="uncertainty"):
-        monte_carlo_bands(parse_matrix_file(path), RunConfig(samples=4))
+        monte_carlo_bands(parse_matrix_file(path), "pd", GRID_11, samples=4)
     with pytest.raises(InvalidInputError, match="samples"):
-        monte_carlo_bands(matrix_file(tmp_path, 0.01), RunConfig(samples=1))
+        monte_carlo_bands(matrix_file(tmp_path, 0.01), "pd", GRID_11, samples=1)
 
 
 def test_zero_noise_bands_collapse_to_the_sweep(tmp_path):
     parsed = matrix_file(tmp_path, 0.0)
-    config = RunConfig(grid_points=11, samples=3, seed=1, optimizer=FAST)
-    bands = monte_carlo_bands(parsed, config)
-    reference = sweep(parsed.state, "pd", config.grid, settings=FAST)
+    bands = monte_carlo_bands(parsed, "pd", GRID_11, samples=3, seed=1, settings=FAST)
+    reference = sweep(parsed.state, "pd", GRID_11, settings=FAST)
     for name in ("j_z", "j_x", "j_max", "discord"):
         # identical samples: spread is zero up to the mean's rounding
         assert np.max(bands.stds[name]) <= 1e-14
@@ -65,10 +67,30 @@ def test_zero_noise_bands_collapse_to_the_sweep(tmp_path):
     assert bands.transition_std <= 1e-14
 
 
+def test_zero_noise_pointer_bands_collapse_to_the_pointer_sweep(tmp_path):
+    parsed = matrix_file(tmp_path, 0.0)
+    basis = ProjectiveBasis(0.5, 0.4)
+    bands = monte_carlo_bands(
+        parsed, "pointer", GRID_11, samples=3, seed=1, pointer_basis=basis, settings=FAST
+    )
+    reference = sweep(parsed.state, "pointer", GRID_11, pointer_basis=basis, settings=FAST)
+    tilted = sweep(parsed.state, "pd", GRID_11, settings=FAST)
+    for name in ("j_z", "j_x", "j_max", "discord"):
+        assert np.max(bands.stds[name]) <= 1e-14
+        np.testing.assert_allclose(
+            bands.means[name], [getattr(r, name) for r in reference.records], atol=1e-12
+        )
+    # the tilted basis decoheres a different state than sigma_z dephasing does
+    assert np.max(np.abs(bands.means["j_z"] - [r.j_z for r in tilted.records])) > 1e-3
+    assert reference.transition_p == pytest.approx(0.1536, abs=1e-3)
+    assert bands.transition_count == 3
+    assert bands.transition_mean == pytest.approx(reference.transition_p, abs=1e-12)
+
+
 def test_noisy_bands_straddle_the_true_transition(tmp_path):
     parsed = matrix_file(tmp_path, 0.01)
-    config = RunConfig(grid_points=21, samples=6, seed=2, optimizer=FAST)
-    bands = monte_carlo_bands(parsed, config)
+    grid = np.linspace(0.0, 1.0, 21)
+    bands = monte_carlo_bands(parsed, "pd", grid, samples=6, seed=2, settings=FAST)
     assert bands.transition_count == 6
     assert bands.transition_mean == pytest.approx(0.4, abs=0.05)
     assert all(np.all(bands.stds[name] >= 0.0) for name in bands.stds)
@@ -78,16 +100,16 @@ def test_noisy_bands_straddle_the_true_transition(tmp_path):
 
 def test_bands_are_deterministic(tmp_path):
     parsed = matrix_file(tmp_path, 0.005)
-    config = RunConfig(grid_points=11, samples=3, seed=4, optimizer=FAST)
-    first = monte_carlo_bands(parsed, config)
-    second = monte_carlo_bands(parsed, config)
+    run = {"samples": 3, "seed": 4, "settings": FAST}
+    first = monte_carlo_bands(parsed, "pd", GRID_11, **run)
+    second = monte_carlo_bands(parsed, "pd", GRID_11, **run)
     assert json_text(bands_payload(first)) == json_text(bands_payload(second))
 
 
 def test_bands_json_payload(tmp_path):
     parsed = matrix_file(tmp_path, 0.0)
-    config = RunConfig(grid_points=5, samples=2, seed=0, optimizer=FAST)
-    bands = monte_carlo_bands(parsed, config)
+    grid = np.linspace(0.0, 1.0, 5)
+    bands = monte_carlo_bands(parsed, "pd", grid, samples=2, seed=0, settings=FAST)
     payload = json.loads(json_text(bands_payload(bands)))
     assert payload["samples"] == 2
     assert payload["seed"] == 0
