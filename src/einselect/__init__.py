@@ -12,7 +12,6 @@ reconstructed input states.
 """
 
 from .channels import (
-    DecayRate,
     KrausChannel,
     amplitude_damping,
     apply_to_apparatus,
@@ -85,7 +84,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CorrelationRecord",
     "DataQualityError",
-    "DecayRate",
     "DensityMatrix",
     "EmergenceResult",
     "InvalidInputError",

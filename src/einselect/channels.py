@@ -1,8 +1,7 @@
 """Decoherence channels on the apparatus qubit, in Kraus form.
 
 All channels are completely positive and trace preserving, act locally on the
-apparatus (second) qubit, and are parametrized by a strength p in [0, 1] with
-the exponential clock p(t) = 1 - exp(-gamma t).
+apparatus (second) qubit, and are parametrized by a strength p in [0, 1].
 
 Conventions fixed here:
   - phase damping is projective decoherence onto the sigma_z pointer basis,
@@ -14,7 +13,6 @@ Conventions fixed here:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,34 +51,6 @@ class KrausChannel:
         for k in ops:
             k.setflags(write=False)
         object.__setattr__(self, "operators", ops)
-
-
-def check_gamma(gamma: float, error: type = InvalidStateError) -> None:
-    """Raise `error` unless gamma and the decoherence time 1/gamma are finite and positive."""
-    if not (gamma > 0 and math.isfinite(gamma) and math.isfinite(1.0 / gamma)):
-        raise error(f"gamma must be positive and finite, with finite 1/gamma; got {gamma}")
-
-
-@dataclass(frozen=True)
-class DecayRate:
-    """Exponential decoherence clock: p(t) = 1 - exp(-gamma t), tau_d = 1/gamma."""
-
-    gamma: float
-
-    def __post_init__(self):
-        check_gamma(self.gamma)
-
-    @property
-    def tau_d(self) -> float:
-        return 1.0 / self.gamma
-
-    def p_of_t(self, t: float) -> float:
-        return 1.0 - float(np.exp(-self.gamma * t))
-
-    def t_of_p(self, p: float) -> float:
-        if not 0 <= p < 1:
-            raise InvalidStateError(f"p must be in [0, 1), got {p}")
-        return -float(np.log1p(-p)) / self.gamma
 
 
 def _check_p(p: float) -> float:

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .correlations import ProjectiveBasis, correlation_record
-from .dynamics import CHANNEL_FAMILIES, emergence_time, sweep
+from .dynamics import CHANNEL_FAMILIES, DEFAULT_GRID_POINTS, emergence_time, sweep
 from .errors import (
     DataQualityError,
     InvalidInputError,
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_flags(sw)
     _add_channel_flags(sw)
     sw.add_argument("--gamma", type=float, default=1.0)
-    sw.add_argument("--grid", type=int, default=201, help="number of strength points")
+    sw.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS, help="number of strength points")
     _add_output_flags(sw)
     sw.set_defaults(func=_cmd_sweep)
 
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--suite", choices=SUITE_CHOICES, default="all")
     vf.add_argument("--trials", type=int, default=None, help="override the suite's default trial count")
     vf.add_argument("--seed", type=int, default=None, help="override the suite's default seed")
-    vf.add_argument("--grid", type=int, default=201, help="strength points for the remark suite")
+    vf.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS, help="strength points for the remark suite")
     _add_output_flags(vf)
     vf.set_defaults(func=_cmd_verify)
 
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument("--matrix-file", required=True)
     _add_channel_flags(an)
     an.add_argument("--gamma", type=float, default=1.0)
-    an.add_argument("--grid", type=int, default=201)
+    an.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS)
     an.add_argument(
         "--samples", type=int, default=0,
         help="Monte Carlo samples for uncertainty bands (0 = point estimate only; "

@@ -62,6 +62,19 @@ DISCORD_CLAMP = 1e-6
 _LN2 = math.log(2.0)
 
 
+def _nonnegative(value: float, tol: float, label: str) -> float:
+    """A mathematically nonnegative quantity, with its sign tolerance applied.
+
+    A negative value within tol is rounding dust and becomes 0; anything
+    lower raises OptimizationError naming the quantity (label).
+    """
+    if value < 0.0:
+        if value < -tol:
+            raise OptimizationError(f"{label} evaluated to {value:.3e}, below -{tol}")
+        return 0.0
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ProjectiveBasis:
     """A complete pair of orthogonal rank-1 projectors on the apparatus qubit.
@@ -294,13 +307,7 @@ def classical_correlation(rho: DensityMatrix, basis: ProjectiveBasis) -> float:
         prob, cond = conditional_state(rho, basis, outcome)
         if cond is not None:
             total -= prob * von_neumann_entropy(cond)
-    if total < 0.0:
-        if total < -_NEGATIVE_J_TOL:
-            raise OptimizationError(
-                f"classical correlation evaluated to {total:.3e} < 0"
-            )
-        total = 0.0
-    return float(total)
+    return _nonnegative(total, _NEGATIVE_J_TOL, "classical correlation")
 
 
 def mutual_information(rho: DensityMatrix) -> float:
@@ -312,11 +319,7 @@ def mutual_information(rho: DensityMatrix) -> float:
         + von_neumann_entropy(partial_trace(rho, "apparatus"))
         - von_neumann_entropy(rho)
     )
-    if total < 0.0:
-        if total < -_NEGATIVE_J_TOL:
-            raise OptimizationError(f"mutual information evaluated to {total:.3e} < 0")
-        total = 0.0
-    return float(total)
+    return _nonnegative(total, _NEGATIVE_J_TOL, "mutual information")
 
 
 # Compass moves in (theta, phi): +theta, -theta, +phi, -phi.
@@ -372,10 +375,7 @@ def maximize_batch(
 
     results = []
     for value, t, f in zip(best.tolist(), theta.tolist(), phi.tolist()):
-        if value < 0.0:
-            if value < -_NEGATIVE_J_TOL:
-                raise OptimizationError(f"optimizer produced negative maximum {value:.3e}")
-            value = 0.0
+        value = _nonnegative(value, _NEGATIVE_J_TOL, "maximal classical correlation")
         results.append((value, ProjectiveBasis(t, f)))
     return results
 
@@ -444,10 +444,4 @@ def quantum_discord(rho: DensityMatrix, settings: OptimizerSettings | None = Non
 
 def clamp_discord(delta: float) -> float:
     """Apply the discord sign tolerance: tiny negatives are zero, big ones raise."""
-    if delta < 0.0:
-        if delta < -DISCORD_CLAMP:
-            raise OptimizationError(
-                f"discord = {delta:.3e} below -{DISCORD_CLAMP}: optimizer failure"
-            )
-        return 0.0
-    return float(delta)
+    return _nonnegative(delta, DISCORD_CLAMP, "discord")

@@ -1,5 +1,9 @@
 """Channel-strength sweeps, sudden-change detection, regime classification.
 
+Channel strength becomes time through the exponential clock
+p(t) = 1 - exp(-gamma t), with decoherence time tau_D = 1/gamma; check_gamma
+is the one check that gamma and 1/gamma are finite and positive.
+
 A sweep drives a two-qubit state through a channel family over p in [0, 1],
 records every correlation quantity per grid point, locates the first jump of
 the optimal measurement basis (the sudden change), refines it by bisecting
@@ -26,11 +30,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .channels import (
-    DecayRate,
     KrausChannel,
     amplitude_damping,
     apply_to_apparatus,
-    check_gamma,
     pointer_decoherence,
 )
 from .correlations import (
@@ -48,13 +50,6 @@ REGIME_CONSTANT = "constant"
 REGIME_DECAY_THEN_CONSTANT = "decay-then-constant"
 REGIME_MONOTONIC_DECAY = "monotonic-decay"
 REGIME_SUDDEN_CHANGE = "sudden-change-no-plateau"
-
-REGIMES = (
-    REGIME_CONSTANT,
-    REGIME_DECAY_THEN_CONSTANT,
-    REGIME_MONOTONIC_DECAY,
-    REGIME_SUDDEN_CHANGE,
-)
 
 DEFAULT_GRID_POINTS = 201
 
@@ -85,6 +80,14 @@ class EmergenceResult:
     p_e: float
 
 
+def check_gamma(gamma: float) -> None:
+    """Raise unless gamma and the decoherence time 1/gamma are finite and positive."""
+    if not (gamma > 0 and math.isfinite(gamma) and math.isfinite(1.0 / gamma)):
+        raise InvalidInputError(
+            f"gamma must be positive and finite, with finite 1/gamma; got {gamma}"
+        )
+
+
 @dataclass(frozen=True)
 class TrajectoryReport:
     """Outcome of one sweep: per-point records plus trajectory-level structure.
@@ -97,7 +100,6 @@ class TrajectoryReport:
 
     records: tuple
     transition_p: Optional[float]
-    regime: str
     emergence_time: Optional[float]
     gamma: float = 1.0
 
@@ -107,18 +109,12 @@ class TrajectoryReport:
         ps = [r.p for r in self.records]
         if any(b <= a for a, b in zip(ps, ps[1:])):
             raise InvalidInputError("records must be sorted by strictly increasing p")
-        if self.regime not in REGIMES:
-            raise InvalidInputError(f"unknown regime {self.regime!r}")
-        if self.regime == REGIME_DECAY_THEN_CONSTANT:
-            if self.transition_p is None:
-                raise InvalidInputError(
-                    "decay-then-constant requires a detected transition"
-                )
-            tail = [r.j_max for r in self.records if r.p >= self.transition_p - 1e-12]
-            if tail and max(tail) - min(tail) >= PLATEAU_TOL:
-                raise InvalidInputError(
-                    "decay-then-constant requires a plateau after the transition"
-                )
+        check_gamma(self.gamma)
+
+    @property
+    def regime(self) -> str:
+        """The trajectory's regime, classify_regime(records, transition_p)."""
+        return classify_regime(self.records, self.transition_p)
 
     @property
     def tau_d(self) -> float:
@@ -164,6 +160,8 @@ def _validate_grid(grid) -> np.ndarray:
     arr = np.asarray(grid, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidInputError("grid must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInputError("grid points must be finite numbers")
     if arr[0] < 0.0 or arr[-1] > 1.0:
         raise InvalidInputError("grid must lie within [0, 1]")
     if arr.size > 1 and np.any(np.diff(arr) <= 0.0):
@@ -259,9 +257,7 @@ def max_increase(records: Sequence[CorrelationRecord]) -> float:
     return worst
 
 
-def emergence_time(
-    params: XStateParams, gamma: DecayRate | float = 1.0
-) -> Optional[EmergenceResult]:
+def emergence_time(params: XStateParams, gamma: float = 1.0) -> Optional[EmergenceResult]:
     """Closed-form emergence point for an X state under sigma_z dephasing.
 
     The transverse competitor is |z| + |w|, the larger of the sigma_x and
@@ -269,9 +265,10 @@ def emergence_time(
     |z| + |w| <= |c - b|: the pointer-basis value dominates from the start,
     so there is no transition (the trajectory is constant). Raises for c = b,
     where the formula diverges (zero pointer correlation, no finite
-    emergence; the decay is asymptotic).
+    emergence; the decay is asymptotic). Raises InvalidInputError for a
+    gamma that check_gamma rejects.
     """
-    rate = gamma if isinstance(gamma, DecayRate) else DecayRate(float(gamma))
+    check_gamma(gamma)
     gap = abs(params.c - params.b)
     transverse = abs(params.z) + abs(params.w)
     if gap < 1e-15:
@@ -281,7 +278,7 @@ def emergence_time(
     if transverse <= gap:
         return None
     return EmergenceResult(
-        tau_e=math.log(transverse / gap) / rate.gamma, p_e=1.0 - gap / transverse
+        tau_e=math.log(transverse / gap) / gamma, p_e=1.0 - gap / transverse
     )
 
 
@@ -299,12 +296,12 @@ def sweep(
     For every grid strength p the initial state is evolved with the channel at
     that strength (not iteratively), and the record carries J in the sigma_z
     and sigma_x bases, the full maximization with its argmax angles, mutual
-    information, and discord. Transition detection, regime classification, and
-    (for X states under "pd", or "pointer" on the sigma_z basis) the
-    closed-form emergence time complete the report.
+    information, and discord. Transition detection and (for X states under
+    "pd", or "pointer" on the sigma_z basis) the closed-form emergence time
+    complete the report, whose regime follows from the records and transition.
     """
     ps = _validate_grid(grid)
-    check_gamma(gamma, InvalidInputError)
+    check_gamma(gamma)
     basis = _dephasing_basis(channel_family, pointer_basis)
     make = _channel_maker(basis)
     strengths = [float(p) for p in ps]
@@ -314,14 +311,13 @@ def sweep(
     transition = detect_transition(
         rho0, channel_family, records, pointer_basis=pointer_basis
     )
-    regime = classify_regime(records, transition)
 
     tau_e = None
     if basis is not None and basis_distance(basis, ProjectiveBasis.sigma_z()) < 1e-12:
         params = x_state_params(rho0)
         if params is not None:
             try:
-                result = emergence_time(params, DecayRate(gamma))
+                result = emergence_time(params, gamma)
             except InvalidStateError:
                 result = None
             if result is not None:
@@ -330,7 +326,6 @@ def sweep(
     return TrajectoryReport(
         records=tuple(records),
         transition_p=transition,
-        regime=regime,
         emergence_time=tau_e,
         gamma=gamma,
     )

@@ -73,18 +73,20 @@ class PhysicalityReport:
 
 @dataclass(frozen=True)
 class MatrixFile:
-    """A parsed matrix file: raw blocks, optional uncertainties, projected state."""
+    """A parsed matrix file: raw complex matrix, optional uncertainties, projected state."""
 
-    dim: int
-    real: np.ndarray
-    imag: np.ndarray
+    raw: np.ndarray
     std: Optional[np.ndarray]
     state: DensityMatrix
     deviations: PhysicalityReport
 
-    @property
-    def raw(self) -> np.ndarray:
-        return self.real + 1j * self.imag
+
+def _check_matrix(m: np.ndarray) -> None:
+    """Reject anything but a finite 2x2 or 4x4 matrix, before any arithmetic on it."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
+        raise InvalidInputError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidInputError("matrix entries must be finite numbers")
 
 
 def project_to_physical(
@@ -96,11 +98,10 @@ def project_to_physical(
     renormalizes once more. Reports the raw deviations and the max-norm
     distance moved; a move beyond max_distance raises DataQualityError
     (pass max_distance=None to project unconditionally, as the Monte Carlo
-    resampler does).
+    resampler does). A non-finite entry raises InvalidInputError.
     """
     m = np.asarray(raw, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
-        raise InvalidInputError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
+    _check_matrix(m)
     hermiticity = float(np.max(np.abs(m - m.conj().T)))
     sym = 0.5 * (m + m.conj().T)
     trace = float(sym.trace().real)
@@ -208,21 +209,17 @@ def parse_matrix_file(path) -> MatrixFile:
 
     raw = blocks["real"] + 1j * blocks["imag"]
     state, deviations = project_to_physical(raw)
-    return MatrixFile(
-        dim=dim,
-        real=blocks["real"],
-        imag=blocks["imag"],
-        std=std,
-        state=state,
-        deviations=deviations,
-    )
+    return MatrixFile(raw=raw, std=std, state=state, deviations=deviations)
 
 
 def write_matrix_file(path, matrix, std: Optional[np.ndarray] = None, comment: str = "") -> None:
-    """Write a matrix (DensityMatrix or complex array) in the structured format."""
+    """Write a matrix (DensityMatrix or complex array) in the structured format.
+
+    Non-finite matrix or std entries raise InvalidInputError: the parser
+    would refuse the file.
+    """
     m = np.asarray(getattr(matrix, "entries", matrix), dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
-        raise InvalidInputError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
+    _check_matrix(m)
     dim = m.shape[0]
     if std is not None:
         std = np.asarray(std, dtype=float)
@@ -230,6 +227,8 @@ def write_matrix_file(path, matrix, std: Optional[np.ndarray] = None, comment: s
             raise InvalidInputError(
                 f"uncertainty block shape {std.shape} does not match matrix {m.shape}"
             )
+        if not np.all(np.isfinite(std)):
+            raise InvalidInputError("uncertainty entries must be finite numbers")
         if np.any(std < 0.0):
             raise InvalidInputError("uncertainty entries must be nonnegative")
 

@@ -56,7 +56,6 @@ THEOREM2_MONOTONE_SLACK = 1e-9
 LEMMA1_ANGLE_TOL = 1e-3
 LEMMA1_VALUE_TOL = 1e-6
 REMARK_POINTER_TOL = 1e-12
-DEFAULT_REMARK_GRID = 201
 THEOREM2_GRID_POINTS = 41
 LEMMA1_PERTURBATIONS = 20
 # Classical-quantum draws: branch weights come from this range, and branch
@@ -154,6 +153,25 @@ def _perturbed_basis(
     return ProjectiveBasis(theta, phi)
 
 
+def _run_trials(theorem_id: str, trials: int, seed: int, trial) -> VerificationOutcome:
+    """Run trial(rng) `trials` times on one generator seeded with seed.
+
+    trial returns (ok, violation); the outcome counts the trials that were
+    not ok and keeps the largest violation.
+    """
+    if trials < 1:
+        raise InvalidInputError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    failures = 0
+    for _ in range(trials):
+        ok, violation = trial(rng)
+        worst = max(worst, violation)
+        if not ok:
+            failures += 1
+    return VerificationOutcome(theorem_id, trials, failures, worst, seed)
+
+
 def verify_theorem1(trials: int = 1000, seed: int = 42) -> VerificationOutcome:
     """Pointer-basis correlation is invariant under pointer decoherence.
 
@@ -162,36 +180,27 @@ def verify_theorem1(trials: int = 1000, seed: int = 42) -> VerificationOutcome:
     move, and (b) the proof's stronger sub-claim: every conditioned block
     Pi_i rho Pi_i (hence every outcome probability) is exactly q-invariant.
     """
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    failures = 0
     strengths = (0.0, 0.25, 0.5, 0.75, 1.0)
-    for _ in range(trials):
+
+    def trial(rng):
         rho = random_density_matrix(rng, 4)
         basis = random_basis(rng)
         lifted = [np.kron(_I2, proj) for proj in basis.projectors]
         j_ref = classical_correlation(rho, basis)
         blocks_ref = [p_i @ rho.entries @ p_i for p_i in lifted]
-        trial_worst = 0.0
+        violation = 0.0
         for q in strengths:
             evolved = apply_to_apparatus(pointer_decoherence(basis, q), rho)
-            trial_worst = max(
-                trial_worst, abs(classical_correlation(evolved, basis) - j_ref)
-            )
+            violation = max(violation, abs(classical_correlation(evolved, basis) - j_ref))
             for p_i, ref in zip(lifted, blocks_ref):
                 dev = np.max(np.abs(p_i @ evolved.entries @ p_i - ref))
-                trial_worst = max(trial_worst, float(dev))
-        worst = max(worst, trial_worst)
-        if trial_worst > THEOREM1_TOL:
-            failures += 1
-    return VerificationOutcome("theorem1", trials, failures, worst, seed)
+                violation = max(violation, float(dev))
+        return violation <= THEOREM1_TOL, violation
+
+    return _run_trials("theorem1", trials, seed, trial)
 
 
-def verify_theorem2(
-    trials: int = 200, seed: int = 7, *, settings: OptimizerSettings | None = None
-) -> VerificationOutcome:
+def verify_theorem2(trials: int = 200, seed: int = 7) -> VerificationOutcome:
     """Maximal correlation of dephased X states is constant or decays to a plateau.
 
     Random X states restricted to positive pointer correlation (J_z > 1e-3,
@@ -200,46 +209,38 @@ def verify_theorem2(
     1e-9, and in the decaying case reach a plateau equal to the pointer-basis
     value within 1e-8 strictly before p = 1.
     """
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    cfg = settings or _SUITE_SETTINGS
     grid = np.linspace(0.0, 1.0, THEOREM2_GRID_POINTS)
     sigma_z = ProjectiveBasis.sigma_z()
-    worst = 0.0
-    failures = 0
-    for _ in range(trials):
+
+    def trial(rng):
         params = random_x_state_params(rng)
         rho = make_x_state(params)
         while classical_correlation(rho, sigma_z) <= 1e-3:
             params = random_x_state_params(rng)
             rho = make_x_state(params)
-        report = sweep(rho, "pd", grid, settings=cfg)
-        trial_worst = 0.0
-        ok = report.regime in (REGIME_CONSTANT, REGIME_DECAY_THEN_CONSTANT)
+        report = sweep(rho, "pd", grid, settings=_SUITE_SETTINGS)
+        regime = report.regime
+        ok = regime in (REGIME_CONSTANT, REGIME_DECAY_THEN_CONSTANT)
         increase = max_increase(report.records)
-        trial_worst = max(trial_worst, max(0.0, increase - THEOREM2_MONOTONE_SLACK))
+        violation = max(0.0, increase - THEOREM2_MONOTONE_SLACK)
         if increase > THEOREM2_MONOTONE_SLACK:
             ok = False
-        if report.regime == REGIME_DECAY_THEN_CONSTANT:
+        if regime == REGIME_DECAY_THEN_CONSTANT:
             if not (report.transition_p is not None and report.transition_p < 1.0):
                 ok = False
             tail = [
                 r for r in report.records if r.p >= (report.transition_p or 0.0) - 1e-12
             ]
             level_dev = max(abs(r.j_max - r.j_z) for r in tail)
-            trial_worst = max(trial_worst, max(0.0, level_dev - THEOREM2_PLATEAU_TOL))
+            violation = max(violation, max(0.0, level_dev - THEOREM2_PLATEAU_TOL))
             if level_dev > THEOREM2_PLATEAU_TOL:
                 ok = False
-        worst = max(worst, trial_worst)
-        if not ok:
-            failures += 1
-    return VerificationOutcome("theorem2", trials, failures, worst, seed)
+        return ok, violation
+
+    return _run_trials("theorem2", trials, seed, trial)
 
 
-def verify_lemma1(
-    trials: int = 500, seed: int = 3, *, settings: OptimizerSettings | None = None
-) -> VerificationOutcome:
+def verify_lemma1(trials: int = 500, seed: int = 3) -> VerificationOutcome:
     """The pointer basis of a classical-quantum state is the unique maximizer.
 
     For each random classical-quantum state: the optimizer's argmax must land
@@ -248,17 +249,13 @@ def verify_lemma1(
     the correlation at each of LEMMA1_PERTURBATIONS tilted bases must be strictly
     below the pointer-basis value.
     """
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    failures = 0
-    for _ in range(trials):
+
+    def trial(rng):
         rho, basis = random_cq_state(rng)
-        j_max, argmax = maximize_classical_correlation(rho, settings)
+        j_max, argmax = maximize_classical_correlation(rho)
         angle = basis_distance(argmax, basis)
         value_dev = abs(j_max - mutual_information(rho))
-        trial_worst = max(
+        violation = max(
             max(0.0, angle - LEMMA1_ANGLE_TOL),
             max(0.0, value_dev - LEMMA1_VALUE_TOL),
         )
@@ -269,31 +266,23 @@ def verify_lemma1(
             margin = j_pointer - classical_correlation(rho, tilted)
             if margin <= 0.0:
                 ok = False
-                trial_worst = max(trial_worst, -margin)
-        worst = max(worst, trial_worst)
-        if not ok:
-            failures += 1
-    return VerificationOutcome("lemma1", trials, failures, worst, seed)
+                violation = max(violation, -margin)
+        return ok, violation
+
+    return _run_trials("lemma1", trials, seed, trial)
 
 
-def verify_remark(
-    grid=None, *, settings: OptimizerSettings | None = None
-) -> VerificationOutcome:
+def verify_remark(grid=None) -> VerificationOutcome:
     """The zero-pointer-correlation counterexample behaves as claimed.
 
-    Sweeps (I + sigma_x x sigma_x)/4 through sigma_z dephasing and checks:
-    J in the pointer basis vanishes (< 1e-12) at every strength, the maximal
-    correlation is positive before p = 1, strictly decreasing, and gone at
-    p = 1, and the trajectory classifies as monotonic decay with no plateau
-    and no finite transition - so theorem2's positive-pointer-correlation
-    hypothesis is necessary.
+    Sweeps (I + sigma_x x sigma_x)/4 through sigma_z dephasing on grid
+    (sweep's default grid when None) and checks: J in the pointer basis
+    vanishes (< 1e-12) at every strength, the maximal correlation is positive
+    before p = 1, strictly decreasing, and gone at p = 1, and the trajectory
+    classifies as monotonic decay with no plateau and no finite transition -
+    so theorem2's positive-pointer-correlation hypothesis is necessary.
     """
-    ps = (
-        np.linspace(0.0, 1.0, DEFAULT_REMARK_GRID)
-        if grid is None
-        else np.asarray(grid, dtype=float)
-    )
-    report = sweep(remark_state(), "pd", ps, settings=settings)
+    report = sweep(remark_state(), "pd", grid)
     records = report.records
 
     worst_jz = max(abs(r.j_z) for r in records)

@@ -3,7 +3,6 @@ import pytest
 
 from einselect import (
     STATE_1,
-    DecayRate,
     DensityMatrix,
     InvalidStateError,
     KrausChannel,
@@ -151,20 +150,4 @@ def test_apply_to_apparatus_rejects_single_qubit():
     single = DensityMatrix(np.eye(2, dtype=complex) / 2)
     with pytest.raises(InvalidStateError, match="two-qubit"):
         apply_to_apparatus(phase_damping(0.5), single)
-
-
-def test_decay_rate_clock():
-    rate = DecayRate(2.0)
-    assert rate.tau_d == 0.5
-    assert rate.p_of_t(0.0) == 0.0
-    assert rate.p_of_t(50.0) == pytest.approx(1.0, abs=1e-12)
-    t = 0.7
-    assert rate.t_of_p(rate.p_of_t(t)) == pytest.approx(t, abs=1e-12)
-    with pytest.raises(InvalidStateError):
-        DecayRate(0.0)
-    for gamma in (float("inf"), float("nan")):
-        with pytest.raises(InvalidStateError, match="finite"):
-            DecayRate(gamma)
-    with pytest.raises(InvalidStateError):
-        rate.t_of_p(1.0)
 

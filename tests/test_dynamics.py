@@ -11,7 +11,6 @@ from einselect import (
     STATE_1,
     STATE_2,
     CorrelationRecord,
-    DecayRate,
     InvalidInputError,
     InvalidStateError,
     ProjectiveBasis,
@@ -45,6 +44,8 @@ def test_sweep_validates_inputs(state1):
         sweep(state1, "pd", [0.2, 1.2])
     with pytest.raises(InvalidInputError, match="grid"):
         sweep(state1, "pd", [])
+    with pytest.raises(InvalidInputError, match="grid"):
+        sweep(state1, "pd", [0.0, math.nan, 1.0])
     with pytest.raises(InvalidInputError, match="gamma"):
         sweep(state1, "pd", [0.0, 1.0], gamma=0.0)
     with pytest.raises(InvalidInputError, match="finite"):
@@ -132,9 +133,16 @@ def test_emergence_time_reference_state():
 
 
 def test_emergence_time_accepts_decay_rate():
-    result = emergence_time(STATE_1, DecayRate(4.0))
+    result = emergence_time(STATE_1, 4.0)
     assert result.tau_e == pytest.approx(TAU_E_STATE_1 / 4.0, abs=1e-15)
     assert result.p_e == pytest.approx(0.4, abs=1e-15)
+
+
+def test_emergence_time_rejects_bad_gamma():
+    # 1e-320 is positive and finite, but its decoherence time 1/gamma is not
+    for gamma in (0.0, -1.0, math.inf, math.nan, 1e-320):
+        with pytest.raises(InvalidInputError, match="gamma"):
+            emergence_time(STATE_1, gamma)
 
 
 def test_emergence_time_none_when_pointer_dominates():
@@ -212,22 +220,17 @@ def test_max_increase():
 def test_trajectory_report_validation():
     records = (record(0.5, 0.5), record(0.0, 0.5))
     with pytest.raises(InvalidInputError, match="sorted"):
-        TrajectoryReport(
-            records=records, transition_p=None, regime=REGIME_CONSTANT,
-            emergence_time=None,
-        )
-    with pytest.raises(InvalidInputError, match="regime"):
-        TrajectoryReport(
-            records=(record(0.0, 0.5),), transition_p=None, regime="wiggly",
-            emergence_time=None,
-        )
-    with pytest.raises(InvalidInputError, match="transition"):
-        TrajectoryReport(
-            records=(record(0.0, 0.5),), transition_p=None,
-            regime=REGIME_DECAY_THEN_CONSTANT, emergence_time=None,
-        )
+        TrajectoryReport(records=records, transition_p=None, emergence_time=None)
     with pytest.raises(InvalidInputError, match="record"):
+        TrajectoryReport(records=(), transition_p=None, emergence_time=None)
+    with pytest.raises(InvalidInputError, match="gamma"):
         TrajectoryReport(
-            records=(), transition_p=None, regime=REGIME_CONSTANT,
-            emergence_time=None,
+            records=(record(0.0, 0.5),), transition_p=None, emergence_time=None,
+            gamma=0.0,
         )
+    # the regime is derived from the records and the transition, never stored
+    plateau = (record(0.0, 0.9), record(0.5, 0.3), record(1.0, 0.3))
+    with_jump = TrajectoryReport(records=plateau, transition_p=0.5, emergence_time=None)
+    assert with_jump.regime == REGIME_DECAY_THEN_CONSTANT
+    no_jump = TrajectoryReport(records=plateau, transition_p=None, emergence_time=None)
+    assert no_jump.regime == REGIME_MONOTONIC_DECAY

@@ -27,7 +27,7 @@ def test_write_parse_round_trip(tmp_path):
     path = tmp_path / "state.mat"
     write_matrix_file(path, rho, std=std, comment="reference state")
     parsed = parse_matrix_file(path)
-    assert parsed.dim == 4
+    assert parsed.state.dim == 4
     np.testing.assert_array_equal(parsed.raw, rho.entries)
     np.testing.assert_array_equal(parsed.std, std)
     np.testing.assert_allclose(parsed.state.entries, rho.entries, atol=1e-14)
@@ -113,6 +113,15 @@ def test_projection_rejects_wrong_shape():
         project_to_physical(np.eye(3, dtype=complex) / 3)
 
 
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf)])
+@pytest.mark.parametrize("gate", [{}, {"max_distance": None}])
+def test_projection_rejects_non_finite_entries(bad, gate):
+    raw = np.eye(4, dtype=complex) / 4
+    raw[0, 3] = bad
+    with pytest.raises(InvalidInputError, match="finite"):
+        project_to_physical(raw, **gate)
+
+
 def test_emit_trajectory_csv(state1, fast_settings):
     report = sweep(state1, "pd", np.linspace(0.0, 1.0, 5), settings=fast_settings)
     text = emit_report(report, "csv")
@@ -193,3 +202,8 @@ def test_write_matrix_file_validation(tmp_path):
         write_matrix_file(tmp_path / "x.mat", np.eye(2) / 2, std=np.zeros((4, 4)))
     with pytest.raises(InvalidInputError, match="nonnegative"):
         write_matrix_file(tmp_path / "x.mat", np.eye(2) / 2, std=-np.ones((2, 2)))
+    with pytest.raises(InvalidInputError, match="finite"):
+        write_matrix_file(tmp_path / "x.mat", np.array([[0.5, math.nan], [0.0, 0.5]]))
+    with pytest.raises(InvalidInputError, match="finite"):
+        write_matrix_file(tmp_path / "x.mat", np.eye(2) / 2, std=np.full((2, 2), math.inf))
+    assert not (tmp_path / "x.mat").exists()
