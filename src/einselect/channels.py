@@ -91,11 +91,6 @@ def pointer_decoherence(basis: ProjectiveBasis, q: float) -> KrausChannel:
     """
     q = _check_p(q)
     p0, p1 = basis.projectors
-    completeness = np.max(np.abs((p0 + p1) - _I2))
-    if completeness > 1e-12:
-        raise InvalidStateError(
-            f"basis projectors do not sum to identity (deviation {completeness:.3e})"
-        )
     ident = np.sqrt(1.0 - q / 2.0) * _I2
     reflect = np.sqrt(q / 2.0) * (p0 - p1)
     ops = (ident,) if q == 0.0 else (ident, reflect)

@@ -30,7 +30,6 @@ from .dynamics import CHANNEL_FAMILIES, DEFAULT_GRID_POINTS, emergence_time, swe
 from .errors import (
     DataQualityError,
     InvalidInputError,
-    InvalidStateError,
     OptimizationError,
 )
 from .matrixio import FORMATS, emit_analysis, emit_emergence, emit_report, parse_matrix_file
@@ -69,11 +68,11 @@ def _parse_state_flag(text: str) -> DensityMatrix:
 
 
 def _load_state(args) -> DensityMatrix:
-    if getattr(args, "state", None) and getattr(args, "matrix_file", None):
+    if args.state and args.matrix_file:
         raise InvalidInputError("give either --state or --matrix-file, not both")
-    if getattr(args, "state", None):
+    if args.state:
         return _parse_state_flag(args.state)
-    if getattr(args, "matrix_file", None):
+    if args.matrix_file:
         return parse_matrix_file(args.matrix_file).state
     raise InvalidInputError("one of --state or --matrix-file is required")
 
@@ -176,7 +175,7 @@ def _grid_from_count(count: int, samples: int = 0) -> np.ndarray:
 
 
 def _pointer_basis(args) -> Optional[ProjectiveBasis]:
-    if getattr(args, "channel", None) == "pointer":
+    if args.channel == "pointer":
         return ProjectiveBasis(args.theta, args.phi)
     return None
 
@@ -259,10 +258,7 @@ def main(argv=None) -> int:
     except DataQualityError as exc:
         print(f"einselect: data quality: {exc}", file=sys.stderr)
         return 2
-    except (InvalidInputError, InvalidStateError, OptimizationError) as exc:
-        print(f"einselect: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OptimizationError) as exc:
         print(f"einselect: {exc}", file=sys.stderr)
         return 1
 

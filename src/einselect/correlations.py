@@ -153,7 +153,7 @@ MAX_REFINE_STEPS = 400
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Knobs for maximize_classical_correlation.
+    """Sizing of maximize_batch, set only through sweep(settings=).
 
     n_theta x n_phi is the coarse grid (theta in [0, pi] inclusive, phi in
     [0, 2 pi) exclusive). Refinement stops once its step falls below min_step.
@@ -380,9 +380,7 @@ def maximize_batch(
     return results
 
 
-def maximize_classical_correlation(
-    rho: DensityMatrix, settings: OptimizerSettings | None = None
-) -> tuple[float, ProjectiveBasis]:
+def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, ProjectiveBasis]:
     """Maximum classical correlation over all rank-1 projective bases.
 
     Deterministic: a coarse theta x phi grid (augmented with the exact
@@ -392,7 +390,7 @@ def maximize_classical_correlation(
     cross, so refinement is derivative-free. On exactly degenerate maxima the
     first candidate in (theta, phi) lexicographic order wins.
     """
-    return maximize_batch([rho], settings)[0]
+    return maximize_batch([rho])[0]
 
 
 def correlation_records(
@@ -421,24 +419,22 @@ def correlation_records(
     return records
 
 
-def correlation_record(
-    rho: DensityMatrix, p: float = 0.0, settings: OptimizerSettings | None = None
-) -> CorrelationRecord:
+def correlation_record(rho: DensityMatrix, p: float = 0.0) -> CorrelationRecord:
     """Every correlation quantity of one state, labelled with channel strength p.
 
     J in the sigma_z and sigma_x bases, the maximum with its argmax angles,
     mutual information, and discord.
     """
-    return correlation_records([rho], [p], settings)[0]
+    return correlation_records([rho], [p])[0]
 
 
-def quantum_discord(rho: DensityMatrix, settings: OptimizerSettings | None = None) -> float:
+def quantum_discord(rho: DensityMatrix) -> float:
     """Mutual information minus maximal classical correlation, in bits.
 
     Values in [-1e-6, 0) are rounded to 0 (optimizer tolerance); anything
     below that signals an optimizer failure and raises.
     """
-    j_max, _ = maximize_classical_correlation(rho, settings)
+    j_max, _ = maximize_classical_correlation(rho)
     return clamp_discord(mutual_information(rho) - j_max)
 
 

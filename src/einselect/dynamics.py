@@ -1,8 +1,8 @@
 """Channel-strength sweeps, sudden-change detection, regime classification.
 
-Channel strength becomes time through the exponential clock
-p(t) = 1 - exp(-gamma t), with decoherence time tau_D = 1/gamma; check_gamma
-is the one check that gamma and 1/gamma are finite and positive.
+Channel strength becomes time through the exponential clock p(t) = 1 - exp(-gamma t);
+decoherence_time gives tau_D = 1/gamma, where p = P_AT_TAU_D, and check_gamma is
+the one check that gamma and 1/gamma are finite and positive.
 
 A sweep drives a two-qubit state through a channel family over p in [0, 1],
 records every correlation quantity per grid point, locates the first jump of
@@ -53,10 +53,8 @@ REGIME_SUDDEN_CHANGE = "sudden-change-no-plateau"
 
 DEFAULT_GRID_POINTS = 201
 
-# j_max variation below this is a plateau; consecutive-point increases beyond
-# MONOTONE_SLACK are genuine non-monotonicity rather than optimizer jitter.
+# j_max variation below this is a plateau.
 PLATEAU_TOL = 1e-6
-MONOTONE_SLACK = 1e-9
 
 # Argmax-basis jumps larger than this (antipodal-identified, radians) between
 # consecutive grid points signal a sudden change.
@@ -70,6 +68,9 @@ BASIS_FLOOR = 1e-9
 _BISECT_WIDTH = 1e-12
 
 CHANNEL_FAMILIES = ("pd", "ad", "pointer")
+
+# Channel strength reached at the decoherence time tau_D = 1/gamma.
+P_AT_TAU_D = 1.0 - math.exp(-1.0)
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,12 @@ def check_gamma(gamma: float) -> None:
         raise InvalidInputError(
             f"gamma must be positive and finite, with finite 1/gamma; got {gamma}"
         )
+
+
+def decoherence_time(gamma: float) -> float:
+    """tau_D = 1/gamma, for a gamma that check_gamma accepts."""
+    check_gamma(gamma)
+    return 1.0 / gamma
 
 
 @dataclass(frozen=True)
@@ -119,7 +126,7 @@ class TrajectoryReport:
     @property
     def tau_d(self) -> float:
         """Decoherence time 1/gamma."""
-        return 1.0 / self.gamma
+        return decoherence_time(self.gamma)
 
     @property
     def p_e(self) -> Optional[float]:

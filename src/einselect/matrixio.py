@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .correlations import CorrelationRecord
-from .dynamics import TrajectoryReport
+from .dynamics import P_AT_TAU_D, TrajectoryReport, decoherence_time
 from .errors import DataQualityError, InvalidInputError
 from .qstate import DensityMatrix
 from .verify import VerificationOutcome
@@ -56,9 +56,6 @@ CSV_COLUMNS = tuple(f.name for f in fields(CorrelationRecord))
 MAXIMUM_COLUMNS = CSV_COLUMNS[1:]
 OUTCOME_COLUMNS = ("theorem_id", "trials", "failures", "worst_violation", "seed")
 EMERGENCE_COLUMNS = ("gamma", "tau_d", "tau_e", "p_e", "p_at_tau_d", "transition")
-
-# Channel strength reached at the decoherence time tau_D = 1/gamma.
-P_AT_TAU_D = 1.0 - math.exp(-1.0)
 
 
 @dataclass(frozen=True)
@@ -89,6 +86,18 @@ def _check_matrix(m: np.ndarray) -> None:
         raise InvalidInputError("matrix entries must be finite numbers")
 
 
+def _too_large(kind: str, flag: int = 0) -> None:
+    raise DataQualityError(f"matrix entries are too large to analyze ({kind})")
+
+
+def float_range_guard() -> np.errstate:
+    """An errstate in which float overflow, or the NaN it makes, raises DataQualityError.
+
+    Finite entries near 1e308 pass _check_matrix, yet sums or noise on them overflow.
+    """
+    return np.errstate(over="call", invalid="call", call=_too_large)
+
+
 def project_to_physical(
     raw: np.ndarray, max_distance: Optional[float] = MAX_PROJECTION_DISTANCE
 ) -> tuple[DensityMatrix, PhysicalityReport]:
@@ -98,28 +107,30 @@ def project_to_physical(
     renormalizes once more. Reports the raw deviations and the max-norm
     distance moved; a move beyond max_distance raises DataQualityError
     (pass max_distance=None to project unconditionally, as the Monte Carlo
-    resampler does). A non-finite entry raises InvalidInputError.
+    resampler does). A non-finite entry raises InvalidInputError, and
+    entries so large that the projection overflows raise DataQualityError.
     """
     m = np.asarray(raw, dtype=complex)
     _check_matrix(m)
-    hermiticity = float(np.max(np.abs(m - m.conj().T)))
-    sym = 0.5 * (m + m.conj().T)
-    trace = float(sym.trace().real)
-    trace_dev = abs(trace - 1.0)
-    if trace < 0.1:
-        raise DataQualityError(
-            f"trace {trace:.6g} is too small to renormalize into a state"
-        )
-    sym = sym / trace
-    vals, vecs = np.linalg.eigh(sym)
-    min_eig = float(vals[0])
-    clipped = np.clip(vals, 0.0, None)
-    total = float(clipped.sum())
-    if total <= 0.0:
-        raise DataQualityError("matrix has no positive spectral weight")
-    clipped /= total
-    physical = (vecs * clipped) @ vecs.conj().T
-    distance = float(np.max(np.abs(m - physical)))
+    with float_range_guard():
+        hermiticity = float(np.max(np.abs(m - m.conj().T)))
+        sym = 0.5 * (m + m.conj().T)
+        trace = float(sym.trace().real)
+        trace_dev = abs(trace - 1.0)
+        if trace < 0.1:
+            raise DataQualityError(f"trace {trace:.6g} is too small to renormalize into a state")
+        sym = sym / trace
+        vals, vecs = np.linalg.eigh(sym)
+        if not np.all(np.isfinite(vals)):  # LAPACK's silent NaN for a spectrum past 1e308
+            _too_large("eigenvalues beyond float range")
+        min_eig = float(vals[0])
+        clipped = np.clip(vals, 0.0, None)
+        total = float(clipped.sum())
+        if total <= 0.0:
+            raise DataQualityError("matrix has no positive spectral weight")
+        clipped /= total
+        physical = (vecs * clipped) @ vecs.conj().T
+        distance = float(np.max(np.abs(m - physical)))
     report = PhysicalityReport(
         hermiticity_deviation=hermiticity,
         trace_deviation=trace_dev,
@@ -181,7 +192,7 @@ def parse_matrix_file(path) -> MatrixFile:
     if not lines or not lines[0].startswith("dim"):
         raise InvalidInputError("matrix file must start with a 'dim N' line")
     parts = lines[0].split()
-    if len(parts) != 2 or not parts[1].isdigit():
+    if len(parts) != 2 or not parts[1].isdecimal():
         raise InvalidInputError(f"bad dim line: {lines[0]!r}")
     dim = int(parts[1])
     if dim not in (2, 4):
@@ -189,7 +200,6 @@ def parse_matrix_file(path) -> MatrixFile:
 
     idx = 1
     blocks = {}
-    order = []
     while idx < len(lines):
         label = lines[idx]
         if label not in ("real", "imag", "std"):
@@ -198,7 +208,6 @@ def parse_matrix_file(path) -> MatrixFile:
             raise InvalidInputError(f"duplicate {label!r} block")
         block, idx = _parse_block(lines, idx + 1, dim, label)
         blocks[label] = block
-        order.append(label)
     for required in ("real", "imag"):
         if required not in blocks:
             raise InvalidInputError(f"matrix file is missing the {required!r} block")
@@ -313,7 +322,7 @@ def emergence_payload(result, gamma: float) -> dict:
     gamma = float(gamma)
     return {
         "gamma": gamma,
-        "tau_d": 1.0 / gamma,
+        "tau_d": decoherence_time(gamma),
         "tau_e": None if result is None else result.tau_e,
         "p_e": None if result is None else result.p_e,
         "p_at_tau_d": P_AT_TAU_D,

@@ -25,10 +25,10 @@ from typing import Optional
 
 import numpy as np
 
-from .correlations import OptimizerSettings, ProjectiveBasis
+from .correlations import ProjectiveBasis
 from .dynamics import sweep
 from .errors import InvalidInputError
-from .matrixio import MatrixFile, project_to_physical
+from .matrixio import MatrixFile, float_range_guard, project_to_physical
 
 _QUANTITIES = ("j_z", "j_x", "j_max", "discord")
 
@@ -56,7 +56,6 @@ def monte_carlo_bands(
     seed: int = 0,
     gamma: float = 1.0,
     pointer_basis: Optional[ProjectiveBasis] = None,
-    settings: Optional[OptimizerSettings] = None,
 ) -> MonteCarloBands:
     """Propagate per-entry uncertainties through the sweep.
 
@@ -65,12 +64,11 @@ def monte_carlo_bands(
     parts drawn independently at the entry's sigma), projects back to a
     physical state unconditionally (the 0.05 ingestion gate applies to the
     measured matrix, not to deliberately noised copies), and sweeps it with
-    sweep's own channel_family, grid, gamma, pointer_basis and settings,
-    which sweep validates.
+    sweep's own channel_family, grid, gamma and pointer_basis, which sweep
+    validates.
 
-    A full-precision run (201 grid points, 1000 samples, default optimizer)
-    is minutes of work; tests and quick looks should shrink samples, the
-    grid, and the optimizer settings.
+    A full-precision run (201 grid points, 1000 samples) is minutes of work;
+    tests and quick looks should shrink samples and the grid.
     """
     if matrix.std is None:
         raise InvalidInputError(
@@ -86,16 +84,13 @@ def monte_carlo_bands(
     transitions = []
     for index in range(samples):
         rng = np.random.default_rng(children[index])
-        noise = rng.normal(size=base.shape) * matrix.std
-        noise = noise + 1j * (rng.normal(size=base.shape) * matrix.std)
-        state, _ = project_to_physical(base + noise, max_distance=None)
+        with float_range_guard():
+            noise = rng.normal(size=base.shape) * matrix.std
+            noise = noise + 1j * (rng.normal(size=base.shape) * matrix.std)
+            sample = base + noise
+        state, _ = project_to_physical(sample, max_distance=None)
         report = sweep(
-            state,
-            channel_family,
-            ps,
-            gamma=gamma,
-            pointer_basis=pointer_basis,
-            settings=settings,
+            state, channel_family, ps, gamma=gamma, pointer_basis=pointer_basis
         )
         for name in _QUANTITIES:
             series[name][index] = [getattr(r, name) for r in report.records]

@@ -58,6 +58,8 @@ LEMMA1_VALUE_TOL = 1e-6
 REMARK_POINTER_TOL = 1e-12
 THEOREM2_GRID_POINTS = 41
 LEMMA1_PERTURBATIONS = 20
+# lemma1's tilted bases lie between this angle and pi/2 from the pointer axis.
+LEMMA1_MIN_TILT = 0.05
 # Classical-quantum draws: branch weights come from this range, and branch
 # states closer than CQ_MIN_BRANCH_DISTANCE in trace distance are redrawn.
 CQ_WEIGHT_RANGE = (0.1, 0.9)
@@ -133,16 +135,14 @@ def random_cq_state(rng: np.random.Generator) -> tuple[DensityMatrix, Projective
     return DensityMatrix(m), basis
 
 
-def _perturbed_basis(
-    rng: np.random.Generator, basis: ProjectiveBasis, min_offset: float = 0.05
-) -> ProjectiveBasis:
-    """A basis whose axis is tilted away from the given one by [min_offset, pi/2]."""
+def _perturbed_basis(rng: np.random.Generator, basis: ProjectiveBasis) -> ProjectiveBasis:
+    """A basis whose axis is tilted away from the given one by [LEMMA1_MIN_TILT, pi/2]."""
     n = basis.axis
     helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     e1 = np.cross(n, helper)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
-    offset = float(rng.uniform(min_offset, math.pi / 2.0))
+    offset = float(rng.uniform(LEMMA1_MIN_TILT, math.pi / 2.0))
     azimuth = float(rng.uniform(0.0, 2.0 * math.pi))
     axis = (
         math.cos(offset) * n

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from einselect import STATE_1, STATE_2, OptimizerSettings, make_x_state, sweep
+from einselect import STATE_1, STATE_2, make_x_state, sweep
 
 
 @pytest.fixture
@@ -14,12 +14,6 @@ def state1():
 @pytest.fixture
 def state2():
     return make_x_state(STATE_2)
-
-
-@pytest.fixture
-def fast_settings():
-    # coarser grid, looser refinement: value still accurate to ~1e-12
-    return OptimizerSettings(n_theta=32, n_phi=64, min_step=1e-7)
 
 
 @pytest.fixture(scope="session")

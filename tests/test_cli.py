@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -306,3 +307,31 @@ def test_grid_and_sample_caps_apply_before_allocation(capsys, tmp_path):
         )
         assert (code, out) == (1, "")
         assert fragment in err
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_huge_finite_entries_are_a_data_quality_failure(capsys, tmp_path, dim):
+    # 1e308 is finite, but the projection's sums on it leave float range
+    raw = np.zeros((dim, dim))
+    raw[0, 0] = raw[1, 1] = 1e308
+    path = tmp_path / "huge.mat"
+    write_matrix_file(path, raw)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "analyze", "--matrix-file", str(path), "--grid", "3")
+    assert (code, out) == (2, "")
+    assert "too large" in err
+    assert caught == []
+
+
+def test_huge_uncertainties_are_a_data_quality_failure(capsys, tmp_path):
+    # noise at sigma = 1e308 pushes sampled entries past float range
+    path = state_file(tmp_path, std=np.full((4, 4), 1e308))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "analyze", "--matrix-file", path, "--grid", "3", "--samples", "2"
+        )
+    assert (code, out) == (2, "")
+    assert "too large" in err
+    assert caught == []

@@ -176,10 +176,10 @@ def test_maximize_on_fully_degenerate_state_is_deterministic():
     assert basis_first.phi == basis_second.phi
 
 
-def test_maximize_never_falls_below_named_axes(fast_settings):
+def test_maximize_never_falls_below_named_axes():
     for seed in range(12):
         rho = random_state(seed)
-        j_max, _ = maximize_classical_correlation(rho, fast_settings)
+        j_max, _ = maximize_classical_correlation(rho)
         named = max(
             classical_correlation(rho, ProjectiveBasis.sigma_z()),
             classical_correlation(rho, ProjectiveBasis.sigma_x()),
@@ -188,20 +188,20 @@ def test_maximize_never_falls_below_named_axes(fast_settings):
         assert j_max >= named - 1e-9
 
 
-def test_maximize_monotone_under_apparatus_noise(fast_settings):
+def test_maximize_monotone_under_apparatus_noise():
     # a local channel before measurement cannot increase retrievable information
     for seed in range(6):
         rho = random_state(seed + 20)
-        before, _ = maximize_classical_correlation(rho, fast_settings)
+        before, _ = maximize_classical_correlation(rho)
         noisy = apply_to_apparatus(phase_damping(0.35), rho)
-        after, _ = maximize_classical_correlation(noisy, fast_settings)
+        after, _ = maximize_classical_correlation(noisy)
         assert after <= before + 1e-6
 
 
-def test_maximize_bounded_by_mutual_information(fast_settings):
+def test_maximize_bounded_by_mutual_information():
     for seed in range(8):
         rho = random_state(seed + 40)
-        j_max, _ = maximize_classical_correlation(rho, fast_settings)
+        j_max, _ = maximize_classical_correlation(rho)
         assert j_max <= mutual_information(rho) + 1e-9
 
 

@@ -54,8 +54,8 @@ def test_sweep_validates_inputs(state1):
         sweep(state1, "depolarizing", [0.0, 1.0])
 
 
-def test_dephasing_sweep_of_strongly_coherent_state(state1, fast_settings):
-    report = sweep(state1, "pd", np.linspace(0.0, 1.0, 21), settings=fast_settings)
+def test_dephasing_sweep_of_strongly_coherent_state(state1):
+    report = sweep(state1, "pd", np.linspace(0.0, 1.0, 21))
     assert report.transition_p == pytest.approx(0.4, abs=1e-9)
     assert report.regime == REGIME_DECAY_THEN_CONSTANT
     assert report.emergence_time == pytest.approx(TAU_E_STATE_1, abs=1e-12)
@@ -63,16 +63,16 @@ def test_dephasing_sweep_of_strongly_coherent_state(state1, fast_settings):
     assert report.tau_d == 1.0
 
 
-def test_sweep_gamma_rescales_times_not_strengths(state1, fast_settings):
-    report = sweep(state1, "pd", np.linspace(0.0, 1.0, 11), gamma=2.0, settings=fast_settings)
+def test_sweep_gamma_rescales_times_not_strengths(state1):
+    report = sweep(state1, "pd", np.linspace(0.0, 1.0, 11), gamma=2.0)
     assert report.emergence_time == pytest.approx(TAU_E_STATE_1 / 2.0, abs=1e-12)
     assert report.tau_d == 0.5
     # the strength at emergence depends only on the state, not the clock
     assert report.p_e == pytest.approx(0.4, abs=1e-12)
 
 
-def test_dephasing_sweep_of_weakly_coherent_state(state2, fast_settings):
-    report = sweep(state2, "pd", np.linspace(0.0, 1.0, 11), settings=fast_settings)
+def test_dephasing_sweep_of_weakly_coherent_state(state2):
+    report = sweep(state2, "pd", np.linspace(0.0, 1.0, 11))
     assert report.transition_p is None
     assert report.regime == REGIME_CONSTANT
     # pointer correlation dominates from the start, so no finite emergence
@@ -81,24 +81,24 @@ def test_dephasing_sweep_of_weakly_coherent_state(state2, fast_settings):
     assert max(values) - min(values) < 1e-6
 
 
-def test_damping_sweep_of_strongly_coherent_state(state1, fast_settings):
-    report = sweep(state1, "ad", np.linspace(0.0, 1.0, 11), settings=fast_settings)
+def test_damping_sweep_of_strongly_coherent_state(state1):
+    report = sweep(state1, "ad", np.linspace(0.0, 1.0, 11))
     assert report.transition_p is None
     assert report.regime == REGIME_MONOTONIC_DECAY
     assert report.emergence_time is None
 
 
-def test_damping_sweep_of_weakly_coherent_state(state2, fast_settings):
-    report = sweep(state2, "ad", np.linspace(0.0, 1.0, 41), settings=fast_settings)
+def test_damping_sweep_of_weakly_coherent_state(state2):
+    report = sweep(state2, "ad", np.linspace(0.0, 1.0, 41))
     assert report.transition_p is not None
     assert 0.45 < report.transition_p < 0.55
     assert report.regime == REGIME_SUDDEN_CHANGE
 
 
-def test_pointer_family_on_sigma_z_matches_dephasing(state1, fast_settings):
+def test_pointer_family_on_sigma_z_matches_dephasing(state1):
     grid = np.linspace(0.0, 1.0, 11)
-    via_pointer = sweep(state1, "pointer", grid, settings=fast_settings)
-    via_pd = sweep(state1, "pd", grid, settings=fast_settings)
+    via_pointer = sweep(state1, "pointer", grid)
+    via_pd = sweep(state1, "pd", grid)
     assert via_pointer.transition_p == pytest.approx(via_pd.transition_p, abs=1e-9)
     assert via_pointer.regime == via_pd.regime
     assert via_pointer.emergence_time == pytest.approx(TAU_E_STATE_1, abs=1e-12)
@@ -106,19 +106,18 @@ def test_pointer_family_on_sigma_z_matches_dephasing(state1, fast_settings):
         assert a.j_max == pytest.approx(b.j_max, abs=1e-12)
 
 
-def test_pointer_family_off_axis_has_no_closed_form(state1, fast_settings):
+def test_pointer_family_off_axis_has_no_closed_form(state1):
     report = sweep(
         state1,
         "pointer",
         np.linspace(0.0, 1.0, 11),
         pointer_basis=ProjectiveBasis.sigma_x(),
-        settings=fast_settings,
     )
     assert report.emergence_time is None
 
 
-def test_remark_state_sweep_decays_asymptotically(fast_settings):
-    report = sweep(remark_state(), "pd", np.linspace(0.0, 1.0, 21), settings=fast_settings)
+def test_remark_state_sweep_decays_asymptotically():
+    report = sweep(remark_state(), "pd", np.linspace(0.0, 1.0, 21))
     assert report.transition_p is None
     assert report.regime == REGIME_MONOTONIC_DECAY
     # c = b here, so the closed-form emergence time diverges
@@ -157,7 +156,7 @@ def test_emergence_time_with_opposite_sign_coherences():
     assert result.tau_e == pytest.approx(math.log(4.0 / 3.0), abs=1e-15)
 
 
-def test_emergence_time_matches_the_sweep_for_both_coherence_signs(fast_settings):
+def test_emergence_time_matches_the_sweep_for_both_coherence_signs():
     # Draw as the theorem2 suite does: random X states with J_z > 1e-3,
     # four with z w < 0 and four with z w >= 0.
     rng = np.random.default_rng(0)
@@ -174,7 +173,7 @@ def test_emergence_time_matches_the_sweep_for_both_coherence_signs(fast_settings
     for opposite, states in drawn.items():
         transitions = 0
         for params, rho in states:
-            report = sweep(rho, "pd", grid, settings=fast_settings)
+            report = sweep(rho, "pd", grid)
             closed = emergence_time(params)
             assert (closed is None) == (report.transition_p is None), params
             assert (report.emergence_time is None) == (closed is None), params

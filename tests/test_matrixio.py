@@ -18,7 +18,13 @@ from einselect import (
 )
 from einselect import emergence_time
 from einselect.cli import main
-from einselect.matrixio import CSV_COLUMNS, csv_table, emergence_payload, format_cell
+from einselect.matrixio import (
+    CSV_COLUMNS,
+    csv_table,
+    emergence_payload,
+    emit_emergence,
+    format_cell,
+)
 
 
 def test_write_parse_round_trip(tmp_path):
@@ -59,6 +65,8 @@ def test_parse_skips_comments_and_blank_lines(tmp_path):
         ("dim 2\nreal\n0.5 nan\n0 0.5\nimag\n0 0\n0 0\n", "non-finite.*'real'"),
         ("dim 2\nreal\n0.5 0\n0 0.5\nimag\n0 0\ninf 0\n", "non-finite.*'imag'"),
         ("dim 2\nreal\n0.5 0\n0 0.5\nimag\n0 0\n0 0\nstd\n0 inf\n0 0\n", "non-finite.*'std'"),
+        # a superscript two passes str.isdigit but not int()
+        ("dim \u00b2\nreal\n0.5 0\n0 0.5\nimag\n0 0\n0 0\n", "dim"),
     ],
 )
 def test_parse_rejects_malformed_files(tmp_path, text, message):
@@ -122,8 +130,8 @@ def test_projection_rejects_non_finite_entries(bad, gate):
         project_to_physical(raw, **gate)
 
 
-def test_emit_trajectory_csv(state1, fast_settings):
-    report = sweep(state1, "pd", np.linspace(0.0, 1.0, 5), settings=fast_settings)
+def test_emit_trajectory_csv(state1):
+    report = sweep(state1, "pd", np.linspace(0.0, 1.0, 5))
     text = emit_report(report, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -133,8 +141,8 @@ def test_emit_trajectory_csv(state1, fast_settings):
     assert float(first["j_z"]) == pytest.approx(0.278071905113, abs=1e-9)
 
 
-def test_emit_trajectory_json(state1, fast_settings):
-    report = sweep(state1, "pd", np.linspace(0.0, 1.0, 5), settings=fast_settings)
+def test_emit_trajectory_json(state1):
+    report = sweep(state1, "pd", np.linspace(0.0, 1.0, 5))
     payload = json.loads(emit_report(report, "json"))
     assert payload["regime"] == report.regime
     assert payload["transition_p"] == pytest.approx(0.4, abs=1e-9)
@@ -175,8 +183,8 @@ def test_format_cell_rules():
     )
 
 
-def test_emit_report_rejects_bad_arguments(state1, fast_settings):
-    report = sweep(state1, "pd", np.linspace(0.0, 1.0, 3), settings=fast_settings)
+def test_emit_report_rejects_bad_arguments(state1):
+    report = sweep(state1, "pd", np.linspace(0.0, 1.0, 3))
     with pytest.raises(InvalidInputError, match="format"):
         emit_report(report, "yaml")
     with pytest.raises(InvalidInputError, match="type"):
@@ -193,6 +201,14 @@ def test_emergence_payload_shapes():
     assert empty["tau_e"] is None
     assert empty["tau_d"] == 0.5
     assert empty["p_at_tau_d"] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_emergence_output_rejects_bad_gamma(gamma):
+    # tau_D = 1/gamma comes from dynamics.decoherence_time, which checks gamma
+    for fmt in ("csv", "json"):
+        with pytest.raises(InvalidInputError, match="gamma"):
+            emit_emergence(None, gamma, fmt)
 
 
 def test_write_matrix_file_validation(tmp_path):

@@ -7,7 +7,6 @@ from einselect import (
     STATE_1,
     InvalidInputError,
     MonteCarloBands,
-    OptimizerSettings,
     ProjectiveBasis,
     make_x_state,
     monte_carlo_bands,
@@ -17,7 +16,6 @@ from einselect import (
 )
 from einselect.matrixio import bands_payload, json_text
 
-FAST = OptimizerSettings(n_theta=32, n_phi=64, min_step=1e-7)
 GRID_11 = np.linspace(0.0, 1.0, 11)
 
 
@@ -31,15 +29,13 @@ def matrix_file(tmp_path, sigma):
 def test_bands_validate_sweep_arguments(tmp_path):
     parsed = matrix_file(tmp_path, 0.01)
     with pytest.raises(InvalidInputError, match="grid"):
-        monte_carlo_bands(parsed, "pd", [], samples=2, settings=FAST)
+        monte_carlo_bands(parsed, "pd", [], samples=2)
     with pytest.raises(InvalidInputError, match="gamma"):
-        monte_carlo_bands(parsed, "pd", [0.0, 1.0], samples=2, gamma=0.0, settings=FAST)
+        monte_carlo_bands(parsed, "pd", [0.0, 1.0], samples=2, gamma=0.0)
     with pytest.raises(InvalidInputError, match="finite"):
-        monte_carlo_bands(
-            parsed, "pd", [0.0, 1.0], samples=2, gamma=float("inf"), settings=FAST
-        )
+        monte_carlo_bands(parsed, "pd", [0.0, 1.0], samples=2, gamma=float("inf"))
     with pytest.raises(InvalidInputError, match="channel"):
-        monte_carlo_bands(parsed, "depolarizing", [0.0, 1.0], samples=2, settings=FAST)
+        monte_carlo_bands(parsed, "depolarizing", [0.0, 1.0], samples=2)
 
 
 def test_bands_require_uncertainties_and_samples(tmp_path):
@@ -54,8 +50,8 @@ def test_bands_require_uncertainties_and_samples(tmp_path):
 
 def test_zero_noise_bands_collapse_to_the_sweep(tmp_path):
     parsed = matrix_file(tmp_path, 0.0)
-    bands = monte_carlo_bands(parsed, "pd", GRID_11, samples=3, seed=1, settings=FAST)
-    reference = sweep(parsed.state, "pd", GRID_11, settings=FAST)
+    bands = monte_carlo_bands(parsed, "pd", GRID_11, samples=3, seed=1)
+    reference = sweep(parsed.state, "pd", GRID_11)
     for name in ("j_z", "j_x", "j_max", "discord"):
         # identical samples: spread is zero up to the mean's rounding
         assert np.max(bands.stds[name]) <= 1e-14
@@ -70,11 +66,9 @@ def test_zero_noise_bands_collapse_to_the_sweep(tmp_path):
 def test_zero_noise_pointer_bands_collapse_to_the_pointer_sweep(tmp_path):
     parsed = matrix_file(tmp_path, 0.0)
     basis = ProjectiveBasis(0.5, 0.4)
-    bands = monte_carlo_bands(
-        parsed, "pointer", GRID_11, samples=3, seed=1, pointer_basis=basis, settings=FAST
-    )
-    reference = sweep(parsed.state, "pointer", GRID_11, pointer_basis=basis, settings=FAST)
-    tilted = sweep(parsed.state, "pd", GRID_11, settings=FAST)
+    bands = monte_carlo_bands(parsed, "pointer", GRID_11, samples=3, seed=1, pointer_basis=basis)
+    reference = sweep(parsed.state, "pointer", GRID_11, pointer_basis=basis)
+    tilted = sweep(parsed.state, "pd", GRID_11)
     for name in ("j_z", "j_x", "j_max", "discord"):
         assert np.max(bands.stds[name]) <= 1e-14
         np.testing.assert_allclose(
@@ -90,7 +84,7 @@ def test_zero_noise_pointer_bands_collapse_to_the_pointer_sweep(tmp_path):
 def test_noisy_bands_straddle_the_true_transition(tmp_path):
     parsed = matrix_file(tmp_path, 0.01)
     grid = np.linspace(0.0, 1.0, 21)
-    bands = monte_carlo_bands(parsed, "pd", grid, samples=6, seed=2, settings=FAST)
+    bands = monte_carlo_bands(parsed, "pd", grid, samples=6, seed=2)
     assert bands.transition_count == 6
     assert bands.transition_mean == pytest.approx(0.4, abs=0.05)
     assert all(np.all(bands.stds[name] >= 0.0) for name in bands.stds)
@@ -100,7 +94,7 @@ def test_noisy_bands_straddle_the_true_transition(tmp_path):
 
 def test_bands_are_deterministic(tmp_path):
     parsed = matrix_file(tmp_path, 0.005)
-    run = {"samples": 3, "seed": 4, "settings": FAST}
+    run = {"samples": 3, "seed": 4}
     first = monte_carlo_bands(parsed, "pd", GRID_11, **run)
     second = monte_carlo_bands(parsed, "pd", GRID_11, **run)
     assert json_text(bands_payload(first)) == json_text(bands_payload(second))
@@ -109,7 +103,7 @@ def test_bands_are_deterministic(tmp_path):
 def test_bands_json_payload(tmp_path):
     parsed = matrix_file(tmp_path, 0.0)
     grid = np.linspace(0.0, 1.0, 5)
-    bands = monte_carlo_bands(parsed, "pd", grid, samples=2, seed=0, settings=FAST)
+    bands = monte_carlo_bands(parsed, "pd", grid, samples=2, seed=0)
     payload = json.loads(json_text(bands_payload(bands)))
     assert payload["samples"] == 2
     assert payload["seed"] == 0

@@ -41,10 +41,10 @@ def test_random_x_state_params_always_physical():
         make_x_state(random_x_state_params(rng))
 
 
-def test_random_cq_state_is_classically_correlated(fast_settings):
+def test_random_cq_state_is_classically_correlated():
     rng = np.random.default_rng(3)
     rho, basis = random_cq_state(rng)
-    assert quantum_discord(rho, fast_settings) <= 1e-6
+    assert quantum_discord(rho) <= 1e-6
     assert classical_correlation(rho, basis) == pytest.approx(
         mutual_information(rho), abs=1e-10
     )
