@@ -20,7 +20,6 @@ from .channels import (
 )
 from .correlations import (
     CorrelationRecord,
-    OptimizerSettings,
     ProjectiveBasis,
     basis_distance,
     classical_correlation,
@@ -92,7 +91,6 @@ __all__ = [
     "MatrixFile",
     "MonteCarloBands",
     "OptimizationError",
-    "OptimizerSettings",
     "PhysicalityReport",
     "ProjectiveBasis",
     "REGIME_CONSTANT",

@@ -67,13 +67,23 @@ def _parse_state_flag(text: str) -> DensityMatrix:
     return make_x_state(XStateParams(c=c, b=b, z=z, w=w))
 
 
+def _two_qubit_file(path: str):
+    """parse_matrix_file, refusing a matrix that is not a two-qubit state."""
+    matrix = parse_matrix_file(path)
+    if matrix.state.dim != 4:
+        raise InvalidInputError(
+            f"--matrix-file needs a two-qubit state (dim 4), got dim {matrix.state.dim}"
+        )
+    return matrix
+
+
 def _load_state(args) -> DensityMatrix:
     if args.state and args.matrix_file:
         raise InvalidInputError("give either --state or --matrix-file, not both")
     if args.state:
         return _parse_state_flag(args.state)
     if args.matrix_file:
-        return parse_matrix_file(args.matrix_file).state
+        return _two_qubit_file(args.matrix_file).state
     raise InvalidInputError("one of --state or --matrix-file is required")
 
 
@@ -237,7 +247,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    matrix = parse_matrix_file(args.matrix_file)
+    matrix = _two_qubit_file(args.matrix_file)
     grid = _grid_from_count(args.grid, args.samples)
     run = {"gamma": args.gamma, "pointer_basis": _pointer_basis(args)}
     report = sweep(matrix.state, args.channel, grid, **run)

@@ -6,9 +6,10 @@ measurement {Pi_0, Pi_1} on the apparatus is
     J = S(rho_s) - sum_i p_i S(rho_s | outcome i)        (bits)
 
 i.e. the information about the system retrievable from that measurement.
-Its maximum over all projective bases is computed by a deterministic coarse
-grid over the Bloch angles followed by derivative-free compass refinement;
-quantum discord is mutual information minus that maximum.
+Its maximum over all projective bases is computed by one fixed search: the
+exact Pauli axes and a Fibonacci lattice on the hemisphere, then
+derivative-free compass refinement in a tangent-plane chart around the best
+of them; quantum discord is mutual information minus that maximum.
 
 Measurement kets are parametrized as
     |u_0> = (cos(theta/2), e^{i phi} sin(theta/2)),
@@ -31,9 +32,10 @@ Bloch length |r +- T n| / (1 +- s.n). Since sum p+- = 1,
 real 3-vector arithmetic with no eigensolver, and each outcome's term keeps
 its relative accuracy (see _bloch_information). s.n and T n are written as
 explicit three-term sums, so every value depends only on its own state and
-axis, never on the rest of the batch. maximize_batch runs the coarse grid
+axis, never on the rest of the batch. maximize_batch runs the coarse pass
 one state at a time and the compass refinement in lockstep over all states;
-maximize_classical_correlation is its one-state case.
+maximize_classical_correlation is its one-state case. The search keeps each
+axis as a 3-vector and converts to (theta, phi) only for the result.
 
 classical_correlation, conditional_state and mutual_information stay on the
 density matrix itself (partial trace and eigvalsh).
@@ -41,7 +43,6 @@ density matrix itself (partial trace and eigvalsh).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -145,27 +146,12 @@ def basis_distance(a: ProjectiveBasis, b: ProjectiveBasis) -> float:
     return math.acos(min(dot, 1.0))
 
 
-# Compass refinement halves its step once a move gains less than this many
-# bits, and gives up after MAX_REFINE_STEPS candidate batches.
-REFINE_GAIN = 1e-10
+# A compass move is taken only if it gains more than this many bits, a few
+# rounding units of J <= 1; otherwise the step halves. Below MIN_STEP no move
+# can gain that much any more, and MAX_REFINE_STEPS bounds the batches.
+MOVE_GAIN = 4.0 * np.finfo(float).eps
+MIN_STEP = 1e-8
 MAX_REFINE_STEPS = 400
-
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Sizing of maximize_batch, set only through sweep(settings=).
-
-    n_theta x n_phi is the coarse grid (theta in [0, pi] inclusive, phi in
-    [0, 2 pi) exclusive). Refinement stops once its step falls below min_step.
-    """
-
-    n_theta: int = 64
-    n_phi: int = 128
-    min_step: float = 1e-10
-
-    def __post_init__(self):
-        if self.n_theta < 2 or self.n_phi < 2:
-            raise OptimizationError("grid must have at least 2 points per angle")
 
 
 @dataclass(frozen=True)
@@ -255,29 +241,36 @@ def _bloch_correlation(form: np.ndarray, s_entropy, nx, ny, nz) -> np.ndarray:
     return total
 
 
-def _axes(thetas: np.ndarray, phis: np.ndarray) -> tuple:
-    st = np.sin(thetas)
-    return st * np.cos(phis), st * np.sin(phis), np.cos(thetas)
+def _search_axes(points: int) -> np.ndarray:
+    """The coarse pass's axes as x, y, z rows: sigma_z, sigma_x, sigma_y, then lattice.
 
-
-@functools.lru_cache(maxsize=8)
-def _coarse_grid(n_theta: int, n_phi: int) -> tuple:
-    """Angles and axes of the coarse grid, then the exact sigma_z, sigma_x, sigma_y.
-
-    Order: theta-major over linspace(0, pi, n_theta) x [0, 2 pi) with n_phi
-    points. Built once per grid size; the arrays are read-only.
+    The lattice is a Fibonacci spiral of `points` axes on the upper
+    hemisphere (Gonzalez, Math. Geosci. 42, 49, 2010), which covers every
+    basis once since J(n) = J(-n). The array is read-only.
     """
-    theta_grid = np.linspace(0.0, math.pi, n_theta)
-    phi_grid = np.linspace(0.0, 2.0 * math.pi, n_phi, endpoint=False)
-    thetas = np.concatenate([np.repeat(theta_grid, n_phi), [0.0, math.pi / 2, math.pi / 2]])
-    phis = np.concatenate([np.tile(phi_grid, n_theta), [0.0, 0.0, math.pi / 2]])
-    # x, y and z components of the exact sigma_z, sigma_x and sigma_y axes
-    exact = ([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-    grid_axes = _axes(thetas[:-3], phis[:-3])
-    arrays = (thetas, phis) + tuple(np.concatenate(pair) for pair in zip(grid_axes, exact))
-    for arr in arrays:
-        arr.setflags(write=False)
-    return arrays
+    k = np.arange(points) + 0.5
+    z = 1.0 - k / points
+    r = np.sqrt(1.0 - z * z)
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * k
+    lattice = np.stack([r * np.cos(phi), r * np.sin(phi), z])
+    axes = np.concatenate([[[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], lattice], axis=1)
+    axes.setflags(write=False)
+    return axes
+
+
+_SEARCH_AXES = _search_axes(512)
+# Compass moves in the tangent-plane chart: +e1, -e1, +e2, -e2.
+_MOVES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+# The first compass step: about the lattice's nearest-neighbour spacing.
+_FIRST_STEP = 0.1
+
+
+def _chart_axes(n0, e1, e2, a, b) -> list:
+    """x, y, z of normalize(n0 + a e1 + b e2); n0, e1, e2 index their xyz last."""
+    v = n0 + a[..., None] * e1 + b[..., None] * e2
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    norm = np.sqrt(x * x + y * y + z * z)
+    return [x / norm, y / norm, z / norm]
 
 
 def conditional_state(rho: DensityMatrix, basis: ProjectiveBasis, outcome: int):
@@ -322,87 +315,86 @@ def mutual_information(rho: DensityMatrix) -> float:
     return _nonnegative(total, _NEGATIVE_J_TOL, "mutual information")
 
 
-# Compass moves in (theta, phi): +theta, -theta, +phi, -phi.
-_THETA_MOVES = np.array([1.0, -1.0, 0.0, 0.0])
-_PHI_MOVES = np.array([0.0, 0.0, 1.0, -1.0])
-
-
-def maximize_batch(
-    states, settings: OptimizerSettings | None = None
-) -> list[tuple[float, ProjectiveBasis]]:
+def maximize_batch(states) -> list[tuple[float, ProjectiveBasis]]:
     """maximize_classical_correlation for each of a sequence of states.
 
-    The coarse grid runs one state at a time; the compass refinement then
-    runs in lockstep across the states, each with its own step and stopping
-    rule. Every evaluation is elementwise in the batch, so each result is
-    bit-for-bit the one-state result of its state.
+    The coarse pass runs one state at a time; the compass refinement then
+    runs in lockstep across the states, each with its own chart, step and
+    stopping rule. Every evaluation is elementwise in the batch, so each
+    result is bit-for-bit the one-state result of its state.
     """
-    cfg = settings or OptimizerSettings()
-    thetas, phis, nx, ny, nz = _coarse_grid(cfg.n_theta, cfg.n_phi)
     # partial_trace rejects anything but a two-qubit state
     s_entropy = np.array(
         [von_neumann_entropy(partial_trace(rho, "system")) for rho in states]
     )
     forms = np.array([bloch_form(rho) for rho in states])
     best = np.empty(len(states))
-    theta = np.empty(len(states))
-    phi = np.empty(len(states))
+    center = np.empty((len(states), 3))
     for k, form in enumerate(forms):
-        values = _bloch_correlation(form, s_entropy[k], nx, ny, nz)
+        values = _bloch_correlation(form, s_entropy[k], *_SEARCH_AXES)
         idx = int(np.argmax(values))
-        best[k], theta[k], phi[k] = values[idx], thetas[idx], phis[idx]
+        best[k], center[k] = values[idx], _SEARCH_AXES[:, idx]
 
-    step = np.full(len(states), max(math.pi / (cfg.n_theta - 1), 2.0 * math.pi / cfg.n_phi))
+    # Each state moves in the chart normalize(n0 + a e1 + b e2) around its
+    # best coarse axis n0, which reaches every basis without a pole. The frame
+    # (e1, e2) is built from the coordinate axis least aligned with n0, so an
+    # exact Pauli axis gets an exact frame.
+    e1 = np.cross(center, np.eye(3)[np.argmin(np.abs(center), axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(center, e1)
+    chart = np.zeros((len(states), 2))
+    step = np.full(len(states), _FIRST_STEP)
     for _ in range(MAX_REFINE_STEPS):
-        live = np.flatnonzero(step >= cfg.min_step)
+        live = np.flatnonzero(step >= MIN_STEP)
         if live.size == 0:
             break
-        moves = step[live, None]
-        cand_t = np.clip(theta[live, None] + moves * _THETA_MOVES, 0.0, math.pi)
-        cand_p = np.mod(phi[live, None] + moves * _PHI_MOVES, 2.0 * math.pi)
+        cand = chart[live, None, :] + step[live, None, None] * _MOVES
+        frame = (center[live, None], e1[live, None], e2[live, None])
+        n = _chart_axes(*frame, cand[..., 0], cand[..., 1])
         form = forms[live].transpose(1, 2, 0)[..., None]
-        vals = _bloch_correlation(form, s_entropy[live, None], *_axes(cand_t, cand_p))
+        vals = _bloch_correlation(form, s_entropy[live, None], *n)
         rows = np.arange(live.size)
         k = np.argmax(vals, axis=1)
         top = vals[rows, k]
-        gain = top - best[live]
-        up = gain > 0.0
-        moved = live[up]
-        best[moved] = top[up]
-        theta[moved] = cand_t[rows, k][up]
-        phi[moved] = cand_p[rows, k][up]
-        step[live[~up | (gain < REFINE_GAIN)]] /= 2.0
+        up = top - best[live] > MOVE_GAIN
+        best[live[up]] = top[up]
+        chart[live[up]] = cand[rows, k][up]
+        step[live[~up]] /= 2.0
 
+    axes = np.stack(_chart_axes(center, e1, e2, chart[:, 0], chart[:, 1]), axis=1)
     results = []
-    for value, t, f in zip(best.tolist(), theta.tolist(), phi.tolist()):
+    for value, (x, y, z) in zip(best.tolist(), axes.tolist()):
         value = _nonnegative(value, _NEGATIVE_J_TOL, "maximal classical correlation")
-        results.append((value, ProjectiveBasis(t, f)))
+        basis = ProjectiveBasis(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
+        results.append((value, basis))
     return results
 
 
 def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, ProjectiveBasis]:
     """Maximum classical correlation over all rank-1 projective bases.
 
-    Deterministic: a coarse theta x phi grid (augmented with the exact
-    sigma_x, sigma_y and sigma_z axes, so the result never falls below those
-    by more than rounding), then compass-search refinement from the best
-    candidate. The objective has entropy kinks where conditional eigenvalues
-    cross, so refinement is derivative-free. On exactly degenerate maxima the
-    first candidate in (theta, phi) lexicographic order wins.
+    Deterministic: a coarse pass over the exact sigma_z, sigma_x and sigma_y
+    axes (so the result never falls below those by more than rounding) and a
+    512-point Fibonacci lattice on the upper hemisphere, then compass-search
+    refinement in the tangent-plane chart n = normalize(n0 + a e1 + b e2)
+    around the best candidate n0, which has no pole. The objective has
+    entropy kinks where conditional eigenvalues cross, so refinement is
+    derivative-free. A move is taken only if it gains more than MOVE_GAIN,
+    so an exact-axis optimum with a flat neighbourhood stays exact. On exactly
+    degenerate maxima the first of sigma_z, sigma_x, sigma_y, then lattice
+    order, wins.
     """
     return maximize_batch([rho])[0]
 
 
-def correlation_records(
-    states, ps, settings: OptimizerSettings | None = None
-) -> list[CorrelationRecord]:
+def correlation_records(states, ps) -> list[CorrelationRecord]:
     """correlation_record for each state, labelled with its channel strength.
 
     One maximize_batch call covers all states; the records equal the
     one-state records bit for bit.
     """
     records = []
-    for rho, p, (j_max, argmax) in zip(states, ps, maximize_batch(states, settings)):
+    for rho, p, (j_max, argmax) in zip(states, ps, maximize_batch(states)):
         mi = mutual_information(rho)
         records.append(
             CorrelationRecord(

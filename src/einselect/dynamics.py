@@ -37,7 +37,6 @@ from .channels import (
 )
 from .correlations import (
     CorrelationRecord,
-    OptimizerSettings,
     ProjectiveBasis,
     basis_distance,
     classical_correlation,
@@ -296,7 +295,6 @@ def sweep(
     *,
     gamma: float = 1.0,
     pointer_basis: Optional[ProjectiveBasis] = None,
-    settings: Optional[OptimizerSettings] = None,
 ) -> TrajectoryReport:
     """Drive a state through a channel family and report the full trajectory.
 
@@ -313,7 +311,7 @@ def sweep(
     make = _channel_maker(basis)
     strengths = [float(p) for p in ps]
     states = [apply_to_apparatus(make(p), rho0) for p in strengths]
-    records = correlation_records(states, strengths, settings)
+    records = correlation_records(states, strengths)
 
     transition = detect_transition(
         rho0, channel_family, records, pointer_basis=pointer_basis

@@ -189,9 +189,9 @@ def parse_matrix_file(path) -> MatrixFile:
         for stripped in (line.strip() for line in raw_lines)
         if stripped and not stripped.startswith("#")
     ]
-    if not lines or not lines[0].startswith("dim"):
+    parts = lines[0].split() if lines else []
+    if not parts or parts[0] != "dim":
         raise InvalidInputError("matrix file must start with a 'dim N' line")
-    parts = lines[0].split()
     if len(parts) != 2 or not parts[1].isdecimal():
         raise InvalidInputError(f"bad dim line: {lines[0]!r}")
     dim = int(parts[1])

@@ -31,7 +31,6 @@ import numpy as np
 
 from .channels import apply_to_apparatus, pointer_decoherence
 from .correlations import (
-    OptimizerSettings,
     ProjectiveBasis,
     basis_distance,
     classical_correlation,
@@ -64,11 +63,6 @@ LEMMA1_MIN_TILT = 0.05
 # states closer than CQ_MIN_BRANCH_DISTANCE in trace distance are redrawn.
 CQ_WEIGHT_RANGE = (0.1, 0.9)
 CQ_MIN_BRANCH_DISTANCE = 0.1
-
-# Optimizer sizing for the sweep-heavy suites: accuracy ~1e-12 in value is
-# plenty against the 1e-8 plateau tolerance, at a fraction of the default cost.
-_SUITE_SETTINGS = OptimizerSettings(n_theta=32, n_phi=64, min_step=1e-7)
-
 
 @dataclass(frozen=True)
 class VerificationOutcome:
@@ -218,7 +212,7 @@ def verify_theorem2(trials: int = 200, seed: int = 7) -> VerificationOutcome:
         while classical_correlation(rho, sigma_z) <= 1e-3:
             params = random_x_state_params(rng)
             rho = make_x_state(params)
-        report = sweep(rho, "pd", grid, settings=_SUITE_SETTINGS)
+        report = sweep(rho, "pd", grid)
         regime = report.regime
         ok = regime in (REGIME_CONSTANT, REGIME_DECAY_THEN_CONSTANT)
         increase = max_increase(report.records)

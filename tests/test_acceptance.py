@@ -17,9 +17,11 @@ from einselect import (
     STATE_1,
     STATE_2,
     XStateParams,
+    apply_to_apparatus,
     emergence_time,
     make_x_state,
     maximize_classical_correlation,
+    phase_damping,
     random_density_matrix,
     remark_state,
     sweep,
@@ -147,6 +149,19 @@ def test_criterion_08_optimizer_matches_brute_force():
         j_brute = brute_force_jmax(rho.entries)
         worst = max(worst, abs(j_opt - j_brute))
     assert worst <= 1e-4
+
+
+def test_optimizer_reaches_brute_force_near_the_sigma_z_pole():
+    # Strong dephasing pulls a general state's optimal axis toward sigma_z;
+    # the search must not stall there below an independent grid.
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        rho = random_density_matrix(rng)
+        for p in (0.95, 0.975, 0.99):
+            evolved = apply_to_apparatus(phase_damping(p), rho)
+            j_opt, _ = maximize_classical_correlation(evolved)
+            j_brute = brute_force_jmax(evolved.entries, n_theta=128, n_phi=256)
+            assert j_opt >= j_brute - 1e-9, p
 
 
 def test_criterion_09_timescale_comparison():

@@ -309,6 +309,17 @@ def test_grid_and_sample_caps_apply_before_allocation(capsys, tmp_path):
         assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "command", [["sweep"], ["maximize"], ["emergence"], ["analyze", "--grid", "3"]]
+)
+def test_single_qubit_matrix_file_is_refused_with_one_message(capsys, tmp_path, command):
+    path = tmp_path / "qubit.mat"
+    write_matrix_file(path, np.eye(2) / 2)
+    code, out, err = run(capsys, command[0], "--matrix-file", str(path), *command[1:])
+    assert (code, out) == (1, "")
+    assert err == "einselect: --matrix-file needs a two-qubit state (dim 4), got dim 2\n"
+
+
 @pytest.mark.parametrize("dim", [2, 4])
 def test_huge_finite_entries_are_a_data_quality_failure(capsys, tmp_path, dim):
     # 1e308 is finite, but the projection's sums on it leave float range

@@ -55,6 +55,9 @@ def test_parse_skips_comments_and_blank_lines(tmp_path):
     [
         ("real\n0.5 0\n0 0.5\n", "dim"),
         ("dim 3\n", "dim"),
+        # the header token is "dim" exactly, not any word starting with it
+        ("dimension 2\nreal\n0.5 0\n0 0.5\nimag\n0 0\n0 0\n", "'dim N' line"),
+        ("dimx 2\nreal\n0.5 0\n0 0.5\nimag\n0 0\n0 0\n", "'dim N' line"),
         ("dim 2\nreal\n0.5 0\n0 0.5\n", "imag"),
         ("dim 2\nreal\n0.5 0\n0 0.5\nreal\n0.5 0\n0 0.5\n", "duplicate"),
         ("dim 2\nreal\n0.5 nope\n0 0.5\nimag\n0 0\n0 0\n", "bad number"),
