@@ -14,6 +14,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +25,17 @@ from .qstate import DensityMatrix
 _TP_TOL = 1e-12
 
 _I2 = np.eye(2, dtype=complex)
+
+
+def _check_trace_preserving(ops: np.ndarray) -> None:
+    """Raise unless every row of a (N, K, 2, 2) stack has sum_k K^dag K = I within 1e-12."""
+    dev = np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=1) - _I2)
+    if dev.max() > _TP_TOL:
+        worst = dev.max(axis=(-2, -1))
+        raise InvalidStateError(
+            "channel is not trace preserving: max |sum K^dag K - I| = "
+            f"{worst[np.argmax(worst > _TP_TOL)]:.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -42,22 +54,47 @@ class KrausChannel:
         for k in ops:
             if k.shape != (2, 2):
                 raise InvalidStateError(f"Kraus operators must be 2x2, got {k.shape}")
-        total = sum(k.conj().T @ k for k in ops)
-        dev = np.max(np.abs(total - _I2))
-        if dev > _TP_TOL:
-            raise InvalidStateError(
-                f"channel is not trace preserving: max |sum K^dag K - I| = {dev:.3e}"
-            )
+        _check_trace_preserving(np.array(ops)[None])
         for k in ops:
             k.setflags(write=False)
         object.__setattr__(self, "operators", ops)
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise InvalidStateError(f"channel strength must be in [0, 1], got {p}")
-    return p
+def _check_strengths(ps) -> np.ndarray:
+    """Channel strengths as a float array; raises for the first one outside [0, 1]."""
+    ps = np.asarray(ps, dtype=float)
+    # nan fails both comparisons
+    if not (ps.min() >= 0.0 and ps.max() <= 1.0):
+        bad = ~((ps >= 0.0) & (ps <= 1.0))
+        raise InvalidStateError(
+            f"channel strength must be in [0, 1], got {float(ps[np.argmax(bad)])}"
+        )
+    return ps
+
+
+def _damping_ops(ps: np.ndarray) -> np.ndarray:
+    """Amplitude-damping pairs K0 = diag(1, sqrt(1-p)), K1 = [[0, sqrt(p)], [0, 0]].
+
+    Returns (N, 2, 2, 2), one pair per strength.
+    """
+    ops = np.zeros((ps.size, 2, 2, 2), dtype=complex)
+    ops[:, 0, 0, 0] = 1.0
+    ops[:, 0, 1, 1] = np.sqrt(1.0 - ps)
+    ops[:, 1, 0, 1] = np.sqrt(ps)
+    return ops
+
+
+def _dephasing_ops(basis: ProjectiveBasis, qs: np.ndarray) -> np.ndarray:
+    """Pairs {sqrt(1 - q/2) I, sqrt(q/2) (Pi_0 - Pi_1)} for each q, (N, 2, 2, 2)."""
+    p0, p1 = basis.projectors
+    half = qs / 2.0
+    weights = np.sqrt(np.array([1.0 - half, half]).T)
+    return weights[:, :, None, None] * np.array([_I2, p0 - p1])
+
+
+def _channel(pair: np.ndarray) -> KrausChannel:
+    """The channel of one Kraus pair, without an operator that vanishes (strength 0)."""
+    return KrausChannel(operators=tuple(k for k in pair if k.any()))
 
 
 def phase_damping(p: float) -> KrausChannel:
@@ -71,11 +108,7 @@ def phase_damping(p: float) -> KrausChannel:
 
 def amplitude_damping(p: float) -> KrausChannel:
     """Dissipative decay of the apparatus excited state |1> into |0>."""
-    p = _check_p(p)
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
-    k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    ops = (k0,) if p == 0.0 else (k0, k1)
-    return KrausChannel(operators=ops)
+    return _channel(_damping_ops(_check_strengths([p]))[0])
 
 
 def pointer_decoherence(basis: ProjectiveBasis, q: float) -> KrausChannel:
@@ -89,25 +122,45 @@ def pointer_decoherence(basis: ProjectiveBasis, q: float) -> KrausChannel:
         basis: a ProjectiveBasis (complete pair of orthogonal rank-1 projectors).
         q: mixing weight in [0, 1].
     """
-    q = _check_p(q)
-    p0, p1 = basis.projectors
-    ident = np.sqrt(1.0 - q / 2.0) * _I2
-    reflect = np.sqrt(q / 2.0) * (p0 - p1)
-    ops = (ident,) if q == 0.0 else (ident, reflect)
-    return KrausChannel(operators=ops)
+    return _channel(_dephasing_ops(basis, _check_strengths([q]))[0])
 
 
-def apply_to_apparatus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply a channel to the apparatus qubit of a two-qubit state.
+def kraus_stack(basis: Optional[ProjectiveBasis], ps) -> np.ndarray:
+    """One channel family's Kraus pairs at every strength in ps, as one (N, 2, 2, 2) stack.
 
-    Computes sum_k (I tensor K_k) rho (I tensor K_k)^dag. The system marginal
-    is untouched by construction (local operation).
+    The family is dephasing onto basis, or amplitude damping for None; each
+    pair is the one pointer_decoherence or amplitude_damping builds at that
+    strength, whose second operator is zero at strength 0. Trace
+    preservation is checked once over the stack.
+    """
+    ps = _check_strengths(ps)
+    ops = _damping_ops(ps) if basis is None else _dephasing_ops(basis, ps)
+    _check_trace_preserving(ops)
+    return ops
+
+
+def evolve(ops: np.ndarray, rho: DensityMatrix) -> np.ndarray:
+    """sum_k (I tensor K_k) rho (I tensor K_k)^dag for each row of a (N, K, 2, 2) Kraus stack.
+
+    An all-zero operator is not part of its row's channel, and its term is
+    not added. Returns the N evolved entries as an unvalidated (N, 4, 4)
+    array. The system marginal is untouched by construction (local
+    operation).
     """
     if rho.dim != 4:
         raise InvalidStateError(f"expected a two-qubit state, got dim {rho.dim}")
-    out = np.zeros((4, 4), dtype=complex)
-    for k in channel.operators:
-        lifted = np.kron(_I2, k)
-        out += lifted @ rho.entries @ lifted.conj().T
-    return DensityMatrix(out)
+    lifted = np.zeros(ops.shape[:2] + (4, 4), dtype=complex)
+    lifted[..., :2, :2] = lifted[..., 2:, 2:] = ops
+    terms = lifted @ rho.entries @ lifted.conj().swapaxes(-1, -2)
+    # The sum starts at +0.0, so the signs of exact zeros in lifted (np.kron
+    # would give some -0.0) cannot reach the result.
+    present = ops.any(axis=(-2, -1))
+    out = np.zeros((len(ops), 4, 4), dtype=complex)
+    for k in range(ops.shape[1]):
+        np.add(out, terms[:, k], out=out, where=present[:, k, None, None])
+    return out
 
+
+def apply_to_apparatus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
+    """Apply a channel to the apparatus qubit of a two-qubit state: evolve for one channel."""
+    return DensityMatrix(evolve(np.array(channel.operators)[None], rho)[0])

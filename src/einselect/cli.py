@@ -148,8 +148,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = subs.add_parser("verify", help="randomized property suites")
     vf.add_argument("--suite", choices=SUITE_CHOICES, default="all")
-    vf.add_argument("--trials", type=int, default=None, help="override the suite's default trial count")
-    vf.add_argument("--seed", type=int, default=None, help="override the suite's default seed")
+    vf.add_argument(
+        "--trials", type=int, default=None,
+        help="override the default trial count of theorem1, theorem2 and lemma1 "
+        "(remark is deterministic and takes --grid)",
+    )
+    vf.add_argument(
+        "--seed", type=int, default=None,
+        help="override the default seed of theorem1, theorem2 and lemma1",
+    )
     vf.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS, help="strength points for the remark suite")
     _add_output_flags(vf)
     vf.set_defaults(func=_cmd_verify)
@@ -239,6 +246,10 @@ def _run_suite(name: str, args, remark_grid: Optional[np.ndarray]):
 
 
 def _cmd_verify(args) -> int:
+    if args.suite == "remark" and (args.trials is not None or args.seed is not None):
+        raise InvalidInputError(
+            "--suite remark is deterministic: it takes --grid, not --trials or --seed"
+        )
     names = list(SUITES) if args.suite == "all" else [args.suite]
     remark_grid = _grid_from_count(args.grid) if "remark" in names else None
     outcomes = [_run_suite(name, args, remark_grid) for name in names]

@@ -21,7 +21,7 @@ The maximizer evaluates J on the Bloch form of the state,
 
     rho = (I x I + r.sigma x I + I x s.sigma + sum_ij T_ij sigma_i x sigma_j) / 4,
 
-with r, s and T read off in one Pauli contraction (bloch_form). Measuring
+with r, s and T read off in one Pauli contraction (bloch_forms). Measuring
 the apparatus along +-n leaves the system block
 ((1 +- s.n) I + (r +- T n).sigma)/4: outcome probability p+- = (1 +- s.n)/2,
 block eigenvalues p+-/2 +- |r +- T n|/4, i.e. a conditional system state of
@@ -33,12 +33,18 @@ real 3-vector arithmetic with no eigensolver, and each outcome's term keeps
 its relative accuracy (see _bloch_information). s.n and T n are written as
 explicit three-term sums, so every value depends only on its own state and
 axis, never on the rest of the batch. maximize_batch runs the coarse pass
-one state at a time and the compass refinement in lockstep over all states;
-maximize_classical_correlation is its one-state case. The search keeps each
-axis as a 3-vector and converts to (theta, phi) only for the result.
+over blocks of 8 states and the compass refinement in lockstep over all
+states; maximize_classical_correlation is its one-state case. The search
+keeps each axis as a 3-vector and converts to (theta, phi) only for the
+result.
 
-classical_correlation, conditional_state and mutual_information stay on the
-density matrix itself (partial trace and eigvalsh).
+J at a fixed basis (j_z, j_x), mutual information and S(rho_s) come from the
+density matrices themselves: a stack of states gives its reduced states and
+both outcomes' conditional states per basis, and one check_states call (one
+eigvalsh) covers all of them. correlation_records and maximize_batch take
+such a stack; classical_correlation, conditional_state, mutual_information,
+correlation_record and maximize_classical_correlation are their one-state
+cases, and give bit for bit the same values as the stack.
 """
 
 from __future__ import annotations
@@ -48,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OptimizationError
-from .qstate import DensityMatrix, partial_trace, von_neumann_entropy
+from .errors import InvalidStateError, OptimizationError
+from .qstate import DensityMatrix, check_states, entropies, reduced_states
 
 # Probability below which a measurement outcome never happens and its
 # conditioned state is undefined (contributes zero to the entropy average).
@@ -208,13 +214,18 @@ _PAULIS = np.array(
 _PAULI_PAIRS = np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(4, 4, 4, 4)
 
 
+def bloch_forms(m: np.ndarray) -> np.ndarray:
+    """The real (N, 4, 4) matrices C[a, b] = Tr(rho sigma_a x sigma_b) of a (N, 4, 4) stack."""
+    return np.einsum("abji,sij->sab", _PAULI_PAIRS, m).real
+
+
 def bloch_form(rho: DensityMatrix) -> np.ndarray:
     """The real (4, 4) matrix C[a, b] = Tr(rho sigma_a x sigma_b), sigma_0 = I.
 
     C[0, 0] = 1, the system Bloch vector r = C[1:, 0], the apparatus Bloch
     vector s = C[0, 1:] and the correlation matrix T = C[1:, 1:].
     """
-    return np.einsum("abji,ij->ab", _PAULI_PAIRS, rho.entries).real
+    return bloch_forms(rho.entries[None])[0]
 
 
 def _bloch_correlation(form: np.ndarray, s_entropy, nx, ny, nz) -> np.ndarray:
@@ -273,6 +284,69 @@ def _chart_axes(n0, e1, e2, a, b) -> list:
     return [x / norm, y / norm, z / norm]
 
 
+# The stand-in for the conditional state of an outcome that never happens.
+_HALF_I2 = np.eye(2, dtype=complex) / 2.0
+
+# States per block of the maximizer's coarse pass. Its intermediates are
+# (states, 515) arrays; blocks of 8 run a sweep as fast as blocks of 16 do,
+# and keep its peak memory near that of one state at a time.
+_COARSE_BLOCK = 8
+
+
+def _conditional_states(m: np.ndarray, basis: ProjectiveBasis):
+    """Both outcomes' probabilities and conditioned system states, for a (N, 4, 4) stack.
+
+    One einsum gives both outcome blocks <u_i| rho |u_i>; each state is its
+    block over its trace. Returns (probs, states), (N, 2) and (N, 2, 2, 2).
+    An outcome below OUTCOME_FLOOR never happens: its probability is 0.0 and
+    I/2 stands in for its undefined state, so a stacked check still sees a
+    valid state there.
+    """
+    u = np.array(basis.kets())
+    blocks = np.einsum("ij,smjnk,ik->simn", u.conj(), m.reshape(-1, 2, 2, 2, 2), u)
+    probs = blocks.trace(axis1=-2, axis2=-1).real
+    possible = probs >= OUTCOME_FLOOR
+    states = blocks / np.where(possible, probs, 1.0)[..., None, None]
+    return (
+        np.where(possible, probs, 0.0),
+        np.where(possible[..., None, None], states, _HALF_I2),
+    )
+
+
+def _local_terms(m: np.ndarray, eigenvalues: np.ndarray, bases):
+    """S(rho_s), mutual information and J in each basis, for a stack of valid states.
+
+    m is (N, 4, 4) and eigenvalues (N, 4), as check_states gives them. Mutual
+    information is S(rho_s) + S(rho_a) - S(rho), and J = S(rho_s) - sum_i p_i
+    S(rho_s | i), to which an outcome that never happens adds nothing. One
+    check and one eigvalsh cover both reduced states and every conditional
+    state, in the order rho_s, rho_a, then each basis's two outcomes. Returns
+    (s_system, mutual, j): (N,), (N,) and (N, len(bases)), before any sign
+    tolerance.
+    """
+    parts = [reduced_states(m, "system")[:, None], reduced_states(m, "apparatus")[:, None]]
+    weights = []
+    for basis in bases:
+        probs, states = _conditional_states(m, basis)
+        parts.append(states)
+        weights.append(probs)
+    ent = entropies(check_states(np.concatenate(parts, axis=1).reshape(-1, 2, 2)))
+    ent = ent.reshape(len(m), -1)
+    j = [
+        ent[:, 0] - w[:, 0] * ent[:, 2 + 2 * b] - w[:, 1] * ent[:, 3 + 2 * b]
+        for b, w in enumerate(weights)
+    ]
+    mutual = ent[:, 0] + ent[:, 1] - entropies(eigenvalues)
+    return ent[:, 0], mutual, np.stack(j, axis=1) if j else None
+
+
+def _one_state(rho: DensityMatrix, error=OptimizationError):
+    """rho's entries and eigenvalues as a one-state stack; only two-qubit states pass."""
+    if rho.dim != 4:
+        raise error(f"expected a two-qubit state, got dim {rho.dim}")
+    return rho.entries[None], rho.eigenvalues[None]
+
+
 def conditional_state(rho: DensityMatrix, basis: ProjectiveBasis, outcome: int):
     """Probability of a measurement outcome and the conditioned system state.
 
@@ -280,60 +354,40 @@ def conditional_state(rho: DensityMatrix, basis: ProjectiveBasis, outcome: int):
     never occurs: the probability is reported as 0.0 and the conditioned state
     as None (undefined; its entropy term contributes nothing).
     """
-    if rho.dim != 4:
-        raise OptimizationError(f"expected a two-qubit state, got dim {rho.dim}")
+    m, _ = _one_state(rho)
     if outcome not in (0, 1):
         raise OptimizationError(f"outcome must be 0 or 1, got {outcome}")
-    ket = rho.entries.reshape(2, 2, 2, 2)
-    u = basis.kets()[outcome]
-    block = np.einsum("j,mjnk,k->mn", u.conj(), ket, u)
-    prob = float(block.trace().real)
+    probs, states = _conditional_states(m, basis)
+    prob = float(probs[0, outcome])
     if prob < OUTCOME_FLOOR:
         return 0.0, None
-    return prob, DensityMatrix(block / prob)
+    return prob, DensityMatrix(states[0, outcome])
 
 
 def classical_correlation(rho: DensityMatrix, basis: ProjectiveBasis) -> float:
     """J for one fixed measurement basis, in bits. Lies in [0, S(rho_s)]."""
-    total = von_neumann_entropy(partial_trace(rho, "system"))
-    for outcome in (0, 1):
-        prob, cond = conditional_state(rho, basis, outcome)
-        if cond is not None:
-            total -= prob * von_neumann_entropy(cond)
-    return _nonnegative(total, _NEGATIVE_J_TOL, "classical correlation")
+    _, _, j = _local_terms(*_one_state(rho, InvalidStateError), [basis])
+    return _nonnegative(j[0, 0], _NEGATIVE_J_TOL, "classical correlation")
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """Total correlations S(rho_s) + S(rho_a) - S(rho_sa), in bits."""
-    if rho.dim != 4:
-        raise OptimizationError(f"expected a two-qubit state, got dim {rho.dim}")
-    total = (
-        von_neumann_entropy(partial_trace(rho, "system"))
-        + von_neumann_entropy(partial_trace(rho, "apparatus"))
-        - von_neumann_entropy(rho)
-    )
-    return _nonnegative(total, _NEGATIVE_J_TOL, "mutual information")
+    _, mutual, _ = _local_terms(*_one_state(rho), [])
+    return _nonnegative(mutual[0], _NEGATIVE_J_TOL, "mutual information")
 
 
-def maximize_batch(states) -> list[tuple[float, ProjectiveBasis]]:
-    """maximize_classical_correlation for each of a sequence of states.
-
-    The coarse pass runs one state at a time; the compass refinement then
-    runs in lockstep across the states, each with its own chart, step and
-    stopping rule. Every evaluation is elementwise in the batch, so each
-    result is bit-for-bit the one-state result of its state.
-    """
-    # partial_trace rejects anything but a two-qubit state
-    s_entropy = np.array(
-        [von_neumann_entropy(partial_trace(rho, "system")) for rho in states]
-    )
-    forms = np.array([bloch_form(rho) for rho in states])
-    best = np.empty(len(states))
-    center = np.empty((len(states), 3))
-    for k, form in enumerate(forms):
-        values = _bloch_correlation(form, s_entropy[k], *_SEARCH_AXES)
-        idx = int(np.argmax(values))
-        best[k], center[k] = values[idx], _SEARCH_AXES[:, idx]
+def _maximize(m: np.ndarray, s_entropy: np.ndarray) -> list[tuple[float, ProjectiveBasis]]:
+    """maximize_batch on a valid stack whose S(rho_s) is already known."""
+    forms = bloch_forms(m)
+    best = np.empty(len(m))
+    center = np.empty((len(m), 3))
+    for start in range(0, len(m), _COARSE_BLOCK):
+        block = slice(start, start + _COARSE_BLOCK)
+        form = forms[block].transpose(1, 2, 0)[..., None]
+        values = _bloch_correlation(form, s_entropy[block, None], *_SEARCH_AXES)
+        idx = np.argmax(values, axis=1)
+        best[block] = values[np.arange(idx.size), idx]
+        center[block] = _SEARCH_AXES[:, idx].T
 
     # Each state moves in the chart normalize(n0 + a e1 + b e2) around its
     # best coarse axis n0, which reaches every basis without a pole. The frame
@@ -342,8 +396,8 @@ def maximize_batch(states) -> list[tuple[float, ProjectiveBasis]]:
     e1 = np.cross(center, np.eye(3)[np.argmin(np.abs(center), axis=1)])
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(center, e1)
-    chart = np.zeros((len(states), 2))
-    step = np.full(len(states), _FIRST_STEP)
+    chart = np.zeros((len(m), 2))
+    step = np.full(len(m), _FIRST_STEP)
     for _ in range(MAX_REFINE_STEPS):
         live = np.flatnonzero(step >= MIN_STEP)
         if live.size == 0:
@@ -370,6 +424,30 @@ def maximize_batch(states) -> list[tuple[float, ProjectiveBasis]]:
     return results
 
 
+def _two_qubit_stack(states) -> tuple[np.ndarray, np.ndarray]:
+    """A (N, 4, 4) stack of two-qubit states as a complex array, with its eigenvalues.
+
+    The stack is checked as DensityMatrix checks each state (check_states).
+    """
+    m = np.asarray(states, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise InvalidStateError(f"expected a (N, 4, 4) stack of two-qubit states, got {m.shape}")
+    return m, check_states(m)
+
+
+def maximize_batch(states) -> list[tuple[float, ProjectiveBasis]]:
+    """maximize_classical_correlation for each state of a (N, 4, 4) stack.
+
+    The coarse pass runs over blocks of a few states at once and the compass
+    refinement in lockstep over all states, each with its own chart, step and
+    stopping rule. Every evaluation is elementwise in the batch, so each
+    result is bit for bit the one-state result of its state.
+    """
+    m, eigenvalues = _two_qubit_stack(states)
+    s_entropy, _, _ = _local_terms(m, eigenvalues, [])
+    return _maximize(m, s_entropy)
+
+
 def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, ProjectiveBasis]:
     """Maximum classical correlation over all rank-1 projective bases.
 
@@ -384,23 +462,28 @@ def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, Projectiv
     degenerate maxima the first of sigma_z, sigma_x, sigma_y, then lattice
     order, wins.
     """
-    return maximize_batch([rho])[0]
+    return maximize_batch(rho.entries[None])[0]
 
 
 def correlation_records(states, ps) -> list[CorrelationRecord]:
-    """correlation_record for each state, labelled with its channel strength.
+    """correlation_record for each state of a (N, 4, 4) stack, labelled with ps.
 
-    One maximize_batch call covers all states; the records equal the
-    one-state records bit for bit.
+    One check covers the stack, one more its reduced and conditional states,
+    and the maximizer reads S(rho_s) from the same pass; the records equal
+    the one-state records bit for bit.
     """
+    m, eigenvalues = _two_qubit_stack(states)
+    s_system, mutual, j = _local_terms(
+        m, eigenvalues, [ProjectiveBasis.sigma_z(), ProjectiveBasis.sigma_x()]
+    )
     records = []
-    for rho, p, (j_max, argmax) in zip(states, ps, maximize_batch(states)):
-        mi = mutual_information(rho)
+    for k, (p, (j_max, argmax)) in enumerate(zip(ps, _maximize(m, s_system))):
+        mi = _nonnegative(mutual[k], _NEGATIVE_J_TOL, "mutual information")
         records.append(
             CorrelationRecord(
                 p=p,
-                j_z=classical_correlation(rho, ProjectiveBasis.sigma_z()),
-                j_x=classical_correlation(rho, ProjectiveBasis.sigma_x()),
+                j_z=_nonnegative(j[k, 0], _NEGATIVE_J_TOL, "classical correlation"),
+                j_x=_nonnegative(j[k, 1], _NEGATIVE_J_TOL, "classical correlation"),
                 j_max=j_max,
                 opt_theta=argmax.theta,
                 opt_phi=argmax.phi,
@@ -417,7 +500,7 @@ def correlation_record(rho: DensityMatrix, p: float = 0.0) -> CorrelationRecord:
     J in the sigma_z and sigma_x bases, the maximum with its argmax angles,
     mutual information, and discord.
     """
-    return correlation_records([rho], [p])[0]
+    return correlation_records(rho.entries[None], [p])[0]
 
 
 def quantum_discord(rho: DensityMatrix) -> float:

@@ -33,6 +33,8 @@ from .channels import (
     KrausChannel,
     amplitude_damping,
     apply_to_apparatus,
+    evolve,
+    kraus_stack,
     pointer_decoherence,
 )
 from .correlations import (
@@ -299,19 +301,18 @@ def sweep(
     """Drive a state through a channel family and report the full trajectory.
 
     For every grid strength p the initial state is evolved with the channel at
-    that strength (not iteratively), and the record carries J in the sigma_z
-    and sigma_x bases, the full maximization with its argmax angles, mutual
-    information, and discord. Transition detection and (for X states under
-    "pd", or "pointer" on the sigma_z basis) the closed-form emergence time
-    complete the report, whose regime follows from the records and transition.
+    that strength (not iteratively; all strengths as one stack), and the
+    record carries J in the sigma_z and sigma_x bases, the full maximization
+    with its argmax angles, mutual information, and discord. Transition
+    detection and (for X states under "pd", or "pointer" on the sigma_z
+    basis) the closed-form emergence time complete the report, whose regime
+    follows from the records and transition.
     """
     ps = _validate_grid(grid)
     check_gamma(gamma)
     basis = _dephasing_basis(channel_family, pointer_basis)
-    make = _channel_maker(basis)
-    strengths = [float(p) for p in ps]
-    states = [apply_to_apparatus(make(p), rho0) for p in strengths]
-    records = correlation_records(states, strengths)
+    states = evolve(kraus_stack(basis, ps), rho0)
+    records = correlation_records(states, [float(p) for p in ps])
 
     transition = detect_transition(
         rho0, channel_family, records, pointer_basis=pointer_basis

@@ -67,8 +67,10 @@ def monte_carlo_bands(
     sweep's own channel_family, grid, gamma and pointer_basis, which sweep
     validates.
 
-    A full-precision run (201 grid points, 1000 samples) is minutes of work;
-    tests and quick looks should shrink samples and the grid.
+    A full-precision run (201 grid points, 1000 samples) is 1000 sweeps: on
+    a shared 2-core host with one BLAS thread, `analyze --samples 1000` of
+    a general two-qubit state took 27 s under ad and 28 s under pd. Tests
+    and quick looks should shrink samples and the grid.
     """
     if matrix.std is None:
         raise InvalidInputError(

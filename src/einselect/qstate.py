@@ -29,6 +29,47 @@ def _as_complex_matrix(entries) -> np.ndarray:
     return m
 
 
+def check_states(m: np.ndarray) -> np.ndarray:
+    """Validate a (N, d, d) stack of density matrices; return their eigenvalues.
+
+    Each state must be finite, Hermitian within HERMITICITY_TOL, of unit trace
+    within TRACE_TOL, and have no eigenvalue below -PSD_FLOOR. One eigvalsh
+    covers the stack, and the ascending eigenvalues come back as (N, d). For
+    the first state that fails, raises InvalidStateError with the text that
+    DensityMatrix gives that state alone, which is this check on a (1, d, d)
+    view.
+    """
+    # An inf or nan entry makes its element of m - m^dag inf or nan, which
+    # fails the <= comparisons below.
+    with np.errstate(invalid="ignore"):
+        herm = np.abs(m - m.conj().swapaxes(-1, -2))
+    tr = m.trace(axis1=-2, axis2=-1)
+    if herm.max() <= HERMITICITY_TOL and np.abs(tr - 1.0).max() <= TRACE_TOL:
+        vals = np.linalg.eigvalsh(m)
+        if vals[:, 0].min() >= -PSD_FLOOR:
+            return vals
+    raise InvalidStateError(_first_failure(m, herm.max(axis=(-2, -1)), tr))
+
+
+def _first_failure(m: np.ndarray, herm: np.ndarray, tr: np.ndarray) -> str:
+    """Why the first failing state of a stack fails check_states."""
+    early = ~(herm <= HERMITICITY_TOL) | (np.abs(tr - 1.0) > TRACE_TOL)
+    # eigvalsh runs only on the states that passed the checks above.
+    lowest = np.zeros(len(m))
+    lowest[~early] = np.linalg.eigvalsh(m[~early])[:, 0]
+    k = int(np.argmax(early | (lowest < -PSD_FLOOR)))
+    if not math.isfinite(herm[k]):
+        return "entries must be finite numbers"
+    if herm[k] > HERMITICITY_TOL:
+        return f"not Hermitian: max |m - m^dag| = {herm[k]:.3e} exceeds {HERMITICITY_TOL}"
+    if early[k]:
+        return f"trace = {tr[k]:.15g} differs from 1 by more than {TRACE_TOL}"
+    return (
+        f"not positive semidefinite: smallest eigenvalue {float(lowest[k]):.3e} "
+        f"below -{PSD_FLOOR}"
+    )
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated quantum state: Hermitian, unit trace, positive semidefinite.
@@ -48,27 +89,7 @@ class DensityMatrix:
         m = _as_complex_matrix(self.entries)
         if m.shape[0] not in (2, 4):
             raise InvalidStateError(f"dim must be 2 or 4, got {m.shape[0]}")
-        # An inf or nan entry makes its element of m - m^dag inf or nan.
-        with np.errstate(invalid="ignore"):
-            herm = np.max(np.abs(m - m.conj().T))
-        if not math.isfinite(herm):
-            raise InvalidStateError("entries must be finite numbers")
-        if herm > HERMITICITY_TOL:
-            raise InvalidStateError(
-                f"not Hermitian: max |m - m^dag| = {herm:.3e} exceeds {HERMITICITY_TOL}"
-            )
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidStateError(
-                f"trace = {tr:.15g} differs from 1 by more than {TRACE_TOL}"
-            )
-        vals = np.linalg.eigvalsh(m)
-        lo = float(vals[0])
-        if lo < -PSD_FLOOR:
-            raise InvalidStateError(
-                f"not positive semidefinite: smallest eigenvalue {lo:.3e} "
-                f"below -{PSD_FLOOR}"
-            )
+        vals = check_states(m[None])[0]
         m.setflags(write=False)
         vals.setflags(write=False)
         object.__setattr__(self, "entries", m)
@@ -171,8 +192,23 @@ def remark_state() -> DensityMatrix:
     return DensityMatrix(m)
 
 
+def reduced_states(m: np.ndarray, keep: str) -> np.ndarray:
+    """Partial traces of a (N, 4, 4) stack of two-qubit states, as (N, 2, 2).
+
+    Args:
+        m: entries in |system> tensor |apparatus> ordering.
+        keep: "system" or "apparatus".
+    """
+    r = m.reshape(-1, 2, 2, 2, 2)
+    if keep == "system":
+        return r.trace(axis1=2, axis2=4)
+    if keep == "apparatus":
+        return r.trace(axis1=1, axis2=3)
+    raise InvalidStateError(f"keep must be 'system' or 'apparatus', got {keep!r}")
+
+
 def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
-    """Reduce a two-qubit state to one subsystem.
+    """Reduce a two-qubit state to one subsystem: reduced_states of one state.
 
     Args:
         rho: a 4x4 state in |system> tensor |apparatus> ordering.
@@ -180,23 +216,19 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     """
     if rho.dim != 4:
         raise InvalidStateError(f"partial_trace needs a two-qubit state, got dim {rho.dim}")
-    r = rho.entries.reshape(2, 2, 2, 2)
-    if keep == "system":
-        reduced = np.trace(r, axis1=1, axis2=3)
-    elif keep == "apparatus":
-        reduced = np.trace(r, axis1=0, axis2=2)
-    else:
-        raise InvalidStateError(f"keep must be 'system' or 'apparatus', got {keep!r}")
-    return DensityMatrix(reduced)
+    return DensityMatrix(reduced_states(rho.entries[None], keep)[0])
+
+
+def entropies(eigenvalues: np.ndarray) -> np.ndarray:
+    """Entropy -sum lambda_k log2 lambda_k in bits over the last axis, 0 log 0 = 0.
+
+    Takes eigenvalues from check_states; those in [-PSD_FLOOR, 0) count as
+    zero, and the check rejected lower ones.
+    """
+    x = np.clip(eigenvalues, 0.0, None)
+    return -np.sum(x * np.log2(x, out=np.zeros_like(x), where=x > 0.0), axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy -sum lambda_k log2 lambda_k in bits, with 0 log 0 = 0.
-
-    Reads the eigenvalues the state's validation computed; those in
-    [-PSD_FLOOR, 0) are clipped to zero, and validation rejected lower ones.
-    """
-    vals = np.clip(rho.eigenvalues, 0.0, None)
-    pos = vals[vals > 0.0]
-    return float(-np.sum(pos * np.log2(pos)))
-
+    """Entropy of one state in bits, from the eigenvalues its validation computed."""
+    return float(entropies(rho.eigenvalues))

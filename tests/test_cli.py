@@ -188,6 +188,18 @@ def test_verify_all_suites(capsys):
     assert all(o["passed"] is True for o in payload)
 
 
+@pytest.mark.parametrize(
+    "flags", [("--trials", "5"), ("--seed", "9"), ("--trials", "5", "--seed", "9")]
+)
+def test_verify_remark_refuses_trials_and_seed(capsys, flags):
+    code, out, err = run(capsys, "verify", "--suite", "remark", *flags)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "einselect: --suite remark is deterministic: it takes --grid, not --trials or --seed\n"
+    )
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = VerificationOutcome("theorem1", 5, 2, 0.3, 42)
     monkeypatch.setattr("einselect.cli.verify_theorem1", lambda **kw: failing)

@@ -26,13 +26,16 @@ from einselect import (
     sweep,
     von_neumann_entropy,
 )
+from einselect.channels import evolve, kraus_stack
 from einselect.correlations import (
     _bloch_correlation,
     bloch_form,
     clamp_discord,
     correlation_record,
+    correlation_records,
 )
 from einselect.dynamics import BASIS_FLOOR
+from einselect.verify import random_density_matrix
 
 H_08 = 0.7219280948873623  # binary entropy of 0.8, in bits
 
@@ -261,17 +264,54 @@ def test_bloch_form_of_reference_state():
 
 @pytest.mark.parametrize("family", ["pd", "ad", "pointer"])
 def test_sweep_records_equal_standalone_records(family):
-    channels = {
-        "pd": phase_damping,
-        "ad": amplitude_damping,
-        "pointer": lambda p: pointer_decoherence(ProjectiveBasis(0.9, 2.2), p),
+    # A sweep evolves, checks and measures all its grid points as one stack.
+    # Every channel output and record field must equal, bit for bit, what the
+    # one-state functions give point by point. That rests on numpy reducing a
+    # stack in the same order as a single state, which this test pins.
+    tilted = ProjectiveBasis(0.9, 2.2)
+    families = {
+        "pd": (ProjectiveBasis.sigma_z(), phase_damping),
+        "ad": (None, amplitude_damping),
+        "pointer": (tilted, lambda p: pointer_decoherence(tilted, p)),
     }
+    basis, channel = families[family]
     grid = np.linspace(0.0, 1.0, 41)
-    for rho in (make_x_state(STATE_1), random_state(77)):
-        report = sweep(rho, family, grid, pointer_basis=ProjectiveBasis(0.9, 2.2))
-        for record in report.records:
-            evolved = apply_to_apparatus(channels[family](record.p), rho)
+    rng = np.random.default_rng(5)
+    states = [make_x_state(STATE_1)] + [random_density_matrix(rng) for _ in range(3)]
+    for rho in states:
+        outputs = evolve(kraus_stack(basis, grid), rho)
+        report = sweep(rho, family, grid, pointer_basis=tilted)
+        for output, record in zip(outputs, report.records):
+            evolved = apply_to_apparatus(channel(record.p), rho)
+            assert np.array_equal(output, evolved.entries)
+            j_max, argmax = maximize_classical_correlation(evolved)
+            mi = mutual_information(evolved)
+            assert record == CorrelationRecord(
+                p=record.p,
+                j_z=classical_correlation(evolved, ProjectiveBasis.sigma_z()),
+                j_x=classical_correlation(evolved, ProjectiveBasis.sigma_x()),
+                j_max=j_max,
+                opt_theta=argmax.theta,
+                opt_phi=argmax.phi,
+                mutual_info=mi,
+                discord=clamp_discord(mi - j_max),
+            )
             assert correlation_record(evolved, record.p) == record
+
+
+def test_stacked_correlation_skips_an_impossible_outcome():
+    # With the apparatus in |0>, sigma_z outcome 1 never happens: its
+    # conditional state is undefined, adds nothing to J, and must not upset
+    # the check of the other states in the stack.
+    rho_s = np.diag([0.7, 0.3]).astype(complex)
+    product = DensityMatrix(np.kron(rho_s, np.diag([1.0, 0.0]).astype(complex)))
+    assert conditional_state(product, ProjectiveBasis.sigma_z(), 1) == (0.0, None)
+    coherent = make_x_state(STATE_1)
+    records = correlation_records(np.array([product.entries, coherent.entries]), [0.0, 0.5])
+    assert records[0].j_z == 0.0
+    assert records[0].j_z == classical_correlation(product, ProjectiveBasis.sigma_z())
+    assert records[0] == correlation_record(product, 0.0)
+    assert records[1] == correlation_record(coherent, 0.5)
 
 
 def _binary_entropy(x):

@@ -13,6 +13,7 @@ from einselect import (
     von_neumann_entropy,
     x_state_params,
 )
+from einselect.qstate import check_states
 
 
 def test_density_matrix_accepts_valid_state():
@@ -41,6 +42,42 @@ def test_density_matrix_rejects_non_finite_entries():
     for bad in (np.nan, np.inf):
         with pytest.raises(InvalidStateError, match="finite"):
             DensityMatrix(np.diag([bad, 1.0, 0.0, 0.0]).astype(complex))
+
+
+def test_stacked_check_fails_the_first_bad_state_as_density_matrix_does():
+    # Each kind of invalid state, put at position k > 0 of a stack with a
+    # different invalid state after it: the stacked check must report state k
+    # with exactly the text DensityMatrix gives that state alone.
+    quarter = np.eye(4, dtype=complex) / 4
+    non_hermitian = quarter.copy()
+    non_hermitian[0, 1] = 1e-3
+    non_finite = quarter.copy()
+    non_finite[2, 2] = np.nan
+    infinite = quarter.copy()
+    infinite[0, 3] = infinite[3, 0] = np.inf
+    invalid = [
+        non_hermitian,
+        np.diag([0.3, 0.25, 0.25, 0.25]).astype(complex),
+        np.diag([0.5, 0.3, 0.201, -0.001]).astype(complex),
+        non_finite,
+        infinite,
+    ]
+    valid = [make_x_state(STATE_1).entries, remark_state().entries, quarter]
+    for i, bad in enumerate(invalid):
+        with pytest.raises(InvalidStateError) as alone:
+            DensityMatrix(bad)
+        for k in (1, 2):
+            stack = np.array(valid[:k] + [bad, invalid[(i + 1) % len(invalid)]])
+            with pytest.raises(InvalidStateError) as stacked:
+                check_states(stack)
+            assert str(stacked.value) == str(alone.value)
+
+
+def test_stacked_check_returns_each_states_eigenvalues():
+    states = [make_x_state(STATE_1), make_x_state(STATE_2), remark_state()]
+    vals = check_states(np.array([rho.entries for rho in states]))
+    for row, rho in zip(vals, states):
+        assert np.array_equal(row, rho.eigenvalues)
 
 
 def test_density_matrix_tolerates_rounding_dust():
