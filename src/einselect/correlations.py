@@ -41,10 +41,12 @@ result.
 J at a fixed basis (j_z, j_x), mutual information and S(rho_s) come from the
 density matrices themselves: a stack of states gives its reduced states and
 both outcomes' conditional states per basis, and one check_states call (one
-eigvalsh) covers all of them. correlation_records and maximize_batch take
-such a stack; classical_correlation, conditional_state, mutual_information,
-correlation_record and maximize_classical_correlation are their one-state
-cases, and give bit for bit the same values as the stack.
+eigvalsh) covers all of them. classical_correlations, correlation_records
+and maximize_batch take such a stack; classical_correlation,
+conditional_state, mutual_information, correlation_record and
+maximize_classical_correlation are their one-state cases, and give bit for
+bit the same values as the stack. The one-state cases reuse the eigenvalues
+that DensityMatrix computed, so they do not check the state again.
 """
 
 from __future__ import annotations
@@ -337,7 +339,7 @@ def _local_terms(m: np.ndarray, eigenvalues: np.ndarray, bases):
         for b, w in enumerate(weights)
     ]
     mutual = ent[:, 0] + ent[:, 1] - entropies(eigenvalues)
-    return ent[:, 0], mutual, np.stack(j, axis=1) if j else None
+    return ent[:, 0], mutual, np.stack(j, axis=1) if j else np.empty((len(m), 0))
 
 
 def _one_state(rho: DensityMatrix, error=OptimizationError):
@@ -345,6 +347,19 @@ def _one_state(rho: DensityMatrix, error=OptimizationError):
     if rho.dim != 4:
         raise error(f"expected a two-qubit state, got dim {rho.dim}")
     return rho.entries[None], rho.eigenvalues[None]
+
+
+def _two_qubit_stack(states) -> tuple[np.ndarray, np.ndarray]:
+    """A (N, 4, 4) stack of two-qubit states as a complex array, with its eigenvalues.
+
+    The stack is checked as DensityMatrix checks each state (check_states).
+    """
+    m = np.asarray(states, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (4, 4) or len(m) == 0:
+        raise InvalidStateError(
+            f"expected a (N, 4, 4) stack of N >= 1 two-qubit states, got {m.shape}"
+        )
+    return m, check_states(m)
 
 
 def conditional_state(rho: DensityMatrix, basis: ProjectiveBasis, outcome: int):
@@ -362,6 +377,22 @@ def conditional_state(rho: DensityMatrix, basis: ProjectiveBasis, outcome: int):
     if prob < OUTCOME_FLOOR:
         return 0.0, None
     return prob, DensityMatrix(states[0, outcome])
+
+
+def classical_correlations(states, bases) -> np.ndarray:
+    """J of each state of a (N, 4, 4) stack in each of the fixed bases, in bits, as (N, K).
+
+    The stack is checked as DensityMatrix checks each state; one more check
+    covers every reduced and conditional state. classical_correlation is the
+    (1, 1) case, and every value is bit for bit its one-state value.
+    """
+    _, _, j = _local_terms(*_two_qubit_stack(states), bases)
+    return np.array(
+        [
+            [_nonnegative(v, _NEGATIVE_J_TOL, "classical correlation") for v in row]
+            for row in j.tolist()
+        ]
+    )
 
 
 def classical_correlation(rho: DensityMatrix, basis: ProjectiveBasis) -> float:
@@ -424,15 +455,10 @@ def _maximize(m: np.ndarray, s_entropy: np.ndarray) -> list[tuple[float, Project
     return results
 
 
-def _two_qubit_stack(states) -> tuple[np.ndarray, np.ndarray]:
-    """A (N, 4, 4) stack of two-qubit states as a complex array, with its eigenvalues.
-
-    The stack is checked as DensityMatrix checks each state (check_states).
-    """
-    m = np.asarray(states, dtype=complex)
-    if m.ndim != 3 or m.shape[1:] != (4, 4):
-        raise InvalidStateError(f"expected a (N, 4, 4) stack of two-qubit states, got {m.shape}")
-    return m, check_states(m)
+def _maximize_states(m: np.ndarray, eigenvalues: np.ndarray) -> list:
+    """maximize_batch on a stack of valid states with known eigenvalues."""
+    s_entropy, _, _ = _local_terms(m, eigenvalues, [])
+    return _maximize(m, s_entropy)
 
 
 def maximize_batch(states) -> list[tuple[float, ProjectiveBasis]]:
@@ -443,9 +469,7 @@ def maximize_batch(states) -> list[tuple[float, ProjectiveBasis]]:
     stopping rule. Every evaluation is elementwise in the batch, so each
     result is bit for bit the one-state result of its state.
     """
-    m, eigenvalues = _two_qubit_stack(states)
-    s_entropy, _, _ = _local_terms(m, eigenvalues, [])
-    return _maximize(m, s_entropy)
+    return _maximize_states(*_two_qubit_stack(states))
 
 
 def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, ProjectiveBasis]:
@@ -462,7 +486,7 @@ def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, Projectiv
     degenerate maxima the first of sigma_z, sigma_x, sigma_y, then lattice
     order, wins.
     """
-    return maximize_batch(rho.entries[None])[0]
+    return _maximize_states(*_one_state(rho, InvalidStateError))[0]
 
 
 def correlation_records(states, ps) -> list[CorrelationRecord]:
@@ -472,7 +496,11 @@ def correlation_records(states, ps) -> list[CorrelationRecord]:
     and the maximizer reads S(rho_s) from the same pass; the records equal
     the one-state records bit for bit.
     """
-    m, eigenvalues = _two_qubit_stack(states)
+    return _records(*_two_qubit_stack(states), ps)
+
+
+def _records(m: np.ndarray, eigenvalues: np.ndarray, ps) -> list[CorrelationRecord]:
+    """correlation_records on a stack of valid states with known eigenvalues."""
     s_system, mutual, j = _local_terms(
         m, eigenvalues, [ProjectiveBasis.sigma_z(), ProjectiveBasis.sigma_x()]
     )
@@ -500,7 +528,7 @@ def correlation_record(rho: DensityMatrix, p: float = 0.0) -> CorrelationRecord:
     J in the sigma_z and sigma_x bases, the maximum with its argmax angles,
     mutual information, and discord.
     """
-    return correlation_records(rho.entries[None], [p])[0]
+    return _records(*_one_state(rho, InvalidStateError), [p])[0]
 
 
 def quantum_discord(rho: DensityMatrix) -> float:

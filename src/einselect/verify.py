@@ -6,6 +6,13 @@ count, the number of failing trials, and the worst raw violation seen. All
 suites are deterministic given the seed; trials are independent and the
 aggregation (max of violations, count of failures) is order-insensitive.
 
+A suite runs in two steps (_trials). It draws each trial's inputs from the
+generator, one trial after another, then judges the drawn trials a chunk of
+_CHUNK at a time on the stacked kernels: theorem1 reads J of a state and its
+five decohered states in one call, and lemma1 maximizes a whole chunk in one
+maximize_batch call. Judging draws nothing, so every trial sees the draws
+and gives the result it would in a one-trial-at-a-time loop, bit for bit.
+
 The four properties:
   - theorem1: the classical correlation read in the pointer basis is
     invariant under partial projective decoherence onto that basis, because
@@ -25,16 +32,18 @@ The four properties:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply_to_apparatus, pointer_decoherence
+from .channels import evolve, kraus_stack
 from .correlations import (
     ProjectiveBasis,
     basis_distance,
     classical_correlation,
-    maximize_classical_correlation,
+    classical_correlations,
+    maximize_batch,
     mutual_information,
 )
 from .dynamics import (
@@ -50,6 +59,7 @@ from .qstate import DensityMatrix, XStateParams, make_x_state, remark_state
 _I2 = np.eye(2, dtype=complex)
 
 THEOREM1_TOL = 1e-10
+THEOREM1_STRENGTHS = (0.0, 0.25, 0.5, 0.75, 1.0)
 THEOREM2_PLATEAU_TOL = 1e-8
 THEOREM2_MONOTONE_SLACK = 1e-9
 LEMMA1_ANGLE_TOL = 1e-3
@@ -147,71 +157,92 @@ def _perturbed_basis(rng: np.random.Generator, basis: ProjectiveBasis) -> Projec
     return ProjectiveBasis(theta, phi)
 
 
-def _run_trials(theorem_id: str, trials: int, seed: int, trial) -> VerificationOutcome:
-    """Run trial(rng) `trials` times on one generator seeded with seed.
+# Trials are judged this many at a time, so a suite's memory does not grow
+# with its trial count.
+_CHUNK = 64
 
-    trial returns (ok, violation); the outcome counts the trials that were
-    not ok and keeps the largest violation.
+
+def _trials(trials: int, seed: int, draw, judge):
+    """Yield judge's per-trial results for `trials` trials on one generator seeded with seed.
+
+    draw(rng) takes one trial's inputs from the generator, and the trials are
+    drawn one after another in order. Every _CHUNK trials, judge(chunk) takes
+    the list of drawn inputs and returns one result per trial, in order. The
+    judge consumes no randomness, so the draws do not depend on the chunking.
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
+    for start in range(0, trials, _CHUNK):
+        chunk = [draw(rng) for _ in range(min(_CHUNK, trials - start))]
+        yield from judge(chunk)
+
+
+def _run_trials(theorem_id: str, trials: int, seed: int, draw, judge) -> VerificationOutcome:
+    """Run a suite whose judge returns (ok, violation) per trial (see _trials).
+
+    The outcome counts the trials that were not ok and keeps the largest
+    violation.
+    """
     worst = 0.0
     failures = 0
-    for _ in range(trials):
-        ok, violation = trial(rng)
+    for ok, violation in _trials(trials, seed, draw, judge):
         worst = max(worst, violation)
         if not ok:
             failures += 1
     return VerificationOutcome(theorem_id, trials, failures, worst, seed)
 
 
+def _theorem1_draw(rng):
+    rho = random_density_matrix(rng, 4)
+    return rho, random_basis(rng)
+
+
+def _theorem1_judge(chunk) -> list:
+    results = []
+    for rho, basis in chunk:
+        evolved = evolve(kraus_stack(basis, THEOREM1_STRENGTHS), rho)
+        # One check and one J call cover rho and its evolved states.
+        stack = np.concatenate([rho.entries[None], evolved])
+        j_ref, *j_evolved = classical_correlations(stack, [basis])[:, 0].tolist()
+        lifted = [np.kron(_I2, proj) for proj in basis.projectors]
+        blocks_ref = [p_i @ rho.entries @ p_i for p_i in lifted]
+        violation = 0.0
+        for j, state in zip(j_evolved, evolved):
+            violation = max(violation, abs(j - j_ref))
+            for p_i, ref in zip(lifted, blocks_ref):
+                dev = np.max(np.abs(p_i @ state @ p_i - ref))
+                violation = max(violation, float(dev))
+        results.append((violation <= THEOREM1_TOL, violation))
+    return results
+
+
 def verify_theorem1(trials: int = 1000, seed: int = 42) -> VerificationOutcome:
     """Pointer-basis correlation is invariant under pointer decoherence.
 
     For random states and random pointer bases, checks across
-    q in {0, 0.25, 0.5, 0.75, 1} that (a) J read in the pointer basis does not
+    q in THEOREM1_STRENGTHS that (a) J read in the pointer basis does not
     move, and (b) the proof's stronger sub-claim: every conditioned block
     Pi_i rho Pi_i (hence every outcome probability) is exactly q-invariant.
     """
-    strengths = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-    def trial(rng):
-        rho = random_density_matrix(rng, 4)
-        basis = random_basis(rng)
-        lifted = [np.kron(_I2, proj) for proj in basis.projectors]
-        j_ref = classical_correlation(rho, basis)
-        blocks_ref = [p_i @ rho.entries @ p_i for p_i in lifted]
-        violation = 0.0
-        for q in strengths:
-            evolved = apply_to_apparatus(pointer_decoherence(basis, q), rho)
-            violation = max(violation, abs(classical_correlation(evolved, basis) - j_ref))
-            for p_i, ref in zip(lifted, blocks_ref):
-                dev = np.max(np.abs(p_i @ evolved.entries @ p_i - ref))
-                violation = max(violation, float(dev))
-        return violation <= THEOREM1_TOL, violation
-
-    return _run_trials("theorem1", trials, seed, trial)
+    return _run_trials("theorem1", trials, seed, _theorem1_draw, _theorem1_judge)
 
 
-def verify_theorem2(trials: int = 200, seed: int = 7) -> VerificationOutcome:
-    """Maximal correlation of dephased X states is constant or decays to a plateau.
-
-    Random X states restricted to positive pointer correlation (J_z > 1e-3,
-    the theorem's hypothesis) are swept through dephasing. Each trajectory
-    must classify as constant or decay-then-constant, never increase beyond
-    1e-9, and in the decaying case reach a plateau equal to the pointer-basis
-    value within 1e-8 strictly before p = 1.
-    """
-    grid = np.linspace(0.0, 1.0, THEOREM2_GRID_POINTS)
+def _theorem2_draw(rng) -> DensityMatrix:
+    """An X state with positive pointer correlation, J_z > 1e-3 (redrawn until so)."""
     sigma_z = ProjectiveBasis.sigma_z()
+    rho = make_x_state(random_x_state_params(rng))
+    while classical_correlation(rho, sigma_z) <= 1e-3:
+        rho = make_x_state(random_x_state_params(rng))
+    return rho
 
-    def trial(rng):
-        params = random_x_state_params(rng)
-        rho = make_x_state(params)
-        while classical_correlation(rho, sigma_z) <= 1e-3:
-            params = random_x_state_params(rng)
-            rho = make_x_state(params)
+
+def _theorem2_judge(chunk) -> list:
+    grid = np.linspace(0.0, 1.0, THEOREM2_GRID_POINTS)
+    results = []
+    for rho in chunk:
         report = sweep(rho, "pd", grid)
         regime = report.regime
         ok = regime in (REGIME_CONSTANT, REGIME_DECAY_THEN_CONSTANT)
@@ -229,9 +260,62 @@ def verify_theorem2(trials: int = 200, seed: int = 7) -> VerificationOutcome:
             violation = max(violation, max(0.0, level_dev - THEOREM2_PLATEAU_TOL))
             if level_dev > THEOREM2_PLATEAU_TOL:
                 ok = False
-        return ok, violation
+        results.append((ok, violation))
+    return results
 
-    return _run_trials("theorem2", trials, seed, trial)
+
+def verify_theorem2(trials: int = 200, seed: int = 7) -> VerificationOutcome:
+    """Maximal correlation of dephased X states is constant or decays to a plateau.
+
+    Random X states restricted to positive pointer correlation (J_z > 1e-3,
+    the theorem's hypothesis) are swept through dephasing. Each trajectory
+    must classify as constant or decay-then-constant, never increase beyond
+    1e-9, and in the decaying case reach a plateau equal to the pointer-basis
+    value within 1e-8 strictly before p = 1.
+    """
+    return _run_trials("theorem2", trials, seed, _theorem2_draw, _theorem2_judge)
+
+
+def _lemma1_draw(rng):
+    rho, basis = random_cq_state(rng)
+    return rho, basis, [_perturbed_basis(rng, basis) for _ in range(LEMMA1_PERTURBATIONS)]
+
+
+def _lemma1_measure(chunk) -> list:
+    """Per trial: (j_max, argmax, mutual information, J in the pointer then each tilted basis).
+
+    One maximizer call covers the chunk's states.
+    """
+    maxima = maximize_batch(np.array([rho.entries for rho, _, _ in chunk]))
+    return [
+        (
+            j_max,
+            argmax,
+            mutual_information(rho),
+            classical_correlations(rho.entries[None], [basis, *tilted])[0].tolist(),
+        )
+        for (rho, basis, tilted), (j_max, argmax) in zip(chunk, maxima)
+    ]
+
+
+def _lemma1_judge(chunk) -> list:
+    results = []
+    for (_, basis, _), (j_max, argmax, mutual, j) in zip(chunk, _lemma1_measure(chunk)):
+        angle = basis_distance(argmax, basis)
+        value_dev = abs(j_max - mutual)
+        violation = max(
+            max(0.0, angle - LEMMA1_ANGLE_TOL),
+            max(0.0, value_dev - LEMMA1_VALUE_TOL),
+        )
+        ok = angle <= LEMMA1_ANGLE_TOL and value_dev <= LEMMA1_VALUE_TOL
+        j_pointer, *j_tilted = j
+        for j_other in j_tilted:
+            margin = j_pointer - j_other
+            if margin <= 0.0:
+                ok = False
+                violation = max(violation, -margin)
+        results.append((ok, violation))
+    return results
 
 
 def verify_lemma1(trials: int = 500, seed: int = 3) -> VerificationOutcome:
@@ -243,27 +327,7 @@ def verify_lemma1(trials: int = 500, seed: int = 3) -> VerificationOutcome:
     the correlation at each of LEMMA1_PERTURBATIONS tilted bases must be strictly
     below the pointer-basis value.
     """
-
-    def trial(rng):
-        rho, basis = random_cq_state(rng)
-        j_max, argmax = maximize_classical_correlation(rho)
-        angle = basis_distance(argmax, basis)
-        value_dev = abs(j_max - mutual_information(rho))
-        violation = max(
-            max(0.0, angle - LEMMA1_ANGLE_TOL),
-            max(0.0, value_dev - LEMMA1_VALUE_TOL),
-        )
-        ok = angle <= LEMMA1_ANGLE_TOL and value_dev <= LEMMA1_VALUE_TOL
-        j_pointer = classical_correlation(rho, basis)
-        for _ in range(LEMMA1_PERTURBATIONS):
-            tilted = _perturbed_basis(rng, basis)
-            margin = j_pointer - classical_correlation(rho, tilted)
-            if margin <= 0.0:
-                ok = False
-                violation = max(violation, -margin)
-        return ok, violation
-
-    return _run_trials("lemma1", trials, seed, trial)
+    return _run_trials("lemma1", trials, seed, _lemma1_draw, _lemma1_judge)
 
 
 def verify_remark(grid=None) -> VerificationOutcome:

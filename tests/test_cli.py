@@ -200,6 +200,14 @@ def test_verify_remark_refuses_trials_and_seed(capsys, flags):
     )
 
 
+@pytest.mark.parametrize("suite", ["theorem1", "theorem2", "lemma1", "all"])
+def test_verify_refuses_a_negative_seed(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "einselect: seed must be a non-negative integer, got -1\n"
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = VerificationOutcome("theorem1", 5, 2, 0.3, 42)
     monkeypatch.setattr("einselect.cli.verify_theorem1", lambda **kw: failing)

@@ -8,6 +8,7 @@ from einselect import (
     STATE_2,
     CorrelationRecord,
     DensityMatrix,
+    InvalidStateError,
     OptimizationError,
     ProjectiveBasis,
     XStateParams,
@@ -27,10 +28,12 @@ from einselect import (
     von_neumann_entropy,
 )
 from einselect.channels import evolve, kraus_stack
+from einselect import correlations
 from einselect.correlations import (
     _bloch_correlation,
     bloch_form,
     clamp_discord,
+    classical_correlations,
     correlation_record,
     correlation_records,
 )
@@ -312,6 +315,49 @@ def test_stacked_correlation_skips_an_impossible_outcome():
     assert records[0].j_z == classical_correlation(product, ProjectiveBasis.sigma_z())
     assert records[0] == correlation_record(product, 0.0)
     assert records[1] == correlation_record(coherent, 0.5)
+
+
+def test_stacked_correlations_equal_the_one_state_values():
+    rng = np.random.default_rng(8)
+    rho_s = np.diag([0.7, 0.3]).astype(complex)
+    product = DensityMatrix(np.kron(rho_s, np.diag([1.0, 0.0]).astype(complex)))
+    states = [product, make_x_state(STATE_1)] + [random_density_matrix(rng) for _ in range(3)]
+    bases = [ProjectiveBasis.sigma_z(), ProjectiveBasis.sigma_x(), ProjectiveBasis(0.9, 2.2)]
+    j = classical_correlations(np.array([rho.entries for rho in states]), bases)
+    assert j.shape == (5, 3)
+    for row, rho in zip(j.tolist(), states):
+        assert row == [classical_correlation(rho, basis) for basis in bases]
+    bad = np.array([states[1].entries, np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)])
+    with pytest.raises(InvalidStateError, match="positive semidefinite"):
+        classical_correlations(bad, bases)
+    for stack in (np.zeros((0, 4, 4)), np.eye(2)[None] / 2):
+        with pytest.raises(InvalidStateError, match="stack of N >= 1 two-qubit states"):
+            classical_correlations(stack, bases)
+
+
+def test_one_state_functions_do_not_check_a_valid_state_again(monkeypatch):
+    # DensityMatrix already checked rho and kept its eigenvalues: the only
+    # check left is the one over the reduced and conditional states.
+    rho = make_x_state(STATE_1)
+    shapes = []
+    check = correlations.check_states
+
+    def counting(m):
+        shapes.append(m.shape)
+        return check(m)
+
+    monkeypatch.setattr(correlations, "check_states", counting)
+    calls = [
+        lambda: maximize_classical_correlation(rho),
+        lambda: correlation_record(rho),
+        lambda: classical_correlation(rho, ProjectiveBasis.sigma_x()),
+        lambda: mutual_information(rho),
+    ]
+    for call in calls:
+        shapes.clear()
+        call()
+        assert len(shapes) == 1
+        assert shapes[0][1:] == (2, 2)
 
 
 def _binary_entropy(x):

@@ -4,9 +4,13 @@ import pytest
 from einselect import (
     InvalidInputError,
     VerificationOutcome,
+    apply_to_apparatus,
+    basis_distance,
     classical_correlation,
     make_x_state,
+    maximize_classical_correlation,
     mutual_information,
+    pointer_decoherence,
     quantum_discord,
     random_basis,
     random_cq_state,
@@ -17,6 +21,7 @@ from einselect import (
     verify_theorem1,
     verify_theorem2,
 )
+from einselect import verify
 from einselect.verify import trace_distance
 
 
@@ -100,6 +105,14 @@ def test_suites_reject_zero_trials():
             suite(trials=0)
 
 
+@pytest.mark.parametrize("suite", [verify_theorem1, verify_theorem2, verify_lemma1])
+def test_suites_reject_a_negative_seed(suite, monkeypatch):
+    # the seed is refused before the generator or any draw is made
+    monkeypatch.setattr(verify.np.random, "default_rng", None)
+    with pytest.raises(InvalidInputError, match=r"^seed must be a non-negative integer, got -1$"):
+        suite(trials=3, seed=-1)
+
+
 def test_suites_are_deterministic():
     first = verify_theorem1(trials=20, seed=9)
     second = verify_theorem1(trials=20, seed=9)
@@ -109,3 +122,76 @@ def test_suites_are_deterministic():
 def test_outcome_passed_property():
     assert VerificationOutcome("x", 10, 0, 0.0, 1).passed
     assert not VerificationOutcome("x", 10, 2, 0.5, 1).passed
+
+
+# The per-trial loops the suites ran before they were stacked, built from the
+# one-state public functions only. Each takes one trial's draws from rng and
+# returns ((ok, violation), details).
+
+
+def _theorem1_reference(rng):
+    rho = random_density_matrix(rng, 4)
+    basis = random_basis(rng)
+    lifted = [np.kron(np.eye(2, dtype=complex), proj) for proj in basis.projectors]
+    j_ref = classical_correlation(rho, basis)
+    blocks_ref = [p_i @ rho.entries @ p_i for p_i in lifted]
+    violation = 0.0
+    for q in verify.THEOREM1_STRENGTHS:
+        evolved = apply_to_apparatus(pointer_decoherence(basis, q), rho)
+        violation = max(violation, abs(classical_correlation(evolved, basis) - j_ref))
+        for p_i, ref in zip(lifted, blocks_ref):
+            dev = np.max(np.abs(p_i @ evolved.entries @ p_i - ref))
+            violation = max(violation, float(dev))
+    return (violation <= verify.THEOREM1_TOL, violation), None
+
+
+def _lemma1_reference(rng):
+    rho, basis = random_cq_state(rng)
+    j_max, argmax = maximize_classical_correlation(rho)
+    angle = basis_distance(argmax, basis)
+    value_dev = abs(j_max - mutual_information(rho))
+    violation = max(
+        max(0.0, angle - verify.LEMMA1_ANGLE_TOL),
+        max(0.0, value_dev - verify.LEMMA1_VALUE_TOL),
+    )
+    ok = angle <= verify.LEMMA1_ANGLE_TOL and value_dev <= verify.LEMMA1_VALUE_TOL
+    j_pointer = classical_correlation(rho, basis)
+    margins = []
+    for _ in range(verify.LEMMA1_PERTURBATIONS):
+        tilted = verify._perturbed_basis(rng, basis)
+        margin = j_pointer - classical_correlation(rho, tilted)
+        margins.append(margin)
+        if margin <= 0.0:
+            ok = False
+            violation = max(violation, -margin)
+    return (ok, violation), (j_max, argmax, margins)
+
+
+@pytest.mark.parametrize("trials", [1, 7, 130])
+@pytest.mark.parametrize("seed", [3, 5, 42])
+@pytest.mark.parametrize("suite", ["theorem1", "lemma1"])
+def test_stacked_suites_equal_the_per_trial_reference(suite, seed, trials):
+    # 130 trials span more than one judged chunk.
+    reference = {"theorem1": _theorem1_reference, "lemma1": _lemma1_reference}[suite]
+    rng = np.random.default_rng(seed)
+    expected = [reference(rng) for _ in range(trials)]
+    results = [result for result, _ in expected]
+    draw, judge = getattr(verify, f"_{suite}_draw"), getattr(verify, f"_{suite}_judge")
+    assert list(verify._trials(trials, seed, draw, judge)) == results
+    outcome = VerificationOutcome(
+        suite,
+        trials,
+        sum(not ok for ok, _ in results),
+        max([0.0] + [violation for _, violation in results]),
+        seed,
+    )
+    assert getattr(verify, f"verify_{suite}")(trials=trials, seed=seed) == outcome
+    if suite == "lemma1":
+        # every lemma1 violation is 0.0, so compare what the verdicts read
+        measured = [
+            (j_max, argmax, [j[0] - other for other in j[1:]])
+            for j_max, argmax, _, j in verify._trials(
+                trials, seed, verify._lemma1_draw, verify._lemma1_measure
+            )
+        ]
+        assert measured == [details for _, details in expected]
