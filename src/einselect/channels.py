@@ -14,11 +14,10 @@ Conventions fixed here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .correlations import ProjectiveBasis
+from .correlations import ProjectiveBasis, _projectors
 from .errors import InvalidStateError
 from .qstate import DensityMatrix
 
@@ -84,12 +83,17 @@ def _damping_ops(ps: np.ndarray) -> np.ndarray:
     return ops
 
 
-def _dephasing_ops(basis: ProjectiveBasis, qs: np.ndarray) -> np.ndarray:
-    """Pairs {sqrt(1 - q/2) I, sqrt(q/2) (Pi_0 - Pi_1)} for each q, (N, 2, 2, 2)."""
-    p0, p1 = basis.projectors
+def _dephasing_ops(kets: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """Pairs {sqrt(1 - q/2) I, sqrt(q/2) (Pi_0 - Pi_1)} for each q, (N, 2, 2, 2).
+
+    kets holds the measurement kets of one basis as (2, 2), or of one basis per
+    q as (N, 2, 2).
+    """
+    proj = _projectors(kets)
+    reflection = proj[..., 0, :, :] - proj[..., 1, :, :]
     half = qs / 2.0
     weights = np.sqrt(np.array([1.0 - half, half]).T)
-    return weights[:, :, None, None] * np.array([_I2, p0 - p1])
+    return weights[:, :, None, None] * np.stack(np.broadcast_arrays(_I2, reflection), axis=-3)
 
 
 def _channel(pair: np.ndarray) -> KrausChannel:
@@ -122,45 +126,55 @@ def pointer_decoherence(basis: ProjectiveBasis, q: float) -> KrausChannel:
         basis: a ProjectiveBasis (complete pair of orthogonal rank-1 projectors).
         q: mixing weight in [0, 1].
     """
-    return _channel(_dephasing_ops(basis, _check_strengths([q]))[0])
+    return _channel(_dephasing_ops(np.array(basis.kets()), _check_strengths([q]))[0])
 
 
-def kraus_stack(basis: Optional[ProjectiveBasis], ps) -> np.ndarray:
+def kraus_stack(basis: ProjectiveBasis | np.ndarray | None, ps) -> np.ndarray:
     """One channel family's Kraus pairs at every strength in ps, as one (N, 2, 2, 2) stack.
 
     The family is dephasing onto basis, or amplitude damping for None; each
     pair is the one pointer_decoherence or amplitude_damping builds at that
-    strength, whose second operator is zero at strength 0. Trace
+    strength, whose second operator is zero at strength 0. basis is one
+    ProjectiveBasis for every strength, or one basis per strength given as
+    a (N, 2, 2) stack of its measurement kets (ProjectiveBasis.kets). Trace
     preservation is checked once over the stack.
     """
     ps = _check_strengths(ps)
-    ops = _damping_ops(ps) if basis is None else _dephasing_ops(basis, ps)
+    if basis is None:
+        ops = _damping_ops(ps)
+    elif isinstance(basis, ProjectiveBasis):
+        ops = _dephasing_ops(np.array(basis.kets()), ps)
+    else:
+        ops = _dephasing_ops(basis, ps)
     _check_trace_preserving(ops)
     return ops
 
 
-def evolve(ops: np.ndarray, rho: DensityMatrix) -> np.ndarray:
+def evolve(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
     """sum_k (I tensor K_k) rho (I tensor K_k)^dag for each row of a (N, K, 2, 2) Kraus stack.
 
+    states holds the two-qubit entries: one (4, 4) state that every row
+    evolves, or a (N, 4, 4) stack whose row n evolves under row n of ops.
     An all-zero operator is not part of its row's channel, and its term is
     not added. Returns the N evolved entries as an unvalidated (N, 4, 4)
     array. The system marginal is untouched by construction (local
     operation).
     """
-    if rho.dim != 4:
-        raise InvalidStateError(f"expected a two-qubit state, got dim {rho.dim}")
-    lifted = np.zeros(ops.shape[:2] + (4, 4), dtype=complex)
-    lifted[..., :2, :2] = lifted[..., 2:, 2:] = ops
-    terms = lifted @ rho.entries @ lifted.conj().swapaxes(-1, -2)
-    # The sum starts at +0.0, so the signs of exact zeros in lifted (np.kron
-    # would give some -0.0) cannot reach the result.
+    m = np.asarray(states)
+    if m.shape[-2:] != (4, 4):
+        raise InvalidStateError(f"expected a two-qubit state, got dim {m.shape[-1]}")
     present = ops.any(axis=(-2, -1))
     out = np.zeros((len(ops), 4, 4), dtype=complex)
+    lifted = np.zeros((len(ops), 4, 4), dtype=complex)
     for k in range(ops.shape[1]):
-        np.add(out, terms[:, k], out=out, where=present[:, k, None, None])
+        lifted[:, :2, :2] = lifted[:, 2:, 2:] = ops[:, k]
+        term = lifted @ m @ lifted.conj().swapaxes(-1, -2)
+        # The sum starts at +0.0, so the signs of exact zeros in lifted
+        # (np.kron would give some -0.0) cannot reach the result.
+        np.add(out, term, out=out, where=present[:, k, None, None])
     return out
 
 
 def apply_to_apparatus(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply a channel to the apparatus qubit of a two-qubit state: evolve for one channel."""
-    return DensityMatrix(evolve(np.array(channel.operators)[None], rho)[0])
+    return DensityMatrix(evolve(np.array(channel.operators)[None], rho.entries)[0])

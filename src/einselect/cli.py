@@ -157,7 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="override the default seed of theorem1, theorem2 and lemma1",
     )
-    vf.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS, help="strength points for the remark suite")
+    vf.add_argument(
+        "--grid", type=int, default=None,
+        help=f"strength points for the remark suite (default {DEFAULT_GRID_POINTS}); "
+        "theorem1, theorem2 and lemma1 take --trials and --seed instead",
+    )
     _add_output_flags(vf)
     vf.set_defaults(func=_cmd_verify)
 
@@ -250,8 +254,13 @@ def _cmd_verify(args) -> int:
         raise InvalidInputError(
             "--suite remark is deterministic: it takes --grid, not --trials or --seed"
         )
+    if args.suite not in ("remark", "all") and args.grid is not None:
+        raise InvalidInputError(
+            f"--suite {args.suite} draws random trials: it takes --trials and --seed, not --grid"
+        )
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    remark_grid = _grid_from_count(args.grid) if "remark" in names else None
+    grid = DEFAULT_GRID_POINTS if args.grid is None else args.grid
+    remark_grid = _grid_from_count(grid) if "remark" in names else None
     outcomes = [_run_suite(name, args, remark_grid) for name in names]
     _write_or_print(emit_report(outcomes, args.format), args.out)
     return 3 if any(o.failures > 0 for o in outcomes) else 0

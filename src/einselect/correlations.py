@@ -41,12 +41,14 @@ result.
 J at a fixed basis (j_z, j_x), mutual information and S(rho_s) come from the
 density matrices themselves: a stack of states gives its reduced states and
 both outcomes' conditional states per basis, and one check_states call (one
-eigvalsh) covers all of them. classical_correlations, correlation_records
-and maximize_batch take such a stack; classical_correlation,
-conditional_state, mutual_information, correlation_record and
-maximize_classical_correlation are their one-state cases, and give bit for
-bit the same values as the stack. The one-state cases reuse the eigenvalues
-that DensityMatrix computed, so they do not check the state again.
+eigvalsh) covers all of them. The bases are measurement kets, either shared
+by the stack or one set per state, so one pass can read each state in its
+own bases. classical_correlations, correlation_records and maximize_batch
+take such a stack; classical_correlation, conditional_state,
+mutual_information, correlation_record and maximize_classical_correlation
+are their one-state cases, and give bit for bit the same values as the
+stack. The one-state cases reuse the eigenvalues that DensityMatrix
+computed, so they do not check the state again.
 """
 
 from __future__ import annotations
@@ -144,8 +146,13 @@ class ProjectiveBasis:
 
     @property
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        k0, k1 = self.kets()
-        return (np.outer(k0, k0.conj()), np.outer(k1, k1.conj()))
+        p0, p1 = _projectors(np.array(self.kets()))
+        return (p0, p1)
+
+
+def _projectors(kets: np.ndarray) -> np.ndarray:
+    """|u_i><u_i| for each ket of a (..., 2, 2) array of kets, as (..., 2, 2, 2)."""
+    return kets[..., :, None] * kets.conj()[..., None, :]
 
 
 def basis_distance(a: ProjectiveBasis, b: ProjectiveBasis) -> float:
@@ -295,17 +302,22 @@ _HALF_I2 = np.eye(2, dtype=complex) / 2.0
 _COARSE_BLOCK = 8
 
 
-def _conditional_states(m: np.ndarray, basis: ProjectiveBasis):
+def _conditional_states(m: np.ndarray, kets: np.ndarray):
     """Both outcomes' probabilities and conditioned system states, for a (N, 4, 4) stack.
 
-    One einsum gives both outcome blocks <u_i| rho |u_i>; each state is its
-    block over its trace. Returns (probs, states), (N, 2) and (N, 2, 2, 2).
-    An outcome below OUTCOME_FLOOR never happens: its probability is 0.0 and
-    I/2 stands in for its undefined state, so a stacked check still sees a
-    valid state there.
+    kets is a (N, 2, 2) stack of measurement kets, one pair per state: kets[s, i]
+    is |u_i> of state s's basis. A basis shared by the stack is its kets
+    broadcast to (N, 2, 2). One einsum gives both outcome blocks
+    <u_i| rho |u_i>; each state is its block over its trace. Returns (probs,
+    states), (N, 2) and (N, 2, 2, 2). An outcome below OUTCOME_FLOOR never
+    happens: its probability is 0.0 and I/2 stands in for its undefined
+    state, so a stacked check still sees a valid state there.
     """
-    u = np.array(basis.kets())
-    blocks = np.einsum("ij,smjnk,ik->simn", u.conj(), m.reshape(-1, 2, 2, 2, 2), u)
+    if kets.shape != (len(m), 2, 2):
+        raise InvalidStateError(
+            f"expected a ({len(m)}, 2, 2) stack of measurement kets, got {kets.shape}"
+        )
+    blocks = np.einsum("sij,smjnk,sik->simn", kets.conj(), m.reshape(-1, 2, 2, 2, 2), kets)
     probs = blocks.trace(axis1=-2, axis2=-1).real
     possible = probs >= OUTCOME_FLOOR
     states = blocks / np.where(possible, probs, 1.0)[..., None, None]
@@ -315,28 +327,36 @@ def _conditional_states(m: np.ndarray, basis: ProjectiveBasis):
     )
 
 
-def _local_terms(m: np.ndarray, eigenvalues: np.ndarray, bases):
+def _basis_kets(bases) -> np.ndarray:
+    """The measurement kets of each basis, as a (K, 2, 2) array."""
+    return np.array([basis.kets() for basis in bases], dtype=complex).reshape(-1, 2, 2)
+
+
+def _local_terms(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray):
     """S(rho_s), mutual information and J in each basis, for a stack of valid states.
 
-    m is (N, 4, 4) and eigenvalues (N, 4), as check_states gives them. Mutual
-    information is S(rho_s) + S(rho_a) - S(rho), and J = S(rho_s) - sum_i p_i
-    S(rho_s | i), to which an outcome that never happens adds nothing. One
-    check and one eigvalsh cover both reduced states and every conditional
-    state, in the order rho_s, rho_a, then each basis's two outcomes. Returns
-    (s_system, mutual, j): (N,), (N,) and (N, len(bases)), before any sign
-    tolerance.
+    m is (N, 4, 4) and eigenvalues (N, 4), as check_states gives them. kets
+    holds K bases per state as (N, K, 2, 2) measurement kets, or K bases
+    shared by the stack as (K, 2, 2) (_basis_kets). Mutual information is
+    S(rho_s) + S(rho_a) - S(rho), and J = S(rho_s) - sum_i p_i S(rho_s | i),
+    to which an outcome that never happens adds nothing. One check and one
+    eigvalsh cover both reduced states and every conditional state, in the
+    order rho_s, rho_a, then each basis's two outcomes. Returns (s_system,
+    mutual, j): (N,), (N,) and (N, K), before any sign tolerance.
     """
-    parts = [reduced_states(m, "system")[:, None], reduced_states(m, "apparatus")[:, None]]
-    weights = []
-    for basis in bases:
-        probs, states = _conditional_states(m, basis)
-        parts.append(states)
-        weights.append(probs)
-    ent = entropies(check_states(np.concatenate(parts, axis=1).reshape(-1, 2, 2)))
-    ent = ent.reshape(len(m), -1)
+    if kets.ndim == 3:
+        kets = np.broadcast_to(kets, (len(m),) + kets.shape)
+    bases = kets.shape[1]
+    parts = np.empty((len(m), 2 + 2 * bases, 2, 2), dtype=complex)
+    parts[:, 0] = reduced_states(m, "system")
+    parts[:, 1] = reduced_states(m, "apparatus")
+    weights = np.empty((len(m), bases, 2))
+    for b in range(bases):
+        weights[:, b], parts[:, 2 + 2 * b : 4 + 2 * b] = _conditional_states(m, kets[:, b])
+    ent = entropies(check_states(parts.reshape(-1, 2, 2))).reshape(len(m), -1)
     j = [
-        ent[:, 0] - w[:, 0] * ent[:, 2 + 2 * b] - w[:, 1] * ent[:, 3 + 2 * b]
-        for b, w in enumerate(weights)
+        ent[:, 0] - weights[:, b, 0] * ent[:, 2 + 2 * b] - weights[:, b, 1] * ent[:, 3 + 2 * b]
+        for b in range(bases)
     ]
     mutual = ent[:, 0] + ent[:, 1] - entropies(eigenvalues)
     return ent[:, 0], mutual, np.stack(j, axis=1) if j else np.empty((len(m), 0))
@@ -372,11 +392,22 @@ def conditional_state(rho: DensityMatrix, basis: ProjectiveBasis, outcome: int):
     m, _ = _one_state(rho)
     if outcome not in (0, 1):
         raise OptimizationError(f"outcome must be 0 or 1, got {outcome}")
-    probs, states = _conditional_states(m, basis)
+    probs, states = _conditional_states(m, _basis_kets([basis]))
     prob = float(probs[0, outcome])
     if prob < OUTCOME_FLOOR:
         return 0.0, None
     return prob, DensityMatrix(states[0, outcome])
+
+
+def _nonnegative_j(row: list) -> list:
+    """J values with their sign tolerance applied."""
+    return [_nonnegative(v, _NEGATIVE_J_TOL, "classical correlation") for v in row]
+
+
+def _correlations(states, kets) -> np.ndarray:
+    """classical_correlations with the bases given as kets, shared or per state (_local_terms)."""
+    _, _, j = _local_terms(*_two_qubit_stack(states), kets)
+    return np.array([_nonnegative_j(row) for row in j.tolist()]).reshape(j.shape)
 
 
 def classical_correlations(states, bases) -> np.ndarray:
@@ -386,24 +417,18 @@ def classical_correlations(states, bases) -> np.ndarray:
     covers every reduced and conditional state. classical_correlation is the
     (1, 1) case, and every value is bit for bit its one-state value.
     """
-    _, _, j = _local_terms(*_two_qubit_stack(states), bases)
-    return np.array(
-        [
-            [_nonnegative(v, _NEGATIVE_J_TOL, "classical correlation") for v in row]
-            for row in j.tolist()
-        ]
-    )
+    return _correlations(states, _basis_kets(bases))
 
 
 def classical_correlation(rho: DensityMatrix, basis: ProjectiveBasis) -> float:
     """J for one fixed measurement basis, in bits. Lies in [0, S(rho_s)]."""
-    _, _, j = _local_terms(*_one_state(rho, InvalidStateError), [basis])
+    _, _, j = _local_terms(*_one_state(rho, InvalidStateError), _basis_kets([basis]))
     return _nonnegative(j[0, 0], _NEGATIVE_J_TOL, "classical correlation")
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """Total correlations S(rho_s) + S(rho_a) - S(rho_sa), in bits."""
-    _, mutual, _ = _local_terms(*_one_state(rho), [])
+    _, mutual, _ = _local_terms(*_one_state(rho), _basis_kets([]))
     return _nonnegative(mutual[0], _NEGATIVE_J_TOL, "mutual information")
 
 
@@ -457,7 +482,7 @@ def _maximize(m: np.ndarray, s_entropy: np.ndarray) -> list[tuple[float, Project
 
 def _maximize_states(m: np.ndarray, eigenvalues: np.ndarray) -> list:
     """maximize_batch on a stack of valid states with known eigenvalues."""
-    s_entropy, _, _ = _local_terms(m, eigenvalues, [])
+    s_entropy, _, _ = _local_terms(m, eigenvalues, _basis_kets([]))
     return _maximize(m, s_entropy)
 
 
@@ -501,25 +526,41 @@ def correlation_records(states, ps) -> list[CorrelationRecord]:
 
 def _records(m: np.ndarray, eigenvalues: np.ndarray, ps) -> list[CorrelationRecord]:
     """correlation_records on a stack of valid states with known eigenvalues."""
-    s_system, mutual, j = _local_terms(
-        m, eigenvalues, [ProjectiveBasis.sigma_z(), ProjectiveBasis.sigma_x()]
-    )
-    records = []
-    for k, (p, (j_max, argmax)) in enumerate(zip(ps, _maximize(m, s_system))):
-        mi = _nonnegative(mutual[k], _NEGATIVE_J_TOL, "mutual information")
-        records.append(
-            CorrelationRecord(
-                p=p,
-                j_z=_nonnegative(j[k, 0], _NEGATIVE_J_TOL, "classical correlation"),
-                j_x=_nonnegative(j[k, 1], _NEGATIVE_J_TOL, "classical correlation"),
-                j_max=j_max,
-                opt_theta=argmax.theta,
-                opt_phi=argmax.phi,
-                mutual_info=mi,
-                discord=clamp_discord(mi - j_max),
-            )
+    sigma_zx = _basis_kets([ProjectiveBasis.sigma_z(), ProjectiveBasis.sigma_x()])
+    return [
+        CorrelationRecord(
+            p=p,
+            j_z=j_z,
+            j_x=j_x,
+            j_max=j_max,
+            opt_theta=argmax.theta,
+            opt_phi=argmax.phi,
+            mutual_info=mi,
+            discord=clamp_discord(mi - j_max),
         )
-    return records
+        for p, (j_max, argmax, mi, (j_z, j_x)) in zip(ps, _measure(m, eigenvalues, sigma_zx))
+    ]
+
+
+def _measure(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray) -> list:
+    """Per state of a valid stack: (j_max, argmax, mutual information, J in each basis).
+
+    kets are the fixed bases, shared or per state (_local_terms). One
+    _local_terms pass gives the mutual information, the J values and the
+    S(rho_s) that the maximizer reads; the sign tolerance is applied to every
+    value, the maximum's first.
+    """
+    s_system, mutual, j = _local_terms(m, eigenvalues, kets)
+    maxima = _maximize(m, s_system)
+    return [
+        (
+            j_max,
+            argmax,
+            _nonnegative(mi, _NEGATIVE_J_TOL, "mutual information"),
+            _nonnegative_j(row),
+        )
+        for (j_max, argmax), mi, row in zip(maxima, mutual.tolist(), j.tolist())
+    ]
 
 
 def correlation_record(rho: DensityMatrix, p: float = 0.0) -> CorrelationRecord:

@@ -25,23 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import (
-    KrausChannel,
-    amplitude_damping,
-    apply_to_apparatus,
-    evolve,
-    kraus_stack,
-    pointer_decoherence,
-)
+from .channels import evolve, kraus_stack
 from .correlations import (
     CorrelationRecord,
     ProjectiveBasis,
     basis_distance,
-    classical_correlation,
+    classical_correlations,
     correlation_records,
 )
 from .errors import InvalidInputError, InvalidStateError
@@ -155,13 +148,6 @@ def _dephasing_basis(
     )
 
 
-def _channel_maker(basis: Optional[ProjectiveBasis]) -> Callable[[float], KrausChannel]:
-    """The channel at strength p: dephasing onto basis, amplitude damping for None."""
-    if basis is None:
-        return amplitude_damping
-    return lambda p: pointer_decoherence(basis, p)
-
-
 def _validate_grid(grid) -> np.ndarray:
     if grid is None:
         return np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
@@ -199,7 +185,7 @@ def detect_transition(
     basis information and never anchor a jump. Returns None when the argmax
     basis never jumps.
     """
-    make = _channel_maker(_dephasing_basis(channel_family, pointer_basis))
+    basis = _dephasing_basis(channel_family, pointer_basis)
     for before, after in zip(records, records[1:]):
         b0 = _record_basis(before)
         b1 = _record_basis(after)
@@ -209,10 +195,9 @@ def detect_transition(
             continue
 
         def crossing(p: float) -> float:
-            evolved = apply_to_apparatus(make(p), rho0)
-            return classical_correlation(evolved, b1) - classical_correlation(
-                evolved, b0
-            )
+            evolved = evolve(kraus_stack(basis, [p]), rho0.entries)
+            j1, j0 = classical_correlations(evolved, [b1, b0])[0].tolist()
+            return j1 - j0
 
         lo, hi = before.p, after.p
         f_lo, f_hi = crossing(lo), crossing(hi)
@@ -311,7 +296,7 @@ def sweep(
     ps = _validate_grid(grid)
     check_gamma(gamma)
     basis = _dephasing_basis(channel_family, pointer_basis)
-    states = evolve(kraus_stack(basis, ps), rho0)
+    states = evolve(kraus_stack(basis, ps), rho0.entries)
     records = correlation_records(states, [float(p) for p in ps])
 
     transition = detect_transition(

@@ -8,10 +8,14 @@ aggregation (max of violations, count of failures) is order-insensitive.
 
 A suite runs in two steps (_trials). It draws each trial's inputs from the
 generator, one trial after another, then judges the drawn trials a chunk of
-_CHUNK at a time on the stacked kernels: theorem1 reads J of a state and its
-five decohered states in one call, and lemma1 maximizes a whole chunk in one
-maximize_batch call. Judging draws nothing, so every trial sees the draws
-and gives the result it would in a one-trial-at-a-time loop, bit for bit.
+_CHUNK at a time, each chunk in one stacked pass. theorem1 evolves every
+trial's state at every strength in one Kraus stack, reads J of all the
+chunk's states in their own pointer bases with one check, and forms every
+block Pi_i rho Pi_i in one broadcast product. lemma1 maximizes the chunk's
+states and reads their mutual information and J in each trial's pointer and
+tilted bases in one pass. Judging draws nothing, so every trial sees the
+draws and gives the result it would in a one-trial-at-a-time loop, bit for
+bit. theorem2 still sweeps one trial at a time.
 
 The four properties:
   - theorem1: the classical correlation read in the pointer basis is
@@ -40,11 +44,11 @@ import numpy as np
 from .channels import evolve, kraus_stack
 from .correlations import (
     ProjectiveBasis,
+    _correlations,
+    _measure,
+    _projectors,
     basis_distance,
     classical_correlation,
-    classical_correlations,
-    maximize_batch,
-    mutual_information,
 )
 from .dynamics import (
     REGIME_CONSTANT,
@@ -139,22 +143,33 @@ def random_cq_state(rng: np.random.Generator) -> tuple[DensityMatrix, Projective
     return DensityMatrix(m), basis
 
 
-def _perturbed_basis(rng: np.random.Generator, basis: ProjectiveBasis) -> ProjectiveBasis:
-    """A basis whose axis is tilted away from the given one by [LEMMA1_MIN_TILT, pi/2]."""
+def _tilted_bases(rng: np.random.Generator, basis: ProjectiveBasis) -> list:
+    """LEMMA1_PERTURBATIONS bases whose axes are tilted from basis's by [LEMMA1_MIN_TILT, pi/2].
+
+    Each tilt draws its offset from the axis, then its azimuth around it, in
+    one tangent frame (e1, e2) of the axis.
+    """
     n = basis.axis
     helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     e1 = np.cross(n, helper)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(n, e1)
-    offset = float(rng.uniform(LEMMA1_MIN_TILT, math.pi / 2.0))
-    azimuth = float(rng.uniform(0.0, 2.0 * math.pi))
-    axis = (
-        math.cos(offset) * n
-        + math.sin(offset) * (math.cos(azimuth) * e1 + math.sin(azimuth) * e2)
+    offset, azimuth = rng.uniform(
+        [LEMMA1_MIN_TILT, 0.0], [math.pi / 2.0, 2.0 * math.pi], (LEMMA1_PERTURBATIONS, 2)
+    ).T.tolist()
+    # The cosines and sines come from math, as for one tilt at a time.
+    cos_o, sin_o, cos_a, sin_a = (
+        np.array([f(x) for x in angles])[:, None]
+        for angles in (offset, azimuth)
+        for f in (math.cos, math.sin)
     )
-    theta = math.acos(max(-1.0, min(1.0, float(axis[2]))))
-    phi = math.atan2(float(axis[1]), float(axis[0])) % (2.0 * math.pi)
-    return ProjectiveBasis(theta, phi)
+    axes = cos_o * n + sin_o * (cos_a * e1 + sin_a * e2)
+    return [
+        ProjectiveBasis(
+            math.acos(max(-1.0, min(1.0, z))), math.atan2(y, x) % (2.0 * math.pi)
+        )
+        for x, y, z in axes.tolist()
+    ]
 
 
 # Trials are judged this many at a time, so a suite's memory does not grow
@@ -201,22 +216,27 @@ def _theorem1_draw(rng):
 
 
 def _theorem1_judge(chunk) -> list:
-    results = []
-    for rho, basis in chunk:
-        evolved = evolve(kraus_stack(basis, THEOREM1_STRENGTHS), rho)
-        # One check and one J call cover rho and its evolved states.
-        stack = np.concatenate([rho.entries[None], evolved])
-        j_ref, *j_evolved = classical_correlations(stack, [basis])[:, 0].tolist()
-        lifted = [np.kron(_I2, proj) for proj in basis.projectors]
-        blocks_ref = [p_i @ rho.entries @ p_i for p_i in lifted]
-        violation = 0.0
-        for j, state in zip(j_evolved, evolved):
-            violation = max(violation, abs(j - j_ref))
-            for p_i, ref in zip(lifted, blocks_ref):
-                dev = np.max(np.abs(p_i @ state @ p_i - ref))
-                violation = max(violation, float(dev))
-        results.append((violation <= THEOREM1_TOL, violation))
-    return results
+    """(ok, violation) per trial, from one pass over every trial's rho and decohered states."""
+    strengths = len(THEOREM1_STRENGTHS)
+    kets = np.array([basis.kets() for _, basis in chunk])
+    ops = kraus_stack(np.repeat(kets, strengths, axis=0), THEOREM1_STRENGTHS * len(chunk))
+    # states[t] is trial t's rho, then its evolved states in strength order.
+    states = np.empty((len(chunk), 1 + strengths, 4, 4), dtype=complex)
+    states[:, 0] = [rho.entries for rho, _ in chunk]
+    states[:, 1:] = evolve(ops, np.repeat(states[:, 0], strengths, axis=0)).reshape(
+        len(chunk), strengths, 4, 4
+    )
+    j = _correlations(
+        states.reshape(-1, 4, 4), np.repeat(kets, strengths + 1, axis=0)[:, None]
+    ).reshape(len(chunk), -1)
+    violation = np.abs(j[:, 1:] - j[:, :1]).max(axis=1)
+    # lifted[t, i] = I x Pi_i, the products np.kron(_I2, basis.projectors[i]) makes.
+    lifted = _I2[:, None, :, None] * _projectors(kets)[:, :, None, :, None, :]
+    lifted = lifted.reshape(-1, 1, 2, 4, 4)
+    blocks = lifted @ states[:, :, None] @ lifted
+    blocks[:, 1:] -= blocks[:, :1]
+    violation = np.maximum(violation, np.abs(blocks[:, 1:]).max(axis=(1, 2, 3, 4)))
+    return [(v <= THEOREM1_TOL, v) for v in violation.tolist()]
 
 
 def verify_theorem1(trials: int = 1000, seed: int = 42) -> VerificationOutcome:
@@ -278,24 +298,20 @@ def verify_theorem2(trials: int = 200, seed: int = 7) -> VerificationOutcome:
 
 def _lemma1_draw(rng):
     rho, basis = random_cq_state(rng)
-    return rho, basis, [_perturbed_basis(rng, basis) for _ in range(LEMMA1_PERTURBATIONS)]
+    return rho, basis, _tilted_bases(rng, basis)
 
 
 def _lemma1_measure(chunk) -> list:
     """Per trial: (j_max, argmax, mutual information, J in the pointer then each tilted basis).
 
-    One maximizer call covers the chunk's states.
+    One pass covers the chunk's states: the maximizer, the mutual
+    information and J in each trial's own 1 + LEMMA1_PERTURBATIONS bases.
     """
-    maxima = maximize_batch(np.array([rho.entries for rho, _, _ in chunk]))
-    return [
-        (
-            j_max,
-            argmax,
-            mutual_information(rho),
-            classical_correlations(rho.entries[None], [basis, *tilted])[0].tolist(),
-        )
-        for (rho, basis, tilted), (j_max, argmax) in zip(chunk, maxima)
-    ]
+    return _measure(
+        np.array([rho.entries for rho, _, _ in chunk]),
+        np.array([rho.eigenvalues for rho, _, _ in chunk]),
+        np.array([[b.kets() for b in (basis, *tilted)] for _, basis, tilted in chunk]),
+    )
 
 
 def _lemma1_judge(chunk) -> list:

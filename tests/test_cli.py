@@ -200,6 +200,19 @@ def test_verify_remark_refuses_trials_and_seed(capsys, flags):
     )
 
 
+@pytest.mark.parametrize("suite", ["theorem1", "theorem2", "lemma1"])
+def test_verify_trial_suites_refuse_grid(capsys, suite, monkeypatch):
+    # refused before any suite runs
+    monkeypatch.setattr(f"einselect.cli.verify_{suite}", None)
+    code, out, err = run(capsys, "verify", "--suite", suite, "--grid", "21", "--trials", "2")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"einselect: --suite {suite} draws random trials: it takes --trials and --seed, "
+        "not --grid\n"
+    )
+
+
 @pytest.mark.parametrize("suite", ["theorem1", "theorem2", "lemma1", "all"])
 def test_verify_refuses_a_negative_seed(capsys, suite):
     code, out, err = run(capsys, "verify", "--suite", suite, "--seed", "-1")

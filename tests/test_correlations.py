@@ -335,6 +335,37 @@ def test_stacked_correlations_equal_the_one_state_values():
             classical_correlations(stack, bases)
 
 
+def test_per_state_bases_equal_the_shared_and_one_state_values():
+    # Each state of a stack measured in its own bases, given as a (N, K, 2, 2)
+    # stack of kets, reads bit for bit what a shared basis and the one-state
+    # function read. That rests on numpy's einsum summing per-state kets in
+    # the order of one shared basis, which this test pins.
+    rng = np.random.default_rng(12)
+    rho_s = np.diag([0.7, 0.3]).astype(complex)
+    product = DensityMatrix(np.kron(rho_s, np.diag([1.0, 0.0]).astype(complex)))
+    states = [product, make_x_state(STATE_1)] + [random_density_matrix(rng) for _ in range(4)]
+    bases = [ProjectiveBasis.sigma_z(), ProjectiveBasis.sigma_x(), ProjectiveBasis(0.9, 2.2)]
+    bases += [ProjectiveBasis(*angles) for angles in rng.uniform(0.0, 3.0, size=(3, 2))]
+    m = np.array([rho.entries for rho in states])
+    kets = np.array([basis.kets() for basis in bases])
+    # sigma_z outcome 1 never happens on the product state
+    assert correlations._conditional_states(m[:1], kets[:1])[0][0, 1] == 0.0
+    shared = classical_correlations(m, bases)
+    each = correlations._correlations(m, kets[:, None])
+    assert each[:, 0].tolist() == np.diag(shared).tolist()
+    assert each[:, 0].tolist() == [classical_correlation(r, b) for r, b in zip(states, bases)]
+    all_bases = np.ascontiguousarray(np.broadcast_to(kets, (len(m),) + kets.shape))
+    assert correlations._correlations(m, all_bases).tolist() == shared.tolist()
+    r = m.reshape(-1, 2, 2, 2, 2)
+    for u in kets:
+        old = np.einsum("ij,smjnk,ik->simn", u.conj(), r, u)
+        for each_u in (np.broadcast_to(u, (len(m), 2, 2)), np.repeat(u[None], len(m), axis=0)):
+            assert np.array_equal(np.einsum("sij,smjnk,sik->simn", each_u.conj(), r, each_u), old)
+    for wrong in (kets[1:, None], kets[:, None, :1], kets[None]):
+        with pytest.raises(InvalidStateError, match="stack of measurement kets"):
+            correlations._correlations(m, wrong)
+
+
 def test_one_state_functions_do_not_check_a_valid_state_again(monkeypatch):
     # DensityMatrix already checked rho and kept its eigenvalues: the only
     # check left is the one over the reduced and conditional states.

@@ -16,16 +16,24 @@ from einselect import (
     ProjectiveBasis,
     TrajectoryReport,
     XStateParams,
+    amplitude_damping,
+    apply_to_apparatus,
+    basis_distance,
     classical_correlation,
     classify_regime,
     detect_transition,
     emergence_time,
     make_x_state,
+    phase_damping,
+    pointer_decoherence,
     remark_state,
     random_x_state_params,
     sweep,
 )
-from einselect.dynamics import max_increase
+from einselect.channels import evolve, kraus_stack
+from einselect.correlations import classical_correlations
+from einselect.dynamics import BASIS_FLOOR, JUMP_THRESHOLD, max_increase
+from einselect.verify import random_density_matrix
 
 TAU_E_STATE_1 = math.log(5.0 / 3.0)  # ln |(z+w)/(c-b)| = ln(0.5/0.3)
 
@@ -233,3 +241,83 @@ def test_trajectory_report_validation():
     assert with_jump.regime == REGIME_DECAY_THEN_CONSTANT
     no_jump = TrajectoryReport(records=plateau, transition_p=None, emergence_time=None)
     assert no_jump.regime == REGIME_MONOTONIC_DECAY
+
+
+def _bisection_reference(rho0, family, records, pointer_basis=None):
+    # detect_transition as it ran on one-state channels: each step built the
+    # channel and a DensityMatrix, then made two classical_correlation calls.
+    make = {
+        "pd": phase_damping,
+        "ad": amplitude_damping,
+        "pointer": lambda p: pointer_decoherence(pointer_basis, p),
+    }[family]
+    for before, after in zip(records, records[1:]):
+        if before.j_max <= BASIS_FLOOR or after.j_max <= BASIS_FLOOR:
+            continue
+        b0 = ProjectiveBasis(before.opt_theta, before.opt_phi)
+        b1 = ProjectiveBasis(after.opt_theta, after.opt_phi)
+        if basis_distance(b0, b1) <= JUMP_THRESHOLD:
+            continue
+
+        def crossing(p):
+            evolved = apply_to_apparatus(make(p), rho0)
+            return classical_correlation(evolved, b1) - classical_correlation(evolved, b0)
+
+        lo, hi = before.p, after.p
+        if crossing(lo) >= 0.0:
+            return float(lo)
+        if crossing(hi) <= 0.0:
+            return float(hi)
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            f_mid = crossing(mid)
+            if f_mid < 0.0:
+                lo = mid
+            elif f_mid > 0.0:
+                hi = mid
+            else:
+                return float(mid)
+        return float(0.5 * (lo + hi))
+    return None
+
+
+TILTED = ProjectiveBasis(0.2, 0.4)
+
+
+@pytest.mark.parametrize(
+    "state, family, points",
+    [
+        ("state1", "pd", 201),
+        ("state1", "pd", 2),  # the bracket starts at p = 0
+        ("state1", "pointer", 21),
+        ("general", "ad", 11),  # the bracket starts at p = 0
+        ("general", "ad", 41),
+    ],
+)
+def test_transition_equals_the_one_state_bisection(state, family, points):
+    rho = {
+        "state1": make_x_state(STATE_1),
+        "general": random_density_matrix(np.random.default_rng(0)),
+    }[state]
+    pointer = TILTED if family == "pointer" else None
+    records = sweep(rho, family, np.linspace(0.0, 1.0, points), pointer_basis=pointer).records
+    expected = _bisection_reference(rho, family, records, pointer)
+    assert expected is not None
+    assert detect_transition(rho, family, records, pointer_basis=pointer) == expected
+
+
+@pytest.mark.parametrize("basis", [ProjectiveBasis.sigma_z(), TILTED, None])
+def test_one_call_crossing_equals_the_one_state_values(basis):
+    # One evolve and one classical_correlations call per bisection step, at
+    # every strength: p = 0 and p = 1 drop a zero Kraus operator.
+    channel = amplitude_damping if basis is None else lambda p: pointer_decoherence(basis, p)
+    rng = np.random.default_rng(4)
+    pair = [ProjectiveBasis.sigma_x(), ProjectiveBasis(1.1, 5.0)]
+    for rho in [make_x_state(STATE_1), random_density_matrix(rng)]:
+        for p in [0.0, 1e-13, 0.3, 0.75, 1.0]:
+            evolved = apply_to_apparatus(channel(p), rho)
+            stacked = evolve(kraus_stack(basis, [p]), rho.entries)
+            assert np.array_equal(stacked[0], evolved.entries)
+            assert classical_correlations(stacked, pair)[0].tolist() == [
+                classical_correlation(evolved, b) for b in pair
+            ]

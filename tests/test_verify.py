@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from einselect import (
     InvalidInputError,
+    ProjectiveBasis,
     VerificationOutcome,
     apply_to_apparatus,
     basis_distance,
@@ -145,6 +148,24 @@ def _theorem1_reference(rng):
     return (violation <= verify.THEOREM1_TOL, violation), None
 
 
+def _perturbed_basis(rng, basis):
+    # The one-tilt-at-a-time draw lemma1 made before its tilts shared one frame.
+    n = basis.axis
+    helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    e1 = np.cross(n, helper)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(n, e1)
+    offset = float(rng.uniform(verify.LEMMA1_MIN_TILT, math.pi / 2.0))
+    azimuth = float(rng.uniform(0.0, 2.0 * math.pi))
+    axis = (
+        math.cos(offset) * n
+        + math.sin(offset) * (math.cos(azimuth) * e1 + math.sin(azimuth) * e2)
+    )
+    theta = math.acos(max(-1.0, min(1.0, float(axis[2]))))
+    phi = math.atan2(float(axis[1]), float(axis[0])) % (2.0 * math.pi)
+    return ProjectiveBasis(theta, phi)
+
+
 def _lemma1_reference(rng):
     rho, basis = random_cq_state(rng)
     j_max, argmax = maximize_classical_correlation(rho)
@@ -158,7 +179,7 @@ def _lemma1_reference(rng):
     j_pointer = classical_correlation(rho, basis)
     margins = []
     for _ in range(verify.LEMMA1_PERTURBATIONS):
-        tilted = verify._perturbed_basis(rng, basis)
+        tilted = _perturbed_basis(rng, basis)
         margin = j_pointer - classical_correlation(rho, tilted)
         margins.append(margin)
         if margin <= 0.0:
@@ -195,3 +216,17 @@ def test_stacked_suites_equal_the_per_trial_reference(suite, seed, trials):
             )
         ]
         assert measured == [details for _, details in expected]
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_tilts_from_one_frame_equal_the_one_at_a_time_draws(seed):
+    # Pointer axes near and away from the poles, the exact Pauli axes among
+    # them, take both branches of the frame's helper axis.
+    rng = np.random.default_rng(seed)
+    bases = [random_basis(rng) for _ in range(40)]
+    bases += [ProjectiveBasis.sigma_z(), ProjectiveBasis.sigma_x(), ProjectiveBasis(math.pi, 0.0)]
+    old, new = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+    for basis in bases:
+        expected = [_perturbed_basis(old, basis) for _ in range(verify.LEMMA1_PERTURBATIONS)]
+        assert verify._tilted_bases(new, basis) == expected
+    assert new.uniform() == old.uniform()
