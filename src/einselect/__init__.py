@@ -12,7 +12,6 @@ reconstructed input states.
 """
 
 from .channels import (
-    KrausChannel,
     amplitude_damping,
     apply_to_apparatus,
     phase_damping,
@@ -87,7 +86,6 @@ __all__ = [
     "EmergenceResult",
     "InvalidInputError",
     "InvalidStateError",
-    "KrausChannel",
     "MatrixFile",
     "MonteCarloBands",
     "OptimizationError",

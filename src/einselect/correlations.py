@@ -32,9 +32,9 @@ Bloch length |r +- T n| / (1 +- s.n). Since sum p+- = 1,
 real 3-vector arithmetic with no eigensolver, and each outcome's term keeps
 its relative accuracy (see _bloch_information). s.n and T n are written as
 explicit three-term sums, so every value depends only on its own state and
-axis, never on the rest of the batch. maximize_batch runs the coarse pass
-over blocks of 8 states and the compass refinement in lockstep over all
-states; maximize_classical_correlation is its one-state case. The search
+axis, never on the rest of the batch. The search (_maximize) runs the
+coarse pass over blocks of 8 states and the compass refinement in lockstep
+over all states; maximize_classical_correlation is its one-state case. It
 keeps each axis as a 3-vector and converts to (theta, phi) only for the
 result.
 
@@ -43,12 +43,12 @@ density matrices themselves: a stack of states gives its reduced states and
 both outcomes' conditional states per basis, and one check_states call (one
 eigvalsh) covers all of them. The bases are measurement kets, either shared
 by the stack or one set per state, so one pass can read each state in its
-own bases. classical_correlations, correlation_records and maximize_batch
-take such a stack; classical_correlation, conditional_state,
-mutual_information, correlation_record and maximize_classical_correlation
-are their one-state cases, and give bit for bit the same values as the
-stack. The one-state cases reuse the eigenvalues that DensityMatrix
-computed, so they do not check the state again.
+own bases. classical_correlations and correlation_records take such a
+stack; classical_correlation, conditional_state, mutual_information,
+correlation_record and maximize_classical_correlation are their one-state
+cases, and give bit for bit the same values as the stack. The one-state
+cases reuse the eigenvalues that DensityMatrix computed, so they do not
+check the state again.
 """
 
 from __future__ import annotations
@@ -362,10 +362,10 @@ def _local_terms(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray):
     return ent[:, 0], mutual, np.stack(j, axis=1) if j else np.empty((len(m), 0))
 
 
-def _one_state(rho: DensityMatrix, error=OptimizationError):
+def _one_state(rho: DensityMatrix):
     """rho's entries and eigenvalues as a one-state stack; only two-qubit states pass."""
     if rho.dim != 4:
-        raise error(f"expected a two-qubit state, got dim {rho.dim}")
+        raise InvalidStateError(f"expected a two-qubit state, got dim {rho.dim}")
     return rho.entries[None], rho.eigenvalues[None]
 
 
@@ -422,7 +422,7 @@ def classical_correlations(states, bases) -> np.ndarray:
 
 def classical_correlation(rho: DensityMatrix, basis: ProjectiveBasis) -> float:
     """J for one fixed measurement basis, in bits. Lies in [0, S(rho_s)]."""
-    _, _, j = _local_terms(*_one_state(rho, InvalidStateError), _basis_kets([basis]))
+    _, _, j = _local_terms(*_one_state(rho), _basis_kets([basis]))
     return _nonnegative(j[0, 0], _NEGATIVE_J_TOL, "classical correlation")
 
 
@@ -433,7 +433,11 @@ def mutual_information(rho: DensityMatrix) -> float:
 
 
 def _maximize(m: np.ndarray, s_entropy: np.ndarray) -> list[tuple[float, ProjectiveBasis]]:
-    """maximize_batch on a valid stack whose S(rho_s) is already known."""
+    """maximize_classical_correlation for each state of a valid stack with known S(rho_s).
+
+    Each state has its own chart, step and stopping rule, and every evaluation
+    is elementwise, so each result is bit for bit its state's one-state result.
+    """
     forms = bloch_forms(m)
     best = np.empty(len(m))
     center = np.empty((len(m), 3))
@@ -480,23 +484,6 @@ def _maximize(m: np.ndarray, s_entropy: np.ndarray) -> list[tuple[float, Project
     return results
 
 
-def _maximize_states(m: np.ndarray, eigenvalues: np.ndarray) -> list:
-    """maximize_batch on a stack of valid states with known eigenvalues."""
-    s_entropy, _, _ = _local_terms(m, eigenvalues, _basis_kets([]))
-    return _maximize(m, s_entropy)
-
-
-def maximize_batch(states) -> list[tuple[float, ProjectiveBasis]]:
-    """maximize_classical_correlation for each state of a (N, 4, 4) stack.
-
-    The coarse pass runs over blocks of a few states at once and the compass
-    refinement in lockstep over all states, each with its own chart, step and
-    stopping rule. Every evaluation is elementwise in the batch, so each
-    result is bit for bit the one-state result of its state.
-    """
-    return _maximize_states(*_two_qubit_stack(states))
-
-
 def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, ProjectiveBasis]:
     """Maximum classical correlation over all rank-1 projective bases.
 
@@ -511,7 +498,8 @@ def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, Projectiv
     degenerate maxima the first of sigma_z, sigma_x, sigma_y, then lattice
     order, wins.
     """
-    return _maximize_states(*_one_state(rho, InvalidStateError))[0]
+    m, eigenvalues = _one_state(rho)
+    return _maximize(m, _local_terms(m, eigenvalues, _basis_kets([]))[0])[0]
 
 
 def correlation_records(states, ps) -> list[CorrelationRecord]:
@@ -569,7 +557,7 @@ def correlation_record(rho: DensityMatrix, p: float = 0.0) -> CorrelationRecord:
     J in the sigma_z and sigma_x bases, the maximum with its argmax angles,
     mutual information, and discord.
     """
-    return _records(*_one_state(rho, InvalidStateError), [p])[0]
+    return _records(*_one_state(rho), [p])[0]
 
 
 def quantum_discord(rho: DensityMatrix) -> float:

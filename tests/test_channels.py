@@ -5,7 +5,6 @@ from einselect import (
     STATE_1,
     DensityMatrix,
     InvalidStateError,
-    KrausChannel,
     ProjectiveBasis,
     amplitude_damping,
     apply_to_apparatus,
@@ -15,6 +14,7 @@ from einselect import (
     pointer_decoherence,
     remark_state,
 )
+from einselect.channels import evolve
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -28,25 +28,34 @@ def random_state(seed, dim=4):
 
 def manual_apply(channel, rho):
     out = np.zeros((4, 4), dtype=complex)
-    for k in channel.operators:
+    for k in channel:
         lifted = np.kron(np.eye(2), k)
         out += lifted @ rho.entries @ lifted.conj().T
     return out
 
 
-def test_kraus_channel_requires_trace_preservation():
+def test_apply_to_apparatus_checks_the_kraus_operators():
+    rho = make_x_state(STATE_1)
     with pytest.raises(InvalidStateError, match="trace preserving"):
-        KrausChannel(operators=(0.9 * np.eye(2),))
+        apply_to_apparatus([0.9 * np.eye(2)], rho)
     with pytest.raises(InvalidStateError, match="2x2"):
-        KrausChannel(operators=(np.eye(3),))
-    with pytest.raises(InvalidStateError, match="at least one"):
-        KrausChannel(operators=())
+        apply_to_apparatus([np.eye(3)], rho)
+    with pytest.raises(InvalidStateError, match="2x2"):
+        apply_to_apparatus(np.eye(2), rho)
+    for empty in ((), np.empty((0, 2, 2))):
+        with pytest.raises(InvalidStateError, match="at least one"):
+            apply_to_apparatus(empty, rho)
+    # NaN passes a tolerance comparison and inf makes the matmul warn, so both
+    # are refused before either, naming the operators and not the state.
+    for bad in (np.full((1, 2, 2), np.nan), [[[np.inf, 0.0], [0.0, 1.0]]]):
+        with pytest.raises(InvalidStateError, match="Kraus operators must be finite"):
+            apply_to_apparatus(bad, rho)
 
 
 def test_strength_zero_channels_are_the_identity():
     rho = make_x_state(STATE_1)
     for channel in (phase_damping(0.0), amplitude_damping(0.0)):
-        assert len(channel.operators) == 1
+        assert channel.shape == (2, 2, 2) and not channel[1].any()
         np.testing.assert_allclose(
             apply_to_apparatus(channel, rho).entries, rho.entries, atol=1e-15
         )
@@ -88,8 +97,8 @@ def test_phase_damping_composition_law():
 
 def test_amplitude_damping_operators():
     channel = amplitude_damping(0.36)
-    np.testing.assert_allclose(channel.operators[0], np.diag([1.0, 0.8]), atol=1e-15)
-    np.testing.assert_allclose(channel.operators[1], [[0.0, 0.6], [0.0, 0.0]], atol=1e-15)
+    np.testing.assert_allclose(channel[0], np.diag([1.0, 0.8]), atol=1e-15)
+    np.testing.assert_allclose(channel[1], [[0.0, 0.6], [0.0, 0.0]], atol=1e-15)
 
 
 def test_amplitude_damping_populations():
@@ -151,3 +160,25 @@ def test_apply_to_apparatus_rejects_single_qubit():
     with pytest.raises(InvalidStateError, match="two-qubit"):
         apply_to_apparatus(phase_damping(0.5), single)
 
+
+def test_a_zero_operator_changes_no_bit_of_evolve():
+    # The sum over operators starts at +0.0 and so never holds -0.0: an
+    # all-zero operator's term (entries +-0.0) changes no bit, zero signs included.
+    states = np.stack(
+        [make_x_state(STATE_1).entries, remark_state().entries]
+        + [random_state(seed).entries for seed in range(6)]
+    )
+    cases = [
+        (phase_damping(0.0), 1),
+        (amplitude_damping(0.0), 1),
+        (pointer_decoherence(ProjectiveBasis(1.1, 2.3), 0.0), 1),
+        (np.concatenate([np.zeros((1, 2, 2)), amplitude_damping(0.3)]), 0),
+    ]
+    for ops, zero in cases:
+        assert not ops[zero].any()
+        kept = np.delete(ops, zero, axis=0)
+        pairs = [(evolve(ops[None], rho), evolve(kept[None], rho)) for rho in states]
+        rows = (len(states), 1, 1, 1)
+        pairs.append((evolve(np.tile(ops, rows), states), evolve(np.tile(kept, rows), states)))
+        for got, want in pairs:
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -115,7 +115,7 @@ def test_conditional_state_argument_checks():
     with pytest.raises(OptimizationError, match="outcome"):
         conditional_state(rho, ProjectiveBasis.sigma_z(), 2)
     single = DensityMatrix(np.eye(2, dtype=complex) / 2)
-    with pytest.raises(OptimizationError, match="two-qubit"):
+    with pytest.raises(InvalidStateError, match="two-qubit"):
         conditional_state(single, ProjectiveBasis.sigma_z(), 0)
 
 
@@ -153,7 +153,7 @@ def test_mutual_information_values():
     product = DensityMatrix(np.kron(np.diag([0.7, 0.3]), np.diag([0.4, 0.6])).astype(complex))
     assert mutual_information(product) == pytest.approx(0.0, abs=1e-12)
     single = DensityMatrix(np.eye(2, dtype=complex) / 2)
-    with pytest.raises(OptimizationError, match="two-qubit"):
+    with pytest.raises(InvalidStateError, match="two-qubit"):
         mutual_information(single)
 
 
