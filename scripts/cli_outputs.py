@@ -14,7 +14,7 @@ of the reference states in both formats, `--out` variants, the pointer, ad
 and z w < 0 paths, and `analyze` on the seed-3 matrix file that
 `einbench/inputs.py` writes, Monte Carlo bands on a tilted pointer basis
 included. `--slow` adds `verify --suite all` at the default trial counts
-(a few minutes).
+(about 10 s more on a shared 2-core host).
 """
 
 from __future__ import annotations

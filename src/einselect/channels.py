@@ -121,7 +121,7 @@ def kraus_stack(basis: ProjectiveBasis | np.ndarray | None, ps) -> np.ndarray:
     if basis is None:
         ops = _damping_ops(ps)
     elif isinstance(basis, ProjectiveBasis):
-        ops = _dephasing_ops(np.array(basis.kets()), ps)
+        ops = _dephasing_ops(basis.kets(), ps)
     else:
         ops = _dephasing_ops(basis, ps)
     _check_trace_preserving(ops)

@@ -39,16 +39,17 @@ keeps each axis as a 3-vector and converts to (theta, phi) only for the
 result.
 
 J at a fixed basis (j_z, j_x), mutual information and S(rho_s) come from the
-density matrices themselves: a stack of states gives its reduced states and
-both outcomes' conditional states per basis, and one check_states call (one
-eigvalsh) covers all of them. The bases are measurement kets, either shared
-by the stack or one set per state, so one pass can read each state in its
-own bases. classical_correlations and correlation_records take such a
-stack; classical_correlation, conditional_state, mutual_information,
-correlation_record and maximize_classical_correlation are their one-state
-cases, and give bit for bit the same values as the stack. The one-state
-cases reuse the eigenvalues that DensityMatrix computed, so they do not
-check the state again.
+density matrices themselves: a stack of states gives its reduced states and,
+from one einsum, both outcomes' conditional states in each of its K bases,
+and one check_states call (one eigvalsh) covers all of them. The bases are
+measurement kets, a (K, 2, 2) set shared by the stack or a (N, K, 2, 2) set
+with one per state, so one pass can read each state in its own bases. The
+sign tolerance runs once over each resulting array. classical_correlations
+and correlation_records take such a stack; classical_correlation,
+conditional_state, mutual_information, correlation_record and
+maximize_classical_correlation are their one-state cases, and give bit for
+bit the same values as the stack. The one-state cases reuse the eigenvalues
+that DensityMatrix computed, so they do not check the state again.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidStateError, OptimizationError
+from .errors import InvalidInputError, InvalidStateError, OptimizationError
 from .qstate import DensityMatrix, check_states, entropies, reduced_states
 
 # Probability below which a measurement outcome never happens and its
@@ -73,17 +74,18 @@ DISCORD_CLAMP = 1e-6
 _LN2 = math.log(2.0)
 
 
-def _nonnegative(value: float, tol: float, label: str) -> float:
-    """A mathematically nonnegative quantity, with its sign tolerance applied.
+def _nonnegative(values, tol: float, label: str) -> np.ndarray:
+    """An array of a mathematically nonnegative quantity, with its sign tolerance applied.
 
-    A negative value within tol is rounding dust and becomes 0; anything
-    lower raises OptimizationError naming the quantity (label).
+    A negative value within tol is rounding dust and becomes +0.0; every
+    other value, -0.0 included, is kept bit for bit. The first value below
+    -tol in row-major order raises OptimizationError naming the quantity (label).
     """
-    if value < 0.0:
-        if value < -tol:
-            raise OptimizationError(f"{label} evaluated to {value:.3e}, below -{tol}")
-        return 0.0
-    return float(value)
+    values = np.asarray(values, dtype=float)
+    below = np.flatnonzero(values < -tol)
+    if below.size:
+        raise OptimizationError(f"{label} evaluated to {values.flat[below[0]]:.3e}, below -{tol}")
+    return np.where(values < 0.0, 0.0, values)
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,9 @@ class ProjectiveBasis:
         ph = float(self.phi)
         for name, value in (("theta", th), ("phi", ph)):
             if not math.isfinite(value):
-                raise OptimizationError(f"{name} must be a finite number, got {value}")
+                raise InvalidInputError(f"{name} must be a finite number, got {value}")
         if th < -1e-9 or th > math.pi + 1e-9:
-            raise OptimizationError(f"theta must lie in [0, pi], got {th}")
+            raise InvalidInputError(f"theta must lie in [0, pi], got {th}")
         th = min(max(th, 0.0), math.pi)
         ph = ph % (2.0 * math.pi)
         object.__setattr__(self, "theta", th)
@@ -134,20 +136,22 @@ class ProjectiveBasis:
             ]
         )
 
-    def kets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two orthonormal measurement kets."""
+    def kets(self) -> np.ndarray:
+        """The two orthonormal measurement kets, as the rows |u_0>, |u_1> of a (2, 2) array."""
         c = math.cos(self.theta / 2.0)
         s = math.sin(self.theta / 2.0)
         e = complex(math.cos(self.phi), math.sin(self.phi))
-        return (
-            np.array([c, e * s], dtype=complex),
-            np.array([s, -e * c], dtype=complex),
-        )
+        return np.array([[c, e * s], [s, -e * c]], dtype=complex)
 
     @property
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
-        p0, p1 = _projectors(np.array(self.kets()))
+        p0, p1 = _projectors(self.kets())
         return (p0, p1)
+
+
+# The kets of no basis, and of sigma_z then sigma_x, shared by a stack.
+_NO_BASES = np.empty((0, 2, 2), dtype=complex)
+_SIGMA_ZX = np.array([ProjectiveBasis.sigma_z().kets(), ProjectiveBasis.sigma_x().kets()])
 
 
 def _projectors(kets: np.ndarray) -> np.ndarray:
@@ -303,21 +307,22 @@ _COARSE_BLOCK = 8
 
 
 def _conditional_states(m: np.ndarray, kets: np.ndarray):
-    """Both outcomes' probabilities and conditioned system states, for a (N, 4, 4) stack.
+    """Both outcomes' probabilities and conditioned system states in every basis of a stack.
 
-    kets is a (N, 2, 2) stack of measurement kets, one pair per state: kets[s, i]
-    is |u_i> of state s's basis. A basis shared by the stack is its kets
-    broadcast to (N, 2, 2). One einsum gives both outcome blocks
-    <u_i| rho |u_i>; each state is its block over its trace. Returns (probs,
-    states), (N, 2) and (N, 2, 2, 2). An outcome below OUTCOME_FLOOR never
-    happens: its probability is 0.0 and I/2 stands in for its undefined
-    state, so a stacked check still sees a valid state there.
+    m is a (N, 4, 4) stack and kets a (N, K, 2, 2) array of measurement kets,
+    K bases per state: kets[s, b, i] is |u_i> of state s's basis b. Bases
+    shared by the stack are their kets broadcast to (N, K, 2, 2). One einsum
+    gives every outcome block <u_i| rho |u_i>; each state is its block over
+    its trace. Returns (probs, states), (N, K, 2) and (N, K, 2, 2, 2). An
+    outcome below OUTCOME_FLOOR never happens: its probability is 0.0 and
+    I/2 stands in for its undefined state, so a stacked check still sees a
+    valid state there.
     """
-    if kets.shape != (len(m), 2, 2):
+    if kets.ndim != 4 or kets.shape[0] != len(m) or kets.shape[2:] != (2, 2):
         raise InvalidStateError(
-            f"expected a ({len(m)}, 2, 2) stack of measurement kets, got {kets.shape}"
+            f"expected a ({len(m)}, K, 2, 2) stack of measurement kets, got {kets.shape}"
         )
-    blocks = np.einsum("sij,smjnk,sik->simn", kets.conj(), m.reshape(-1, 2, 2, 2, 2), kets)
+    blocks = np.einsum("sbij,smjnk,sbik->sbimn", kets.conj(), m.reshape(-1, 2, 2, 2, 2), kets)
     probs = blocks.trace(axis1=-2, axis2=-1).real
     possible = probs >= OUTCOME_FLOOR
     states = blocks / np.where(possible, probs, 1.0)[..., None, None]
@@ -327,17 +332,12 @@ def _conditional_states(m: np.ndarray, kets: np.ndarray):
     )
 
 
-def _basis_kets(bases) -> np.ndarray:
-    """The measurement kets of each basis, as a (K, 2, 2) array."""
-    return np.array([basis.kets() for basis in bases], dtype=complex).reshape(-1, 2, 2)
-
-
 def _local_terms(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray):
     """S(rho_s), mutual information and J in each basis, for a stack of valid states.
 
     m is (N, 4, 4) and eigenvalues (N, 4), as check_states gives them. kets
     holds K bases per state as (N, K, 2, 2) measurement kets, or K bases
-    shared by the stack as (K, 2, 2) (_basis_kets). Mutual information is
+    shared by the stack as (K, 2, 2); K may be 0. Mutual information is
     S(rho_s) + S(rho_a) - S(rho), and J = S(rho_s) - sum_i p_i S(rho_s | i),
     to which an outcome that never happens adds nothing. One check and one
     eigvalsh cover both reduced states and every conditional state, in the
@@ -346,20 +346,14 @@ def _local_terms(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray):
     """
     if kets.ndim == 3:
         kets = np.broadcast_to(kets, (len(m),) + kets.shape)
-    bases = kets.shape[1]
-    parts = np.empty((len(m), 2 + 2 * bases, 2, 2), dtype=complex)
-    parts[:, 0] = reduced_states(m, "system")
-    parts[:, 1] = reduced_states(m, "apparatus")
-    weights = np.empty((len(m), bases, 2))
-    for b in range(bases):
-        weights[:, b], parts[:, 2 + 2 * b : 4 + 2 * b] = _conditional_states(m, kets[:, b])
+    probs, conditional = _conditional_states(m, kets)
+    parts = [reduced_states(m, side)[:, None] for side in ("system", "apparatus")]
+    parts = np.concatenate(parts + [conditional.reshape(len(m), -1, 2, 2)], axis=1)
     ent = entropies(check_states(parts.reshape(-1, 2, 2))).reshape(len(m), -1)
-    j = [
-        ent[:, 0] - weights[:, b, 0] * ent[:, 2 + 2 * b] - weights[:, b, 1] * ent[:, 3 + 2 * b]
-        for b in range(bases)
-    ]
+    cond = ent[:, 2:].reshape(probs.shape)
+    j = ent[:, :1] - probs[..., 0] * cond[..., 0] - probs[..., 1] * cond[..., 1]
     mutual = ent[:, 0] + ent[:, 1] - entropies(eigenvalues)
-    return ent[:, 0], mutual, np.stack(j, axis=1) if j else np.empty((len(m), 0))
+    return ent[:, 0], mutual, j
 
 
 def _one_state(rho: DensityMatrix):
@@ -391,45 +385,37 @@ def conditional_state(rho: DensityMatrix, basis: ProjectiveBasis, outcome: int):
     """
     m, _ = _one_state(rho)
     if outcome not in (0, 1):
-        raise OptimizationError(f"outcome must be 0 or 1, got {outcome}")
-    probs, states = _conditional_states(m, _basis_kets([basis]))
-    prob = float(probs[0, outcome])
+        raise InvalidInputError(f"outcome must be 0 or 1, got {outcome}")
+    probs, states = _conditional_states(m, basis.kets()[None, None])
+    prob = float(probs[0, 0, outcome])
     if prob < OUTCOME_FLOOR:
         return 0.0, None
-    return prob, DensityMatrix(states[0, outcome])
+    return prob, DensityMatrix(states[0, 0, outcome])
 
 
-def _nonnegative_j(row: list) -> list:
-    """J values with their sign tolerance applied."""
-    return [_nonnegative(v, _NEGATIVE_J_TOL, "classical correlation") for v in row]
+def classical_correlations(states, kets: np.ndarray) -> np.ndarray:
+    """J of each state of a (N, 4, 4) stack in each of K fixed bases, in bits, as (N, K).
 
-
-def _correlations(states, kets) -> np.ndarray:
-    """classical_correlations with the bases given as kets, shared or per state (_local_terms)."""
-    _, _, j = _local_terms(*_two_qubit_stack(states), kets)
-    return np.array([_nonnegative_j(row) for row in j.tolist()]).reshape(j.shape)
-
-
-def classical_correlations(states, bases) -> np.ndarray:
-    """J of each state of a (N, 4, 4) stack in each of the fixed bases, in bits, as (N, K).
-
-    The stack is checked as DensityMatrix checks each state; one more check
-    covers every reduced and conditional state. classical_correlation is the
-    (1, 1) case, and every value is bit for bit its one-state value.
+    The bases are measurement kets (ProjectiveBasis.kets): one (K, 2, 2) set
+    shared by the stack, or (N, K, 2, 2) with one set per state. The stack is
+    checked as DensityMatrix checks each state; one more check covers every
+    reduced and conditional state. classical_correlation is the (1, 1) case,
+    and every value is bit for bit its one-state value.
     """
-    return _correlations(states, _basis_kets(bases))
+    _, _, j = _local_terms(*_two_qubit_stack(states), kets)
+    return _nonnegative(j, _NEGATIVE_J_TOL, "classical correlation")
 
 
 def classical_correlation(rho: DensityMatrix, basis: ProjectiveBasis) -> float:
     """J for one fixed measurement basis, in bits. Lies in [0, S(rho_s)]."""
-    _, _, j = _local_terms(*_one_state(rho), _basis_kets([basis]))
-    return _nonnegative(j[0, 0], _NEGATIVE_J_TOL, "classical correlation")
+    _, _, j = _local_terms(*_one_state(rho), basis.kets()[None])
+    return float(_nonnegative(j[0, 0], _NEGATIVE_J_TOL, "classical correlation"))
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """Total correlations S(rho_s) + S(rho_a) - S(rho_sa), in bits."""
-    _, mutual, _ = _local_terms(*_one_state(rho), _basis_kets([]))
-    return _nonnegative(mutual[0], _NEGATIVE_J_TOL, "mutual information")
+    _, mutual, _ = _local_terms(*_one_state(rho), _NO_BASES)
+    return float(_nonnegative(mutual[0], _NEGATIVE_J_TOL, "mutual information"))
 
 
 def _maximize(m: np.ndarray, s_entropy: np.ndarray) -> list[tuple[float, ProjectiveBasis]]:
@@ -476,12 +462,11 @@ def _maximize(m: np.ndarray, s_entropy: np.ndarray) -> list[tuple[float, Project
         step[live[~up]] /= 2.0
 
     axes = np.stack(_chart_axes(center, e1, e2, chart[:, 0], chart[:, 1]), axis=1)
-    results = []
-    for value, (x, y, z) in zip(best.tolist(), axes.tolist()):
-        value = _nonnegative(value, _NEGATIVE_J_TOL, "maximal classical correlation")
-        basis = ProjectiveBasis(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
-        results.append((value, basis))
-    return results
+    best = _nonnegative(best, _NEGATIVE_J_TOL, "maximal classical correlation")
+    return [
+        (value, ProjectiveBasis(math.atan2(math.hypot(x, y), z), math.atan2(y, x)))
+        for value, (x, y, z) in zip(best.tolist(), axes.tolist())
+    ]
 
 
 def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, ProjectiveBasis]:
@@ -499,7 +484,7 @@ def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, Projectiv
     order, wins.
     """
     m, eigenvalues = _one_state(rho)
-    return _maximize(m, _local_terms(m, eigenvalues, _basis_kets([]))[0])[0]
+    return _maximize(m, _local_terms(m, eigenvalues, _NO_BASES)[0])[0]
 
 
 def correlation_records(states, ps) -> list[CorrelationRecord]:
@@ -514,7 +499,8 @@ def correlation_records(states, ps) -> list[CorrelationRecord]:
 
 def _records(m: np.ndarray, eigenvalues: np.ndarray, ps) -> list[CorrelationRecord]:
     """correlation_records on a stack of valid states with known eigenvalues."""
-    sigma_zx = _basis_kets([ProjectiveBasis.sigma_z(), ProjectiveBasis.sigma_x()])
+    measured = _measure(m, eigenvalues, _SIGMA_ZX)
+    discords = _nonnegative([mi - j_max for j_max, _, mi, _ in measured], DISCORD_CLAMP, "discord")
     return [
         CorrelationRecord(
             p=p,
@@ -524,9 +510,9 @@ def _records(m: np.ndarray, eigenvalues: np.ndarray, ps) -> list[CorrelationReco
             opt_theta=argmax.theta,
             opt_phi=argmax.phi,
             mutual_info=mi,
-            discord=clamp_discord(mi - j_max),
+            discord=discord,
         )
-        for p, (j_max, argmax, mi, (j_z, j_x)) in zip(ps, _measure(m, eigenvalues, sigma_zx))
+        for p, (j_max, argmax, mi, (j_z, j_x)), discord in zip(ps, measured, discords.tolist())
     ]
 
 
@@ -535,20 +521,14 @@ def _measure(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray) -> list:
 
     kets are the fixed bases, shared or per state (_local_terms). One
     _local_terms pass gives the mutual information, the J values and the
-    S(rho_s) that the maximizer reads; the sign tolerance is applied to every
-    value, the maximum's first.
+    S(rho_s) that the maximizer reads; the sign tolerance runs once over the
+    maxima, then over the mutual information, then over J.
     """
     s_system, mutual, j = _local_terms(m, eigenvalues, kets)
     maxima = _maximize(m, s_system)
-    return [
-        (
-            j_max,
-            argmax,
-            _nonnegative(mi, _NEGATIVE_J_TOL, "mutual information"),
-            _nonnegative_j(row),
-        )
-        for (j_max, argmax), mi, row in zip(maxima, mutual.tolist(), j.tolist())
-    ]
+    mutual = _nonnegative(mutual, _NEGATIVE_J_TOL, "mutual information")
+    j = _nonnegative(j, _NEGATIVE_J_TOL, "classical correlation")
+    return [(*maximum, mi, row) for maximum, mi, row in zip(maxima, mutual.tolist(), j.tolist())]
 
 
 def correlation_record(rho: DensityMatrix, p: float = 0.0) -> CorrelationRecord:
@@ -572,4 +552,4 @@ def quantum_discord(rho: DensityMatrix) -> float:
 
 def clamp_discord(delta: float) -> float:
     """Apply the discord sign tolerance: tiny negatives are zero, big ones raise."""
-    return _nonnegative(delta, DISCORD_CLAMP, "discord")
+    return float(_nonnegative(delta, DISCORD_CLAMP, "discord"))

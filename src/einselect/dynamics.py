@@ -24,6 +24,7 @@ and tau_E may fall on either side of it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -81,6 +82,12 @@ def check_gamma(gamma: float) -> None:
         raise InvalidInputError(
             f"gamma must be positive and finite, with finite 1/gamma; got {gamma}"
         )
+
+
+def _check_seed(seed) -> None:
+    """Raise unless seed, the suites' or the Monte Carlo bands', is a non-negative integer."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
 
 
 def decoherence_time(gamma: float) -> float:
@@ -196,10 +203,11 @@ def detect_transition(
 
         def crossing(p: float) -> float:
             evolved = evolve(kraus_stack(basis, [p]), rho0.entries)
-            j1, j0 = classical_correlations(evolved, [b1, b0])[0].tolist()
+            j1, j0 = classical_correlations(evolved, pair)[0].tolist()
             return j1 - j0
 
         lo, hi = before.p, after.p
+        pair = np.array([b1.kets(), b0.kets()])
         f_lo, f_hi = crossing(lo), crossing(hi)
         # The outgoing basis dominates at lo and the incoming one at hi; on a
         # degenerate tie at a grid point the crossing sits at that edge.

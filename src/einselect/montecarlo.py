@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .correlations import ProjectiveBasis
-from .dynamics import sweep
+from .dynamics import _check_seed, sweep
 from .errors import InvalidInputError
 from .matrixio import MatrixFile, float_range_guard, project_to_physical
 
@@ -78,6 +78,7 @@ def monte_carlo_bands(
         )
     if samples < 2:
         raise InvalidInputError("Monte Carlo needs at least 2 samples")
+    _check_seed(seed)
 
     base = matrix.raw
     ps = np.asarray(grid, dtype=float)

@@ -36,7 +36,6 @@ The four properties:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,16 +43,17 @@ import numpy as np
 from .channels import evolve, kraus_stack
 from .correlations import (
     ProjectiveBasis,
-    _correlations,
     _measure,
     _projectors,
     basis_distance,
     classical_correlation,
+    classical_correlations,
 )
 from .dynamics import (
     REGIME_CONSTANT,
     REGIME_DECAY_THEN_CONSTANT,
     REGIME_MONOTONIC_DECAY,
+    _check_seed,
     max_increase,
     sweep,
 )
@@ -187,8 +187,7 @@ def _trials(trials: int, seed: int, draw, judge):
     """
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     for start in range(0, trials, _CHUNK):
         chunk = [draw(rng) for _ in range(min(_CHUNK, trials - start))]
@@ -226,7 +225,7 @@ def _theorem1_judge(chunk) -> list:
     states[:, 1:] = evolve(ops, np.repeat(states[:, 0], strengths, axis=0)).reshape(
         len(chunk), strengths, 4, 4
     )
-    j = _correlations(
+    j = classical_correlations(
         states.reshape(-1, 4, 4), np.repeat(kets, strengths + 1, axis=0)[:, None]
     ).reshape(len(chunk), -1)
     violation = np.abs(j[:, 1:] - j[:, :1]).max(axis=1)
@@ -271,11 +270,10 @@ def _theorem2_judge(chunk) -> list:
         if increase > THEOREM2_MONOTONE_SLACK:
             ok = False
         if regime == REGIME_DECAY_THEN_CONSTANT:
-            if not (report.transition_p is not None and report.transition_p < 1.0):
+            # classify_regime gives this regime only with a transition.
+            if not report.transition_p < 1.0:
                 ok = False
-            tail = [
-                r for r in report.records if r.p >= (report.transition_p or 0.0) - 1e-12
-            ]
+            tail = [r for r in report.records if r.p >= report.transition_p - 1e-12]
             level_dev = max(abs(r.j_max - r.j_z) for r in tail)
             violation = max(violation, max(0.0, level_dev - THEOREM2_PLATEAU_TOL))
             if level_dev > THEOREM2_PLATEAU_TOL:

@@ -254,6 +254,14 @@ def test_analyze_with_monte_carlo_bands(capsys, tmp_path):
     assert len(payload["bands"]["p"]) == 11
 
 
+def test_analyze_refuses_a_negative_seed(capsys, tmp_path):
+    path = state_file(tmp_path, std=np.full((4, 4), 0.005))
+    code, out, err = run(capsys, "analyze", "--matrix-file", path, "--samples", "2", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "einselect: seed must be a non-negative integer, got -1\n"
+
+
 def test_analyze_csv_is_the_trajectory_table(capsys, tmp_path):
     code, out, _ = run(
         capsys, "analyze", "--matrix-file", state_file(tmp_path), "--grid", "5"

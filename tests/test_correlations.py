@@ -8,6 +8,7 @@ from einselect import (
     STATE_2,
     CorrelationRecord,
     DensityMatrix,
+    InvalidInputError,
     InvalidStateError,
     OptimizationError,
     ProjectiveBasis,
@@ -60,11 +61,11 @@ def test_basis_angle_normalization():
     assert wrapped.phi == pytest.approx(7.0 - 2.0 * math.pi, abs=1e-15)
     clamped = ProjectiveBasis(-1e-10, 0.0)
     assert clamped.theta == 0.0
-    with pytest.raises(OptimizationError, match="theta"):
+    with pytest.raises(InvalidInputError, match="theta"):
         ProjectiveBasis(4.0, 0.0)
     # NaN fails every range comparison, so it needs a check of its own.
     for theta, phi, name in ((math.nan, 0.0, "theta"), (0.5, math.inf, "phi")):
-        with pytest.raises(OptimizationError, match=f"{name} must be a finite number"):
+        with pytest.raises(InvalidInputError, match=f"{name} must be a finite number"):
             ProjectiveBasis(theta, phi)
 
 
@@ -112,7 +113,7 @@ def test_conditional_state_impossible_outcome():
 
 def test_conditional_state_argument_checks():
     rho = make_x_state(STATE_1)
-    with pytest.raises(OptimizationError, match="outcome"):
+    with pytest.raises(InvalidInputError, match="outcome"):
         conditional_state(rho, ProjectiveBasis.sigma_z(), 2)
     single = DensityMatrix(np.eye(2, dtype=complex) / 2)
     with pytest.raises(InvalidStateError, match="two-qubit"):
@@ -231,6 +232,19 @@ def test_clamp_discord_tolerance():
         clamp_discord(-1e-3)
 
 
+def test_nonnegative_applies_its_tolerance_once_over_an_array():
+    tol = 1e-9
+    values = np.array([[0.5, -0.0, 0.0], [-1e-9, -3e-10, 5e-324]])
+    expected = np.array([[0.5, -0.0, 0.0], [0.0, 0.0, 5e-324]])
+    out = correlations._nonnegative(values, tol, "quantity")
+    assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+    assert math.copysign(1.0, float(correlations._nonnegative(-0.0, tol, "quantity"))) == -1.0
+    # row-major order names -2e-3 first; column-major order would name -5e-3
+    message = r"^quantity evaluated to -2\.000e-03, below -1e-09$"
+    with pytest.raises(OptimizationError, match=message):
+        correlations._nonnegative([[0.1, -2e-3], [-5e-3, 0.0]], tol, "quantity")
+
+
 def test_correlation_record_consistency_checks():
     with pytest.raises(OptimizationError, match="outside"):
         CorrelationRecord(
@@ -323,23 +337,25 @@ def test_stacked_correlations_equal_the_one_state_values():
     product = DensityMatrix(np.kron(rho_s, np.diag([1.0, 0.0]).astype(complex)))
     states = [product, make_x_state(STATE_1)] + [random_density_matrix(rng) for _ in range(3)]
     bases = [ProjectiveBasis.sigma_z(), ProjectiveBasis.sigma_x(), ProjectiveBasis(0.9, 2.2)]
-    j = classical_correlations(np.array([rho.entries for rho in states]), bases)
+    kets = np.array([basis.kets() for basis in bases])
+    j = classical_correlations(np.array([rho.entries for rho in states]), kets)
     assert j.shape == (5, 3)
     for row, rho in zip(j.tolist(), states):
         assert row == [classical_correlation(rho, basis) for basis in bases]
     bad = np.array([states[1].entries, np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)])
     with pytest.raises(InvalidStateError, match="positive semidefinite"):
-        classical_correlations(bad, bases)
+        classical_correlations(bad, kets)
     for stack in (np.zeros((0, 4, 4)), np.eye(2)[None] / 2):
         with pytest.raises(InvalidStateError, match="stack of N >= 1 two-qubit states"):
-            classical_correlations(stack, bases)
+            classical_correlations(stack, kets)
 
 
 def test_per_state_bases_equal_the_shared_and_one_state_values():
     # Each state of a stack measured in its own bases, given as a (N, K, 2, 2)
     # stack of kets, reads bit for bit what a shared basis and the one-state
-    # function read. That rests on numpy's einsum summing per-state kets in
-    # the order of one shared basis, which this test pins.
+    # function read. That rests on numpy's einsum summing per-state kets, and
+    # all K bases at once, in the order of one shared basis at a time, which
+    # this test pins.
     rng = np.random.default_rng(12)
     rho_s = np.diag([0.7, 0.3]).astype(complex)
     product = DensityMatrix(np.kron(rho_s, np.diag([1.0, 0.0]).astype(complex)))
@@ -349,21 +365,33 @@ def test_per_state_bases_equal_the_shared_and_one_state_values():
     m = np.array([rho.entries for rho in states])
     kets = np.array([basis.kets() for basis in bases])
     # sigma_z outcome 1 never happens on the product state
-    assert correlations._conditional_states(m[:1], kets[:1])[0][0, 1] == 0.0
-    shared = classical_correlations(m, bases)
-    each = correlations._correlations(m, kets[:, None])
+    assert correlations._conditional_states(m[:1], kets[:1, None])[0][0, 0, 1] == 0.0
+    shared = classical_correlations(m, kets)
+    each = classical_correlations(m, kets[:, None])
     assert each[:, 0].tolist() == np.diag(shared).tolist()
     assert each[:, 0].tolist() == [classical_correlation(r, b) for r, b in zip(states, bases)]
     all_bases = np.ascontiguousarray(np.broadcast_to(kets, (len(m),) + kets.shape))
-    assert correlations._correlations(m, all_bases).tolist() == shared.tolist()
+    assert classical_correlations(m, all_bases).tolist() == shared.tolist()
     r = m.reshape(-1, 2, 2, 2, 2)
+    # K bases at once give every bit of one basis at a time, as (N, 2, 2) kets,
+    # for bases shared by the stack and for bases of each state's own
+    angles = rng.uniform(0.0, 3.0, size=(len(m), 21, 2))
+    per_state = np.array([[ProjectiveBasis(*a).kets() for a in row] for row in angles])
+    for k in (0, 1, 2, 21):
+        for u in (np.broadcast_to(per_state[0, :k], (len(m), k, 2, 2)), per_state[:, :k]):
+            new = np.einsum("sbij,smjnk,sbik->sbimn", u.conj(), r, u)
+            assert new.shape == (len(m), k, 2, 2, 2)
+            for b in range(k):
+                old = np.einsum("sij,smjnk,sik->simn", u[:, b].conj(), r, u[:, b])
+                assert np.array_equal(new[:, b].view(np.uint64), old.view(np.uint64))
     for u in kets:
         old = np.einsum("ij,smjnk,ik->simn", u.conj(), r, u)
         for each_u in (np.broadcast_to(u, (len(m), 2, 2)), np.repeat(u[None], len(m), axis=0)):
             assert np.array_equal(np.einsum("sij,smjnk,sik->simn", each_u.conj(), r, each_u), old)
-    for wrong in (kets[1:, None], kets[:, None, :1], kets[None]):
+    assert classical_correlations(m, kets[:0]).shape == (len(m), 0)
+    for wrong in (kets[1:, None], kets[:, None, :1], kets[None], kets[0]):
         with pytest.raises(InvalidStateError, match="stack of measurement kets"):
-            correlations._correlations(m, wrong)
+            classical_correlations(m, wrong)
 
 
 def test_one_state_functions_do_not_check_a_valid_state_again(monkeypatch):

@@ -318,6 +318,7 @@ def test_one_call_crossing_equals_the_one_state_values(basis):
             evolved = apply_to_apparatus(channel(p), rho)
             stacked = evolve(kraus_stack(basis, [p]), rho.entries)
             assert np.array_equal(stacked[0], evolved.entries)
-            assert classical_correlations(stacked, pair)[0].tolist() == [
+            kets = np.array([b.kets() for b in pair])
+            assert classical_correlations(stacked, kets)[0].tolist() == [
                 classical_correlation(evolved, b) for b in pair
             ]

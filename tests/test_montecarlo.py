@@ -48,6 +48,13 @@ def test_bands_require_uncertainties_and_samples(tmp_path):
         monte_carlo_bands(matrix_file(tmp_path, 0.01), "pd", GRID_11, samples=1)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_bands_refuse_a_seed_that_is_no_non_negative_integer(tmp_path, seed):
+    message = f"^seed must be a non-negative integer, got {seed}$"
+    with pytest.raises(InvalidInputError, match=message):
+        monte_carlo_bands(matrix_file(tmp_path, 0.01), "pd", GRID_11, samples=2, seed=seed)
+
+
 def test_zero_noise_bands_collapse_to_the_sweep(tmp_path):
     parsed = matrix_file(tmp_path, 0.0)
     bands = monte_carlo_bands(parsed, "pd", GRID_11, samples=3, seed=1)
