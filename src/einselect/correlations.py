@@ -32,11 +32,12 @@ Bloch length |r +- T n| / (1 +- s.n). Since sum p+- = 1,
 real 3-vector arithmetic with no eigensolver, and each outcome's term keeps
 its relative accuracy (see _bloch_information). s.n and T n are written as
 explicit three-term sums, so every value depends only on its own state and
-axis, never on the rest of the batch. The search (_maximize) runs the
-coarse pass over blocks of 8 states and the compass refinement in lockstep
-over all states; maximize_classical_correlation is its one-state case. It
-keeps each axis as a 3-vector and converts to (theta, phi) only for the
-result.
+axis, never on the rest of the batch. The search (_maximize) is _coarse,
+the 515-axis pass over blocks of 8 states, then _ascend, the compass
+refinement from those axes in lockstep over all states; both take each
+state's best candidate through one step (_best_candidates).
+maximize_classical_correlation is its one-state case. It keeps each axis
+as a 3-vector and converts to (theta, phi) only for the result.
 
 J at a fixed basis (j_z, j_x), mutual information and S(rho_s) come from the
 density matrices themselves: a stack of states gives its reduced states and,
@@ -418,50 +419,73 @@ def mutual_information(rho: DensityMatrix) -> float:
     return float(_nonnegative(mutual[0], _NEGATIVE_J_TOL, "mutual information"))
 
 
-def _maximize(m: np.ndarray, s_entropy: np.ndarray) -> list[tuple[float, ProjectiveBasis]]:
-    """maximize_classical_correlation for each state of a valid stack with known S(rho_s).
+def _best_candidates(forms: np.ndarray, s_entropy: np.ndarray, nx, ny, nz):
+    """Each state's best candidate axis: J on its axes, then the first argmax.
 
-    Each state has its own chart, step and stopping rule, and every evaluation
-    is elementwise, so each result is bit for bit its state's one-state result.
+    forms is (N, 4, 4) and s_entropy (N,); nx, ny, nz are candidate axes
+    shared by the states, (C,), or one row per state, (N, C). Returns the
+    best values (N,) and their candidate indices (N,).
     """
-    forms = bloch_forms(m)
-    best = np.empty(len(m))
-    center = np.empty((len(m), 3))
-    for start in range(0, len(m), _COARSE_BLOCK):
-        block = slice(start, start + _COARSE_BLOCK)
-        form = forms[block].transpose(1, 2, 0)[..., None]
-        values = _bloch_correlation(form, s_entropy[block, None], *_SEARCH_AXES)
-        idx = np.argmax(values, axis=1)
-        best[block] = values[np.arange(idx.size), idx]
-        center[block] = _SEARCH_AXES[:, idx].T
+    values = _bloch_correlation(forms.transpose(1, 2, 0)[..., None], s_entropy[:, None], nx, ny, nz)
+    k = np.argmax(values, axis=1)
+    return values[np.arange(k.size), k], k
 
-    # Each state moves in the chart normalize(n0 + a e1 + b e2) around its
-    # best coarse axis n0, which reaches every basis without a pole. The frame
-    # (e1, e2) is built from the coordinate axis least aligned with n0, so an
-    # exact Pauli axis gets an exact frame.
-    e1 = np.cross(center, np.eye(3)[np.argmin(np.abs(center), axis=1)])
+
+def _coarse(forms: np.ndarray, s_entropy: np.ndarray):
+    """The coarse pass: each state's best of the 515 search axes, in blocks of _COARSE_BLOCK.
+
+    Returns the best values (N,) and axes (N, 3). On exact ties the first of
+    sigma_z, sigma_x, sigma_y, then lattice order, wins.
+    """
+    values, axes = np.empty(len(forms)), np.empty((len(forms), 3))
+    for start in range(0, len(forms), _COARSE_BLOCK):
+        block = slice(start, start + _COARSE_BLOCK)
+        values[block], k = _best_candidates(forms[block], s_entropy[block], *_SEARCH_AXES)
+        axes[block] = _SEARCH_AXES[:, k].T
+    return values, axes
+
+
+def _ascend(forms: np.ndarray, s_entropy: np.ndarray, values: np.ndarray, axes: np.ndarray):
+    """Compass ascent of each state from its start axis, in lockstep over the stack.
+
+    values (N,) are J at the start axes (N, 3) and are not modified. Each
+    state moves in the chart normalize(n0 + a e1 + b e2) around its start
+    axis n0, which reaches every basis without a pole. The frame (e1, e2) is
+    built from the coordinate axis least aligned with n0, so an exact Pauli
+    axis gets an exact frame. A move is taken only if it gains more than
+    MOVE_GAIN; otherwise the state's step halves, and it stops below
+    MIN_STEP. Each state has its own chart, step and stopping rule, and every
+    evaluation is elementwise, so each result is bit for bit its one-state
+    result. Returns the final values (N,) and axes (N, 3).
+    """
+    e1 = np.cross(axes, np.eye(3)[np.argmin(np.abs(axes), axis=1)])
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(center, e1)
-    chart = np.zeros((len(m), 2))
-    step = np.full(len(m), _FIRST_STEP)
+    e2 = np.cross(axes, e1)
+    best = np.array(values, dtype=float)
+    chart = np.zeros((len(forms), 2))
+    step = np.full(len(forms), _FIRST_STEP)
     for _ in range(MAX_REFINE_STEPS):
         live = np.flatnonzero(step >= MIN_STEP)
         if live.size == 0:
             break
         cand = chart[live, None, :] + step[live, None, None] * _MOVES
-        frame = (center[live, None], e1[live, None], e2[live, None])
-        n = _chart_axes(*frame, cand[..., 0], cand[..., 1])
-        form = forms[live].transpose(1, 2, 0)[..., None]
-        vals = _bloch_correlation(form, s_entropy[live, None], *n)
-        rows = np.arange(live.size)
-        k = np.argmax(vals, axis=1)
-        top = vals[rows, k]
+        n = _chart_axes(axes[live, None], e1[live, None], e2[live, None], cand[..., 0], cand[..., 1])
+        top, k = _best_candidates(forms[live], s_entropy[live], *n)
         up = top - best[live] > MOVE_GAIN
         best[live[up]] = top[up]
-        chart[live[up]] = cand[rows, k][up]
+        chart[live[up]] = cand[np.arange(live.size), k][up]
         step[live[~up]] /= 2.0
+    return best, np.stack(_chart_axes(axes, e1, e2, chart[:, 0], chart[:, 1]), axis=1)
 
-    axes = np.stack(_chart_axes(center, e1, e2, chart[:, 0], chart[:, 1]), axis=1)
+
+def _maximize(m: np.ndarray, s_entropy: np.ndarray) -> list[tuple[float, ProjectiveBasis]]:
+    """maximize_classical_correlation for each state of a valid stack with known S(rho_s).
+
+    The coarse pass, then the compass ascent from its best axes; each result
+    is bit for bit its state's one-state result.
+    """
+    forms = bloch_forms(m)
+    best, axes = _ascend(forms, s_entropy, *_coarse(forms, s_entropy))
     best = _nonnegative(best, _NEGATIVE_J_TOL, "maximal classical correlation")
     return [
         (value, ProjectiveBasis(math.atan2(math.hypot(x, y), z), math.atan2(y, x)))
@@ -472,16 +496,16 @@ def _maximize(m: np.ndarray, s_entropy: np.ndarray) -> list[tuple[float, Project
 def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, ProjectiveBasis]:
     """Maximum classical correlation over all rank-1 projective bases.
 
-    Deterministic: a coarse pass over the exact sigma_z, sigma_x and sigma_y
-    axes (so the result never falls below those by more than rounding) and a
-    512-point Fibonacci lattice on the upper hemisphere, then compass-search
-    refinement in the tangent-plane chart n = normalize(n0 + a e1 + b e2)
-    around the best candidate n0, which has no pole. The objective has
-    entropy kinks where conditional eigenvalues cross, so refinement is
-    derivative-free. A move is taken only if it gains more than MOVE_GAIN,
-    so an exact-axis optimum with a flat neighbourhood stays exact. On exactly
-    degenerate maxima the first of sigma_z, sigma_x, sigma_y, then lattice
-    order, wins.
+    Deterministic: a coarse pass (_coarse) over the exact sigma_z, sigma_x
+    and sigma_y axes (so the result never falls below those by more than
+    rounding) and a 512-point Fibonacci lattice on the upper hemisphere, then
+    a compass ascent (_ascend) in the tangent-plane chart
+    n = normalize(n0 + a e1 + b e2) around the best candidate n0, which has
+    no pole. The objective has entropy kinks where conditional eigenvalues
+    cross, so the ascent is derivative-free. A move is taken only if it
+    gains more than MOVE_GAIN, so an exact-axis optimum with a flat
+    neighbourhood stays exact. On exactly degenerate maxima the first of
+    sigma_z, sigma_x, sigma_y, then lattice order, wins.
     """
     m, eigenvalues = _one_state(rho)
     return _maximize(m, _local_terms(m, eigenvalues, _NO_BASES)[0])[0]

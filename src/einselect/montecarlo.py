@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .correlations import ProjectiveBasis
-from .dynamics import _check_seed, sweep
+from .dynamics import _check_seed, _validate_grid, sweep
 from .errors import InvalidInputError
 from .matrixio import MatrixFile, float_range_guard, project_to_physical
 
@@ -65,7 +65,9 @@ def monte_carlo_bands(
     physical state unconditionally (the 0.05 ingestion gate applies to the
     measured matrix, not to deliberately noised copies), and sweeps it with
     sweep's own channel_family, grid, gamma and pointer_basis, which sweep
-    validates.
+    validates. grid=None means sweep's default grid (DEFAULT_GRID_POINTS
+    strengths on [0, 1]); the grid is resolved and checked before any sample
+    is drawn.
 
     A full-precision run (201 grid points, 1000 samples) is 1000 sweeps: on
     a shared 2-core host with one BLAS thread, `analyze --samples 1000` of
@@ -81,7 +83,7 @@ def monte_carlo_bands(
     _check_seed(seed)
 
     base = matrix.raw
-    ps = np.asarray(grid, dtype=float)
+    ps = _validate_grid(grid)
     children = np.random.SeedSequence(seed).spawn(samples)
     series = {name: np.empty((samples, ps.size)) for name in _QUANTITIES}
     transitions = []

@@ -38,6 +38,9 @@ def brute_force_jmax(rho, n_theta=512, n_phi=1024):
     # Independent oracle: dense angular grid with LAPACK eigenvalues for
     # the conditional blocks, no shared code with the library optimizer.
     r4 = np.asarray(rho).reshape(2, 2, 2, 2)
+    # <u| rho |u>[m, n] = sum_jk conj(u_j) u_k rho[m j, n k]: rows of outer(conj u, u)
+    # times this (4, 4) matrix, indexed [(j, k), (m, n)].
+    r_jk_mn = r4.transpose(1, 3, 0, 2).reshape(4, 4)
     thetas = np.repeat(np.linspace(0.0, np.pi, n_theta), n_phi)
     phis = np.tile(np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False), n_theta)
     ct, st = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
@@ -52,7 +55,7 @@ def brute_force_jmax(rho, n_theta=512, n_phi=1024):
     s_entropy = float(-np.sum(sv * np.log2(sv)))
     avg = np.zeros(thetas.shape)
     for u in kets:
-        blocks = np.einsum("gj,mjnk,gk->gmn", u.conj(), r4, u)
+        blocks = ((u.conj()[:, :, None] * u[:, None, :]).reshape(-1, 4) @ r_jk_mn).reshape(-1, 2, 2)
         lam = np.linalg.eigvalsh(blocks)
         lam = np.clip(lam, 0.0, None)
         prob = lam.sum(axis=1)

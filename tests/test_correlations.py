@@ -31,7 +31,13 @@ from einselect import (
 from einselect.channels import evolve, kraus_stack
 from einselect import correlations
 from einselect.correlations import (
+    _NO_BASES,
+    _SEARCH_AXES,
+    _ascend,
     _bloch_correlation,
+    _coarse,
+    _local_terms,
+    _maximize,
     bloch_form,
     clamp_discord,
     classical_correlations,
@@ -460,3 +466,66 @@ def test_argmax_stays_exactly_on_the_pauli_axis_at_flat_maxima(params, family):
         if record.p < 1.0 and record.j_max > BASIS_FLOOR:
             basis = ProjectiveBasis(record.opt_theta, record.opt_phi)
             assert min(basis_distance(basis, axis) for axis in pauli) == 0.0, record.p
+
+
+def _search_inputs(states):
+    """The maximizer's inputs for DensityMatrix states: stack, Bloch forms and S(rho_s)."""
+    m = np.array([rho.entries for rho in states])
+    eigenvalues = np.array([rho.eigenvalues for rho in states])
+    return m, correlations.bloch_forms(m), _local_terms(m, eigenvalues, _NO_BASES)[0]
+
+
+def _j_at(forms, s_entropy, axes):
+    return _bloch_correlation(forms.transpose(1, 2, 0), s_entropy, *axes.T)
+
+
+def test_ascent_from_an_exact_pauli_optimum_stays_on_it():
+    rho = apply_to_apparatus(phase_damping(0.6), make_x_state(STATE_1))
+    _, forms, s_entropy = _search_inputs([rho])
+    start = np.array([[0.0, 0.0, 1.0]])
+    values, axes = _ascend(forms, s_entropy, _j_at(forms, s_entropy, start), start)
+    assert values[0] == pytest.approx(0.2780719051126377, abs=1e-12)
+    assert axes.tolist() == [[0.0, 0.0, 1.0]]
+
+
+def test_ascent_from_a_lattice_neighbour_reaches_the_maximizer_result():
+    rng = np.random.default_rng(16)
+    m, forms, s_entropy = _search_inputs([random_density_matrix(rng) for _ in range(200)])
+    _, best = _coarse(forms, s_entropy)
+    # Start each state on the search axis nearest its coarse best, the best excluded.
+    overlap = np.abs(best @ _SEARCH_AXES)
+    overlap[overlap > 1.0 - 1e-15] = -1.0
+    start = _SEARCH_AXES[:, np.argmax(overlap, axis=1)].T
+    values, axes = _ascend(forms, s_entropy, _j_at(forms, s_entropy, start), start)
+    maxima = _maximize(m, s_entropy)
+    assert np.max(np.abs(values - [j for j, _ in maxima])) <= 1e-12
+    turn = np.arccos(np.minimum(np.abs(np.sum(axes * [b.axis for _, b in maxima], axis=1)), 1.0))
+    assert np.max(turn) <= 1e-6
+
+
+@pytest.mark.parametrize("size", [1, 7, 8, 9, 17])
+def test_ascent_from_the_coarse_pass_is_the_maximizer_bit_for_bit(size):
+    # Sizes straddle the coarse pass's block of 8 states.
+    rng = np.random.default_rng(size)
+    m, forms, s_entropy = _search_inputs([random_density_matrix(rng) for _ in range(size)])
+    values, axes = _ascend(forms, s_entropy, *_coarse(forms, s_entropy))
+    angles = [
+        ProjectiveBasis(math.atan2(math.hypot(x, y), z), math.atan2(y, x)) for x, y, z in axes
+    ]
+    assert list(zip(values.tolist(), angles)) == _maximize(m, s_entropy)
+    for i in range(size):
+        row = slice(i, i + 1)
+        alone = _ascend(forms[row], s_entropy[row], *_coarse(forms[row], s_entropy[row]))
+        assert alone[0].tobytes() == values[row].tobytes()
+        assert alone[1].tobytes() == axes[row].tobytes()
+
+
+def test_ascent_leaves_its_start_untouched():
+    rng = np.random.default_rng(3)
+    _, forms, s_entropy = _search_inputs([random_density_matrix(rng) for _ in range(5)])
+    values, axes = _coarse(forms, s_entropy)
+    kept = (values.copy(), axes.copy())
+    ascended, _ = _ascend(forms, s_entropy, values, axes)
+    assert np.all(ascended >= values) and np.any(ascended > values)
+    assert values.tobytes() == kept[0].tobytes()
+    assert axes.tobytes() == kept[1].tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from einselect import (
     sweep,
     write_matrix_file,
 )
+from einselect.dynamics import DEFAULT_GRID_POINTS
 from einselect.matrixio import bands_payload, json_text
 
 GRID_11 = np.linspace(0.0, 1.0, 11)
@@ -37,6 +39,29 @@ def test_bands_validate_sweep_arguments(tmp_path):
     with pytest.raises(InvalidInputError, match="channel"):
         monte_carlo_bands(parsed, "depolarizing", [0.0, 1.0], samples=2)
 
+
+
+def test_bands_without_a_grid_sweep_the_default_grid(tmp_path):
+    parsed = matrix_file(tmp_path, 0.005)
+    run = {"samples": 2, "seed": 3}
+    default = monte_carlo_bands(parsed, "pd", None, **run)
+    explicit = monte_carlo_bands(parsed, "pd", np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS), **run)
+    assert default.p.shape == (DEFAULT_GRID_POINTS,)
+    for field in dataclasses.fields(MonteCarloBands):
+        got, expected = getattr(default, field.name), getattr(explicit, field.name)
+        if isinstance(expected, dict):
+            assert got.keys() == expected.keys()
+            for name in expected:
+                np.testing.assert_array_equal(got[name], expected[name])
+        else:
+            np.testing.assert_array_equal(got, expected)
+
+
+def test_bands_refuse_a_grid_that_is_not_increasing(tmp_path):
+    parsed = matrix_file(tmp_path, 0.01)
+    for grid in ([0.0, 0.5, 0.5], [0.5, 0.2]):
+        with pytest.raises(InvalidInputError, match="^grid must be strictly increasing$"):
+            monte_carlo_bands(parsed, "pd", grid, samples=2)
 
 def test_bands_require_uncertainties_and_samples(tmp_path):
     rho = make_x_state(STATE_1)
