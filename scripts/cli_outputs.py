@@ -13,8 +13,11 @@ The commands cover every README command, `sweep`, `maximize` and `emergence`
 of the reference states in both formats, `--out` variants, the pointer, ad
 and z w < 0 paths, and `analyze` on the seed-3 matrix file that
 `einbench/inputs.py` writes, Monte Carlo bands on a tilted pointer basis
-included. `--slow` adds `verify --suite all` at the default trial counts
-(about 10 s more on a shared 2-core host).
+included. One `analyze` run draws 200 samples on an 11-point grid, more
+than one chunk of stacked sweeps holds (`dynamics._SWEEP_STATES` states),
+so the recording crosses a chunk boundary. `--slow` adds `verify --suite
+all` at the default trial counts (about 5 s more on a shared 2-core
+host).
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ def commands(matrix: str, slow: bool) -> list:
                 cmds.append([command, "--state", state, "--format", fmt])
     cmds.append(["analyze", "--matrix-file", matrix, "--channel", "pointer", "--theta", "1.2",
                  "--phi", "0.4", "--samples", "3", "--grid", "11", "--format", "json"])
+    cmds.append(["analyze", "--matrix-file", matrix, "--samples", "200", "--grid", "11",
+                 "--format", "json"])
     if slow:
         cmds += [["verify", "--suite", "all"], ["verify", "--suite", "all", "--format", "json"]]
     return cmds

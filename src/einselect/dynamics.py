@@ -19,6 +19,10 @@ For same-sign coherences (z w >= 0) this is the |z + w| of the source paper.
 After t = tau_E (p >= p_E) the maximal correlation is constant and attained
 by the pointer basis; tau_D = 1/gamma is the conventional decoherence time,
 and tau_E may fall on either side of it.
+
+Many initial states are swept as one stack (_sweeps), their transitions
+bisected in lockstep; each state's records and transition are bit for bit
+those of its own sweep.
 """
 
 from __future__ import annotations
@@ -176,6 +180,72 @@ def _record_basis(record: CorrelationRecord) -> Optional[ProjectiveBasis]:
     return ProjectiveBasis(record.opt_theta, record.opt_phi)
 
 
+def _jump(records: Sequence[CorrelationRecord]) -> Optional[tuple]:
+    """A trajectory's first argmax-basis jump: (lo, hi, kets), or None.
+
+    lo and hi are the strengths of the two records, and kets holds the
+    incoming (hi) then the outgoing (lo) basis as a (2, 2, 2) stack.
+    """
+    for before, after in zip(records, records[1:]):
+        b0 = _record_basis(before)
+        b1 = _record_basis(after)
+        if b0 is None or b1 is None:
+            continue
+        if basis_distance(b0, b1) > JUMP_THRESHOLD:
+            return before.p, after.p, np.array([b1.kets(), b0.kets()])
+    return None
+
+
+def _transitions(
+    states: np.ndarray, basis: Optional[ProjectiveBasis], trajectories: Sequence
+) -> list:
+    """transition_p of each trajectory, from one lockstep bisection over the stack.
+
+    states holds the (S, 4, 4) entries of the valid initial states, basis is
+    the channel family's (_dephasing_basis), and trajectories holds each
+    state's records. A trajectory without a jump gets None. The crossing
+    J(incoming) - J(outgoing) is read at both ends of every bracket in one
+    call, then at one midpoint of every open bracket per call; each bracket
+    keeps its own ends and stops on its own, so each transition_p is bit for
+    bit what its trajectory gives alone.
+    """
+    found = [(s, jump) for s, records in enumerate(trajectories) if (jump := _jump(records))]
+    result = [None] * len(trajectories)
+    if not found:
+        return result
+    owners, jumps = zip(*found)
+    m = states[list(owners)]
+    lo, hi, kets = (np.array(column) for column in zip(*jumps))
+
+    def crossing(rows: np.ndarray, ps: np.ndarray) -> np.ndarray:
+        j = classical_correlations(evolve(kraus_stack(basis, ps), m[rows]), kets[rows])
+        return j[:, 0] - j[:, 1]
+
+    rows = np.arange(len(owners))
+    f_lo, f_hi = crossing(np.concatenate([rows, rows]), np.concatenate([lo, hi])).reshape(2, -1)
+    # The outgoing basis dominates at lo and the incoming one at hi; on a
+    # degenerate tie at a grid point the crossing sits at that edge.
+    out = np.where(f_lo >= 0.0, lo, hi)
+    live = rows[(f_lo < 0.0) & (f_hi > 0.0)]
+    while live.size:
+        narrow = ~(hi[live] - lo[live] > _BISECT_WIDTH)
+        out[live[narrow]] = 0.5 * (lo[live[narrow]] + hi[live[narrow]])
+        live = live[~narrow]
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        f_mid = crossing(live, mid)
+        below, above = f_mid < 0.0, f_mid > 0.0
+        lo[live[below]] = mid[below]
+        hi[live[above]] = mid[above]
+        hit = ~(below | above)
+        out[live[hit]] = mid[hit]
+        live = live[~hit]
+    for s, p in zip(owners, out.tolist()):
+        result[s] = p
+    return result
+
+
 def detect_transition(
     rho0: DensityMatrix,
     channel_family: str,
@@ -190,42 +260,11 @@ def detect_transition(
     the two competing bases' correlation values by bisection down to an
     interval of 1e-12 in p. Records whose j_max is below BASIS_FLOOR carry no
     basis information and never anchor a jump. Returns None when the argmax
-    basis never jumps.
+    basis never jumps. This is the one-trajectory case of the stacked
+    bisection that sweeps run.
     """
     basis = _dephasing_basis(channel_family, pointer_basis)
-    for before, after in zip(records, records[1:]):
-        b0 = _record_basis(before)
-        b1 = _record_basis(after)
-        if b0 is None or b1 is None:
-            continue
-        if basis_distance(b0, b1) <= JUMP_THRESHOLD:
-            continue
-
-        def crossing(p: float) -> float:
-            evolved = evolve(kraus_stack(basis, [p]), rho0.entries)
-            j1, j0 = classical_correlations(evolved, pair)[0].tolist()
-            return j1 - j0
-
-        lo, hi = before.p, after.p
-        pair = np.array([b1.kets(), b0.kets()])
-        f_lo, f_hi = crossing(lo), crossing(hi)
-        # The outgoing basis dominates at lo and the incoming one at hi; on a
-        # degenerate tie at a grid point the crossing sits at that edge.
-        if f_lo >= 0.0:
-            return float(lo)
-        if f_hi <= 0.0:
-            return float(hi)
-        while hi - lo > _BISECT_WIDTH:
-            mid = 0.5 * (lo + hi)
-            f_mid = crossing(mid)
-            if f_mid < 0.0:
-                lo = mid
-            elif f_mid > 0.0:
-                hi = mid
-            else:
-                return float(mid)
-        return float(0.5 * (lo + hi))
-    return None
+    return _transitions(rho0.entries[None], basis, [records])[0]
 
 
 def classify_regime(
@@ -283,6 +322,47 @@ def emergence_time(params: XStateParams, gamma: float = 1.0) -> Optional[Emergen
     )
 
 
+# Trajectories are swept this many states (trajectories times grid points) at
+# a time, at least one trajectory per chunk, so the memory of a many-trajectory
+# sweep does not grow with its trajectory count. A chunk's maximizer and
+# entropy intermediates take about 2.5 KB per state: at 1024 states a
+# 1000-sample, 201-point analyze peaks about 3 MiB above a one-sample-at-a-time
+# loop, and larger chunks run no faster there.
+_SWEEP_STATES = 1024
+
+
+def _sweeps(
+    states: np.ndarray,
+    channel_family: str,
+    grid,
+    *,
+    pointer_basis: Optional[ProjectiveBasis],
+):
+    """Sweep every initial state of a stack over one grid; yield (records, transition_p) per state.
+
+    states holds the (S, 4, 4) entries of valid two-qubit states, and the
+    trajectories come out in stack order. They are evolved a chunk of
+    _SWEEP_STATES states at a time: each chunk is one (S N, 4, 4) stack of
+    channel outputs, read by one correlation_records call, and its
+    transitions come from one lockstep bisection (_transitions). Each
+    trajectory's records and transition_p are bit for bit what it gives
+    alone; sweep is the S = 1 case.
+    """
+    ps = _validate_grid(grid)
+    basis = _dephasing_basis(channel_family, pointer_basis)
+    ops = kraus_stack(basis, ps)
+    labels = [float(p) for p in ps]
+    per_chunk = max(1, _SWEEP_STATES // ps.size)
+    for start in range(0, len(states), per_chunk):
+        m = states[start : start + per_chunk]
+        evolved = np.concatenate([evolve(ops, rho) for rho in m])
+        records = correlation_records(evolved, labels * len(m))
+        trajectories = [
+            tuple(records[k : k + ps.size]) for k in range(0, len(records), ps.size)
+        ]
+        yield from zip(trajectories, _transitions(m, basis, trajectories))
+
+
 def sweep(
     rho0: DensityMatrix,
     channel_family: str,
@@ -303,14 +383,11 @@ def sweep(
     """
     ps = _validate_grid(grid)
     check_gamma(gamma)
-    basis = _dephasing_basis(channel_family, pointer_basis)
-    states = evolve(kraus_stack(basis, ps), rho0.entries)
-    records = correlation_records(states, [float(p) for p in ps])
-
-    transition = detect_transition(
-        rho0, channel_family, records, pointer_basis=pointer_basis
+    ((records, transition),) = _sweeps(
+        rho0.entries[None], channel_family, ps, pointer_basis=pointer_basis
     )
 
+    basis = _dephasing_basis(channel_family, pointer_basis)
     tau_e = None
     if basis is not None and basis_distance(basis, ProjectiveBasis.sigma_z()) < 1e-12:
         params = x_state_params(rho0)
@@ -323,7 +400,7 @@ def sweep(
                 tau_e = result.tau_e
 
     return TrajectoryReport(
-        records=tuple(records),
+        records=records,
         transition_p=transition,
         emergence_time=tau_e,
         gamma=gamma,

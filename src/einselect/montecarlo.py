@@ -8,10 +8,10 @@ standard deviation per grid point for J_z, J_x, J_max, and discord, plus
 statistics of the detected transition strength.
 
 Determinism: the run seed spawns one child seed per sample index, samples are
-reduced in index order, and nothing depends on wall-clock or machine state,
-so identical arguments reproduce byte-identical outputs. Samples are
-independent, so they could be evaluated concurrently without changing any
-result; the reduction order is fixed by the sample index either way.
+drawn and reduced in index order, and nothing depends on wall-clock or
+machine state, so identical arguments reproduce byte-identical outputs. The
+samples are swept together, a chunk at a time (dynamics._sweeps), and each
+sample's trajectory is bit for bit its own sweep's.
 
 Independent Gaussian entries are a modeling choice: real tomography errors
 are correlated through the measurement counts, but the correlation structure
@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .correlations import ProjectiveBasis
-from .dynamics import _check_seed, _validate_grid, sweep
+from .dynamics import _check_seed, _dephasing_basis, _sweeps, _validate_grid, check_gamma
 from .errors import InvalidInputError
 from .matrixio import MatrixFile, float_range_guard, project_to_physical
 
@@ -63,16 +63,18 @@ def monte_carlo_bands(
     sample adds zero-mean Gaussian noise entrywise (real and imaginary
     parts drawn independently at the entry's sigma), projects back to a
     physical state unconditionally (the 0.05 ingestion gate applies to the
-    measured matrix, not to deliberately noised copies), and sweeps it with
-    sweep's own channel_family, grid, gamma and pointer_basis, which sweep
-    validates. grid=None means sweep's default grid (DEFAULT_GRID_POINTS
-    strengths on [0, 1]); the grid is resolved and checked before any sample
-    is drawn.
+    measured matrix, not to deliberately noised copies), and is swept with
+    sweep's channel_family, grid and pointer_basis; gamma sets only sweep's
+    clock, which the bands do not report, and is checked as sweep checks it.
+    grid=None means sweep's default grid (DEFAULT_GRID_POINTS strengths on
+    [0, 1]). The grid, gamma and the channel family are checked before any
+    sample is drawn.
 
-    A full-precision run (201 grid points, 1000 samples) is 1000 sweeps: on
-    a shared 2-core host with one BLAS thread, `analyze --samples 1000` of
-    a general two-qubit state took 27 s under ad and 28 s under pd. Tests
-    and quick looks should shrink samples and the grid.
+    A full-precision run (201 grid points, 1000 samples) sweeps 1000
+    trajectories, five per chunk: on a shared 2-core host with one BLAS
+    thread, `analyze --samples 1000` of the general two-qubit state that
+    `einbench/inputs.py --seed 3` writes took 25 s under ad and 36 s under
+    pd. Tests and quick looks should shrink samples and the grid.
     """
     if matrix.std is None:
         raise InvalidInputError(
@@ -83,24 +85,28 @@ def monte_carlo_bands(
     _check_seed(seed)
 
     base = matrix.raw
+    # sweep's arguments are refused before any sample is drawn.
     ps = _validate_grid(grid)
+    check_gamma(gamma)
+    _dephasing_basis(channel_family, pointer_basis)
     children = np.random.SeedSequence(seed).spawn(samples)
-    series = {name: np.empty((samples, ps.size)) for name in _QUANTITIES}
-    transitions = []
+    states = []
     for index in range(samples):
         rng = np.random.default_rng(children[index])
         with float_range_guard():
             noise = rng.normal(size=base.shape) * matrix.std
             noise = noise + 1j * (rng.normal(size=base.shape) * matrix.std)
             sample = base + noise
-        state, _ = project_to_physical(sample, max_distance=None)
-        report = sweep(
-            state, channel_family, ps, gamma=gamma, pointer_basis=pointer_basis
-        )
+        states.append(project_to_physical(sample, max_distance=None)[0].entries)
+
+    series = {name: np.empty((samples, ps.size)) for name in _QUANTITIES}
+    transitions = []
+    trajectories = _sweeps(np.array(states), channel_family, ps, pointer_basis=pointer_basis)
+    for index, (records, transition_p) in enumerate(trajectories):
         for name in _QUANTITIES:
-            series[name][index] = [getattr(r, name) for r in report.records]
-        if report.transition_p is not None:
-            transitions.append(report.transition_p)
+            series[name][index] = [getattr(r, name) for r in records]
+        if transition_p is not None:
+            transitions.append(transition_p)
 
     means = {name: series[name].mean(axis=0) for name in _QUANTITIES}
     stds = {name: series[name].std(axis=0) for name in _QUANTITIES}

@@ -8,14 +8,16 @@ aggregation (max of violations, count of failures) is order-insensitive.
 
 A suite runs in two steps (_trials). It draws each trial's inputs from the
 generator, one trial after another, then judges the drawn trials a chunk of
-_CHUNK at a time, each chunk in one stacked pass. theorem1 evolves every
-trial's state at every strength in one Kraus stack, reads J of all the
-chunk's states in their own pointer bases with one check, and forms every
-block Pi_i rho Pi_i in one broadcast product. lemma1 maximizes the chunk's
-states and reads their mutual information and J in each trial's pointer and
-tilted bases in one pass. Judging draws nothing, so every trial sees the
-draws and gives the result it would in a one-trial-at-a-time loop, bit for
-bit. theorem2 still sweeps one trial at a time.
+_CHUNK at a time, each chunk in one stacked pass. theorem1 draws unchecked
+entries, evolves every trial's state at every strength in one Kraus stack,
+reads J of all the chunk's states (each drawn rho among them) in their own
+pointer bases with one check, and forms every block Pi_i rho Pi_i in one
+broadcast product. lemma1 maximizes the chunk's states and reads their
+mutual information and J in each trial's pointer and tilted bases in one
+pass. theorem2 sweeps the chunk's X states as one stack (dynamics._sweeps):
+one correlation_records call per chunk of stacked sweeps and one lockstep
+bisection. Judging draws nothing, so every trial sees the draws and gives
+the result it would in a one-trial-at-a-time loop, bit for bit.
 
 The four properties:
   - theorem1: the classical correlation read in the pointer basis is
@@ -54,6 +56,8 @@ from .dynamics import (
     REGIME_DECAY_THEN_CONSTANT,
     REGIME_MONOTONIC_DECAY,
     _check_seed,
+    _sweeps,
+    classify_regime,
     max_increase,
     sweep,
 )
@@ -93,11 +97,16 @@ class VerificationOutcome:
         return self.failures == 0
 
 
-def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> DensityMatrix:
-    """A Haar-ish random full-rank state: normalized A A^dag with Gaussian A."""
+def _random_state_entries(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
+    """The unchecked entries of random_density_matrix's draw: A A^dag over its trace."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
-    return DensityMatrix(m / m.trace().real)
+    return m / m.trace().real
+
+
+def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> DensityMatrix:
+    """A Haar-ish random full-rank state: normalized A A^dag with Gaussian A."""
+    return DensityMatrix(_random_state_entries(rng, dim))
 
 
 def random_basis(rng: np.random.Generator) -> ProjectiveBasis:
@@ -210,7 +219,8 @@ def _run_trials(theorem_id: str, trials: int, seed: int, draw, judge) -> Verific
 
 
 def _theorem1_draw(rng):
-    rho = random_density_matrix(rng, 4)
+    """One trial's rho, as entries that _theorem1_judge checks with its chunk, and pointer basis."""
+    rho = _random_state_entries(rng, 4)
     return rho, random_basis(rng)
 
 
@@ -221,7 +231,7 @@ def _theorem1_judge(chunk) -> list:
     ops = kraus_stack(np.repeat(kets, strengths, axis=0), THEOREM1_STRENGTHS * len(chunk))
     # states[t] is trial t's rho, then its evolved states in strength order.
     states = np.empty((len(chunk), 1 + strengths, 4, 4), dtype=complex)
-    states[:, 0] = [rho.entries for rho, _ in chunk]
+    states[:, 0] = [rho for rho, _ in chunk]
     states[:, 1:] = evolve(ops, np.repeat(states[:, 0], strengths, axis=0)).reshape(
         len(chunk), strengths, 4, 4
     )
@@ -258,22 +268,27 @@ def _theorem2_draw(rng) -> DensityMatrix:
     return rho
 
 
-def _theorem2_judge(chunk) -> list:
+def _theorem2_sweeps(chunk) -> list:
+    """Per trial: (records, transition_p) of its dephasing sweep, the chunk swept as one stack."""
+    states = np.array([rho.entries for rho in chunk])
     grid = np.linspace(0.0, 1.0, THEOREM2_GRID_POINTS)
+    return list(_sweeps(states, "pd", grid, pointer_basis=None))
+
+
+def _theorem2_judge(chunk) -> list:
     results = []
-    for rho in chunk:
-        report = sweep(rho, "pd", grid)
-        regime = report.regime
+    for records, transition_p in _theorem2_sweeps(chunk):
+        regime = classify_regime(records, transition_p)
         ok = regime in (REGIME_CONSTANT, REGIME_DECAY_THEN_CONSTANT)
-        increase = max_increase(report.records)
+        increase = max_increase(records)
         violation = max(0.0, increase - THEOREM2_MONOTONE_SLACK)
         if increase > THEOREM2_MONOTONE_SLACK:
             ok = False
         if regime == REGIME_DECAY_THEN_CONSTANT:
             # classify_regime gives this regime only with a transition.
-            if not report.transition_p < 1.0:
+            if not transition_p < 1.0:
                 ok = False
-            tail = [r for r in report.records if r.p >= report.transition_p - 1e-12]
+            tail = [r for r in records if r.p >= transition_p - 1e-12]
             level_dev = max(abs(r.j_max - r.j_z) for r in tail)
             violation = max(violation, max(0.0, level_dev - THEOREM2_PLATEAU_TOL))
             if level_dev > THEOREM2_PLATEAU_TOL:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,7 +33,8 @@ from einselect import (
 )
 from einselect.channels import evolve, kraus_stack
 from einselect.correlations import classical_correlations
-from einselect.dynamics import BASIS_FLOOR, JUMP_THRESHOLD, max_increase
+from einselect import dynamics
+from einselect.dynamics import BASIS_FLOOR, JUMP_THRESHOLD, _sweeps, max_increase
 from einselect.verify import random_density_matrix
 
 TAU_E_STATE_1 = math.log(5.0 / 3.0)  # ln |(z+w)/(c-b)| = ln(0.5/0.3)
@@ -322,3 +324,69 @@ def test_one_call_crossing_equals_the_one_state_values(basis):
             assert classical_correlations(stacked, kets)[0].tolist() == [
                 classical_correlation(evolved, b) for b in pair
             ]
+
+
+def _hex(records, transition_p):
+    # A trajectory as float.hex strings, so -0.0 and 0.0 differ.
+    fields = [f.name for f in dataclasses.fields(CorrelationRecord)]
+    return [None if transition_p is None else transition_p.hex()] + [
+        [float(getattr(r, name)).hex() for name in fields] for r in records
+    ]
+
+
+def _mixed_states():
+    # Reference X states with and without a transition, general states, and
+    # X states drawn as theorem2 draws them.
+    rng = np.random.default_rng(8)
+    states = [make_x_state(STATE_1), make_x_state(STATE_2), remark_state()]
+    states += [random_density_matrix(rng) for _ in range(5)]
+    states += [make_x_state(random_x_state_params(rng)) for _ in range(6)]
+    return states
+
+
+GRIDS = {
+    "two": np.array([0.0, 1.0]),  # STATE_1's bracket starts at p = 0
+    "eleven": np.linspace(0.0, 1.0, 11),  # so do general states' under ad
+    "squares": np.linspace(0.0, 1.0, 41) ** 2,  # brackets of different widths
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("family", ["pd", "ad", "pointer"])
+def test_stacked_sweeps_equal_the_per_state_sweeps(family, grid, monkeypatch):
+    pointer = TILTED if family == "pointer" else None
+    states = _mixed_states()
+    grid = GRIDS[grid]
+    # Five trajectories per chunk, so the stack spans three chunks.
+    monkeypatch.setattr(dynamics, "_SWEEP_STATES", 5 * grid.size)
+    entries = np.array([rho.entries for rho in states])
+    stacked = list(_sweeps(entries, family, grid, pointer_basis=pointer))
+    assert len(stacked) == len(states)
+    for rho, (records, transition_p) in zip(states, stacked):
+        report = sweep(rho, family, grid, pointer_basis=pointer)
+        assert _hex(records, transition_p) == _hex(report.records, report.transition_p)
+        assert transition_p == _bisection_reference(rho, family, records, pointer)
+
+
+def test_lockstep_brackets_close_on_their_own(monkeypatch):
+    # On the grid of squares the brackets differ in width, so they need
+    # different numbers of halvings: the stacked crossing calls shrink as
+    # brackets close, and each transition is still its one-state bisection.
+    states = _mixed_states()
+    sizes = []
+
+    def counted(evolved, kets):
+        sizes.append(len(evolved))
+        return classical_correlations(evolved, kets)
+
+    monkeypatch.setattr(dynamics, "classical_correlations", counted)
+    entries = np.array([rho.entries for rho in states])
+    stacked = list(_sweeps(entries, "pd", GRIDS["squares"], pointer_basis=None))
+    monkeypatch.undo()
+    brackets = sum(transition_p is not None for _, transition_p in stacked)
+    assert 2 < brackets < len(states)
+    assert sizes[0] == 2 * brackets
+    steps = sizes[1:]
+    assert steps == sorted(steps, reverse=True) and len(set(steps)) > 1
+    for rho, (records, transition_p) in zip(states, stacked):
+        assert transition_p == _bisection_reference(rho, "pd", records)

@@ -15,8 +15,10 @@ from einselect import (
     sweep,
     write_matrix_file,
 )
+from einselect import dynamics, montecarlo
 from einselect.dynamics import DEFAULT_GRID_POINTS
-from einselect.matrixio import bands_payload, json_text
+from einselect.matrixio import bands_payload, float_range_guard, json_text, project_to_physical
+from einselect.verify import random_density_matrix
 
 GRID_11 = np.linspace(0.0, 1.0, 11)
 
@@ -28,8 +30,21 @@ def matrix_file(tmp_path, sigma):
     return parse_matrix_file(path)
 
 
-def test_bands_validate_sweep_arguments(tmp_path):
+def assert_bands_equal(got, expected):
+    for field in dataclasses.fields(MonteCarloBands):
+        a, b = getattr(got, field.name), getattr(expected, field.name)
+        if isinstance(b, dict):
+            assert a.keys() == b.keys()
+            for name in b:
+                np.testing.assert_array_equal(a[name], b[name])
+        else:
+            np.testing.assert_array_equal(a, b)
+
+
+def test_bands_validate_sweep_arguments(tmp_path, monkeypatch):
     parsed = matrix_file(tmp_path, 0.01)
+    # every argument is refused before any sample is drawn
+    monkeypatch.setattr(montecarlo.np.random, "default_rng", None)
     with pytest.raises(InvalidInputError, match="grid"):
         monte_carlo_bands(parsed, "pd", [], samples=2)
     with pytest.raises(InvalidInputError, match="gamma"):
@@ -47,14 +62,55 @@ def test_bands_without_a_grid_sweep_the_default_grid(tmp_path):
     default = monte_carlo_bands(parsed, "pd", None, **run)
     explicit = monte_carlo_bands(parsed, "pd", np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS), **run)
     assert default.p.shape == (DEFAULT_GRID_POINTS,)
-    for field in dataclasses.fields(MonteCarloBands):
-        got, expected = getattr(default, field.name), getattr(explicit, field.name)
-        if isinstance(expected, dict):
-            assert got.keys() == expected.keys()
-            for name in expected:
-                np.testing.assert_array_equal(got[name], expected[name])
-        else:
-            np.testing.assert_array_equal(got, expected)
+    assert_bands_equal(default, explicit)
+
+
+def _bands_reference(matrix, family, grid, samples, seed, pointer_basis):
+    # The loop the bands ran before samples were swept as one stack: draw,
+    # project and sweep one sample at a time.
+    children = np.random.SeedSequence(seed).spawn(samples)
+    series = {name: [] for name in ("j_z", "j_x", "j_max", "discord")}
+    transitions = []
+    for child in children:
+        rng = np.random.default_rng(child)
+        with float_range_guard():
+            noise = rng.normal(size=matrix.raw.shape) * matrix.std
+            noise = noise + 1j * (rng.normal(size=matrix.raw.shape) * matrix.std)
+            sample = matrix.raw + noise
+        state, _ = project_to_physical(sample, max_distance=None)
+        report = sweep(state, family, grid, pointer_basis=pointer_basis)
+        for name in series:
+            series[name].append([getattr(r, name) for r in report.records])
+        if report.transition_p is not None:
+            transitions.append(report.transition_p)
+    return MonteCarloBands(
+        p=grid,
+        means={name: np.array(rows).mean(axis=0) for name, rows in series.items()},
+        stds={name: np.array(rows).std(axis=0) for name, rows in series.items()},
+        samples=samples,
+        seed=seed,
+        transition_mean=float(np.mean(transitions)) if transitions else None,
+        transition_std=float(np.std(transitions)) if transitions else None,
+        transition_count=len(transitions),
+    )
+
+
+@pytest.mark.parametrize("family", ["pd", "ad", "pointer"])
+def test_bands_over_many_chunks_equal_the_per_sample_sweeps(tmp_path, monkeypatch, family):
+    # A general state with percent-level noise: the samples' transitions land
+    # in different brackets, or none. Two samples per chunk, so seven samples
+    # span four chunks.
+    rho = random_density_matrix(np.random.default_rng(6))
+    path = tmp_path / "general.mat"
+    write_matrix_file(path, rho, std=np.full((4, 4), 0.02))
+    parsed = parse_matrix_file(path)
+    grid = np.linspace(0.0, 1.0, 21)
+    pointer = ProjectiveBasis(1.2, 0.4) if family == "pointer" else None
+    monkeypatch.setattr(dynamics, "_SWEEP_STATES", 2 * grid.size)
+    bands = monte_carlo_bands(parsed, family, grid, samples=7, seed=5, pointer_basis=pointer)
+    expected = _bands_reference(parsed, family, grid, 7, 5, pointer)
+    assert 0 < expected.transition_count < 7
+    assert_bands_equal(bands, expected)
 
 
 def test_bands_refuse_a_grid_that_is_not_increasing(tmp_path):

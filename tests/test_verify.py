@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from einselect import (
+    REGIME_CONSTANT,
+    REGIME_DECAY_THEN_CONSTANT,
     InvalidInputError,
     ProjectiveBasis,
     VerificationOutcome,
@@ -19,12 +21,14 @@ from einselect import (
     random_cq_state,
     random_density_matrix,
     random_x_state_params,
+    sweep,
     verify_lemma1,
     verify_remark,
     verify_theorem1,
     verify_theorem2,
 )
 from einselect import verify
+from einselect.dynamics import max_increase
 from einselect.verify import trace_distance
 
 
@@ -188,12 +192,42 @@ def _lemma1_reference(rng):
     return (ok, violation), (j_max, argmax, margins)
 
 
+def _theorem2_reference(rng):
+    # The draw, one-trajectory sweep and verdict of each theorem2 trial.
+    sigma_z = ProjectiveBasis.sigma_z()
+    rho = make_x_state(random_x_state_params(rng))
+    while classical_correlation(rho, sigma_z) <= 1e-3:
+        rho = make_x_state(random_x_state_params(rng))
+    report = sweep(rho, "pd", np.linspace(0.0, 1.0, verify.THEOREM2_GRID_POINTS))
+    ok = report.regime in (REGIME_CONSTANT, REGIME_DECAY_THEN_CONSTANT)
+    increase = max_increase(report.records)
+    violation = max(0.0, increase - verify.THEOREM2_MONOTONE_SLACK)
+    if increase > verify.THEOREM2_MONOTONE_SLACK:
+        ok = False
+    if report.regime == REGIME_DECAY_THEN_CONSTANT:
+        if not report.transition_p < 1.0:
+            ok = False
+        tail = [r for r in report.records if r.p >= report.transition_p - 1e-12]
+        level_dev = max(abs(r.j_max - r.j_z) for r in tail)
+        violation = max(violation, max(0.0, level_dev - verify.THEOREM2_PLATEAU_TOL))
+        if level_dev > verify.THEOREM2_PLATEAU_TOL:
+            ok = False
+    return (ok, violation), (report.records, report.transition_p)
+
+
+REFERENCES = {
+    "theorem1": _theorem1_reference,
+    "theorem2": _theorem2_reference,
+    "lemma1": _lemma1_reference,
+}
+
+
 @pytest.mark.parametrize("trials", [1, 7, 130])
 @pytest.mark.parametrize("seed", [3, 5, 42])
-@pytest.mark.parametrize("suite", ["theorem1", "lemma1"])
+@pytest.mark.parametrize("suite", sorted(REFERENCES))
 def test_stacked_suites_equal_the_per_trial_reference(suite, seed, trials):
     # 130 trials span more than one judged chunk.
-    reference = {"theorem1": _theorem1_reference, "lemma1": _lemma1_reference}[suite]
+    reference = REFERENCES[suite]
     rng = np.random.default_rng(seed)
     expected = [reference(rng) for _ in range(trials)]
     results = [result for result, _ in expected]
@@ -216,6 +250,10 @@ def test_stacked_suites_equal_the_per_trial_reference(suite, seed, trials):
             )
         ]
         assert measured == [details for _, details in expected]
+    if suite == "theorem2":
+        # every theorem2 violation is 0.0 too: compare the stacked sweeps
+        swept = list(verify._trials(trials, seed, verify._theorem2_draw, verify._theorem2_sweeps))
+        assert swept == [details for _, details in expected]
 
 
 @pytest.mark.parametrize("seed", [3, 11])
