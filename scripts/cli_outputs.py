@@ -15,9 +15,10 @@ and z w < 0 paths, and `analyze` on the seed-3 matrix file that
 `einbench/inputs.py` writes, Monte Carlo bands on a tilted pointer basis
 included. One `analyze` run draws 200 samples on an 11-point grid, more
 than one chunk of stacked sweeps holds (`dynamics._SWEEP_STATES` states),
-so the recording crosses a chunk boundary. `--slow` adds `verify --suite
-all` at the default trial counts (about 5 s more on a shared 2-core
-host).
+so the recording crosses a chunk boundary. Another passes `--gamma` to
+`analyze` with bands: only the point-estimate sweep reads it, and it must
+leave the bands as they are. `--slow` adds `verify --suite all` at the
+default trial counts (about 5 s more on a shared 2-core host).
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ def commands(matrix: str, slow: bool) -> list:
                  "--phi", "0.4", "--samples", "3", "--grid", "11", "--format", "json"])
     cmds.append(["analyze", "--matrix-file", matrix, "--samples", "200", "--grid", "11",
                  "--format", "json"])
+    cmds.append(["analyze", "--matrix-file", matrix, "--samples", "3", "--grid", "11",
+                 "--gamma", "2.5", "--format", "json"])
     if slow:
         cmds += [["verify", "--suite", "all"], ["verify", "--suite", "all", "--format", "json"]]
     return cmds

@@ -269,12 +269,12 @@ def _cmd_verify(args) -> int:
 def _cmd_analyze(args) -> int:
     matrix = _two_qubit_file(args.matrix_file)
     grid = _grid_from_count(args.grid, args.samples)
-    run = {"gamma": args.gamma, "pointer_basis": _pointer_basis(args)}
-    report = sweep(matrix.state, args.channel, grid, **run)
+    pointer = _pointer_basis(args)
+    report = sweep(matrix.state, args.channel, grid, gamma=args.gamma, pointer_basis=pointer)
     bands = None
     if args.samples:
         bands = monte_carlo_bands(
-            matrix, args.channel, grid, samples=args.samples, seed=args.seed, **run
+            matrix, args.channel, grid, samples=args.samples, seed=args.seed, pointer_basis=pointer
         )
     _write_or_print(emit_analysis(matrix, report, bands, args.format), args.out)
     return 0

@@ -567,13 +567,8 @@ def correlation_record(rho: DensityMatrix, p: float = 0.0) -> CorrelationRecord:
 def quantum_discord(rho: DensityMatrix) -> float:
     """Mutual information minus maximal classical correlation, in bits.
 
+    The discord of correlation_record(rho), from one pass over the state.
     Values in [-1e-6, 0) are rounded to 0 (optimizer tolerance); anything
     below that signals an optimizer failure and raises.
     """
-    j_max, _ = maximize_classical_correlation(rho)
-    return clamp_discord(mutual_information(rho) - j_max)
-
-
-def clamp_discord(delta: float) -> float:
-    """Apply the discord sign tolerance: tiny negatives are zero, big ones raise."""
-    return float(_nonnegative(delta, DISCORD_CLAMP, "discord"))
+    return correlation_record(rho).discord

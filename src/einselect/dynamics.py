@@ -27,6 +27,7 @@ those of its own sweep.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -88,9 +89,14 @@ def check_gamma(gamma: float) -> None:
         )
 
 
+def _is_count(value, least: int) -> bool:
+    """Whether value is an integer (a numpy one too, a bool not) of at least least."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
 def _check_seed(seed) -> None:
     """Raise unless seed, the suites' or the Monte Carlo bands', is a non-negative integer."""
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not _is_count(seed, 0):
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
 
 
@@ -332,29 +338,32 @@ _SWEEP_STATES = 1024
 
 
 def _sweeps(
-    states: np.ndarray,
+    states,
     channel_family: str,
     grid,
     *,
     pointer_basis: Optional[ProjectiveBasis],
 ):
-    """Sweep every initial state of a stack over one grid; yield (records, transition_p) per state.
+    """Sweep each initial state in an iterable over one grid; yield (records, transition_p) each.
 
-    states holds the (S, 4, 4) entries of valid two-qubit states, and the
-    trajectories come out in stack order. They are evolved a chunk of
-    _SWEEP_STATES states at a time: each chunk is one (S N, 4, 4) stack of
-    channel outputs, read by one correlation_records call, and its
-    transitions come from one lockstep bisection (_transitions). Each
-    trajectory's records and transition_p are bit for bit what it gives
-    alone; sweep is the S = 1 case.
+    states is any iterable (an array, a list, a generator) of the (4, 4)
+    entries of valid two-qubit states, and the trajectories come out in its
+    order. The grid and the channel family are checked before the first
+    state is read; then _SWEEP_STATES states are read at a time, so a
+    generator's states are made only as each chunk needs them. Each chunk is
+    one (S N, 4, 4) stack of channel outputs, read by one correlation_records
+    call, and its transitions come from one lockstep bisection
+    (_transitions). Each trajectory's records and transition_p are bit for
+    bit what it gives alone; sweep is the S = 1 case.
     """
     ps = _validate_grid(grid)
     basis = _dephasing_basis(channel_family, pointer_basis)
     ops = kraus_stack(basis, ps)
     labels = [float(p) for p in ps]
     per_chunk = max(1, _SWEEP_STATES // ps.size)
-    for start in range(0, len(states), per_chunk):
-        m = states[start : start + per_chunk]
+    states = iter(states)
+    while chunk := list(itertools.islice(states, per_chunk)):
+        m = np.array(chunk)
         evolved = np.concatenate([evolve(ops, rho) for rho in m])
         records = correlation_records(evolved, labels * len(m))
         trajectories = [
@@ -381,10 +390,9 @@ def sweep(
     basis) the closed-form emergence time complete the report, whose regime
     follows from the records and transition.
     """
-    ps = _validate_grid(grid)
     check_gamma(gamma)
     ((records, transition),) = _sweeps(
-        rho0.entries[None], channel_family, ps, pointer_basis=pointer_basis
+        rho0.entries[None], channel_family, grid, pointer_basis=pointer_basis
     )
 
     basis = _dephasing_basis(channel_family, pointer_basis)

@@ -10,8 +10,9 @@ statistics of the detected transition strength.
 Determinism: the run seed spawns one child seed per sample index, samples are
 drawn and reduced in index order, and nothing depends on wall-clock or
 machine state, so identical arguments reproduce byte-identical outputs. The
-samples are swept together, a chunk at a time (dynamics._sweeps), and each
-sample's trajectory is bit for bit its own sweep's.
+samples are swept together, a chunk at a time (dynamics._sweeps), and are
+drawn as the sweep reads each chunk; each sample's trajectory is bit for bit
+its own sweep's.
 
 Independent Gaussian entries are a modeling choice: real tomography errors
 are correlated through the measurement counts, but the correlation structure
@@ -26,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .correlations import ProjectiveBasis
-from .dynamics import _check_seed, _dephasing_basis, _sweeps, _validate_grid, check_gamma
+from .dynamics import _check_seed, _is_count, _sweeps
 from .errors import InvalidInputError
 from .matrixio import MatrixFile, float_range_guard, project_to_physical
 
@@ -54,7 +55,6 @@ def monte_carlo_bands(
     *,
     samples: int,
     seed: int = 0,
-    gamma: float = 1.0,
     pointer_basis: Optional[ProjectiveBasis] = None,
 ) -> MonteCarloBands:
     """Propagate per-entry uncertainties through the sweep.
@@ -64,11 +64,11 @@ def monte_carlo_bands(
     parts drawn independently at the entry's sigma), projects back to a
     physical state unconditionally (the 0.05 ingestion gate applies to the
     measured matrix, not to deliberately noised copies), and is swept with
-    sweep's channel_family, grid and pointer_basis; gamma sets only sweep's
-    clock, which the bands do not report, and is checked as sweep checks it.
-    grid=None means sweep's default grid (DEFAULT_GRID_POINTS strengths on
-    [0, 1]). The grid, gamma and the channel family are checked before any
-    sample is drawn.
+    sweep's channel_family, grid and pointer_basis. grid=None means sweep's
+    default grid (DEFAULT_GRID_POINTS strengths on [0, 1]). The samples are
+    drawn as _sweeps reads each chunk of them, and _sweeps checks the grid
+    and the channel family before it reads the first, so a refused grid or
+    family draws nothing.
 
     A full-precision run (201 grid points, 1000 samples) sweeps 1000
     trajectories, five per chunk: on a shared 2-core host with one BLAS
@@ -80,29 +80,27 @@ def monte_carlo_bands(
         raise InvalidInputError(
             "matrix file carries no uncertainty block; nothing to propagate"
         )
-    if samples < 2:
+    if not _is_count(samples, 2):
         raise InvalidInputError("Monte Carlo needs at least 2 samples")
     _check_seed(seed)
-
     base = matrix.raw
-    # sweep's arguments are refused before any sample is drawn.
-    ps = _validate_grid(grid)
-    check_gamma(gamma)
-    _dephasing_basis(channel_family, pointer_basis)
-    children = np.random.SeedSequence(seed).spawn(samples)
-    states = []
-    for index in range(samples):
-        rng = np.random.default_rng(children[index])
-        with float_range_guard():
-            noise = rng.normal(size=base.shape) * matrix.std
-            noise = noise + 1j * (rng.normal(size=base.shape) * matrix.std)
-            sample = base + noise
-        states.append(project_to_physical(sample, max_distance=None)[0].entries)
 
-    series = {name: np.empty((samples, ps.size)) for name in _QUANTITIES}
+    def draws():
+        for child in np.random.SeedSequence(seed).spawn(samples):
+            rng = np.random.default_rng(child)
+            with float_range_guard():
+                noise = rng.normal(size=base.shape) * matrix.std
+                noise = noise + 1j * (rng.normal(size=base.shape) * matrix.std)
+                sample = base + noise
+            yield project_to_physical(sample, max_distance=None)[0].entries
+
     transitions = []
-    trajectories = _sweeps(np.array(states), channel_family, ps, pointer_basis=pointer_basis)
+    trajectories = _sweeps(draws(), channel_family, grid, pointer_basis=pointer_basis)
     for index, (records, transition_p) in enumerate(trajectories):
+        if index == 0:
+            # The first trajectory's records give the grid that _sweeps resolved.
+            ps = np.array([r.p for r in records])
+            series = {name: np.empty((samples, ps.size)) for name in _QUANTITIES}
         for name in _QUANTITIES:
             series[name][index] = [getattr(r, name) for r in records]
         if transition_p is not None:

@@ -56,6 +56,7 @@ from .dynamics import (
     REGIME_DECAY_THEN_CONSTANT,
     REGIME_MONOTONIC_DECAY,
     _check_seed,
+    _is_count,
     _sweeps,
     classify_regime,
     max_increase,
@@ -194,7 +195,7 @@ def _trials(trials: int, seed: int, draw, judge):
     the list of drawn inputs and returns one result per trial, in order. The
     judge consumes no randomness, so the draws do not depend on the chunking.
     """
-    if trials < 1:
+    if not _is_count(trials, 1):
         raise InvalidInputError("trials must be >= 1")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
@@ -270,9 +271,8 @@ def _theorem2_draw(rng) -> DensityMatrix:
 
 def _theorem2_sweeps(chunk) -> list:
     """Per trial: (records, transition_p) of its dephasing sweep, the chunk swept as one stack."""
-    states = np.array([rho.entries for rho in chunk])
     grid = np.linspace(0.0, 1.0, THEOREM2_GRID_POINTS)
-    return list(_sweeps(states, "pd", grid, pointer_basis=None))
+    return list(_sweeps((rho.entries for rho in chunk), "pd", grid, pointer_basis=None))
 
 
 def _theorem2_judge(chunk) -> list:

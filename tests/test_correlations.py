@@ -39,7 +39,6 @@ from einselect.correlations import (
     _local_terms,
     _maximize,
     bloch_form,
-    clamp_discord,
     classical_correlations,
     correlation_record,
     correlation_records,
@@ -231,11 +230,20 @@ def test_discord_of_weakly_coherent_state():
     assert quantum_discord(make_x_state(STATE_2)) == pytest.approx(0.28316941, abs=1e-7)
 
 
-def test_clamp_discord_tolerance():
-    assert clamp_discord(-1e-7) == 0.0
-    assert clamp_discord(0.5) == 0.5
-    with pytest.raises(OptimizationError, match="discord"):
-        clamp_discord(-1e-3)
+def test_quantum_discord_tolerance(monkeypatch):
+    # The discord's sign tolerance, with the maximum and the mutual
+    # information set: a negative within DISCORD_CLAMP is zero, a positive
+    # value is kept, and a larger negative raises, naming the discord.
+    rho = make_x_state(STATE_1)
+    for j_max, mi, discord in ((0.5, 0.5 - 1e-7, 0.0), (0.25, 0.75, 0.5)):
+        row = (j_max, ProjectiveBasis.sigma_z(), mi, (0.0, 0.0))
+        monkeypatch.setattr(correlations, "_measure", lambda *args, row=row: [row])
+        assert quantum_discord(rho) == discord
+    row = (0.5, ProjectiveBasis.sigma_z(), 0.499, (0.0, 0.0))
+    monkeypatch.setattr(correlations, "_measure", lambda *args: [row])
+    message = r"^discord evaluated to -1\.000e-03, below -1e-06$"
+    with pytest.raises(OptimizationError, match=message):
+        quantum_discord(rho)
 
 
 def test_nonnegative_applies_its_tolerance_once_over_an_array():
@@ -317,7 +325,9 @@ def test_sweep_records_equal_standalone_records(family):
                 opt_theta=argmax.theta,
                 opt_phi=argmax.phi,
                 mutual_info=mi,
-                discord=clamp_discord(mi - j_max),
+                discord=float(
+                    correlations._nonnegative(mi - j_max, correlations.DISCORD_CLAMP, "discord")
+                ),
             )
             assert correlation_record(evolved, record.p) == record
 

@@ -366,6 +366,29 @@ def test_stacked_sweeps_equal_the_per_state_sweeps(family, grid, monkeypatch):
         report = sweep(rho, family, grid, pointer_basis=pointer)
         assert _hex(records, transition_p) == _hex(report.records, report.transition_p)
         assert transition_p == _bisection_reference(rho, family, records, pointer)
+    # A generator of the same entries is read a chunk at a time to the same sweeps.
+    streamed = list(_sweeps((rho.entries for rho in states), family, grid, pointer_basis=pointer))
+    assert [_hex(*t) for t in streamed] == [_hex(*t) for t in stacked]
+
+
+def _unread():
+    pytest.fail("a state was read before the sweep's arguments were checked")
+    yield
+
+
+@pytest.mark.parametrize(
+    "family, grid, message",
+    [
+        ("pd", [], "grid"),
+        ("pd", [0.0, 0.5, 0.5], "grid"),
+        ("ad", [0.0, math.nan], "grid"),
+        ("depolarizing", [0.0, 1.0], "channel"),
+    ],
+    ids=["empty-grid", "repeated-point", "nan-point", "unknown-family"],
+)
+def test_sweeps_refuse_their_arguments_before_reading_a_state(family, grid, message):
+    with pytest.raises(InvalidInputError, match=message):
+        next(_sweeps(_unread(), family, grid, pointer_basis=None))
 
 
 def test_lockstep_brackets_close_on_their_own(monkeypatch):

@@ -47,13 +47,8 @@ def test_bands_validate_sweep_arguments(tmp_path, monkeypatch):
     monkeypatch.setattr(montecarlo.np.random, "default_rng", None)
     with pytest.raises(InvalidInputError, match="grid"):
         monte_carlo_bands(parsed, "pd", [], samples=2)
-    with pytest.raises(InvalidInputError, match="gamma"):
-        monte_carlo_bands(parsed, "pd", [0.0, 1.0], samples=2, gamma=0.0)
-    with pytest.raises(InvalidInputError, match="finite"):
-        monte_carlo_bands(parsed, "pd", [0.0, 1.0], samples=2, gamma=float("inf"))
     with pytest.raises(InvalidInputError, match="channel"):
         monte_carlo_bands(parsed, "depolarizing", [0.0, 1.0], samples=2)
-
 
 
 def test_bands_without_a_grid_sweep_the_default_grid(tmp_path):
@@ -125,11 +120,19 @@ def test_bands_require_uncertainties_and_samples(tmp_path):
     write_matrix_file(path, rho)
     with pytest.raises(InvalidInputError, match="uncertainty"):
         monte_carlo_bands(parse_matrix_file(path), "pd", GRID_11, samples=4)
-    with pytest.raises(InvalidInputError, match="samples"):
-        monte_carlo_bands(matrix_file(tmp_path, 0.01), "pd", GRID_11, samples=1)
+    for samples in (1, True, 2.5):
+        with pytest.raises(InvalidInputError, match="^Monte Carlo needs at least 2 samples$"):
+            monte_carlo_bands(matrix_file(tmp_path, 0.01), "pd", GRID_11, samples=samples)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_bands_take_numpy_integer_counts(tmp_path):
+    parsed = matrix_file(tmp_path, 0.005)
+    expected = monte_carlo_bands(parsed, "pd", GRID_11, samples=2, seed=3)
+    got = monte_carlo_bands(parsed, "pd", GRID_11, samples=np.int64(2), seed=np.uint8(3))
+    assert_bands_equal(got, expected)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_bands_refuse_a_seed_that_is_no_non_negative_integer(tmp_path, seed):
     message = f"^seed must be a non-negative integer, got {seed}$"
     with pytest.raises(InvalidInputError, match=message):

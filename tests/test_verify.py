@@ -107,17 +107,27 @@ def test_remark_suite_passes():
 
 
 def test_suites_reject_zero_trials():
+    # a bool or a float is no trial count either
     for suite in (verify_theorem1, verify_theorem2, verify_lemma1):
-        with pytest.raises(InvalidInputError, match="trials"):
-            suite(trials=0)
+        for trials in (0, True, 2.5):
+            with pytest.raises(InvalidInputError, match="^trials must be >= 1$"):
+                suite(trials=trials)
 
 
 @pytest.mark.parametrize("suite", [verify_theorem1, verify_theorem2, verify_lemma1])
 def test_suites_reject_a_negative_seed(suite, monkeypatch):
-    # the seed is refused before the generator or any draw is made
+    # the seed is refused before the generator or any draw is made, and a
+    # bool or a float is no seed either
     monkeypatch.setattr(verify.np.random, "default_rng", None)
-    with pytest.raises(InvalidInputError, match=r"^seed must be a non-negative integer, got -1$"):
-        suite(trials=3, seed=-1)
+    for seed in (-1, True, 2.5):
+        message = f"^seed must be a non-negative integer, got {seed}$"
+        with pytest.raises(InvalidInputError, match=message):
+            suite(trials=3, seed=seed)
+
+
+def test_suites_take_numpy_integer_counts():
+    expected = verify_theorem1(trials=5, seed=9)
+    assert verify_theorem1(trials=np.int64(5), seed=np.uint8(9)) == expected
 
 
 def test_suites_are_deterministic():
