@@ -108,12 +108,12 @@ def _add_output_flags(sub) -> None:
 def _add_channel_flags(sub) -> None:
     sub.add_argument("--channel", choices=CHANNEL_FAMILIES, default="pd")
     sub.add_argument(
-        "--theta", type=float, default=0.0,
-        help="pointer-basis polar angle for --channel pointer (default sigma_z)",
+        "--theta", type=float, default=None,
+        help="pointer-basis polar angle, only with --channel pointer (default 0: sigma_z)",
     )
     sub.add_argument(
-        "--phi", type=float, default=0.0,
-        help="pointer-basis azimuthal angle for --channel pointer",
+        "--phi", type=float, default=None,
+        help="pointer-basis azimuthal angle, only with --channel pointer (default 0)",
     )
 
 
@@ -196,8 +196,14 @@ def _grid_from_count(count: int, samples: int = 0) -> np.ndarray:
 
 
 def _pointer_basis(args) -> Optional[ProjectiveBasis]:
+    """The --channel pointer basis (sigma_z without angles); None for another channel."""
+    angles = (args.theta, args.phi)
     if args.channel == "pointer":
-        return ProjectiveBasis(args.theta, args.phi)
+        return ProjectiveBasis(*(0.0 if angle is None else angle for angle in angles))
+    if angles != (None, None):
+        raise InvalidInputError(
+            f"--theta and --phi need --channel pointer, not --channel {args.channel}"
+        )
     return None
 
 
@@ -258,7 +264,7 @@ def _cmd_verify(args) -> int:
         raise InvalidInputError(
             f"--suite {args.suite} draws random trials: it takes --trials and --seed, not --grid"
         )
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    names = SUITES if args.suite == "all" else (args.suite,)
     grid = DEFAULT_GRID_POINTS if args.grid is None else args.grid
     remark_grid = _grid_from_count(grid) if "remark" in names else None
     outcomes = [_run_suite(name, args, remark_grid) for name in names]

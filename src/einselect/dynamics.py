@@ -2,7 +2,8 @@
 
 Channel strength becomes time through the exponential clock p(t) = 1 - exp(-gamma t);
 decoherence_time gives tau_D = 1/gamma, where p = P_AT_TAU_D, and check_gamma is
-the one check that gamma and 1/gamma are finite and positive.
+the one check of gamma: a real number, not a bool, with gamma and 1/gamma
+finite and positive, which it returns as a float for every caller to keep.
 
 A sweep drives a two-qubit state through a channel family over p in [0, 1],
 records every correlation quantity per grid point, locates the first jump of
@@ -81,29 +82,39 @@ class EmergenceResult:
     p_e: float
 
 
-def check_gamma(gamma: float) -> None:
-    """Raise unless gamma and the decoherence time 1/gamma are finite and positive."""
-    if not (gamma > 0 and math.isfinite(gamma) and math.isfinite(1.0 / gamma)):
+def check_gamma(gamma: float) -> float:
+    """gamma as a float, the one check of gamma.
+
+    Raises unless gamma is a real number (a numpy one too, a bool not) whose
+    value and decoherence time 1/gamma are finite and positive.
+    """
+    real = isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
+    if not (real and gamma > 0 and math.isfinite(gamma) and math.isfinite(1.0 / float(gamma))):
         raise InvalidInputError(
             f"gamma must be positive and finite, with finite 1/gamma; got {gamma}"
         )
+    return float(gamma)
 
 
-def _is_count(value, least: int) -> bool:
-    """Whether value is an integer (a numpy one too, a bool not) of at least least."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+def _count(value, least: int, message: str) -> int:
+    """value as an int, the one rule for a seed, trial or sample count.
+
+    Raises InvalidInputError(message) unless value is an integer (a numpy one
+    too, a bool not) of at least least.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise InvalidInputError(message)
+    return int(value)
 
 
-def _check_seed(seed) -> None:
-    """Raise unless seed, the suites' or the Monte Carlo bands', is a non-negative integer."""
-    if not _is_count(seed, 0):
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
+def _seed(seed) -> int:
+    """The suites' or the Monte Carlo bands' seed, a non-negative integer, as an int."""
+    return _count(seed, 0, f"seed must be a non-negative integer, got {seed}")
 
 
 def decoherence_time(gamma: float) -> float:
     """tau_D = 1/gamma, for a gamma that check_gamma accepts."""
-    check_gamma(gamma)
-    return 1.0 / gamma
+    return 1.0 / check_gamma(gamma)
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,8 @@ class TrajectoryReport:
         ps = [r.p for r in self.records]
         if any(b <= a for a, b in zip(ps, ps[1:])):
             raise InvalidInputError("records must be sorted by strictly increasing p")
-        check_gamma(self.gamma)
+        # A frozen dataclass: store the float that check_gamma returns.
+        object.__setattr__(self, "gamma", check_gamma(self.gamma))
 
     @property
     def regime(self) -> str:
@@ -180,25 +192,20 @@ def _validate_grid(grid) -> np.ndarray:
     return arr
 
 
-def _record_basis(record: CorrelationRecord) -> Optional[ProjectiveBasis]:
-    if record.j_max <= BASIS_FLOOR:
-        return None
-    return ProjectiveBasis(record.opt_theta, record.opt_phi)
-
-
 def _jump(records: Sequence[CorrelationRecord]) -> Optional[tuple]:
     """A trajectory's first argmax-basis jump: (lo, hi, kets), or None.
 
-    lo and hi are the strengths of the two records, and kets holds the
-    incoming (hi) then the outgoing (lo) basis as a (2, 2, 2) stack.
+    lo and hi are the strengths of two neighbouring records, and kets holds
+    the incoming (hi) then the outgoing (lo) basis as a (2, 2, 2) stack. A
+    record at or below BASIS_FLOOR has no basis, so neither pair it belongs
+    to can jump. Each record's basis is built once, as the scan reaches it.
     """
-    for before, after in zip(records, records[1:]):
-        b0 = _record_basis(before)
-        b1 = _record_basis(after)
-        if b0 is None or b1 is None:
-            continue
-        if basis_distance(b0, b1) > JUMP_THRESHOLD:
+    before, b0 = None, None
+    for after in records:
+        b1 = None if after.j_max <= BASIS_FLOOR else ProjectiveBasis(after.opt_theta, after.opt_phi)
+        if b0 is not None and b1 is not None and basis_distance(b0, b1) > JUMP_THRESHOLD:
             return before.p, after.p, np.array([b1.kets(), b0.kets()])
+        before, b0 = after, b1
     return None
 
 
@@ -273,6 +280,11 @@ def detect_transition(
     return _transitions(rho0.entries[None], basis, [records])[0]
 
 
+def _after_transition(records: Sequence[CorrelationRecord], transition_p: float) -> list:
+    """The records at or after transition_p (to 1e-12 in p), where the plateau is read."""
+    return [r for r in records if r.p >= transition_p - 1e-12]
+
+
 def classify_regime(
     records: Sequence[CorrelationRecord], transition_p: Optional[float]
 ) -> str:
@@ -288,7 +300,7 @@ def classify_regime(
     if transition_p is None:
         j = [r.j_max for r in records]
         return REGIME_CONSTANT if max(j) - min(j) < PLATEAU_TOL else REGIME_MONOTONIC_DECAY
-    tail = [r.j_max for r in records if r.p >= transition_p - 1e-12]
+    tail = [r.j_max for r in _after_transition(records, transition_p)]
     if not tail:
         return REGIME_SUDDEN_CHANGE
     plateau = max(tail) - min(tail) < PLATEAU_TOL
@@ -314,7 +326,7 @@ def emergence_time(params: XStateParams, gamma: float = 1.0) -> Optional[Emergen
     emergence; the decay is asymptotic). Raises InvalidInputError for a
     gamma that check_gamma rejects.
     """
-    check_gamma(gamma)
+    gamma = check_gamma(gamma)
     gap = abs(params.c - params.b)
     transverse = abs(params.z) + abs(params.w)
     if gap < 1e-15:
@@ -390,7 +402,7 @@ def sweep(
     basis) the closed-form emergence time complete the report, whose regime
     follows from the records and transition.
     """
-    check_gamma(gamma)
+    gamma = check_gamma(gamma)
     ((records, transition),) = _sweeps(
         rho0.entries[None], channel_family, grid, pointer_basis=pointer_basis
     )

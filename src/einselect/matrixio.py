@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .correlations import CorrelationRecord
-from .dynamics import P_AT_TAU_D, TrajectoryReport, decoherence_time
+from .dynamics import P_AT_TAU_D, TrajectoryReport, check_gamma, decoherence_time
 from .errors import DataQualityError, InvalidInputError
 from .qstate import DensityMatrix
 from .verify import VerificationOutcome
@@ -319,7 +319,7 @@ def emergence_payload(result, gamma: float) -> dict:
     result may be None (no transition: the pointer-basis value dominates from
     the start); the payload then carries nulls and transition = false.
     """
-    gamma = float(gamma)
+    gamma = check_gamma(gamma)
     return {
         "gamma": gamma,
         "tau_d": decoherence_time(gamma),

@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .correlations import ProjectiveBasis
-from .dynamics import _check_seed, _is_count, _sweeps
+from .dynamics import _count, _seed, _sweeps
 from .errors import InvalidInputError
 from .matrixio import MatrixFile, float_range_guard, project_to_physical
 
@@ -80,9 +80,8 @@ def monte_carlo_bands(
         raise InvalidInputError(
             "matrix file carries no uncertainty block; nothing to propagate"
         )
-    if not _is_count(samples, 2):
-        raise InvalidInputError("Monte Carlo needs at least 2 samples")
-    _check_seed(seed)
+    samples = _count(samples, 2, "Monte Carlo needs at least 2 samples")
+    seed = _seed(seed)
     base = matrix.raw
 
     def draws():

@@ -55,14 +55,14 @@ from .dynamics import (
     REGIME_CONSTANT,
     REGIME_DECAY_THEN_CONSTANT,
     REGIME_MONOTONIC_DECAY,
-    _check_seed,
-    _is_count,
+    _after_transition,
+    _count,
+    _seed,
     _sweeps,
     classify_regime,
     max_increase,
     sweep,
 )
-from .errors import InvalidInputError
 from .qstate import DensityMatrix, XStateParams, make_x_state, remark_state
 
 _I2 = np.eye(2, dtype=complex)
@@ -190,14 +190,12 @@ _CHUNK = 64
 def _trials(trials: int, seed: int, draw, judge):
     """Yield judge's per-trial results for `trials` trials on one generator seeded with seed.
 
-    draw(rng) takes one trial's inputs from the generator, and the trials are
-    drawn one after another in order. Every _CHUNK trials, judge(chunk) takes
-    the list of drawn inputs and returns one result per trial, in order. The
-    judge consumes no randomness, so the draws do not depend on the chunking.
+    trials and seed are the ints that _run_trials has checked. draw(rng) takes
+    one trial's inputs from the generator, and the trials are drawn one after
+    another in order. Every _CHUNK trials, judge(chunk) takes the list of
+    drawn inputs and returns one result per trial, in order. The judge
+    consumes no randomness, so the draws do not depend on the chunking.
     """
-    if not _is_count(trials, 1):
-        raise InvalidInputError("trials must be >= 1")
-    _check_seed(seed)
     rng = np.random.default_rng(seed)
     for start in range(0, trials, _CHUNK):
         chunk = [draw(rng) for _ in range(min(_CHUNK, trials - start))]
@@ -207,9 +205,12 @@ def _trials(trials: int, seed: int, draw, judge):
 def _run_trials(theorem_id: str, trials: int, seed: int, draw, judge) -> VerificationOutcome:
     """Run a suite whose judge returns (ok, violation) per trial (see _trials).
 
-    The outcome counts the trials that were not ok and keeps the largest
-    violation.
+    trials and seed are checked here, once, and the outcome keeps the ints
+    the checks return. The outcome counts the trials that were not ok and
+    keeps the largest violation.
     """
+    trials = _count(trials, 1, "trials must be >= 1")
+    seed = _seed(seed)
     worst = 0.0
     failures = 0
     for ok, violation in _trials(trials, seed, draw, judge):
@@ -288,7 +289,7 @@ def _theorem2_judge(chunk) -> list:
             # classify_regime gives this regime only with a transition.
             if not transition_p < 1.0:
                 ok = False
-            tail = [r for r in records if r.p >= transition_p - 1e-12]
+            tail = _after_transition(records, transition_p)
             level_dev = max(abs(r.j_max - r.j_z) for r in tail)
             violation = max(violation, max(0.0, level_dev - THEOREM2_PLATEAU_TOL))
             if level_dev > THEOREM2_PLATEAU_TOL:
@@ -399,9 +400,4 @@ def verify_remark(grid=None) -> VerificationOutcome:
     return VerificationOutcome("remark", len(records), failures, max(violations), seed=0)
 
 
-SUITES = {
-    "theorem1": verify_theorem1,
-    "theorem2": verify_theorem2,
-    "lemma1": verify_lemma1,
-    "remark": verify_remark,
-}
+SUITES = ("theorem1", "theorem2", "lemma1", "remark")

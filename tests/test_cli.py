@@ -74,6 +74,20 @@ def test_sweep_pointer_channel_flags(capsys):
     assert out.startswith("p,")
 
 
+def test_pointer_channel_without_angles_is_sigma_z(capsys):
+    base = ("sweep", "--state", STATE_FLAG, "--grid", "5", "--channel", "pointer")
+    assert run(capsys, *base) == run(capsys, *base, "--theta", "0", "--phi", "0")
+
+
+@pytest.mark.parametrize("flag", ["--theta", "--phi"])
+def test_analyze_refuses_angles_without_the_pointer_channel(capsys, tmp_path, flag):
+    code, out, err = run(
+        capsys, "analyze", "--matrix-file", state_file(tmp_path), "--grid", "5", flag, "0.5"
+    )
+    assert (code, out) == (1, "")
+    assert err == "einselect: --theta and --phi need --channel pointer, not --channel pd\n"
+
+
 def test_emergence_json(capsys):
     code, out, _ = run(capsys, "emergence", "--state", STATE_FLAG, "--format", "json")
     assert code == 0
@@ -221,6 +235,25 @@ def test_verify_refuses_a_negative_seed(capsys, suite):
     assert err == "einselect: seed must be a non-negative integer, got -1\n"
 
 
+def test_verify_calls_the_suites_through_the_cli_module(capsys, monkeypatch):
+    # einbench/tracer.py wraps the suites by rebinding these module attributes,
+    # so a dispatch that bypasses them would hide every suite call from it
+    calls = []
+
+    def stub(name):
+        def suite(*args, **kwargs):
+            calls.append(name)
+            return VerificationOutcome(name, 1, 0, 0.0, 0)
+
+        return suite
+
+    for name in ("theorem1", "theorem2", "lemma1", "remark"):
+        monkeypatch.setattr(f"einselect.cli.verify_{name}", stub(name))
+    code, _, _ = run(capsys, "verify", "--suite", "all", "--trials", "1")
+    assert code == 0
+    assert calls == ["theorem1", "theorem2", "lemma1", "remark"]
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = VerificationOutcome("theorem1", 5, 2, 0.3, 42)
     monkeypatch.setattr("einselect.cli.verify_theorem1", lambda **kw: failing)
@@ -309,6 +342,9 @@ def test_missing_matrix_file_is_invalid_input(capsys):
         (("sweep", "--state", STATE_FLAG, "--grid", "1000000000000"), "at most 100001"),
         (("verify", "--suite", "remark", "--grid", "1000000000000"), "at most 100001"),
         (("verify", "--suite", "all", "--trials", "1", "--grid", "100002"), "at most 100001"),
+        (("sweep", "--state", STATE_FLAG, "--theta", "nan"), "need --channel pointer"),
+        (("sweep", "--state", STATE_FLAG, "--channel", "ad", "--phi", "1.0"),
+         "need --channel pointer, not --channel ad"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv, fragment):

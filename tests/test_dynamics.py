@@ -154,6 +154,20 @@ def test_emergence_time_rejects_bad_gamma():
             emergence_time(STATE_1, gamma)
 
 
+def test_a_bool_gamma_is_refused(state1):
+    records = (record(0.0, 0.5),)
+    for gamma in (True, False):
+        message = f"^gamma must be positive and finite, with finite 1/gamma; got {gamma}$"
+        for call in (
+            lambda: dynamics.check_gamma(gamma),
+            lambda: emergence_time(STATE_1, gamma),
+            lambda: sweep(state1, "pd", [0.0, 1.0], gamma=gamma),
+            lambda: TrajectoryReport(records, None, None, gamma=gamma),
+        ):
+            with pytest.raises(InvalidInputError, match=message):
+                call()
+
+
 def test_emergence_time_none_when_pointer_dominates():
     assert emergence_time(XStateParams(c=0.4, b=0.1, z=0.0, w=0.1)) is None
     assert emergence_time(STATE_2) is None
@@ -217,6 +231,52 @@ def test_detect_transition_requires_a_real_jump(state1):
     # wildly different angles carry no information below the basis floor
     noise = [record(0.0, 1e-12), record(1.0, 1e-12, theta=1.5)]
     assert detect_transition(state1, "pd", noise) is None
+
+
+def _jump_reference(records):
+    # the scan as it ran pair by pair, building both records' bases each time
+    for before, after in zip(records, records[1:]):
+        if before.j_max <= BASIS_FLOOR or after.j_max <= BASIS_FLOOR:
+            continue
+        b0 = ProjectiveBasis(before.opt_theta, before.opt_phi)
+        b1 = ProjectiveBasis(after.opt_theta, after.opt_phi)
+        if basis_distance(b0, b1) > JUMP_THRESHOLD:
+            return before.p, after.p, np.array([b1.kets(), b0.kets()])
+    return None
+
+
+def _jump_hex(jump):
+    if jump is None:
+        return None
+    lo, hi, kets = jump
+    return lo.hex(), hi.hex(), [x.hex() for x in kets.view(float).ravel().tolist()]
+
+
+def test_jump_builds_each_basis_once_and_matches_the_pairwise_scan(state1, monkeypatch):
+    swept = sweep(state1, "pd", np.linspace(0.0, 1.0, 21)).records
+    gap = record(0.5, BASIS_FLOOR, theta=0.7)
+    trajectories = [
+        swept,
+        # a floored record between two far-apart bases hides that jump
+        (record(0.0, 0.9), record(0.25, 0.8, theta=0.05), gap,
+         record(0.75, 0.7, theta=1.5), record(1.0, 0.7, theta=1.5)),
+        # the first jump after the gap is found
+        (record(0.0, 0.9), gap, record(0.75, 0.7, theta=1.5), record(1.0, 0.7, theta=0.2)),
+        swept[:10] + (dataclasses.replace(swept[10], j_max=0.0),) + swept[11:],
+    ]
+    built = []
+
+    def counting_basis(*args):
+        built.append(args)
+        return ProjectiveBasis(*args)
+
+    monkeypatch.setattr(dynamics, "ProjectiveBasis", counting_basis)
+    for records in trajectories:
+        built.clear()
+        got = dynamics._jump(records)
+        assert len(built) <= len(records)
+        assert _jump_hex(got) == _jump_hex(_jump_reference(records))
+    assert [dynamics._jump(r) is None for r in trajectories] == [False, True, False, False]
 
 
 def test_max_increase():

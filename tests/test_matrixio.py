@@ -16,12 +16,13 @@ from einselect import (
     sweep,
     write_matrix_file,
 )
-from einselect import emergence_time
+from einselect import emergence_time, monte_carlo_bands, verify_theorem1
 from einselect.cli import main
 from einselect.matrixio import (
     CSV_COLUMNS,
     csv_table,
     emergence_payload,
+    emit_analysis,
     emit_emergence,
     format_cell,
 )
@@ -177,6 +178,32 @@ def test_emit_report_refuses_non_finite_json():
         emit_report(bad, "json")
 
 
+def test_numpy_scalars_give_the_json_of_python_scalars(state1, tmp_path):
+    # the checks store the int or float they accept, so JSON can carry it
+    outcome = emit_report([verify_theorem1(trials=np.int64(3), seed=np.int64(2))], "json")
+    assert outcome == emit_report([verify_theorem1(trials=3, seed=2)], "json")
+
+    path = tmp_path / "state.mat"
+    write_matrix_file(path, state1, std=np.full((4, 4), 0.005))
+    matrix = parse_matrix_file(path)
+    grid = np.linspace(0.0, 1.0, 5)
+    report = sweep(matrix.state, "pd", grid)
+
+    def analysis(samples, seed):
+        bands = monte_carlo_bands(matrix, "pd", grid, samples=samples, seed=seed)
+        return emit_analysis(matrix, report, bands, "json")
+
+    assert analysis(np.int64(3), np.int64(4)) == analysis(3, 4)
+
+    for gamma in (np.float32(2.0), np.int64(2)):
+        assert emit_report(sweep(state1, "pd", grid, gamma=gamma), "json") == emit_report(
+            sweep(state1, "pd", grid, gamma=2.0), "json"
+        )
+        assert emit_emergence(emergence_time(STATE_1, gamma), gamma, "json") == emit_emergence(
+            emergence_time(STATE_1, 2.0), 2.0, "json"
+        )
+
+
 def test_format_cell_rules():
     assert [format_cell(v) for v in (None, True, False, 0.1 + 0.2, 1.0, 7, "pd")] == [
         "", "true", "false", "0.3", "1", "7", "pd"
@@ -206,7 +233,7 @@ def test_emergence_payload_shapes():
     assert empty["p_at_tau_d"] == pytest.approx(1.0 - np.exp(-1.0), abs=1e-15)
 
 
-@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, True, False])
 def test_emergence_output_rejects_bad_gamma(gamma):
     # tau_D = 1/gamma comes from dynamics.decoherence_time, which checks gamma
     for fmt in ("csv", "json"):
