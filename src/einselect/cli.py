@@ -33,7 +33,7 @@ from .errors import (
     OptimizationError,
 )
 from .matrixio import FORMATS, emit_analysis, emit_emergence, emit_report, parse_matrix_file
-from .montecarlo import monte_carlo_bands
+from .montecarlo import _analysis
 from .qstate import DensityMatrix, XStateParams, make_x_state, x_state_params
 from .verify import SUITES, verify_lemma1, verify_remark, verify_theorem1, verify_theorem2
 
@@ -276,12 +276,10 @@ def _cmd_analyze(args) -> int:
     matrix = _two_qubit_file(args.matrix_file)
     grid = _grid_from_count(args.grid, args.samples)
     pointer = _pointer_basis(args)
-    report = sweep(matrix.state, args.channel, grid, gamma=args.gamma, pointer_basis=pointer)
-    bands = None
-    if args.samples:
-        bands = monte_carlo_bands(
-            matrix, args.channel, grid, samples=args.samples, seed=args.seed, pointer_basis=pointer
-        )
+    report, bands = _analysis(
+        matrix, args.channel, grid,
+        gamma=args.gamma, samples=args.samples, seed=args.seed, pointer_basis=pointer,
+    )
     _write_or_print(emit_analysis(matrix, report, bands, args.format), args.out)
     return 0
 

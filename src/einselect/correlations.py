@@ -7,9 +7,10 @@ measurement {Pi_0, Pi_1} on the apparatus is
 
 i.e. the information about the system retrievable from that measurement.
 Its maximum over all projective bases is computed by one fixed search: the
-exact Pauli axes and a Fibonacci lattice on the hemisphere, then
-derivative-free compass refinement in a tangent-plane chart around the best
-of them; quantum discord is mutual information minus that maximum.
+exact Pauli axes and a Fibonacci lattice on the hemisphere, then Newton
+steps on J's closed-form chart gradient and Hessian around the best of them,
+with compass refinement where J is not smooth or a step fails; quantum
+discord is mutual information minus that maximum.
 
 Measurement kets are parametrized as
     |u_0> = (cos(theta/2), e^{i phi} sin(theta/2)),
@@ -33,9 +34,13 @@ real 3-vector arithmetic with no eigensolver, and each outcome's term keeps
 its relative accuracy (see _bloch_information). s.n and T n are written as
 explicit three-term sums, so every value depends only on its own state and
 axis, never on the rest of the batch. The search (_maximize) is _coarse,
-the 515-axis pass over blocks of 8 states, then _ascend, the compass
-refinement from those axes in lockstep over all states; both take each
-state's best candidate through one step (_best_candidates).
+the 515-axis pass over blocks of 8 states, then _ascend, the refinement from
+those axes in lockstep over all states: Newton steps in a tangent-plane
+chart, whose gradient and Hessian are the same 3-vector algebra
+(_chart_derivatives; the stationarity conditions of Girolami and Adesso,
+PRA 83, 052108, 2011), and the compass (_compass) for the states that
+Newton cannot finish. Every J value comes from the kernel through one step
+that takes each state's best candidate (_best_candidates).
 maximize_classical_correlation is its one-state case. It keeps each axis
 as a 3-vector and converts to (theta, phi) only for the result.
 
@@ -445,7 +450,18 @@ def _coarse(forms: np.ndarray, s_entropy: np.ndarray):
     return values, axes
 
 
-def _ascend(forms: np.ndarray, s_entropy: np.ndarray, values: np.ndarray, axes: np.ndarray):
+def _frame(axes: np.ndarray):
+    """Each axis's tangent frame (e1, e2), both (N, 3), for the chart around it.
+
+    e1 is the axis crossed with the coordinate axis least aligned with it,
+    normalized, and e2 = axis x e1, so an exact Pauli axis gets an exact frame.
+    """
+    e1 = np.cross(axes, np.eye(3)[np.argmin(np.abs(axes), axis=1)])
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    return e1, np.cross(axes, e1)
+
+
+def _compass(forms: np.ndarray, s_entropy: np.ndarray, values: np.ndarray, axes: np.ndarray):
     """Compass ascent of each state from its start axis, in lockstep over the stack.
 
     values (N,) are J at the start axes (N, 3) and are not modified. Each
@@ -458,9 +474,7 @@ def _ascend(forms: np.ndarray, s_entropy: np.ndarray, values: np.ndarray, axes: 
     evaluation is elementwise, so each result is bit for bit its one-state
     result. Returns the final values (N,) and axes (N, 3).
     """
-    e1 = np.cross(axes, np.eye(3)[np.argmin(np.abs(axes), axis=1)])
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(axes, e1)
+    e1, e2 = _frame(axes)
     best = np.array(values, dtype=float)
     chart = np.zeros((len(forms), 2))
     step = np.full(len(forms), _FIRST_STEP)
@@ -478,10 +492,132 @@ def _ascend(forms: np.ndarray, s_entropy: np.ndarray, values: np.ndarray, axes: 
     return best, np.stack(_chart_axes(axes, e1, e2, chart[:, 0], chart[:, 1]), axis=1)
 
 
+# The Newton polish stops once the chart gradient of J falls below this, and
+# hands a state that has not stopped after _NEWTON_ROUNDS rounds to the compass.
+_STATIONARY = 1e-12
+_NEWTON_ROUNDS = 30
+# The two measurement outcomes, +n then -n, as a column against (N,) rows.
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _chart_derivatives(forms: np.ndarray, n, e1, e2):
+    """Gradient and Hessian of J in the chart around each unit axis n, where J is smooth.
+
+    n, e1 and e2 are x, y, z lists of (N,) rows. With p+- = (1 +- s.n)/2,
+    v+- = r +- T n and L+- = |v+-| / (2 p+-), J = S(rho_s) - 1 + sum p+- f(L+-),
+    f(x) = 1 - H((1 + x)/2), f'(x) = artanh(x)/ln 2, f''(x) = 1/((1 - x^2) ln 2).
+    Along a direction e its gradient is
+        dJ.e = sum +-(s.e (f - L f') + f' u.(T e)) / 2,   u = v/|v|,
+    and its Hessian
+        e.H.e' = sum f'' a.e a.e' / (4 p) + f' ((T e).(T e') - u.(T e) u.(T e')) / (2 |v|),
+    with a.e = u.(T e) - L s.e. At the centre of normalize(n + a e1 + b e2)
+    the chart Hessian is E^T H E - (dJ.n) I. Returns (smooth, g1, g2, h11,
+    h12, h22), all (N,): J is smooth where p+- > 0, |v+-| > 0 and L+- < 1,
+    and the rest is finite there. Every operation is elementwise.
+    """
+    r = [forms[:, i, 0] for i in (1, 2, 3)]
+    s = [forms[:, 0, j] for j in (1, 2, 3)]
+
+    def t_times(e):
+        return [
+            forms[:, i, 1] * e[0] + forms[:, i, 2] * e[1] + forms[:, i, 3] * e[2] for i in (1, 2, 3)
+        ]
+
+    tn, t1, t2 = t_times(n), t_times(e1), t_times(e2)
+    prob = (1.0 + _SIGNS * _dot(s, n)) / 2.0
+    v = [r[i] + _SIGNS * tn[i] for i in range(3)]
+    length = np.sqrt(_dot(v, v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = length / (2.0 * prob)
+        smooth = np.all((prob > 0.0) & (length > 0.0) & (ratio < 1.0), axis=0)
+        # Rows outside the smooth region are read at a harmless stand-in.
+        ratio = np.where(smooth, ratio, 0.5)
+        length = np.where(smooth, length, 1.0)
+        prob = np.where(smooth, prob, 0.5)
+        u = [x / length for x in v]
+    d1 = np.arctanh(ratio) / _LN2
+    d2 = 1.0 / ((1.0 - ratio * ratio) * _LN2)
+    level = _bloch_information(ratio) - ratio * d1
+    ut1, ut2 = _dot(u, t1), _dot(u, t2)
+    a1 = ut1 - ratio * _dot(s, e1)
+    a2 = ut2 - ratio * _dot(s, e2)
+    curve = d2 / (4.0 * prob)
+    bend = d1 / (2.0 * length)
+
+    def total(x):
+        return x[0] + x[1]
+
+    def slope(se, ute):
+        return total(_SIGNS * (se * level + d1 * ute)) / 2.0
+
+    radial = slope(_dot(s, n), _dot(u, tn))
+    h11 = total(curve * a1 * a1 + bend * (_dot(t1, t1) - ut1 * ut1)) - radial
+    h12 = total(curve * a1 * a2 + bend * (_dot(t1, t2) - ut1 * ut2))
+    h22 = total(curve * a2 * a2 + bend * (_dot(t2, t2) - ut2 * ut2)) - radial
+    return smooth, slope(_dot(s, e1), ut1), slope(_dot(s, e2), ut2), h11, h12, h22
+
+
+def _ascend(forms: np.ndarray, s_entropy: np.ndarray, values: np.ndarray, axes: np.ndarray):
+    """Newton polish of each state from its start axis, in lockstep over the stack.
+
+    values (N,) are J at the start axes (N, 3) and are not modified. Each
+    round re-centres every live state's chart normalize(n0 + a e1 + b e2) at
+    its current axis n0 (_frame) and reads J's chart gradient g and Hessian
+    H in closed form (_chart_derivatives). A state stops where |g| is below
+    _STATIONARY and H is negative definite. Otherwise, where H is negative
+    definite, it takes the Newton step -H^-1 g, cut to length _FIRST_STEP,
+    and keeps it if J does not fall. A state outside J's smooth region, with
+    an H that is not negative definite, with a step refused, or still live
+    after _NEWTON_ROUNDS rounds finishes with the compass (_compass) from its
+    current axis. An exact Pauli axis with an exact-zero gradient gets an
+    exact frame and stays exact. Every operation is elementwise, so each
+    result is bit for bit its one-state result. Returns the final values
+    (N,) and axes (N, 3).
+    """
+    best = np.array(values, dtype=float)
+    axes = np.array(axes, dtype=float)
+    live = np.arange(len(forms))
+    compass = []
+    for _ in range(_NEWTON_ROUNDS):
+        if not live.size:
+            break
+        n = axes[live]
+        e1, e2 = _frame(n)
+        smooth, g1, g2, h11, h12, h22 = _chart_derivatives(forms[live], n.T, e1.T, e2.T)
+        det = h11 * h22 - h12 * h12
+        concave = smooth & (h11 < 0.0) & (det > 0.0)
+        done = concave & (np.sqrt(g1 * g1 + g2 * g2) < _STATIONARY)
+        step = concave & ~done
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = (h12 * g2 - h22 * g1) / det
+            b = (h12 * g1 - h11 * g2) / det
+            cut = np.minimum(1.0, _FIRST_STEP / np.sqrt(a * a + b * b))
+        rows = live[step]
+        moved = np.stack(
+            _chart_axes(n[step], e1[step], e2[step], a[step] * cut[step], b[step] * cut[step]),
+            axis=1,
+        )
+        top, _ = _best_candidates(forms[rows], s_entropy[rows], *moved.T[:, :, None])
+        kept = top >= best[rows]
+        best[rows[kept]] = top[kept]
+        axes[rows[kept]] = moved[kept]
+        compass.append(live[~concave])
+        compass.append(rows[~kept])
+        live = rows[kept]
+    rest = np.sort(np.concatenate(compass + [live]))
+    if rest.size:
+        best[rest], axes[rest] = _compass(forms[rest], s_entropy[rest], best[rest], axes[rest])
+    return best, axes
+
+
 def _maximize(m: np.ndarray, s_entropy: np.ndarray) -> list[tuple[float, ProjectiveBasis]]:
     """maximize_classical_correlation for each state of a valid stack with known S(rho_s).
 
-    The coarse pass, then the compass ascent from its best axes; each result
+    The coarse pass, then the ascent (_ascend) from its best axes; each result
     is bit for bit its state's one-state result.
     """
     forms = bloch_forms(m)
@@ -499,13 +635,17 @@ def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, Projectiv
     Deterministic: a coarse pass (_coarse) over the exact sigma_z, sigma_x
     and sigma_y axes (so the result never falls below those by more than
     rounding) and a 512-point Fibonacci lattice on the upper hemisphere, then
-    a compass ascent (_ascend) in the tangent-plane chart
+    an ascent (_ascend) in the tangent-plane chart
     n = normalize(n0 + a e1 + b e2) around the best candidate n0, which has
-    no pole. The objective has entropy kinks where conditional eigenvalues
-    cross, so the ascent is derivative-free. A move is taken only if it
-    gains more than MOVE_GAIN, so an exact-axis optimum with a flat
-    neighbourhood stays exact. On exactly degenerate maxima the first of
-    sigma_z, sigma_x, sigma_y, then lattice order, wins.
+    no pole. Where J is smooth (both outcomes possible, neither conditional
+    state pure or maximally mixed) the ascent takes Newton steps on J's
+    closed-form gradient and Hessian until the chart gradient is below
+    1e-12; elsewhere, at a maximum that is not strict, or after a step that
+    lowers J, the derivative-free compass finishes, taking a move only if
+    it gains more than MOVE_GAIN. An exact-axis optimum has an exactly zero
+    gradient or a flat neighbourhood, so it stays exact. On exactly
+    degenerate maxima the first of sigma_z, sigma_x, sigma_y, then lattice
+    order, wins.
     """
     m, eigenvalues = _one_state(rho)
     return _maximize(m, _local_terms(m, eigenvalues, _NO_BASES)[0])[0]

@@ -349,6 +349,11 @@ def emergence_time(params: XStateParams, gamma: float = 1.0) -> Optional[Emergen
 _SWEEP_STATES = 1024
 
 
+def _sweep_plan(channel_family: str, grid, pointer_basis: Optional[ProjectiveBasis]):
+    """A sweep's checked grid and dephasing basis: (ps, basis), grid check first."""
+    return _validate_grid(grid), _dephasing_basis(channel_family, pointer_basis)
+
+
 def _sweeps(
     states,
     channel_family: str,
@@ -360,16 +365,22 @@ def _sweeps(
 
     states is any iterable (an array, a list, a generator) of the (4, 4)
     entries of valid two-qubit states, and the trajectories come out in its
-    order. The grid and the channel family are checked before the first
-    state is read; then _SWEEP_STATES states are read at a time, so a
-    generator's states are made only as each chunk needs them. Each chunk is
-    one (S N, 4, 4) stack of channel outputs, read by one correlation_records
-    call, and its transitions come from one lockstep bisection
-    (_transitions). Each trajectory's records and transition_p are bit for
-    bit what it gives alone; sweep is the S = 1 case.
+    order. The grid and the channel family are checked (_sweep_plan) before
+    the first state is read; then _stacked_sweeps sweeps them.
     """
-    ps = _validate_grid(grid)
-    basis = _dephasing_basis(channel_family, pointer_basis)
+    yield from _stacked_sweeps(states, *_sweep_plan(channel_family, grid, pointer_basis))
+
+
+def _stacked_sweeps(states, ps: np.ndarray, basis: Optional[ProjectiveBasis]):
+    """_sweeps over a checked grid ps and dephasing basis (_sweep_plan).
+
+    _SWEEP_STATES states are read at a time, so a generator's states are
+    made only as each chunk needs them. Each chunk is one (S N, 4, 4) stack
+    of channel outputs, read by one correlation_records call, and its
+    transitions come from one lockstep bisection (_transitions). Each
+    trajectory's records and transition_p are bit for bit what it gives
+    alone; sweep is the S = 1 case.
+    """
     ops = kraus_stack(basis, ps)
     labels = [float(p) for p in ps]
     per_chunk = max(1, _SWEEP_STATES // ps.size)
@@ -382,6 +393,33 @@ def _sweeps(
             tuple(records[k : k + ps.size]) for k in range(0, len(records), ps.size)
         ]
         yield from zip(trajectories, _transitions(m, basis, trajectories))
+
+
+def _report(
+    rho0: DensityMatrix,
+    basis: Optional[ProjectiveBasis],
+    gamma: float,
+    records: tuple,
+    transition_p: Optional[float],
+) -> TrajectoryReport:
+    """sweep's report from rho0's trajectory, its dephasing basis and its checked gamma.
+
+    The closed-form emergence time is added for an X state whose dephasing
+    basis is sigma_z, where emergence_time gives one.
+    """
+    tau_e = None
+    if basis is not None and basis_distance(basis, ProjectiveBasis.sigma_z()) < 1e-12:
+        params = x_state_params(rho0)
+        if params is not None:
+            try:
+                result = emergence_time(params, gamma)
+            except InvalidStateError:
+                result = None
+            if result is not None:
+                tau_e = result.tau_e
+    return TrajectoryReport(
+        records=records, transition_p=transition_p, emergence_time=tau_e, gamma=gamma
+    )
 
 
 def sweep(
@@ -400,28 +438,10 @@ def sweep(
     with its argmax angles, mutual information, and discord. Transition
     detection and (for X states under "pd", or "pointer" on the sigma_z
     basis) the closed-form emergence time complete the report, whose regime
-    follows from the records and transition.
+    follows from the records and transition. gamma is checked first, then
+    the grid and the channel family.
     """
     gamma = check_gamma(gamma)
-    ((records, transition),) = _sweeps(
-        rho0.entries[None], channel_family, grid, pointer_basis=pointer_basis
-    )
-
-    basis = _dephasing_basis(channel_family, pointer_basis)
-    tau_e = None
-    if basis is not None and basis_distance(basis, ProjectiveBasis.sigma_z()) < 1e-12:
-        params = x_state_params(rho0)
-        if params is not None:
-            try:
-                result = emergence_time(params, gamma)
-            except InvalidStateError:
-                result = None
-            if result is not None:
-                tau_e = result.tau_e
-
-    return TrajectoryReport(
-        records=records,
-        transition_p=transition,
-        emergence_time=tau_e,
-        gamma=gamma,
-    )
+    ps, basis = _sweep_plan(channel_family, grid, pointer_basis)
+    ((records, transition),) = _stacked_sweeps(rho0.entries[None], ps, basis)
+    return _report(rho0, basis, gamma, records, transition)

@@ -12,7 +12,8 @@ drawn and reduced in index order, and nothing depends on wall-clock or
 machine state, so identical arguments reproduce byte-identical outputs. The
 samples are swept together, a chunk at a time (dynamics._sweeps), and are
 drawn as the sweep reads each chunk; each sample's trajectory is bit for bit
-its own sweep's.
+its own sweep's. `analyze` sweeps its point estimate at the head of the same
+stack (_analysis).
 
 Independent Gaussian entries are a modeling choice: real tomography errors
 are correlated through the measurement counts, but the correlation structure
@@ -21,13 +22,14 @@ is generally not published alongside the matrices.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .correlations import ProjectiveBasis
-from .dynamics import _count, _seed, _sweeps
+from .dynamics import _count, _report, _seed, _stacked_sweeps, _sweep_plan, _sweeps, check_gamma
 from .errors import InvalidInputError
 from .matrixio import MatrixFile, float_range_guard, project_to_physical
 
@@ -48,56 +50,43 @@ class MonteCarloBands:
     transition_count: int
 
 
-def monte_carlo_bands(
-    matrix: MatrixFile,
-    channel_family: str,
-    grid,
-    *,
-    samples: int,
-    seed: int = 0,
-    pointer_basis: Optional[ProjectiveBasis] = None,
-) -> MonteCarloBands:
-    """Propagate per-entry uncertainties through the sweep.
+def _checked(matrix: MatrixFile, samples, seed) -> tuple[int, int]:
+    """The bands' own checks, in order: the std block, then samples, then seed.
 
-    Requires the matrix file to carry a std block and samples >= 2. Each
-    sample adds zero-mean Gaussian noise entrywise (real and imaginary
-    parts drawn independently at the entry's sigma), projects back to a
-    physical state unconditionally (the 0.05 ingestion gate applies to the
-    measured matrix, not to deliberately noised copies), and is swept with
-    sweep's channel_family, grid and pointer_basis. grid=None means sweep's
-    default grid (DEFAULT_GRID_POINTS strengths on [0, 1]). The samples are
-    drawn as _sweeps reads each chunk of them, and _sweeps checks the grid
-    and the channel family before it reads the first, so a refused grid or
-    family draws nothing.
-
-    A full-precision run (201 grid points, 1000 samples) sweeps 1000
-    trajectories, five per chunk: on a shared 2-core host with one BLAS
-    thread, `analyze --samples 1000` of the general two-qubit state that
-    `einbench/inputs.py --seed 3` writes took 25 s under ad and 36 s under
-    pd. Tests and quick looks should shrink samples and the grid.
+    Returns samples and seed as ints.
     """
     if matrix.std is None:
         raise InvalidInputError(
             "matrix file carries no uncertainty block; nothing to propagate"
         )
-    samples = _count(samples, 2, "Monte Carlo needs at least 2 samples")
-    seed = _seed(seed)
+    return _count(samples, 2, "Monte Carlo needs at least 2 samples"), _seed(seed)
+
+
+def _draws(matrix: MatrixFile, samples: int, seed: int):
+    """Each sample's noised and projected entries, in index order, as a generator.
+
+    The run seed spawns one child seed per sample index. Each sample adds
+    zero-mean Gaussian noise entrywise (real and imaginary parts drawn
+    independently at the entry's sigma) and is projected back to a physical
+    state unconditionally: the 0.05 ingestion gate applies to the measured
+    matrix, not to deliberately noised copies.
+    """
     base = matrix.raw
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        rng = np.random.default_rng(child)
+        with float_range_guard():
+            noise = rng.normal(size=base.shape) * matrix.std
+            noise = noise + 1j * (rng.normal(size=base.shape) * matrix.std)
+            sample = base + noise
+        yield project_to_physical(sample, max_distance=None)[0].entries
 
-    def draws():
-        for child in np.random.SeedSequence(seed).spawn(samples):
-            rng = np.random.default_rng(child)
-            with float_range_guard():
-                noise = rng.normal(size=base.shape) * matrix.std
-                noise = noise + 1j * (rng.normal(size=base.shape) * matrix.std)
-                sample = base + noise
-            yield project_to_physical(sample, max_distance=None)[0].entries
 
+def _bands(trajectories, samples: int, seed: int) -> MonteCarloBands:
+    """The bands of the samples' trajectories, an iterable of (records, transition_p)."""
     transitions = []
-    trajectories = _sweeps(draws(), channel_family, grid, pointer_basis=pointer_basis)
     for index, (records, transition_p) in enumerate(trajectories):
         if index == 0:
-            # The first trajectory's records give the grid that _sweeps resolved.
+            # The first trajectory's records give the grid that the sweep resolved.
             ps = np.array([r.p for r in records])
             series = {name: np.empty((samples, ps.size)) for name in _QUANTITIES}
         for name in _QUANTITIES:
@@ -117,3 +106,64 @@ def monte_carlo_bands(
         transition_std=float(np.std(transitions)) if transitions else None,
         transition_count=len(transitions),
     )
+
+
+def monte_carlo_bands(
+    matrix: MatrixFile,
+    channel_family: str,
+    grid,
+    *,
+    samples: int,
+    seed: int = 0,
+    pointer_basis: Optional[ProjectiveBasis] = None,
+) -> MonteCarloBands:
+    """Propagate per-entry uncertainties through the sweep.
+
+    Requires the matrix file to carry a std block and samples >= 2. Each
+    sample (_draws) is the measured matrix plus Gaussian noise, projected
+    back to a physical state, and is swept with sweep's channel_family, grid
+    and pointer_basis. grid=None means sweep's default grid
+    (DEFAULT_GRID_POINTS strengths on [0, 1]). The samples are drawn as
+    _sweeps reads each chunk of them, and _sweeps checks the grid and the
+    channel family before it reads the first, so a refused grid or family
+    draws nothing.
+
+    A full-precision run (201 grid points, 1000 samples) sweeps 1000
+    trajectories, five per chunk: on a shared 2-core host with one BLAS
+    thread, `analyze --samples 1000` of the general two-qubit state that
+    `einbench/inputs.py --seed 3` writes took 23-24 s under ad and under
+    pd. Tests and quick looks should shrink samples and the grid.
+    """
+    samples, seed = _checked(matrix, samples, seed)
+    draws = _draws(matrix, samples, seed)
+    return _bands(_sweeps(draws, channel_family, grid, pointer_basis=pointer_basis), samples, seed)
+
+
+def _analysis(
+    matrix: MatrixFile,
+    channel_family: str,
+    grid,
+    *,
+    gamma: float,
+    samples: int,
+    seed: int,
+    pointer_basis: Optional[ProjectiveBasis],
+):
+    """sweep of the matrix file's state and, unless samples is 0, its monte_carlo_bands.
+
+    Returns (report, bands), bands None for samples = 0. The point estimate
+    and the samples are one stack of sweeps (dynamics._stacked_sweeps), the
+    point estimate first, so its trajectory is read and bisected in lockstep
+    with the samples'; both results are bit for bit those of the separate
+    calls. The checks run in the separate calls' order: gamma, then the
+    grid and the channel family, then the std block, samples and seed.
+    """
+    gamma = check_gamma(gamma)
+    ps, basis = _sweep_plan(channel_family, grid, pointer_basis)
+    states = [matrix.state.entries]
+    if samples:
+        samples, seed = _checked(matrix, samples, seed)
+        states = itertools.chain(states, _draws(matrix, samples, seed))
+    trajectories = _stacked_sweeps(states, ps, basis)
+    report = _report(matrix.state, basis, gamma, *next(trajectories))
+    return report, (_bands(trajectories, samples, seed) if samples else None)

@@ -4,8 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
-from einselect import STATE_1, VerificationOutcome, make_x_state, write_matrix_file
+from einselect import (
+    STATE_1,
+    ProjectiveBasis,
+    VerificationOutcome,
+    make_x_state,
+    monte_carlo_bands,
+    parse_matrix_file,
+    sweep,
+    write_matrix_file,
+)
 from einselect.cli import main
+from einselect.matrixio import emit_analysis
+from einselect.verify import random_density_matrix
 
 STATE_FLAG = "0.4,0.1,0.1,0.4"
 
@@ -285,6 +296,27 @@ def test_analyze_with_monte_carlo_bands(capsys, tmp_path):
     assert payload["bands"]["samples"] == 3
     assert payload["bands"]["transition_count"] == 3
     assert len(payload["bands"]["p"]) == 11
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_banded_analyze_is_sweep_plus_bands(capsys, tmp_path, fmt):
+    # analyze sweeps its point estimate and its samples as one stack; the
+    # output is that of sweep and monte_carlo_bands called apart.
+    path = tmp_path / "general.mat"
+    rho = random_density_matrix(np.random.default_rng(3))
+    write_matrix_file(path, rho, std=np.full((4, 4), 0.02))
+    pointer = ProjectiveBasis(1.2, 0.4)
+    code, out, err = run(
+        capsys, "analyze", "--matrix-file", str(path), "--channel", "pointer", "--theta", "1.2",
+        "--phi", "0.4", "--gamma", "2.5", "--grid", "11", "--samples", "4", "--seed", "7",
+        "--format", fmt,
+    )
+    matrix = parse_matrix_file(str(path))
+    grid = np.linspace(0.0, 1.0, 11)
+    report = sweep(matrix.state, "pointer", grid, gamma=2.5, pointer_basis=pointer)
+    bands = monte_carlo_bands(matrix, "pointer", grid, samples=4, seed=7, pointer_basis=pointer)
+    assert (code, err) == (0, "")
+    assert out == emit_analysis(matrix, report, bands, fmt)
 
 
 def test_analyze_refuses_a_negative_seed(capsys, tmp_path):

@@ -1,4 +1,7 @@
+import dataclasses
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from einselect import (
     conditional_state,
     make_x_state,
     maximize_classical_correlation,
+    parse_matrix_file,
     mutual_information,
     partial_trace,
     phase_damping,
@@ -44,7 +48,7 @@ from einselect.correlations import (
     correlation_records,
 )
 from einselect.dynamics import BASIS_FLOOR
-from einselect.verify import random_density_matrix
+from einselect.verify import random_density_matrix, random_x_state_params
 
 H_08 = 0.7219280948873623  # binary entropy of 0.8, in bits
 
@@ -539,3 +543,131 @@ def test_ascent_leaves_its_start_untouched():
     assert np.all(ascended >= values) and np.any(ascended > values)
     assert values.tobytes() == kept[0].tobytes()
     assert axes.tobytes() == kept[1].tobytes()
+
+
+# Exact references for the Newton polish. These helpers share no code with the
+# optimizer: their own Pauli matrices, correlation matrix and entropy.
+_PAULI_XYZ = [
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+]
+
+
+def _haar_unitary(rng):
+    z = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _axis_angle(a, b):
+    """Angle between two axes, antipodes identified, accurate near 0 (unlike acos)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return math.atan2(float(np.linalg.norm(np.cross(a, b))), abs(float(a @ b)))
+
+
+def test_polish_reaches_the_top_singular_axis_of_rotated_bell_diagonal_states():
+    # (U x V) rho_BD (U x V)^dag has r = s = 0, so J(n) = 1 - h((1 + |T n|)/2):
+    # the optimal apparatus axis is T's top right singular vector and
+    # J_max = 1 - h((1 + sigma_max)/2), with a gap to sigma_2 fixing the axis.
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 40:
+        c = rng.uniform(-1.0, 1.0, 3)
+        rho = (np.eye(4) + sum(c[i] * np.kron(_PAULI_XYZ[i], _PAULI_XYZ[i]) for i in range(3))) / 4
+        if np.linalg.eigvalsh(rho).min() < 1e-9:
+            continue
+        u = np.kron(_haar_unitary(rng), _haar_unitary(rng))
+        rho = u @ rho @ u.conj().T
+        t = np.array([[np.trace(rho @ np.kron(a, b)).real for b in _PAULI_XYZ] for a in _PAULI_XYZ])
+        _, sigma, vt = np.linalg.svd(t)
+        if sigma[0] - sigma[1] < 0.05:
+            continue
+        j_max, basis = maximize_classical_correlation(DensityMatrix(rho))
+        assert _axis_angle(basis.axis, vt[0]) <= 1e-9
+        assert abs(j_max - (1.0 - _binary_entropy((1.0 + sigma[0]) / 2.0))) <= 1e-12
+        checked += 1
+
+
+def test_polish_puts_the_fully_dephased_argmax_on_the_pointer_axis(tmp_path, monkeypatch):
+    # The general state of `analyze --channel pointer --theta 1.2 --phi 0.4` on
+    # the seed-3 benchmark matrix: at p = 1 the optimal axis is the pointer's.
+    # The compass alone stopped 1.28e-7 rad short of it.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "einbench"))
+    inputs = importlib.import_module("inputs")
+    raw, std = inputs.tomography_matrix(3)
+    path = tmp_path / "seed3.mat"
+    path.write_text(inputs.matrix_file_text(raw, std, "seed 3"), encoding="utf-8")
+    pointer = ProjectiveBasis(1.2, 0.4)
+    report = sweep(parse_matrix_file(path).state, "pointer", [0.0, 1.0], pointer_basis=pointer)
+    end = report.records[-1]
+    axis = ProjectiveBasis(end.opt_theta, end.opt_phi).axis
+    assert _axis_angle(axis, pointer.axis) <= 1e-9
+
+
+def _records_hex(states, ps):
+    return [
+        tuple(float(getattr(r, f.name)).hex() for f in dataclasses.fields(CorrelationRecord))
+        for r in correlation_records(states, ps)
+    ]
+
+
+@pytest.mark.parametrize("family", ["pd", "ad"])
+def test_polish_keeps_the_compass_records_of_x_states(family, monkeypatch):
+    # X-state optima lie on exact Pauli axes with exact frames, where the chart
+    # gradient is exactly 0; flat or non-smooth points go to the compass.
+    rng = np.random.default_rng(20)
+    drawn = [random_x_state_params(rng) for _ in range(12)]
+    remark = XStateParams(0.25, 0.25, 0.25, 0.25)
+    grid = np.linspace(0.0, 1.0, 201)
+    basis = ProjectiveBasis.sigma_z() if family == "pd" else None
+    for params in [STATE_1, STATE_2, remark] + drawn:
+        states = evolve(kraus_stack(basis, grid), make_x_state(params).entries)
+        polished = _records_hex(states, grid)
+        with monkeypatch.context() as patch:
+            patch.setattr(correlations, "_ascend", correlations._compass)
+            assert _records_hex(states, grid) == polished, params
+
+
+def test_polish_of_a_mixed_stack_is_its_one_state_results_bit_for_bit():
+    # Smooth general states, a pure conditional state (STATE_1 at p = 0), flat
+    # maxima (the remark state, the product state at p = 1 under full damping):
+    # each row takes its own path, Newton or compass, as it would alone.
+    rng = np.random.default_rng(44)
+    grid = np.linspace(0.0, 1.0, 5)
+    stack = [random_density_matrix(rng).entries for _ in range(9)]
+    pd = kraus_stack(ProjectiveBasis.sigma_z(), grid)
+    stack += list(evolve(pd, make_x_state(STATE_1).entries))
+    stack += list(evolve(kraus_stack(None, grid), random_density_matrix(rng).entries))
+    stack.append(make_x_state(XStateParams(0.25, 0.25, 0.25, 0.25)).entries)
+    m, forms, s_entropy = _search_inputs([DensityMatrix(rho) for rho in stack])
+    start = _coarse(forms, s_entropy)
+    values, axes = _ascend(forms, s_entropy, *start)
+    for i in range(len(stack)):
+        row = slice(i, i + 1)
+        alone = _ascend(forms[row], s_entropy[row], start[0][row], start[1][row])
+        assert alone[0].tobytes() == values[row].tobytes()
+        assert alone[1].tobytes() == axes[row].tobytes()
+
+
+def test_chart_derivatives_match_finite_differences_of_j():
+    rng = np.random.default_rng(8)
+    _, forms, s_entropy = _search_inputs([random_density_matrix(rng) for _ in range(6)])
+    n = rng.normal(size=(6, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    e1, e2 = correlations._frame(n)
+    smooth, g1, g2, h11, h12, h22 = correlations._chart_derivatives(forms, n.T, e1.T, e2.T)
+    assert smooth.all()
+
+    def j(a, b):
+        v = n + a * e1 + b * e2
+        return _j_at(forms, s_entropy, v / np.linalg.norm(v, axis=1, keepdims=True))
+
+    h = 1e-4
+    np.testing.assert_allclose(g1, (j(h, 0) - j(-h, 0)) / (2 * h), rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(g2, (j(0, h) - j(0, -h)) / (2 * h), rtol=1e-6, atol=1e-9)
+    centre = j(0, 0)
+    np.testing.assert_allclose(h11, (j(h, 0) - 2 * centre + j(-h, 0)) / h**2, rtol=1e-4, atol=1e-6)
+    np.testing.assert_allclose(h22, (j(0, h) - 2 * centre + j(0, -h)) / h**2, rtol=1e-4, atol=1e-6)
+    cross = (j(h, h) - j(h, -h) - j(-h, h) + j(-h, -h)) / (4 * h * h)
+    np.testing.assert_allclose(h12, cross, rtol=1e-4, atol=1e-6)

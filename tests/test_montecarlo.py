@@ -211,3 +211,74 @@ def test_bands_json_payload(tmp_path):
         transition_count=payload["transition_count"],
     )
     assert bands_payload(rebuilt) == payload
+
+
+def _report_hex(report):
+    records = [
+        tuple(float(getattr(r, f.name)).hex() for f in dataclasses.fields(r))
+        for r in report.records
+    ]
+    scalars = (report.transition_p, report.emergence_time, report.gamma)
+    return records, [None if x is None else float(x).hex() for x in scalars]
+
+
+def _bands_hex(bands):
+    arrays = [bands.p] + [bands.means[k] for k in sorted(bands.means)]
+    arrays += [bands.stds[k] for k in sorted(bands.stds)]
+    scalars = (bands.transition_mean, bands.transition_std)
+    return (
+        [[float(x).hex() for x in a] for a in arrays],
+        [None if x is None else float(x).hex() for x in scalars],
+        (bands.samples, bands.seed, bands.transition_count),
+    )
+
+
+@pytest.mark.parametrize(
+    "family,gamma,pointer,chunk",
+    [
+        ("pd", 2.5, None, None),
+        ("pointer", 1.0, ProjectiveBasis(1.2, 0.4), 2),
+        ("ad", 0.7, None, 3),
+    ],
+)
+def test_analysis_is_sweep_plus_bands_bit_for_bit(
+    tmp_path, monkeypatch, family, gamma, pointer, chunk
+):
+    # One stack of sweeps, point estimate first, gives what the two calls give
+    # apart; small chunks put the point estimate and the samples together.
+    rho = random_density_matrix(np.random.default_rng(6))
+    path = tmp_path / "general.mat"
+    write_matrix_file(path, rho, std=np.full((4, 4), 0.02))
+    parsed = parse_matrix_file(path)
+    grid = np.linspace(0.0, 1.0, 21)
+    if chunk:
+        monkeypatch.setattr(dynamics, "_SWEEP_STATES", chunk * grid.size)
+    run = {"samples": 5, "seed": 2, "pointer_basis": pointer}
+    report, bands = montecarlo._analysis(parsed, family, grid, gamma=gamma, **run)
+    expected = sweep(parsed.state, family, grid, gamma=gamma, pointer_basis=pointer)
+    assert _report_hex(report) == _report_hex(expected)
+    assert _bands_hex(bands) == _bands_hex(monte_carlo_bands(parsed, family, grid, **run))
+    alone, none = montecarlo._analysis(
+        parsed, family, grid, gamma=gamma, samples=0, seed=0, pointer_basis=pointer
+    )
+    assert none is None and _report_hex(alone) == _report_hex(expected)
+
+
+def test_analysis_checks_in_the_order_of_sweep_then_bands(tmp_path):
+    bare = tmp_path / "bare.mat"
+    write_matrix_file(bare, make_x_state(STATE_1))
+    bare = parse_matrix_file(bare)
+    noisy = matrix_file(tmp_path, 0.01)
+    cases = [
+        (bare, [], "depolarizing", -1.0, 1, -1, "^gamma must be positive"),
+        (bare, [], "depolarizing", 1.0, 1, -1, "^grid must be a nonempty"),
+        (bare, GRID_11, "depolarizing", 1.0, 1, -1, "^unknown channel family"),
+        (bare, GRID_11, "pd", 1.0, 1, -1, "^matrix file carries no uncertainty block"),
+        (noisy, GRID_11, "pd", 1.0, 1, -1, "^Monte Carlo needs at least 2 samples$"),
+        (noisy, GRID_11, "pd", 1.0, 2, -1, "^seed must be a non-negative integer, got -1$"),
+    ]
+    for matrix, grid, family, gamma, samples, seed, message in cases:
+        with pytest.raises(InvalidInputError, match=message):
+            montecarlo._analysis(
+                matrix, family, grid, gamma=gamma, samples=samples, seed=seed, pointer_basis=None
+            )
