@@ -8,9 +8,9 @@ measurement {Pi_0, Pi_1} on the apparatus is
 i.e. the information about the system retrievable from that measurement.
 Its maximum over all projective bases is computed by one fixed search: the
 exact Pauli axes and a Fibonacci lattice on the hemisphere, then Newton
-steps on J's closed-form chart gradient and Hessian around the best of them,
-with compass refinement where J is not smooth or a step fails; quantum
-discord is mutual information minus that maximum.
+steps on J's closed-form chart gradient and Hessian from the best of them,
+within a step radius that halves when a step would lower J; quantum discord
+is mutual information minus that maximum.
 
 Measurement kets are parametrized as
     |u_0> = (cos(theta/2), e^{i phi} sin(theta/2)),
@@ -35,12 +35,11 @@ its relative accuracy (see _bloch_information). s.n and T n are written as
 explicit three-term sums, so every value depends only on its own state and
 axis, never on the rest of the batch. The search (_maximize) is _coarse,
 the 515-axis pass over blocks of 8 states, then _ascend, the refinement from
-those axes in lockstep over all states: Newton steps in a tangent-plane
-chart, whose gradient and Hessian are the same 3-vector algebra
-(_chart_derivatives; the stationarity conditions of Girolami and Adesso,
-PRA 83, 052108, 2011), and the compass (_compass) for the states that
-Newton cannot finish. Every J value comes from the kernel through one step
-that takes each state's best candidate (_best_candidates).
+those axes in lockstep over all states: safeguarded Newton steps in a
+tangent-plane chart, whose gradient and Hessian are the same 3-vector
+algebra (_chart_derivatives; the stationarity conditions of Girolami and
+Adesso, PRA 83, 052108, 2011). Every J value comes from the kernel through
+one step that takes each state's best candidate (_best_candidates).
 maximize_classical_correlation is its one-state case. It keeps each axis
 as a 3-vector and converts to (theta, phi) only for the result.
 
@@ -171,14 +170,6 @@ def basis_distance(a: ProjectiveBasis, b: ProjectiveBasis) -> float:
     return math.acos(min(dot, 1.0))
 
 
-# A compass move is taken only if it gains more than this many bits, a few
-# rounding units of J <= 1; otherwise the step halves. Below MIN_STEP no move
-# can gain that much any more, and MAX_REFINE_STEPS bounds the batches.
-MOVE_GAIN = 4.0 * np.finfo(float).eps
-MIN_STEP = 1e-8
-MAX_REFINE_STEPS = 400
-
-
 @dataclass(frozen=True)
 class CorrelationRecord:
     """All correlation quantities of one state along a sweep, in bits."""
@@ -289,10 +280,6 @@ def _search_axes(points: int) -> np.ndarray:
 
 
 _SEARCH_AXES = _search_axes(512)
-# Compass moves in the tangent-plane chart: +e1, -e1, +e2, -e2.
-_MOVES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-# The first compass step: about the lattice's nearest-neighbour spacing.
-_FIRST_STEP = 0.1
 
 
 def _chart_axes(n0, e1, e2, a, b) -> list:
@@ -461,41 +448,14 @@ def _frame(axes: np.ndarray):
     return e1, np.cross(axes, e1)
 
 
-def _compass(forms: np.ndarray, s_entropy: np.ndarray, values: np.ndarray, axes: np.ndarray):
-    """Compass ascent of each state from its start axis, in lockstep over the stack.
-
-    values (N,) are J at the start axes (N, 3) and are not modified. Each
-    state moves in the chart normalize(n0 + a e1 + b e2) around its start
-    axis n0, which reaches every basis without a pole. The frame (e1, e2) is
-    built from the coordinate axis least aligned with n0, so an exact Pauli
-    axis gets an exact frame. A move is taken only if it gains more than
-    MOVE_GAIN; otherwise the state's step halves, and it stops below
-    MIN_STEP. Each state has its own chart, step and stopping rule, and every
-    evaluation is elementwise, so each result is bit for bit its one-state
-    result. Returns the final values (N,) and axes (N, 3).
-    """
-    e1, e2 = _frame(axes)
-    best = np.array(values, dtype=float)
-    chart = np.zeros((len(forms), 2))
-    step = np.full(len(forms), _FIRST_STEP)
-    for _ in range(MAX_REFINE_STEPS):
-        live = np.flatnonzero(step >= MIN_STEP)
-        if live.size == 0:
-            break
-        cand = chart[live, None, :] + step[live, None, None] * _MOVES
-        n = _chart_axes(axes[live, None], e1[live, None], e2[live, None], cand[..., 0], cand[..., 1])
-        top, k = _best_candidates(forms[live], s_entropy[live], *n)
-        up = top - best[live] > MOVE_GAIN
-        best[live[up]] = top[up]
-        chart[live[up]] = cand[np.arange(live.size), k][up]
-        step[live[~up]] /= 2.0
-    return best, np.stack(_chart_axes(axes, e1, e2, chart[:, 0], chart[:, 1]), axis=1)
-
-
-# The Newton polish stops once the chart gradient of J falls below this, and
-# hands a state that has not stopped after _NEWTON_ROUNDS rounds to the compass.
+# The ascent's first step radius, about the lattice's nearest-neighbour spacing.
+# A state stops once J's chart gradient falls below _STATIONARY, or once a
+# refused step would have gained no more than _ROUNDING bits to first order, a
+# few rounding units of J <= 1; every state stops after _ROUNDS rounds.
+_FIRST_STEP = 0.1
 _STATIONARY = 1e-12
-_NEWTON_ROUNDS = 30
+_ROUNDING = 4.0 * np.finfo(float).eps
+_ROUNDS = 100
 # The two measurement outcomes, +n then -n, as a column against (N,) rows.
 _SIGNS = np.array([[1.0], [-1.0]])
 
@@ -562,55 +522,48 @@ def _chart_derivatives(forms: np.ndarray, n, e1, e2):
 
 
 def _ascend(forms: np.ndarray, s_entropy: np.ndarray, values: np.ndarray, axes: np.ndarray):
-    """Newton polish of each state from its start axis, in lockstep over the stack.
+    """Newton ascent of each state from its start axis, in lockstep over the stack.
 
     values (N,) are J at the start axes (N, 3) and are not modified. Each
     round re-centres every live state's chart normalize(n0 + a e1 + b e2) at
     its current axis n0 (_frame) and reads J's chart gradient g and Hessian
-    H in closed form (_chart_derivatives). A state stops where |g| is below
-    _STATIONARY and H is negative definite. Otherwise, where H is negative
-    definite, it takes the Newton step -H^-1 g, cut to length _FIRST_STEP,
-    and keeps it if J does not fall. A state outside J's smooth region, with
-    an H that is not negative definite, with a step refused, or still live
-    after _NEWTON_ROUNDS rounds finishes with the compass (_compass) from its
-    current axis. An exact Pauli axis with an exact-zero gradient gets an
-    exact frame and stays exact. Every operation is elementwise, so each
-    result is bit for bit its one-state result. Returns the final values
-    (N,) and axes (N, 3).
+    H in closed form (_chart_derivatives). A state stops where J is not
+    smooth or |g| is below _STATIONARY, whatever H is. Otherwise it steps:
+    Newton's -H^-1 g where H is negative definite, g itself elsewhere,
+    either cut to the state's radius, which starts at _FIRST_STEP. The step
+    is kept if J does not fall; a refused step halves the radius, and ends
+    the ascent if its first-order gain g.s is within _ROUNDING. Every state
+    stops after _ROUNDS rounds. An exact Pauli axis with an exact-zero
+    gradient gets an exact frame and stays exact. Every operation is
+    elementwise, so each result is bit for bit its one-state result.
+    Returns the final values (N,) and axes (N, 3).
     """
     best = np.array(values, dtype=float)
     axes = np.array(axes, dtype=float)
+    radius = np.full(len(forms), _FIRST_STEP)
     live = np.arange(len(forms))
-    compass = []
-    for _ in range(_NEWTON_ROUNDS):
+    for _ in range(_ROUNDS):
         if not live.size:
             break
         n = axes[live]
         e1, e2 = _frame(n)
         smooth, g1, g2, h11, h12, h22 = _chart_derivatives(forms[live], n.T, e1.T, e2.T)
         det = h11 * h22 - h12 * h12
-        concave = smooth & (h11 < 0.0) & (det > 0.0)
-        done = concave & (np.sqrt(g1 * g1 + g2 * g2) < _STATIONARY)
-        step = concave & ~done
+        newton = (h11 < 0.0) & (det > 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            a = (h12 * g2 - h22 * g1) / det
-            b = (h12 * g1 - h11 * g2) / det
-            cut = np.minimum(1.0, _FIRST_STEP / np.sqrt(a * a + b * b))
+            a = np.where(newton, (h12 * g2 - h22 * g1) / det, g1)
+            b = np.where(newton, (h12 * g1 - h11 * g2) / det, g2)
+            cut = np.minimum(1.0, radius[live] / np.sqrt(a * a + b * b))
+            a, b = a * cut, b * cut
+        step = smooth & (np.sqrt(g1 * g1 + g2 * g2) >= _STATIONARY)
         rows = live[step]
-        moved = np.stack(
-            _chart_axes(n[step], e1[step], e2[step], a[step] * cut[step], b[step] * cut[step]),
-            axis=1,
-        )
+        moved = np.stack(_chart_axes(n[step], e1[step], e2[step], a[step], b[step]), axis=1)
         top, _ = _best_candidates(forms[rows], s_entropy[rows], *moved.T[:, :, None])
         kept = top >= best[rows]
         best[rows[kept]] = top[kept]
         axes[rows[kept]] = moved[kept]
-        compass.append(live[~concave])
-        compass.append(rows[~kept])
-        live = rows[kept]
-    rest = np.sort(np.concatenate(compass + [live]))
-    if rest.size:
-        best[rest], axes[rest] = _compass(forms[rest], s_entropy[rest], best[rest], axes[rest])
+        radius[rows[~kept]] /= 2.0
+        live = rows[kept | ((g1 * a + g2 * b)[step] > _ROUNDING)]
     return best, axes
 
 
@@ -639,11 +592,12 @@ def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, Projectiv
     n = normalize(n0 + a e1 + b e2) around the best candidate n0, which has
     no pole. Where J is smooth (both outcomes possible, neither conditional
     state pure or maximally mixed) the ascent takes Newton steps on J's
-    closed-form gradient and Hessian until the chart gradient is below
-    1e-12; elsewhere, at a maximum that is not strict, or after a step that
-    lowers J, the derivative-free compass finishes, taking a move only if
-    it gains more than MOVE_GAIN. An exact-axis optimum has an exactly zero
-    gradient or a flat neighbourhood, so it stays exact. On exactly
+    closed-form gradient and Hessian, or gradient steps where the Hessian is
+    not negative definite, each within a radius that halves when a step
+    would lower J, until the chart gradient is below 1e-12 or a refused
+    step's predicted gain is below J's rounding. Where J is not smooth the
+    ascent stops. An exact-axis optimum has an exactly zero gradient or a
+    flat neighbourhood, so it stays exact. On exactly
     degenerate maxima the first of sigma_z, sigma_x, sigma_y, then lattice
     order, wins.
     """

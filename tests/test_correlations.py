@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import math
 from pathlib import Path
@@ -28,6 +27,7 @@ from einselect import (
     partial_trace,
     phase_damping,
     pointer_decoherence,
+    project_to_physical,
     quantum_discord,
     sweep,
     von_neumann_entropy,
@@ -589,12 +589,15 @@ def test_polish_reaches_the_top_singular_axis_of_rotated_bell_diagonal_states():
         checked += 1
 
 
+def _benchmark_module(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "einbench"))
+    return importlib.import_module(name)
+
+
 def test_polish_puts_the_fully_dephased_argmax_on_the_pointer_axis(tmp_path, monkeypatch):
     # The general state of `analyze --channel pointer --theta 1.2 --phi 0.4` on
     # the seed-3 benchmark matrix: at p = 1 the optimal axis is the pointer's.
-    # The compass alone stopped 1.28e-7 rad short of it.
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "einbench"))
-    inputs = importlib.import_module("inputs")
+    inputs = _benchmark_module(monkeypatch, "inputs")
     raw, std = inputs.tomography_matrix(3)
     path = tmp_path / "seed3.mat"
     path.write_text(inputs.matrix_file_text(raw, std, "seed 3"), encoding="utf-8")
@@ -605,17 +608,11 @@ def test_polish_puts_the_fully_dephased_argmax_on_the_pointer_axis(tmp_path, mon
     assert _axis_angle(axis, pointer.axis) <= 1e-9
 
 
-def _records_hex(states, ps):
-    return [
-        tuple(float(getattr(r, f.name)).hex() for f in dataclasses.fields(CorrelationRecord))
-        for r in correlation_records(states, ps)
-    ]
-
-
 @pytest.mark.parametrize("family", ["pd", "ad"])
-def test_polish_keeps_the_compass_records_of_x_states(family, monkeypatch):
+def test_ascent_keeps_the_coarse_results_of_x_states(family):
     # X-state optima lie on exact Pauli axes with exact frames, where the chart
-    # gradient is exactly 0; flat or non-smooth points go to the compass.
+    # gradient is exactly 0, and flat or non-smooth points stop where they are:
+    # the ascent returns the coarse pass's values and axes bit for bit.
     rng = np.random.default_rng(20)
     drawn = [random_x_state_params(rng) for _ in range(12)]
     remark = XStateParams(0.25, 0.25, 0.25, 0.25)
@@ -623,16 +620,50 @@ def test_polish_keeps_the_compass_records_of_x_states(family, monkeypatch):
     basis = ProjectiveBasis.sigma_z() if family == "pd" else None
     for params in [STATE_1, STATE_2, remark] + drawn:
         states = evolve(kraus_stack(basis, grid), make_x_state(params).entries)
-        polished = _records_hex(states, grid)
-        with monkeypatch.context() as patch:
-            patch.setattr(correlations, "_ascend", correlations._compass)
-            assert _records_hex(states, grid) == polished, params
+        _, forms, s_entropy = _search_inputs([DensityMatrix(rho) for rho in states])
+        values, axes = _coarse(forms, s_entropy)
+        ascended = _ascend(forms, s_entropy, values, axes)
+        assert ascended[0].tobytes() == values.tobytes(), params
+        assert ascended[1].tobytes() == axes.tobytes(), params
+
+
+def _damped_tomography_states(inputs, seed, ps):
+    raw, _ = inputs.tomography_matrix(seed)
+    state, _ = project_to_physical(raw)
+    return evolve(kraus_stack(None, ps), state.entries)
+
+
+def test_ascent_reaches_brute_force_where_newton_steps_are_refused(monkeypatch):
+    # Near p = 1 under ad, p- -> 0 and the quadratic model fails: Newton's
+    # first steps lower J (seed 1 at p = 0.99 and 0.995, seed 3 at p = 0.995),
+    # and only a shrinking radius lets the ascent reach the maximum.
+    inputs = _benchmark_module(monkeypatch, "inputs")
+    oracle = _benchmark_module(monkeypatch, "oracle")
+    ps = [0.99, 0.995]
+    for seed in range(40):
+        states = _damped_tomography_states(inputs, seed, ps)
+        for record, rho in zip(correlation_records(states, ps), states):
+            best, _ = oracle.brute_force_jmax(rho)
+            assert abs(record.j_max - best) <= 1e-12, (seed, record.p)
+
+
+def test_ascent_keeps_a_flat_start_that_is_not_concave(monkeypatch):
+    # Full damping leaves a product state: J is rounding dust, and on 30 of
+    # these 40 states H is not negative definite. The ascent must stop at
+    # once, not loop on steps kept at zero gain.
+    inputs = _benchmark_module(monkeypatch, "inputs")
+    stack = [_damped_tomography_states(inputs, seed, [1.0])[0] for seed in range(40)]
+    _, forms, s_entropy = _search_inputs([DensityMatrix(rho) for rho in stack])
+    values, axes = _coarse(forms, s_entropy)
+    ascended = _ascend(forms, s_entropy, values, axes)
+    assert ascended[0].tobytes() == values.tobytes()
+    assert ascended[1].tobytes() == axes.tobytes()
 
 
 def test_polish_of_a_mixed_stack_is_its_one_state_results_bit_for_bit():
     # Smooth general states, a pure conditional state (STATE_1 at p = 0), flat
     # maxima (the remark state, the product state at p = 1 under full damping):
-    # each row takes its own path, Newton or compass, as it would alone.
+    # each row steps, shrinks its radius and stops as it would alone.
     rng = np.random.default_rng(44)
     grid = np.linspace(0.0, 1.0, 5)
     stack = [random_density_matrix(rng).entries for _ in range(9)]
