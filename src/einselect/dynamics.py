@@ -7,10 +7,11 @@ finite and positive, which it returns as a float for every caller to keep.
 
 A sweep drives a two-qubit state through a channel family over p in [0, 1],
 records every correlation quantity per grid point, locates the first jump of
-the optimal measurement basis (the sudden change), refines it by bisecting
-the crossing of the two competing bases' correlation values, classifies the
-trajectory into one of four regimes, and evaluates the closed-form emergence
-time for X states under pointer-preserving dephasing:
+the optimal measurement basis (the sudden change), refines it to the root of
+the crossing of the two competing bases' correlation values (_crossings, a
+safeguarded Illinois iteration), classifies the trajectory into one of four
+regimes, and evaluates the closed-form emergence time for X states under
+pointer-preserving dephasing:
 
     tau_E = (1/gamma) ln ((|z| + |w|) / |c - b|),   p_E = 1 - |c - b| / (|z| + |w|).
 
@@ -21,9 +22,9 @@ After t = tau_E (p >= p_E) the maximal correlation is constant and attained
 by the pointer basis; tau_D = 1/gamma is the conventional decoherence time,
 and tau_E may fall on either side of it.
 
-Many initial states are swept as one stack (_sweeps), their transitions
-bisected in lockstep; each state's records and transition are bit for bit
-those of its own sweep.
+Many initial states are swept as one stack (_sweeps), the roots of their
+crossings found in lockstep; each state's records and transition are bit for
+bit those of its own sweep.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ JUMP_THRESHOLD = 0.1
 # anchor a jump (e.g. the exactly-product endpoint p = 1 under full damping).
 BASIS_FLOOR = 1e-9
 
-_BISECT_WIDTH = 1e-12
+# A sudden-change bracket closes once it is at most this wide in p.
+_BRACKET_WIDTH = 1e-12
 
 CHANNEL_FAMILIES = ("pd", "ad", "pointer")
 
@@ -209,18 +211,76 @@ def _jump(records: Sequence[CorrelationRecord]) -> Optional[tuple]:
     return None
 
 
+def _crossings(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The root of f in each bracket [lo, hi], from one lockstep Illinois iteration.
+
+    f(rows, ps) reads the crossing of brackets rows at strengths ps, each
+    row on its own; it is negative at a bracket's lo and positive at its hi
+    when the bracket has a root inside. Both ends of every bracket are read
+    in one call. A bracket whose f is >= 0 at lo ends at lo, one whose f is
+    <= 0 at hi ends at hi, with no iteration. Each other bracket then takes
+    one step per call: the secant point of its two ends, or the midpoint
+    where the secant point is not strictly inside or where the bracket is
+    more than 4 times as wide as halving would have left it. The new point
+    replaces the end of its sign, so f < 0 at lo and f > 0 at hi throughout,
+    and an end kept twice in a row has its stored f halved (the Illinois
+    rule: Dowell and Jarratt, BIT 11, 168, 1971). A bracket stops at an
+    exact zero, which it returns, or once it is at most _BRACKET_WIDTH wide,
+    when it returns its midpoint. The midpoint guard bounds each bracket at
+    three steps more than bisection takes. Each bracket keeps its own ends,
+    values and allowed width, so its root is bit for bit what it gives alone.
+    """
+    lo, hi = lo.astype(float), hi.astype(float)
+    rows = np.arange(lo.size)
+    f_lo, f_hi = f(np.concatenate([rows, rows]), np.concatenate([lo, hi])).reshape(2, -1)
+    out = np.where(f_lo >= 0.0, lo, hi)
+    live = rows[(f_lo < 0.0) & (f_hi > 0.0)]
+    # The widest each bracket may be before its next step, and which end
+    # its last step kept.
+    allowed = 4.0 * (hi - lo)
+    kept_lo = np.zeros(lo.size, dtype=bool)
+    kept_hi = np.zeros(lo.size, dtype=bool)
+    while live.size:
+        a, b = lo[live], hi[live]
+        narrow = ~(b - a > _BRACKET_WIDTH)
+        out[live[narrow]] = 0.5 * (a[narrow] + b[narrow])
+        live, a, b = live[~narrow], a[~narrow], b[~narrow]
+        if not live.size:
+            break
+        fa, fb = f_lo[live], f_hi[live]
+        secant = a - fa * ((b - a) / (fb - fa))
+        inside = (a < secant) & (secant < b) & (b - a <= allowed[live])
+        x = np.where(inside, secant, 0.5 * (a + b))
+        allowed[live] *= 0.5
+        fx = f(live, x)
+        below, above = fx < 0.0, fx > 0.0
+        # An end kept again has its value halved, so the next secant point
+        # moves towards it.
+        f_hi[live[below & kept_hi[live]]] *= 0.5
+        f_lo[live[above & kept_lo[live]]] *= 0.5
+        lo[live[below]], f_lo[live[below]] = x[below], fx[below]
+        hi[live[above]], f_hi[live[above]] = x[above], fx[above]
+        kept_hi[live], kept_lo[live] = below, above
+        hit = ~(below | above)
+        out[live[hit]] = x[hit]
+        live = live[~hit]
+    return out
+
+
 def _transitions(
     states: np.ndarray, basis: Optional[ProjectiveBasis], trajectories: Sequence
 ) -> list:
-    """transition_p of each trajectory, from one lockstep bisection over the stack.
+    """transition_p of each trajectory, from one lockstep root search over the stack.
 
     states holds the (S, 4, 4) entries of the valid initial states, basis is
     the channel family's (_dephasing_basis), and trajectories holds each
     state's records. A trajectory without a jump gets None. The crossing
-    J(incoming) - J(outgoing) is read at both ends of every bracket in one
-    call, then at one midpoint of every open bracket per call; each bracket
-    keeps its own ends and stops on its own, so each transition_p is bit for
-    bit what its trajectory gives alone.
+    J(incoming) - J(outgoing), read on the evolved states by
+    classical_correlations, is negative where the outgoing basis dominates
+    (at the jump's lo) and positive where the incoming one does (at its
+    hi). _crossings finds its root in every bracket at once, so each
+    transition_p is bit for bit what its trajectory gives alone; on a
+    degenerate tie at a grid point the crossing sits at that edge.
     """
     found = [(s, jump) for s, records in enumerate(trajectories) if (jump := _jump(records))]
     result = [None] * len(trajectories)
@@ -234,27 +294,7 @@ def _transitions(
         j = classical_correlations(evolve(kraus_stack(basis, ps), m[rows]), kets[rows])
         return j[:, 0] - j[:, 1]
 
-    rows = np.arange(len(owners))
-    f_lo, f_hi = crossing(np.concatenate([rows, rows]), np.concatenate([lo, hi])).reshape(2, -1)
-    # The outgoing basis dominates at lo and the incoming one at hi; on a
-    # degenerate tie at a grid point the crossing sits at that edge.
-    out = np.where(f_lo >= 0.0, lo, hi)
-    live = rows[(f_lo < 0.0) & (f_hi > 0.0)]
-    while live.size:
-        narrow = ~(hi[live] - lo[live] > _BISECT_WIDTH)
-        out[live[narrow]] = 0.5 * (lo[live[narrow]] + hi[live[narrow]])
-        live = live[~narrow]
-        if not live.size:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        f_mid = crossing(live, mid)
-        below, above = f_mid < 0.0, f_mid > 0.0
-        lo[live[below]] = mid[below]
-        hi[live[above]] = mid[above]
-        hit = ~(below | above)
-        out[live[hit]] = mid[hit]
-        live = live[~hit]
-    for s, p in zip(owners, out.tolist()):
+    for s, p in zip(owners, _crossings(crossing, lo, hi).tolist()):
         result[s] = p
     return result
 
@@ -270,11 +310,11 @@ def detect_transition(
 
     Scans consecutive records for the first argmax-basis jump larger than
     JUMP_THRESHOLD (antipodal-identified), then refines the crossing point of
-    the two competing bases' correlation values by bisection down to an
-    interval of 1e-12 in p. Records whose j_max is below BASIS_FLOOR carry no
+    the two competing bases' correlation values down to an interval of 1e-12
+    in p (_crossings). Records whose j_max is below BASIS_FLOOR carry no
     basis information and never anchor a jump. Returns None when the argmax
-    basis never jumps. This is the one-trajectory case of the stacked
-    bisection that sweeps run.
+    basis never jumps. This is the one-trajectory case of the stacked root
+    search that sweeps run (_transitions).
     """
     basis = _dephasing_basis(channel_family, pointer_basis)
     return _transitions(rho0.entries[None], basis, [records])[0]
@@ -377,7 +417,7 @@ def _stacked_sweeps(states, ps: np.ndarray, basis: Optional[ProjectiveBasis]):
     _SWEEP_STATES states are read at a time, so a generator's states are
     made only as each chunk needs them. Each chunk is one (S N, 4, 4) stack
     of channel outputs, read by one correlation_records call, and its
-    transitions come from one lockstep bisection (_transitions). Each
+    transitions come from one lockstep root search (_transitions). Each
     trajectory's records and transition_p are bit for bit what it gives
     alone; sweep is the S = 1 case.
     """

@@ -153,9 +153,9 @@ def _analysis(
 
     Returns (report, bands), bands None for samples = 0. The point estimate
     and the samples are one stack of sweeps (dynamics._stacked_sweeps), the
-    point estimate first, so its trajectory is read and bisected in lockstep
-    with the samples'; both results are bit for bit those of the separate
-    calls. The checks run in the separate calls' order: gamma, then the
+    point estimate first, so its trajectory is read and its transition found
+    in lockstep with the samples'; both results are bit for bit those of the
+    separate calls. The checks run in the separate calls' order: gamma, then the
     grid and the channel family, then the std block, samples and seed.
     """
     gamma = check_gamma(gamma)

@@ -16,7 +16,7 @@ broadcast product. lemma1 maximizes the chunk's states and reads their
 mutual information and J in each trial's pointer and tilted bases in one
 pass. theorem2 sweeps the chunk's X states as one stack (dynamics._sweeps):
 one correlation_records call per chunk of stacked sweeps and one lockstep
-bisection. Judging draws nothing, so every trial sees the draws and gives
+root search for the transitions. Judging draws nothing, so every trial sees the draws and gives
 the result it would in a one-trial-at-a-time loop, bit for bit.
 
 The four properties:
