@@ -1,9 +1,9 @@
 """Channel-strength sweeps, sudden-change detection, regime classification.
 
-Channel strength becomes time through the exponential clock p(t) = 1 - exp(-gamma t);
-decoherence_time gives tau_D = 1/gamma, where p = P_AT_TAU_D, and check_gamma is
-the one check of gamma: a real number, not a bool, with gamma and 1/gamma
-finite and positive, which it returns as a float for every caller to keep.
+Channel strength becomes time through the clock p(t) = 1 - exp(-gamma t) (_clock,
+which gives every p_E); decoherence_time gives tau_D = 1/gamma, where p = P_AT_TAU_D,
+and check_gamma is the one check of gamma: a real number, not a bool, with gamma
+and 1/gamma finite and positive, which it returns as a float for every caller to keep.
 
 A sweep drives a two-qubit state through a channel family over p in [0, 1],
 records every correlation quantity per grid point, locates the first jump of
@@ -22,9 +22,9 @@ After t = tau_E (p >= p_E) the maximal correlation is constant and attained
 by the pointer basis; tau_D = 1/gamma is the conventional decoherence time,
 and tau_E may fall on either side of it.
 
-Many initial states are swept as one stack (_sweeps), the roots of their
-crossings found in lockstep; each state's records and transition are bit for
-bit those of its own sweep.
+A sweep's grid and channel family are checked once (_sweep_plan); then its
+states stream as one stack through the one stacked sweep (_sweeps), each
+state's records and transition bit for bit those of its own sweep.
 """
 
 from __future__ import annotations
@@ -72,8 +72,14 @@ _BRACKET_WIDTH = 1e-12
 
 CHANNEL_FAMILIES = ("pd", "ad", "pointer")
 
+
+def _clock(gamma: float, t: float) -> float:
+    """Channel strength at time t, p(t) = 1 - exp(-gamma t): the one formula for it."""
+    return 1.0 - math.exp(-gamma * t)
+
+
 # Channel strength reached at the decoherence time tau_D = 1/gamma.
-P_AT_TAU_D = 1.0 - math.exp(-1.0)
+P_AT_TAU_D = _clock(1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -158,7 +164,7 @@ class TrajectoryReport:
         """Channel strength at the emergence time, 1 - exp(-gamma tau_E)."""
         if self.emergence_time is None:
             return None
-        return 1.0 - math.exp(-self.gamma * self.emergence_time)
+        return _clock(self.gamma, self.emergence_time)
 
 
 def _dephasing_basis(
@@ -177,21 +183,6 @@ def _dephasing_basis(
     raise InvalidInputError(
         f"unknown channel family {family!r}; expected one of {CHANNEL_FAMILIES}"
     )
-
-
-def _validate_grid(grid) -> np.ndarray:
-    if grid is None:
-        return np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    arr = np.asarray(grid, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidInputError("grid must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("grid points must be finite numbers")
-    if arr[0] < 0.0 or arr[-1] > 1.0:
-        raise InvalidInputError("grid must lie within [0, 1]")
-    if arr.size > 1 and np.any(np.diff(arr) <= 0.0):
-        raise InvalidInputError("grid must be strictly increasing")
-    return arr
 
 
 def _jump(records: Sequence[CorrelationRecord]) -> Optional[tuple]:
@@ -321,8 +312,9 @@ def detect_transition(
 
 
 def _after_transition(records: Sequence[CorrelationRecord], transition_p: float) -> list:
-    """The records at or after transition_p (to 1e-12 in p), where the plateau is read."""
-    return [r for r in records if r.p >= transition_p - 1e-12]
+    """The records at or after transition_p (to _BRACKET_WIDTH in p), where the plateau is read."""
+    # transition_p is a closed bracket's midpoint: a record on the crossing's grid point stays.
+    return [r for r in records if r.p >= transition_p - _BRACKET_WIDTH]
 
 
 def classify_regime(
@@ -364,7 +356,7 @@ def emergence_time(params: XStateParams, gamma: float = 1.0) -> Optional[Emergen
     so there is no transition (the trajectory is constant). Raises for c = b,
     where the formula diverges (zero pointer correlation, no finite
     emergence; the decay is asymptotic). Raises InvalidInputError for a
-    gamma that check_gamma rejects.
+    gamma that check_gamma rejects. p_e is the clock at tau_e (_clock).
     """
     gamma = check_gamma(gamma)
     gap = abs(params.c - params.b)
@@ -375,9 +367,8 @@ def emergence_time(params: XStateParams, gamma: float = 1.0) -> Optional[Emergen
         )
     if transverse <= gap:
         return None
-    return EmergenceResult(
-        tau_e=math.log(transverse / gap) / gamma, p_e=1.0 - gap / transverse
-    )
+    tau_e = math.log(transverse / gap) / gamma
+    return EmergenceResult(tau_e=tau_e, p_e=_clock(gamma, tau_e))
 
 
 # Trajectories are swept this many states (trajectories times grid points) at
@@ -390,30 +381,29 @@ _SWEEP_STATES = 1024
 
 
 def _sweep_plan(channel_family: str, grid, pointer_basis: Optional[ProjectiveBasis]):
-    """A sweep's checked grid and dephasing basis: (ps, basis), grid check first."""
-    return _validate_grid(grid), _dephasing_basis(channel_family, pointer_basis)
+    """A sweep's checked grid and dephasing basis: (ps, basis), the one check of both.
+
+    ps is the grid's own float copy (None: DEFAULT_GRID_POINTS strengths on
+    [0, 1]); the grid is checked before the channel family.
+    """
+    ps = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS) if grid is None else np.array(grid, dtype=float)
+    if ps.ndim != 1 or ps.size == 0:
+        raise InvalidInputError("grid must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(ps)):
+        raise InvalidInputError("grid points must be finite numbers")
+    if ps[0] < 0.0 or ps[-1] > 1.0:
+        raise InvalidInputError("grid must lie within [0, 1]")
+    if np.any(np.diff(ps) <= 0.0):
+        raise InvalidInputError("grid must be strictly increasing")
+    return ps, _dephasing_basis(channel_family, pointer_basis)
 
 
-def _sweeps(
-    states,
-    channel_family: str,
-    grid,
-    *,
-    pointer_basis: Optional[ProjectiveBasis],
-):
+def _sweeps(states, ps: np.ndarray, basis: Optional[ProjectiveBasis]):
     """Sweep each initial state in an iterable over one grid; yield (records, transition_p) each.
 
     states is any iterable (an array, a list, a generator) of the (4, 4)
     entries of valid two-qubit states, and the trajectories come out in its
-    order. The grid and the channel family are checked (_sweep_plan) before
-    the first state is read; then _stacked_sweeps sweeps them.
-    """
-    yield from _stacked_sweeps(states, *_sweep_plan(channel_family, grid, pointer_basis))
-
-
-def _stacked_sweeps(states, ps: np.ndarray, basis: Optional[ProjectiveBasis]):
-    """_sweeps over a checked grid ps and dephasing basis (_sweep_plan).
-
+    order. ps and basis are a checked grid and dephasing basis (_sweep_plan).
     _SWEEP_STATES states are read at a time, so a generator's states are
     made only as each chunk needs them. Each chunk is one (S N, 4, 4) stack
     of channel outputs, read by one correlation_records call, and its
@@ -483,5 +473,5 @@ def sweep(
     """
     gamma = check_gamma(gamma)
     ps, basis = _sweep_plan(channel_family, grid, pointer_basis)
-    ((records, transition),) = _stacked_sweeps(rho0.entries[None], ps, basis)
+    ((records, transition),) = _sweeps(rho0.entries[None], ps, basis)
     return _report(rho0, basis, gamma, records, transition)

@@ -9,11 +9,11 @@ statistics of the detected transition strength.
 
 Determinism: the run seed spawns one child seed per sample index, samples are
 drawn and reduced in index order, and nothing depends on wall-clock or
-machine state, so identical arguments reproduce byte-identical outputs. The
-samples are swept together, a chunk at a time (dynamics._sweeps), and are
-drawn as the sweep reads each chunk; each sample's trajectory is bit for bit
-its own sweep's. `analyze` sweeps its point estimate at the head of the same
-stack (_analysis).
+machine state, so identical arguments reproduce byte-identical outputs. After
+one check of the grid and family (dynamics._sweep_plan) the samples stream
+through the one stacked sweep (dynamics._sweeps), drawn as it reads each
+chunk; each sample's trajectory is bit for bit its own sweep's. `analyze`
+sweeps its point estimate at the head of the same stack (_analysis).
 
 Independent Gaussian entries are a modeling choice: real tomography errors
 are correlated through the measurement counts, but the correlation structure
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .correlations import ProjectiveBasis
-from .dynamics import _count, _report, _seed, _stacked_sweeps, _sweep_plan, _sweeps, check_gamma
+from .dynamics import _count, _report, _seed, _sweep_plan, _sweeps, check_gamma
 from .errors import InvalidInputError
 from .matrixio import MatrixFile, float_range_guard, project_to_physical
 
@@ -81,14 +81,11 @@ def _draws(matrix: MatrixFile, samples: int, seed: int):
         yield project_to_physical(sample, max_distance=None)[0].entries
 
 
-def _bands(trajectories, samples: int, seed: int) -> MonteCarloBands:
-    """The bands of the samples' trajectories, an iterable of (records, transition_p)."""
+def _bands(trajectories, ps: np.ndarray, samples: int, seed: int) -> MonteCarloBands:
+    """The bands over ps, the plan's own grid copy, of the samples' (records, transition_p)."""
+    series = {name: np.empty((samples, ps.size)) for name in _QUANTITIES}
     transitions = []
     for index, (records, transition_p) in enumerate(trajectories):
-        if index == 0:
-            # The first trajectory's records give the grid that the sweep resolved.
-            ps = np.array([r.p for r in records])
-            series = {name: np.empty((samples, ps.size)) for name in _QUANTITIES}
         for name in _QUANTITIES:
             series[name][index] = [getattr(r, name) for r in records]
         if transition_p is not None:
@@ -123,10 +120,9 @@ def monte_carlo_bands(
     sample (_draws) is the measured matrix plus Gaussian noise, projected
     back to a physical state, and is swept with sweep's channel_family, grid
     and pointer_basis. grid=None means sweep's default grid
-    (DEFAULT_GRID_POINTS strengths on [0, 1]). The samples are drawn as
-    _sweeps reads each chunk of them, and _sweeps checks the grid and the
-    channel family before it reads the first, so a refused grid or family
-    draws nothing.
+    (DEFAULT_GRID_POINTS strengths on [0, 1]). Every input is checked, in
+    analyze's order (grid, family, std block, samples, seed), before the
+    first draw; the samples are drawn as _sweeps reads each chunk of them.
 
     A full-precision run (201 grid points, 1000 samples) sweeps 1000
     trajectories, five per chunk: on a shared 2-core host with one BLAS
@@ -134,9 +130,9 @@ def monte_carlo_bands(
     `einbench/inputs.py --seed 3` writes took 23-24 s under ad and under
     pd. Tests and quick looks should shrink samples and the grid.
     """
+    ps, basis = _sweep_plan(channel_family, grid, pointer_basis)
     samples, seed = _checked(matrix, samples, seed)
-    draws = _draws(matrix, samples, seed)
-    return _bands(_sweeps(draws, channel_family, grid, pointer_basis=pointer_basis), samples, seed)
+    return _bands(_sweeps(_draws(matrix, samples, seed), ps, basis), ps, samples, seed)
 
 
 def _analysis(
@@ -152,7 +148,7 @@ def _analysis(
     """sweep of the matrix file's state and, unless samples is 0, its monte_carlo_bands.
 
     Returns (report, bands), bands None for samples = 0. The point estimate
-    and the samples are one stack of sweeps (dynamics._stacked_sweeps), the
+    and the samples are one stack of sweeps (dynamics._sweeps), the
     point estimate first, so its trajectory is read and its transition found
     in lockstep with the samples'; both results are bit for bit those of the
     separate calls. The checks run in the separate calls' order: gamma, then the
@@ -164,6 +160,6 @@ def _analysis(
     if samples:
         samples, seed = _checked(matrix, samples, seed)
         states = itertools.chain(states, _draws(matrix, samples, seed))
-    trajectories = _stacked_sweeps(states, ps, basis)
+    trajectories = _sweeps(states, ps, basis)
     report = _report(matrix.state, basis, gamma, *next(trajectories))
-    return report, (_bands(trajectories, samples, seed) if samples else None)
+    return report, (_bands(trajectories, ps, samples, seed) if samples else None)

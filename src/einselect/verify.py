@@ -14,10 +14,11 @@ reads J of all the chunk's states (each drawn rho among them) in their own
 pointer bases with one check, and forms every block Pi_i rho Pi_i in one
 broadcast product. lemma1 maximizes the chunk's states and reads their
 mutual information and J in each trial's pointer and tilted bases in one
-pass. theorem2 sweeps the chunk's X states as one stack (dynamics._sweeps):
-one correlation_records call per chunk of stacked sweeps and one lockstep
-root search for the transitions. Judging draws nothing, so every trial sees the draws and gives
-the result it would in a one-trial-at-a-time loop, bit for bit.
+pass. theorem2 streams the chunk's X states through the one stacked sweep
+(dynamics._sweeps) on a constant grid: one correlation_records call per
+chunk and one lockstep root search for the transitions. Judging draws
+nothing, so every trial sees the draws and gives the result it would in a
+one-trial-at-a-time loop, bit for bit.
 
 The four properties:
   - theorem1: the classical correlation read in the pointer basis is
@@ -75,6 +76,9 @@ LEMMA1_ANGLE_TOL = 1e-3
 LEMMA1_VALUE_TOL = 1e-6
 REMARK_POINTER_TOL = 1e-12
 THEOREM2_GRID_POINTS = 41
+# Every theorem2 chunk sweeps this grid, so it is read-only.
+_THEOREM2_GRID = np.linspace(0.0, 1.0, THEOREM2_GRID_POINTS)
+_THEOREM2_GRID.flags.writeable = False
 LEMMA1_PERTURBATIONS = 20
 # lemma1's tilted bases lie between this angle and pi/2 from the pointer axis.
 LEMMA1_MIN_TILT = 0.05
@@ -272,8 +276,7 @@ def _theorem2_draw(rng) -> DensityMatrix:
 
 def _theorem2_sweeps(chunk) -> list:
     """Per trial: (records, transition_p) of its dephasing sweep, the chunk swept as one stack."""
-    grid = np.linspace(0.0, 1.0, THEOREM2_GRID_POINTS)
-    return list(_sweeps((rho.entries for rho in chunk), "pd", grid, pointer_basis=None))
+    return list(_sweeps((rho.entries for rho in chunk), _THEOREM2_GRID, ProjectiveBasis.sigma_z()))
 
 
 def _theorem2_judge(chunk) -> list:

@@ -35,7 +35,7 @@ from einselect import (
 from einselect.channels import evolve, kraus_stack
 from einselect.correlations import classical_correlations
 from einselect import dynamics
-from einselect.dynamics import BASIS_FLOOR, JUMP_THRESHOLD, _crossings, _sweeps, max_increase
+from einselect.dynamics import BASIS_FLOOR, JUMP_THRESHOLD, _crossings, _sweep_plan, _sweeps, max_increase
 from einselect.verify import random_density_matrix
 
 TAU_E_STATE_1 = math.log(5.0 / 3.0)  # ln |(z+w)/(c-b)| = ln(0.5/0.3)
@@ -209,6 +209,26 @@ def test_emergence_time_matches_the_sweep_for_both_coherence_signs():
                 transitions += 1
                 assert closed.p_e == pytest.approx(report.transition_p, abs=1e-9)
         assert transitions > 0, f"no transition drawn for z w < 0 = {opposite}"
+
+
+def test_sweep_and_emergence_time_give_the_same_p_e_bits():
+    # Both read p_E off the clock at tau_E. Taken as 1 - |c - b| / (|z| + |w|)
+    # instead, 35 of these 150 finite values would differ in the last digit;
+    # the clock stays within 1e-15 of that closed form.
+    rng = np.random.default_rng(0)
+    finite = 0
+    for gamma in (1.0, 2.0, 0.7):
+        for params in (random_x_state_params(rng) for _ in range(100)):
+            closed = emergence_time(params, gamma)
+            report = sweep(make_x_state(params), "pd", [0.0, 1.0], gamma=gamma)
+            if closed is None:
+                assert report.p_e is None
+                continue
+            finite += 1
+            assert report.p_e.hex() == closed.p_e.hex()
+            gap = abs(params.c - params.b)
+            assert abs(closed.p_e - (1.0 - gap / (abs(params.z) + abs(params.w)))) <= 1e-15
+    assert finite == 150
 
 
 def test_emergence_time_diverges_for_balanced_populations():
@@ -433,14 +453,14 @@ def test_stacked_sweeps_equal_the_per_state_sweeps(family, grid, monkeypatch):
     # Five trajectories per chunk, so the stack spans three chunks.
     monkeypatch.setattr(dynamics, "_SWEEP_STATES", 5 * grid.size)
     entries = np.array([rho.entries for rho in states])
-    stacked = list(_sweeps(entries, family, grid, pointer_basis=pointer))
+    stacked = list(_sweeps(entries, *_sweep_plan(family, grid, pointer)))
     assert len(stacked) == len(states)
     for rho, (records, transition_p) in zip(states, stacked):
         report = sweep(rho, family, grid, pointer_basis=pointer)
         assert _hex(records, transition_p) == _hex(report.records, report.transition_p)
         _assert_meets_the_bisection(transition_p, _bisection_reference(rho, family, records, pointer))
     # A generator of the same entries is read a chunk at a time to the same sweeps.
-    streamed = list(_sweeps((rho.entries for rho in states), family, grid, pointer_basis=pointer))
+    streamed = list(_sweeps((rho.entries for rho in states), *_sweep_plan(family, grid, pointer)))
     assert [_hex(*t) for t in streamed] == [_hex(*t) for t in stacked]
 
 
@@ -460,8 +480,9 @@ def _unread():
     ids=["empty-grid", "repeated-point", "nan-point", "unknown-family"],
 )
 def test_sweeps_refuse_their_arguments_before_reading_a_state(family, grid, message):
+    # _sweep_plan is the one check, so it refuses before the sweep reads a state.
     with pytest.raises(InvalidInputError, match=message):
-        next(_sweeps(_unread(), family, grid, pointer_basis=None))
+        next(_sweeps(_unread(), *_sweep_plan(family, grid, None)))
 
 
 def test_lockstep_brackets_close_on_their_own(monkeypatch):
@@ -477,7 +498,7 @@ def test_lockstep_brackets_close_on_their_own(monkeypatch):
 
     monkeypatch.setattr(dynamics, "classical_correlations", counted)
     entries = np.array([rho.entries for rho in states])
-    stacked = list(_sweeps(entries, "pd", GRIDS["squares"], pointer_basis=None))
+    stacked = list(_sweeps(entries, *_sweep_plan("pd", GRIDS["squares"], None)))
     monkeypatch.undo()
     brackets = sum(transition_p is not None for _, transition_p in stacked)
     assert 2 < brackets < len(states)
@@ -519,7 +540,7 @@ def test_a_three_chunk_sweep_makes_few_crossing_calls(monkeypatch):
     monkeypatch.setattr(dynamics, "classical_correlations", counted)
     monkeypatch.setattr(dynamics, "_SWEEP_STATES", 5 * 201)
     entries = np.array([rho.entries for rho in _mixed_states()])
-    found = [t for _, t in _sweeps(entries, "pd", np.linspace(0.0, 1.0, 201), pointer_basis=None)]
+    found = [t for _, t in _sweeps(entries, *_sweep_plan("pd", np.linspace(0.0, 1.0, 201), None))]
     assert sum(t is not None for t in found) == 3
     assert len(calls) <= 15
 

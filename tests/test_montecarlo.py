@@ -282,3 +282,35 @@ def test_analysis_checks_in_the_order_of_sweep_then_bands(tmp_path):
             montecarlo._analysis(
                 matrix, family, grid, gamma=gamma, samples=samples, seed=seed, pointer_basis=None
             )
+
+
+def test_bands_check_in_the_order_of_analyze(tmp_path, monkeypatch):
+    # Grid, family, std block, samples, seed: each case breaks every input
+    # from its own on, and nothing is drawn before the refusal.
+    monkeypatch.setattr(montecarlo.np.random, "default_rng", None)
+    bare = tmp_path / "bare.mat"
+    write_matrix_file(bare, make_x_state(STATE_1))
+    bare = parse_matrix_file(bare)
+    noisy = matrix_file(tmp_path, 0.01)
+    cases = [
+        (bare, [], "depolarizing", 1, -1, "^grid must be a nonempty"),
+        (bare, GRID_11, "depolarizing", 1, -1, "^unknown channel family"),
+        (bare, GRID_11, "pd", 1, -1, "^matrix file carries no uncertainty block"),
+        (noisy, GRID_11, "pd", 1, -1, "^Monte Carlo needs at least 2 samples$"),
+        (noisy, GRID_11, "pd", 2, -1, "^seed must be a non-negative integer, got -1$"),
+    ]
+    for matrix, grid, family, samples, seed, message in cases:
+        with pytest.raises(InvalidInputError, match=message):
+            monte_carlo_bands(matrix, family, grid, samples=samples, seed=seed)
+
+
+def test_bands_keep_their_own_grid(tmp_path):
+    parsed = matrix_file(tmp_path, 0.005)
+    grid = GRID_11.copy()
+    bands = monte_carlo_bands(parsed, "pd", grid, samples=2, seed=3)
+    _, analyzed = montecarlo._analysis(
+        parsed, "pd", grid, gamma=1.0, samples=2, seed=3, pointer_basis=None
+    )
+    grid[:] = 0.5
+    np.testing.assert_array_equal(bands.p, GRID_11)
+    np.testing.assert_array_equal(analyzed.p, GRID_11)
