@@ -34,12 +34,17 @@ real 3-vector arithmetic with no eigensolver, and each outcome's term keeps
 its relative accuracy (see _bloch_information). s.n and T n are written as
 explicit three-term sums, so every value depends only on its own state and
 axis, never on the rest of the batch. The search (_maximize) is _coarse,
-the 515-axis pass over blocks of 8 states, then _ascend, the refinement from
-those axes in lockstep over all states: safeguarded Newton steps in a
-tangent-plane chart, whose gradient and Hessian are the same 3-vector
-algebra (_chart_derivatives; the stationarity conditions of Girolami and
-Adesso, PRA 83, 052108, 2011). Every J value comes from the kernel through
-one step that takes each state's best candidate (_best_candidates).
+the 515-axis pass, then _ascend, the refinement from those axes in lockstep
+over all states: safeguarded Newton steps in a tangent-plane chart, whose
+gradient and Hessian are the same 3-vector algebra (_chart_derivatives; the
+stationarity conditions of Girolami and Adesso, PRA 83, 052108, 2011). The
+coarse pass bounds J before it evaluates it, as branch and bound does: one
+matrix product per block of 4 states gives an upper bound on J at every
+axis, within 0.23% of J - S(rho_s) + 1 (_survivors), and only the axes
+whose bound reaches the largest lower bound, about 1% of them along a
+sweep, go to the kernel, so its values and axes are bit for bit those of J
+on all 515. Every J value comes from the kernel through one step that takes
+each state's best candidate (_best_candidates).
 maximize_classical_correlation is its one-state case. It keeps each axis
 as a 3-vector and converts to (theta, phi) only for the result.
 
@@ -281,6 +286,47 @@ def _search_axes(points: int) -> np.ndarray:
 
 _SEARCH_AXES = _search_axes(512)
 
+# The coarse pass bounds J before it evaluates it. 1 - H((1 + x)/2) =
+# x^2 phi(x^2), where phi(u) = sum_k u^(k-1) / (2k (2k - 1) ln 2) has positive
+# coefficients: it increases on [0, 1], from 1/(2 ln 2) to 1. So on each
+# interval between the knots i / _KNOTS, phi lies between its values at the
+# two ends, whose ratio is at most 1 + _SLACK (0.23%, on the last interval,
+# where phi rises fastest).
+_KNOTS = 1024
+
+
+def _phi_at_knots(knots: int) -> np.ndarray:
+    """phi at u = i / knots for i = 0, ..., knots; phi(0) = 1/(2 ln 2) is its limit."""
+    u = np.arange(1, knots + 1) / knots
+    return np.concatenate([[0.5 / _LN2], _bloch_information(np.sqrt(u)) / u])
+
+
+_PHI = _phi_at_knots(_KNOTS)
+_SLACK = float(np.max(_PHI[1:] / _PHI[:-1])) - 1.0
+# phi at the knot above each interval, and phi(1) = 1 for u = 1 itself.
+_PHI_ABOVE = np.append(_PHI[1:], 1.0)
+
+
+def _information_above(u: np.ndarray) -> np.ndarray:
+    """A bound on 1 - H((1 + sqrt u)/2) for each u >= 0, the square of a Bloch length.
+
+    u is clipped to 1, as the kernel clips the length, and NaN reads as 1.
+    The bound, u times phi at the knot above u (_PHI_ABOVE), is at least the
+    information of length sqrt(u) and at most (1 + _SLACK) times it; since
+    u * _KNOTS is exact, each u is read on its own interval.
+    """
+    u = np.fmin(u, 1.0)
+    return u * _PHI_ABOVE[(_KNOTS * u).astype(np.intp)]
+
+
+# How far below the largest bound, in bits, a pruned axis's bound must lie:
+# far more than the rounding of the bound and of the kernel's J.
+_PRUNE_MARGIN = 1e-12
+# Every search axis as [1; n], then as [1; -n], a (4, 1030) array.
+_SIGNED_AXES = np.concatenate(
+    [np.ones((1, 2 * _SEARCH_AXES.shape[1])), np.concatenate([_SEARCH_AXES, -_SEARCH_AXES], axis=1)]
+)
+
 
 def _chart_axes(n0, e1, e2, a, b) -> list:
     """x, y, z of normalize(n0 + a e1 + b e2); n0, e1, e2 index their xyz last."""
@@ -293,10 +339,13 @@ def _chart_axes(n0, e1, e2, a, b) -> list:
 # The stand-in for the conditional state of an outcome that never happens.
 _HALF_I2 = np.eye(2, dtype=complex) / 2.0
 
-# States per block of the maximizer's coarse pass. Its intermediates are
-# (states, 515) arrays; blocks of 8 run a sweep as fast as blocks of 16 do,
-# and keep its peak memory near that of one state at a time.
-_COARSE_BLOCK = 8
+# States per block of the coarse pass's bound, whose product is a (states, 4,
+# 1030) array: blocks of 4 keep each temporary near 128 KiB, and blocks of 8
+# ran slower. J is then evaluated on the surviving pairs of whole states, at
+# most _COARSE_PAIRS at a time, which bounds the kernel's temporaries however
+# many axes survive.
+_COARSE_BLOCK = 4
+_COARSE_PAIRS = 1024
 
 
 def _conditional_states(m: np.ndarray, kets: np.ndarray):
@@ -411,29 +460,86 @@ def mutual_information(rho: DensityMatrix) -> float:
     return float(_nonnegative(mutual[0], _NEGATIVE_J_TOL, "mutual information"))
 
 
-def _best_candidates(forms: np.ndarray, s_entropy: np.ndarray, nx, ny, nz):
-    """Each state's best candidate axis: J on its axes, then the first argmax.
+def _best_candidates(forms: np.ndarray, s_entropy: np.ndarray, owner: np.ndarray, nx, ny, nz):
+    """Each state's best candidate axis: J on its candidates, then the first maximum.
 
-    forms is (N, 4, 4) and s_entropy (N,); nx, ny, nz are candidate axes
-    shared by the states, (C,), or one row per state, (N, C). Returns the
-    best values (N,) and their candidate indices (N,).
+    forms is (N, 4, 4) and s_entropy (N,). Candidate i is the axis (nx[i],
+    ny[i], nz[i]) of state owner[i]; owner is nondecreasing and names each
+    of the N states at least once. Returns the best values (N,) and the
+    indices (N,) of their candidates. On exact ties the first candidate wins.
     """
-    values = _bloch_correlation(forms.transpose(1, 2, 0)[..., None], s_entropy[:, None], nx, ny, nz)
-    k = np.argmax(values, axis=1)
-    return values[np.arange(k.size), k], k
+    form = forms.transpose(1, 2, 0)[..., owner]
+    values = _bloch_correlation(form, s_entropy[owner], nx, ny, nz)
+    starts = np.searchsorted(owner, np.arange(len(forms)))
+    top = np.maximum.reduceat(values, starts)[owner]
+    at_top = np.where(values == top, np.arange(values.size), values.size)
+    first = np.minimum.reduceat(at_top, starts)
+    return values[first], first
+
+
+def _survivors(forms: np.ndarray):
+    """The (state, axis) pairs of a block of states that a bound on J cannot rule out.
+
+    One product of the (B, 4, 4) forms with _SIGNED_AXES gives, for each
+    state and search axis n, both outcomes' 2p+- = 1 +- s.n and v+- = r +- T n,
+    hence the square u+- = |v+-|^2 / (2p+-)^2 of the conditional Bloch length.
+    The bound c(n) = sum p+- _information_above(u+-), where an outcome with
+    2p+- <= 0 counts zero, satisfies c/(1 + _SLACK) <= J - S(rho_s) + 1 <= c.
+    An axis whose c lies more than _PRUNE_MARGIN below the state's largest
+    c/(1 + _SLACK) is therefore below the state's maximum J, and cannot tie
+    it. Returns the other pairs as (state, axis) index arrays, in state then
+    axis order; an axis whose bound is NaN is kept.
+    """
+    bloch = (forms.reshape(-1, 4) @ _SIGNED_AXES).reshape(len(forms), 4, -1)
+    twice_p = bloch[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # 2p = 0 gives u = inf or NaN (0/0); both read as 1, weighted by 0.
+        u = np.einsum("sak,sak->sk", bloch[:, 1:], bloch[:, 1:]) / (twice_p * twice_p)
+    term = np.maximum(twice_p, 0.0) * _information_above(u)
+    axes = _SEARCH_AXES.shape[1]
+    # 2 c(n), so the margin is doubled too.
+    doubled = term[:, :axes] + term[:, axes:]
+    floor = doubled.max(axis=1, keepdims=True) / (1.0 + _SLACK)
+    return np.nonzero(~(doubled + 2.0 * _PRUNE_MARGIN < floor))
+
+
+def _survivor_groups(forms: np.ndarray):
+    """The pairs that survive the bound (_survivors), in groups of whole states.
+
+    Blocks of _COARSE_BLOCK states are bounded in turn; a group is cut off
+    once more than _COARSE_PAIRS pairs are pending, at the last state that
+    fits, so no group holds more (a state has at most 515). Yields (states,
+    owner, axis): the group's slice of the stack and its pairs' state
+    (counted from the slice's start) and axis indices.
+    """
+    done, owner, axis = 0, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    for start in range(0, len(forms), _COARSE_BLOCK):
+        state, picked = _survivors(forms[start : start + _COARSE_BLOCK])
+        owner, axis = np.concatenate([owner, state + start]), np.concatenate([axis, picked])
+        while owner.size > _COARSE_PAIRS:
+            cut = np.searchsorted(owner, owner[_COARSE_PAIRS])
+            end = int(owner[cut])
+            yield slice(done, end), owner[:cut] - done, axis[:cut]
+            done, owner, axis = end, owner[cut:], axis[cut:]
+    if owner.size:
+        yield slice(done, len(forms)), owner - done, axis
 
 
 def _coarse(forms: np.ndarray, s_entropy: np.ndarray):
-    """The coarse pass: each state's best of the 515 search axes, in blocks of _COARSE_BLOCK.
+    """The coarse pass: each state's best of the 515 search axes, bound, then evaluated.
 
-    Returns the best values (N,) and axes (N, 3). On exact ties the first of
-    sigma_z, sigma_x, sigma_y, then lattice order, wins.
+    Blocks of _COARSE_BLOCK states first rule out the axes whose bound on J
+    lies below the state's maximum (_survivors); J is then evaluated on the
+    other axes of a few blocks at a time (_survivor_groups). The values (N,)
+    and axes (N, 3) are bit for bit those of J evaluated on all 515 axes. On
+    exact ties the first of sigma_z, sigma_x, sigma_y, then lattice order, wins.
     """
     values, axes = np.empty(len(forms)), np.empty((len(forms), 3))
-    for start in range(0, len(forms), _COARSE_BLOCK):
-        block = slice(start, start + _COARSE_BLOCK)
-        values[block], k = _best_candidates(forms[block], s_entropy[block], *_SEARCH_AXES)
-        axes[block] = _SEARCH_AXES[:, k].T
+    for states, owner, axis in _survivor_groups(forms):
+        values[states], k = _best_candidates(
+            forms[states], s_entropy[states], owner, *_SEARCH_AXES[:, axis]
+        )
+        axes[states] = _SEARCH_AXES[:, axis[k]].T
     return values, axes
 
 
@@ -558,7 +664,7 @@ def _ascend(forms: np.ndarray, s_entropy: np.ndarray, values: np.ndarray, axes: 
         step = smooth & (np.sqrt(g1 * g1 + g2 * g2) >= _STATIONARY)
         rows = live[step]
         moved = np.stack(_chart_axes(n[step], e1[step], e2[step], a[step], b[step]), axis=1)
-        top, _ = _best_candidates(forms[rows], s_entropy[rows], *moved.T[:, :, None])
+        top, _ = _best_candidates(forms[rows], s_entropy[rows], np.arange(rows.size), *moved.T)
         kept = top >= best[rows]
         best[rows[kept]] = top[kept]
         axes[rows[kept]] = moved[kept]
@@ -587,7 +693,8 @@ def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, Projectiv
 
     Deterministic: a coarse pass (_coarse) over the exact sigma_z, sigma_x
     and sigma_y axes (so the result never falls below those by more than
-    rounding) and a 512-point Fibonacci lattice on the upper hemisphere, then
+    rounding) and a 512-point Fibonacci lattice on the upper hemisphere,
+    which evaluates J only where a bound on J does not rule the axis out, then
     an ascent (_ascend) in the tangent-plane chart
     n = normalize(n0 + a e1 + b e2) around the best candidate n0, which has
     no pole. Where J is smooth (both outcomes possible, neither conditional

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,11 +36,16 @@ from einselect import (
 from einselect.channels import evolve, kraus_stack
 from einselect import correlations
 from einselect.correlations import (
+    _KNOTS,
     _NO_BASES,
     _SEARCH_AXES,
+    _SIGMA_ZX,
+    _SLACK,
     _ascend,
     _bloch_correlation,
+    _bloch_information,
     _coarse,
+    _information_above,
     _local_terms,
     _maximize,
     bloch_form,
@@ -519,7 +525,8 @@ def test_ascent_from_a_lattice_neighbour_reaches_the_maximizer_result():
 
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 17])
 def test_ascent_from_the_coarse_pass_is_the_maximizer_bit_for_bit(size):
-    # Sizes straddle the coarse pass's block of 8 states.
+    # Sizes straddle the coarse pass's blocks of 4 states: one state, whole
+    # last blocks (8) and partial ones (7, 9, 17).
     rng = np.random.default_rng(size)
     m, forms, s_entropy = _search_inputs([random_density_matrix(rng) for _ in range(size)])
     values, axes = _ascend(forms, s_entropy, *_coarse(forms, s_entropy))
@@ -532,6 +539,128 @@ def test_ascent_from_the_coarse_pass_is_the_maximizer_bit_for_bit(size):
         alone = _ascend(forms[row], s_entropy[row], *_coarse(forms[row], s_entropy[row]))
         assert alone[0].tobytes() == values[row].tobytes()
         assert alone[1].tobytes() == axes[row].tobytes()
+
+
+def _full_pass(forms, s_entropy):
+    """The reference coarse pass: J on all 515 search axes, then each state's first maximum.
+
+    Blocks of 8 states, each a (8, 515) batch of the kernel, as np.argmax reads it.
+    """
+    values, axes = np.empty(len(forms)), np.empty((len(forms), 3))
+    for start in range(0, len(forms), 8):
+        block = slice(start, start + 8)
+        j = _bloch_correlation(
+            forms[block].transpose(1, 2, 0)[..., None], s_entropy[block][:, None], *_SEARCH_AXES
+        )
+        k = np.argmax(j, axis=1)
+        values[block] = j[np.arange(k.size), k]
+        axes[block] = _SEARCH_AXES[:, k].T
+    return values, axes
+
+
+def _assert_coarse_is_the_full_pass(stack):
+    _, forms, s_entropy = _search_inputs([DensityMatrix(rho) for rho in stack])
+    values, axes = _coarse(forms, s_entropy)
+    full_values, full_axes = _full_pass(forms, s_entropy)
+    assert values.tobytes() == full_values.tobytes()
+    assert axes.tobytes() == full_axes.tobytes()
+
+
+@pytest.mark.parametrize("family", ["pd", "ad"])
+def test_coarse_pass_is_the_full_pass_bit_for_bit_along_sweeps(family):
+    # The reference, general and drawn X states of the stacked-sweep tests, and
+    # more general states. Their grids end at p = 1, where a state under ad is
+    # a product: J is rounding dust on every axis, and the bound must keep
+    # every axis that the dust's first maximum could be.
+    from test_dynamics import _mixed_states
+
+    rng = np.random.default_rng(24)
+    basis = ProjectiveBasis.sigma_z() if family == "pd" else None
+    kraus = kraus_stack(basis, np.linspace(0.0, 1.0, 201))
+    for rho in _mixed_states() + [random_density_matrix(rng) for _ in range(6)]:
+        _assert_coarse_is_the_full_pass(evolve(kraus, rho.entries))
+
+
+def test_coarse_pass_is_the_full_pass_bit_for_bit_at_the_edges():
+    rng = np.random.default_rng(25)
+    system = partial_trace(random_state(26), "system").entries
+    apparatus = partial_trace(random_state(27), "apparatus").entries
+    # Pure apparatus marginals along sigma_z, sigma_x and sigma_y: on that
+    # search axis one outcome has p = 0, exactly or up to rounding.
+    kets = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0j]])
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    stack = [np.kron(system, np.outer(k, k.conj())) for k in kets]
+    stack += [np.kron(system, apparatus), random_density_matrix(rng).entries]
+    _assert_coarse_is_the_full_pass(stack)
+    # STATE_2, a state with c = b, and one with |z| + |w| = |c - b|, whose
+    # sudden change is at p = 0, under pd.
+    pd = kraus_stack(ProjectiveBasis.sigma_z(), np.linspace(0.0, 1.0, 201))
+    for params in (STATE_2, XStateParams(0.25, 0.25, 0.1, -0.2), XStateParams(0.4, 0.1, 0.1, 0.2)):
+        _assert_coarse_is_the_full_pass(evolve(pd, make_x_state(params).entries))
+
+
+def test_bound_sends_few_axes_of_x_state_sweeps_to_the_kernel(monkeypatch):
+    evaluated = []
+
+    def counted(form, s_entropy, nx, ny, nz):
+        evaluated.append(np.broadcast(s_entropy, nx).size)
+        return _bloch_correlation(form, s_entropy, nx, ny, nz)
+
+    monkeypatch.setattr(correlations, "_bloch_correlation", counted)
+    rng = np.random.default_rng(20)
+    params = [STATE_1, STATE_2] + [random_x_state_params(rng) for _ in range(12)]
+    pd = kraus_stack(ProjectiveBasis.sigma_z(), np.linspace(0.0, 1.0, 201))
+    states = 0
+    for x in params:
+        stack = evolve(pd, make_x_state(x).entries)
+        _, forms, s_entropy = _search_inputs([DensityMatrix(rho) for rho in stack])
+        _coarse(forms, s_entropy)
+        states += len(forms)
+    assert sum(evaluated) <= 0.05 * states * _SEARCH_AXES.shape[1]
+
+
+def test_information_bound_brackets_the_kernel_information():
+    # The bound at u is what the kernel gives a Bloch length sqrt(u), clipped
+    # to 1, up to a factor 1 + _SLACK. The grid holds every knot and the float
+    # just below it, where the bound is tightest and loosest, and lengths
+    # above 1; 4 ulp allow for the rounding of both sides.
+    knots = np.arange(1, _KNOTS + 1) / _KNOTS
+    above_one = [1.0 + 1e-12, 1.5, 4.0, 1e6]
+    u = np.concatenate([np.linspace(0.0, 1.0, 100_001), knots, np.nextafter(knots, 0.0), above_one])
+    exact = _bloch_information(np.sqrt(u))
+    bound = _information_above(u)
+    rounding = 1.0 + 4.0 * np.finfo(float).eps
+    assert np.all(exact <= bound * rounding)
+    assert np.all(bound <= (1.0 + _SLACK) * exact * rounding)
+    assert _information_above(np.array([np.nan, np.inf])).tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("size", [201, 1024])
+def test_coarse_pass_memory_stays_within_the_records_high_water_mark(size):
+    # The coarse pass may take no more memory than the larger of the full
+    # pass's and that of the _local_terms call of correlation_records, the
+    # high-water mark of a records call. The stack holds ad sweeps of general
+    # states, whose states near p = 1 keep most of their axes.
+    rng = np.random.default_rng(26)
+    ad = kraus_stack(None, np.linspace(0.0, 1.0, 201))
+    m = np.concatenate([evolve(ad, random_density_matrix(rng).entries) for _ in range(6)])[:size]
+    eigenvalues = np.array([DensityMatrix(rho).eigenvalues for rho in m])
+    forms, s_entropy = correlations.bloch_forms(m), _local_terms(m, eigenvalues, _NO_BASES)[0]
+
+    def peak(run):
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ceiling = max(
+        peak(lambda: _full_pass(forms, s_entropy)),
+        peak(lambda: _local_terms(m, eigenvalues, _SIGMA_ZX)),
+    )
+    assert peak(lambda: _coarse(forms, s_entropy)) <= ceiling
 
 
 def test_ascent_leaves_its_start_untouched():
