@@ -269,7 +269,7 @@ def _cmd_verify(args) -> int:
     remark_grid = _grid_from_count(grid) if "remark" in names else None
     outcomes = [_run_suite(name, args, remark_grid) for name in names]
     _write_or_print(emit_report(outcomes, args.format), args.out)
-    return 3 if any(o.failures > 0 for o in outcomes) else 0
+    return 0 if all(o.passed for o in outcomes) else 3
 
 
 def _cmd_analyze(args) -> int:

@@ -45,8 +45,11 @@ whose bound reaches the largest lower bound, about 1% of them along a
 sweep, go to the kernel, so its values and axes are bit for bit those of J
 on all 515. Every J value comes from the kernel through one step that takes
 each state's best candidate (_best_candidates).
-maximize_classical_correlation is its one-state case. It keeps each axis
-as a 3-vector and converts to (theta, phi) only for the result.
+The stacked search and measurement (_maximize, _measure) return arrays:
+values and argmax axes as 3-vectors. _angles alone turns an axis into the
+stored (theta, phi). Only the public edge wraps them: _records stores the
+angles in each CorrelationRecord, and maximize_classical_correlation, the
+one-state case, builds the ProjectiveBasis of its result (_basis).
 
 J at a fixed basis (j_z, j_x), mutual information and S(rho_s) come from the
 density matrices themselves: a stack of states gives its reduced states and,
@@ -673,19 +676,42 @@ def _ascend(forms: np.ndarray, s_entropy: np.ndarray, values: np.ndarray, axes: 
     return best, axes
 
 
-def _maximize(m: np.ndarray, s_entropy: np.ndarray) -> list[tuple[float, ProjectiveBasis]]:
+def _maximize(m: np.ndarray, s_entropy: np.ndarray):
     """maximize_classical_correlation for each state of a valid stack with known S(rho_s).
 
-    The coarse pass, then the ascent (_ascend) from its best axes; each result
-    is bit for bit its state's one-state result.
+    The coarse pass, then the ascent (_ascend) from its best axes, then the
+    sign tolerance on the maxima. Returns the values (N,) and the argmax axes
+    (N, 3), each row bit for bit its state's one-state result; _angles turns
+    the axes into the stored (theta, phi).
     """
     forms = bloch_forms(m)
     best, axes = _ascend(forms, s_entropy, *_coarse(forms, s_entropy))
-    best = _nonnegative(best, _NEGATIVE_J_TOL, "maximal classical correlation")
+    return _nonnegative(best, _NEGATIVE_J_TOL, "maximal classical correlation"), axes
+
+
+def _angles(axes: np.ndarray) -> list[tuple[float, float]]:
+    """The stored (theta, phi) of each (N, 3) axis row, theta in [0, pi] and phi in [0, 2 pi].
+
+    These are the angles ProjectiveBasis keeps for the pair (atan2(hypot(x,
+    y), z), atan2(y, x)), computed per row with math, not numpy, whose atan2
+    and hypot can differ in the last bit. An atan2 just below 0 gives phi =
+    2 pi exactly, as it does in ProjectiveBasis.
+    """
     return [
-        (value, ProjectiveBasis(math.atan2(math.hypot(x, y), z), math.atan2(y, x)))
-        for value, (x, y, z) in zip(best.tolist(), axes.tolist())
+        (math.atan2(math.hypot(x, y), z), math.atan2(y, x) % (2.0 * math.pi))
+        for x, y, z in axes.tolist()
     ]
+
+
+def _basis(theta: float, phi: float) -> ProjectiveBasis:
+    """The ProjectiveBasis that keeps a pair of _angles bit for bit.
+
+    ProjectiveBasis reduces phi mod 2 pi once more, which would turn a kept
+    phi of exactly 2 pi into 0.0.
+    """
+    basis = ProjectiveBasis(theta, phi)
+    object.__setattr__(basis, "phi", phi)
+    return basis
 
 
 def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, ProjectiveBasis]:
@@ -709,7 +735,8 @@ def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, Projectiv
     order, wins.
     """
     m, eigenvalues = _one_state(rho)
-    return _maximize(m, _local_terms(m, eigenvalues, _NO_BASES)[0])[0]
+    values, axes = _maximize(m, _local_terms(m, eigenvalues, _NO_BASES)[0])
+    return float(values[0]), _basis(*_angles(axes)[0])
 
 
 def correlation_records(states, ps) -> list[CorrelationRecord]:
@@ -724,36 +751,30 @@ def correlation_records(states, ps) -> list[CorrelationRecord]:
 
 def _records(m: np.ndarray, eigenvalues: np.ndarray, ps) -> list[CorrelationRecord]:
     """correlation_records on a stack of valid states with known eigenvalues."""
-    measured = _measure(m, eigenvalues, _SIGMA_ZX)
-    discords = _nonnegative([mi - j_max for j_max, _, mi, _ in measured], DISCORD_CLAMP, "discord")
+    j_max, axes, mutual, j = _measure(m, eigenvalues, _SIGMA_ZX)
+    discords = _nonnegative(mutual - j_max, DISCORD_CLAMP, "discord")
     return [
-        CorrelationRecord(
-            p=p,
-            j_z=j_z,
-            j_x=j_x,
-            j_max=j_max,
-            opt_theta=argmax.theta,
-            opt_phi=argmax.phi,
-            mutual_info=mi,
-            discord=discord,
+        CorrelationRecord(p, j_z, j_x, value, theta, phi, mi, discord)
+        for p, (j_z, j_x), value, (theta, phi), mi, discord in zip(
+            ps, j.tolist(), j_max.tolist(), _angles(axes), mutual.tolist(), discords.tolist()
         )
-        for p, (j_max, argmax, mi, (j_z, j_x)), discord in zip(ps, measured, discords.tolist())
     ]
 
 
-def _measure(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray) -> list:
-    """Per state of a valid stack: (j_max, argmax, mutual information, J in each basis).
+def _measure(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray):
+    """The maximizer's and the fixed bases' results for a valid stack, as arrays.
 
     kets are the fixed bases, shared or per state (_local_terms). One
     _local_terms pass gives the mutual information, the J values and the
     S(rho_s) that the maximizer reads; the sign tolerance runs once over the
-    maxima, then over the mutual information, then over J.
+    maxima, then over the mutual information, then over J. Returns (j_max,
+    axes, mutual, j): (N,), the argmax axes (N, 3), (N,) and (N, K).
     """
     s_system, mutual, j = _local_terms(m, eigenvalues, kets)
-    maxima = _maximize(m, s_system)
+    j_max, axes = _maximize(m, s_system)
     mutual = _nonnegative(mutual, _NEGATIVE_J_TOL, "mutual information")
     j = _nonnegative(j, _NEGATIVE_J_TOL, "classical correlation")
-    return [(*maximum, mi, row) for maximum, mi, row in zip(maxima, mutual.tolist(), j.tolist())]
+    return j_max, axes, mutual, j
 
 
 def correlation_record(rho: DensityMatrix, p: float = 0.0) -> CorrelationRecord:

@@ -5,6 +5,8 @@ generator, checks the claimed property numerically, and reports the trial
 count, the number of failing trials, and the worst raw violation seen. All
 suites are deterministic given the seed; trials are independent and the
 aggregation (max of violations, count of failures) is order-insensitive.
+One builder (_outcome) makes every VerificationOutcome from the suite's
+(ok, violation) results, the remark's five checks included.
 
 A suite runs in two steps (_trials). It draws each trial's inputs from the
 generator, one trial after another, then judges the drawn trials a chunk of
@@ -12,9 +14,10 @@ _CHUNK at a time, each chunk in one stacked pass. theorem1 draws unchecked
 entries, evolves every trial's state at every strength in one Kraus stack,
 reads J of all the chunk's states (each drawn rho among them) in their own
 pointer bases with one check, and forms every block Pi_i rho Pi_i in one
-broadcast product. lemma1 maximizes the chunk's states and reads their
-mutual information and J in each trial's pointer and tilted bases in one
-pass. theorem2 streams the chunk's X states through the one stacked sweep
+broadcast product. lemma1 draws unchecked entries too, checks the chunk's
+states with one stacked check, then maximizes them and reads their mutual
+information and J in each trial's pointer and tilted bases in one pass.
+theorem2 streams the chunk's X states through the one stacked sweep
 (dynamics._sweeps) on a constant grid: one correlation_records call per
 chunk and one lockstep root search for the transitions. Judging draws
 nothing, so every trial sees the draws and gives the result it would in a
@@ -46,8 +49,11 @@ import numpy as np
 from .channels import evolve, kraus_stack
 from .correlations import (
     ProjectiveBasis,
+    _angles,
+    _basis,
     _measure,
     _projectors,
+    _two_qubit_stack,
     basis_distance,
     classical_correlation,
     classical_correlations,
@@ -130,9 +136,22 @@ def random_x_state_params(rng: np.random.Generator) -> XStateParams:
     return XStateParams(c=c, b=b, z=z, w=w)
 
 
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the sum of absolute eigenvalues of the difference."""
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a.entries - b.entries))))
+def trace_distance(a, b) -> float:
+    """Half the sum of absolute eigenvalues of the difference of two states or their entries."""
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(np.asarray(a) - np.asarray(b)))))
+
+
+def _cq_entries(rng: np.random.Generator) -> tuple[np.ndarray, ProjectiveBasis]:
+    """random_cq_state's draw: the unchecked entries of the mixture, and its pointer basis."""
+    basis = random_basis(rng)
+    branch0 = _random_state_entries(rng, 2)
+    branch1 = _random_state_entries(rng, 2)
+    while trace_distance(branch0, branch1) < CQ_MIN_BRANCH_DISTANCE:
+        branch0 = _random_state_entries(rng, 2)
+        branch1 = _random_state_entries(rng, 2)
+    weight = float(rng.uniform(*CQ_WEIGHT_RANGE))
+    p0, p1 = basis.projectors
+    return weight * np.kron(branch0, p0) + (1.0 - weight) * np.kron(branch1, p1), basis
 
 
 def random_cq_state(rng: np.random.Generator) -> tuple[DensityMatrix, ProjectiveBasis]:
@@ -143,17 +162,7 @@ def random_cq_state(rng: np.random.Generator) -> tuple[DensityMatrix, Projective
     correlation is zero in every basis, so no basis is singled out and the
     uniqueness half of the lemma is vacuous there.
     """
-    basis = random_basis(rng)
-    branch0 = random_density_matrix(rng, 2)
-    branch1 = random_density_matrix(rng, 2)
-    while trace_distance(branch0, branch1) < CQ_MIN_BRANCH_DISTANCE:
-        branch0 = random_density_matrix(rng, 2)
-        branch1 = random_density_matrix(rng, 2)
-    weight = float(rng.uniform(*CQ_WEIGHT_RANGE))
-    p0, p1 = basis.projectors
-    m = weight * np.kron(branch0.entries, p0) + (1.0 - weight) * np.kron(
-        branch1.entries, p1
-    )
+    m, basis = _cq_entries(rng)
     return DensityMatrix(m), basis
 
 
@@ -206,22 +215,26 @@ def _trials(trials: int, seed: int, draw, judge):
         yield from judge(chunk)
 
 
+def _outcome(theorem_id: str, trials: int, seed: int, results) -> VerificationOutcome:
+    """A suite's outcome from its (ok, violation) results.
+
+    It counts the results that were not ok and keeps the largest violation,
+    0.0 when there is none.
+    """
+    results = list(results)
+    worst = max([0.0] + [violation for _, violation in results])
+    return VerificationOutcome(theorem_id, trials, sum(not ok for ok, _ in results), worst, seed)
+
+
 def _run_trials(theorem_id: str, trials: int, seed: int, draw, judge) -> VerificationOutcome:
     """Run a suite whose judge returns (ok, violation) per trial (see _trials).
 
-    trials and seed are checked here, once, and the outcome keeps the ints
-    the checks return. The outcome counts the trials that were not ok and
-    keeps the largest violation.
+    trials and seed are checked here, once, and the outcome (_outcome) keeps
+    the ints the checks return.
     """
     trials = _count(trials, 1, "trials must be >= 1")
     seed = _seed(seed)
-    worst = 0.0
-    failures = 0
-    for ok, violation in _trials(trials, seed, draw, judge):
-        worst = max(worst, violation)
-        if not ok:
-            failures += 1
-    return VerificationOutcome(theorem_id, trials, failures, worst, seed)
+    return _outcome(theorem_id, trials, seed, _trials(trials, seed, draw, judge))
 
 
 def _theorem1_draw(rng):
@@ -314,34 +327,37 @@ def verify_theorem2(trials: int = 200, seed: int = 7) -> VerificationOutcome:
 
 
 def _lemma1_draw(rng):
-    rho, basis = random_cq_state(rng)
+    """One trial's classical-quantum state, as entries that _lemma1_measure checks, and bases."""
+    rho, basis = _cq_entries(rng)
     return rho, basis, _tilted_bases(rng, basis)
 
 
-def _lemma1_measure(chunk) -> list:
-    """Per trial: (j_max, argmax, mutual information, J in the pointer then each tilted basis).
+def _lemma1_measure(chunk):
+    """The chunk's j_max, argmax axes, mutual information and J in each trial's bases, as arrays.
 
-    One pass covers the chunk's states: the maximizer, the mutual
-    information and J in each trial's own 1 + LEMMA1_PERTURBATIONS bases.
+    One stacked check covers the chunk's states, and one pass (_measure)
+    gives the maximizer, the mutual information and J in each trial's own
+    pointer basis, then its LEMMA1_PERTURBATIONS tilted bases.
     """
     return _measure(
-        np.array([rho.entries for rho, _, _ in chunk]),
-        np.array([rho.eigenvalues for rho, _, _ in chunk]),
+        *_two_qubit_stack([rho for rho, _, _ in chunk]),
         np.array([[b.kets() for b in (basis, *tilted)] for _, basis, tilted in chunk]),
     )
 
 
 def _lemma1_judge(chunk) -> list:
+    j_max, axes, mutual, j = _lemma1_measure(chunk)
     results = []
-    for (_, basis, _), (j_max, argmax, mutual, j) in zip(chunk, _lemma1_measure(chunk)):
-        angle = basis_distance(argmax, basis)
-        value_dev = abs(j_max - mutual)
+    for (_, basis, _), value, angles, mi, (j_pointer, *j_tilted) in zip(
+        chunk, j_max.tolist(), _angles(axes), mutual.tolist(), j.tolist()
+    ):
+        angle = basis_distance(_basis(*angles), basis)
+        value_dev = abs(value - mi)
         violation = max(
             max(0.0, angle - LEMMA1_ANGLE_TOL),
             max(0.0, value_dev - LEMMA1_VALUE_TOL),
         )
         ok = angle <= LEMMA1_ANGLE_TOL and value_dev <= LEMMA1_VALUE_TOL
-        j_pointer, *j_tilted = j
         for j_other in j_tilted:
             margin = j_pointer - j_other
             if margin <= 0.0:
@@ -385,22 +401,14 @@ def verify_remark(grid=None) -> VerificationOutcome:
     final = records[-1].j_max if records[-1].p == 1.0 else 0.0
     regime_ok = report.regime == REGIME_MONOTONIC_DECAY and report.transition_p is None
 
-    violations = [
-        worst_jz if worst_jz > REMARK_POINTER_TOL else 0.0,
-        max(0.0, -min_interior),
-        max_increase(records),
-        final if final > 1e-9 else 0.0,
+    checks = [
+        (not worst_jz > REMARK_POINTER_TOL, worst_jz if worst_jz > REMARK_POINTER_TOL else 0.0),
+        (not min_interior <= 0.0, max(0.0, -min_interior)),
+        (strictly_decreasing, max_increase(records)),
+        (not final > 1e-9, final if final > 1e-9 else 0.0),
+        (regime_ok, 0.0),
     ]
-    failures = sum(
-        [
-            worst_jz > REMARK_POINTER_TOL,
-            min_interior <= 0.0,
-            not strictly_decreasing,
-            final > 1e-9,
-            not regime_ok,
-        ]
-    )
-    return VerificationOutcome("remark", len(records), failures, max(violations), seed=0)
+    return _outcome("remark", len(records), 0, checks)
 
 
 SUITES = ("theorem1", "theorem2", "lemma1", "remark")

@@ -35,8 +35,9 @@ PLATEAU = 0.2780719051126377
 
 
 def brute_force_jmax(rho, n_theta=512, n_phi=1024):
-    # Independent oracle: dense angular grid with LAPACK eigenvalues for
-    # the conditional blocks, no shared code with the library optimizer.
+    # Independent oracle: dense angular grid with the closed-form eigenvalues
+    # (a + d)/2 +- sqrt(((a - d)/2)^2 + |b|^2) of each Hermitian conditional
+    # block [[a, b], [b*, d]], no shared code with the library optimizer.
     r4 = np.asarray(rho).reshape(2, 2, 2, 2)
     # <u| rho |u>[m, n] = sum_jk conj(u_j) u_k rho[m j, n k]: rows of outer(conj u, u)
     # times this (4, 4) matrix, indexed [(j, k), (m, n)].
@@ -56,8 +57,10 @@ def brute_force_jmax(rho, n_theta=512, n_phi=1024):
     avg = np.zeros(thetas.shape)
     for u in kets:
         blocks = ((u.conj()[:, :, None] * u[:, None, :]).reshape(-1, 4) @ r_jk_mn).reshape(-1, 2, 2)
-        lam = np.linalg.eigvalsh(blocks)
-        lam = np.clip(lam, 0.0, None)
+        a, d, b = blocks[:, 0, 0].real, blocks[:, 1, 1].real, blocks[:, 0, 1]
+        mean = (a + d) / 2.0
+        radius = np.sqrt(((a - d) / 2.0) ** 2 + (b.real**2 + b.imag**2))
+        lam = np.clip(np.stack([mean - radius, mean + radius], axis=1), 0.0, None)
         prob = lam.sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             plogp = np.where(lam > 0.0, lam * np.log2(lam), 0.0)

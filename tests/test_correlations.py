@@ -41,7 +41,9 @@ from einselect.correlations import (
     _SEARCH_AXES,
     _SIGMA_ZX,
     _SLACK,
+    _angles,
     _ascend,
+    _basis,
     _bloch_correlation,
     _bloch_information,
     _coarse,
@@ -245,12 +247,17 @@ def test_quantum_discord_tolerance(monkeypatch):
     # information set: a negative within DISCORD_CLAMP is zero, a positive
     # value is kept, and a larger negative raises, naming the discord.
     rho = make_x_state(STATE_1)
+
+    def measured(j_max, mi):
+        # _measure's arrays for one state whose argmax is sigma_z.
+        return np.array([j_max]), np.array([[0.0, 0.0, 1.0]]), np.array([mi]), np.zeros((1, 2))
+
     for j_max, mi, discord in ((0.5, 0.5 - 1e-7, 0.0), (0.25, 0.75, 0.5)):
-        row = (j_max, ProjectiveBasis.sigma_z(), mi, (0.0, 0.0))
-        monkeypatch.setattr(correlations, "_measure", lambda *args, row=row: [row])
+        arrays = measured(j_max, mi)
+        monkeypatch.setattr(correlations, "_measure", lambda *args, arrays=arrays: arrays)
         assert quantum_discord(rho) == discord
-    row = (0.5, ProjectiveBasis.sigma_z(), 0.499, (0.0, 0.0))
-    monkeypatch.setattr(correlations, "_measure", lambda *args: [row])
+    arrays = measured(0.5, 0.499)
+    monkeypatch.setattr(correlations, "_measure", lambda *args: arrays)
     message = r"^discord evaluated to -1\.000e-03, below -1e-06$"
     with pytest.raises(OptimizationError, match=message):
         quantum_discord(rho)
@@ -517,10 +524,51 @@ def test_ascent_from_a_lattice_neighbour_reaches_the_maximizer_result():
     overlap[overlap > 1.0 - 1e-15] = -1.0
     start = _SEARCH_AXES[:, np.argmax(overlap, axis=1)].T
     values, axes = _ascend(forms, s_entropy, _j_at(forms, s_entropy, start), start)
-    maxima = _maximize(m, s_entropy)
-    assert np.max(np.abs(values - [j for j, _ in maxima])) <= 1e-12
-    turn = np.arccos(np.minimum(np.abs(np.sum(axes * [b.axis for _, b in maxima], axis=1)), 1.0))
+    maxima, argmax = _maximize(m, s_entropy)
+    assert np.max(np.abs(values - maxima)) <= 1e-12
+    turn = np.arccos(np.minimum(np.abs(np.sum(axes * argmax, axis=1)), 1.0))
     assert np.max(turn) <= 1e-6
+
+
+def test_angles_are_the_angles_a_basis_keeps():
+    # The poles, y = +-0.0 with x < 0 (atan2 gives pi, then -pi, and both
+    # keep phi = pi), a y just below 0 with x > 0 (phi rounds up to 2 pi, as
+    # on real states whose optimal axis lies in the x-z plane) and 1000 random
+    # axes: bit for bit the angles a ProjectiveBasis keeps for the pair
+    # (atan2(hypot(x, y), z), atan2(y, x)), and _basis keeps them too.
+    rng = np.random.default_rng(25)
+    edges = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.6, 0.0, 0.8], [-0.6, -0.0, 0.8]]
+    edges += [[-1.0, -0.0, 0.0], [0.6, -1e-17, 0.8]]
+    random = rng.normal(size=(1000, 3))
+    axes = np.concatenate([edges, random / np.linalg.norm(random, axis=1, keepdims=True)])
+    kept = [
+        ProjectiveBasis(math.atan2(math.hypot(x, y), z), math.atan2(y, x))
+        for x, y, z in axes.tolist()
+    ]
+    kept = [(b.theta.hex(), b.phi.hex()) for b in kept]
+    angles = _angles(axes)
+    assert [(t.hex(), p.hex()) for t, p in angles] == kept
+    assert [(b.theta.hex(), b.phi.hex()) for b in (_basis(*a) for a in angles)] == kept
+    assert [phi for _, phi in angles[:6]] == [0.0, 0.0, math.pi, math.pi, math.pi, 2.0 * math.pi]
+    assert angles[:2] == [(0.0, 0.0), (math.pi, 0.0)]
+
+
+def test_maximizer_and_record_keep_the_same_angles_on_real_states():
+    # Real states often have their optimal axis in the x-z plane, where the
+    # ascent can end on a y just below 0 and phi is kept as 2 pi: the one-state
+    # maximizer's basis and the record keep the same angles bit for bit.
+    rng = np.random.default_rng(0)
+    phis = []
+    for _ in range(40):
+        a = rng.normal(size=(4, 4))
+        rho = DensityMatrix(a @ a.T / np.trace(a @ a.T))
+        j_max, basis = maximize_classical_correlation(rho)
+        record = correlation_record(rho)
+        assert (j_max.hex(), basis.theta.hex(), basis.phi.hex()) == (
+            record.j_max.hex(), record.opt_theta.hex(), record.opt_phi.hex()
+        )
+        phis.append(basis.phi)
+    assert 2.0 * math.pi in phis
 
 
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 17])
@@ -530,10 +578,9 @@ def test_ascent_from_the_coarse_pass_is_the_maximizer_bit_for_bit(size):
     rng = np.random.default_rng(size)
     m, forms, s_entropy = _search_inputs([random_density_matrix(rng) for _ in range(size)])
     values, axes = _ascend(forms, s_entropy, *_coarse(forms, s_entropy))
-    angles = [
-        ProjectiveBasis(math.atan2(math.hypot(x, y), z), math.atan2(y, x)) for x, y, z in axes
-    ]
-    assert list(zip(values.tolist(), angles)) == _maximize(m, s_entropy)
+    maxima, argmax = _maximize(m, s_entropy)
+    assert maxima.tobytes() == values.tobytes()
+    assert argmax.tobytes() == axes.tobytes()
     for i in range(size):
         row = slice(i, i + 1)
         alone = _ascend(forms[row], s_entropy[row], *_coarse(forms[row], s_entropy[row]))

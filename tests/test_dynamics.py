@@ -1,5 +1,7 @@
 import dataclasses
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from einselect import (
     make_x_state,
     phase_damping,
     pointer_decoherence,
+    project_to_physical,
     remark_state,
     random_x_state_params,
     sweep,
@@ -598,3 +601,22 @@ def test_crossings_of_a_mixed_stack_are_each_brackets_own():
     for case, p, n in zip(cases, roots, evaluations):
         (alone,), (alone_n,) = _solved([case])
         assert (p.hex(), n) == (alone.hex(), alone_n)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_general_state_regime_does_not_depend_on_the_grid(monkeypatch):
+    # The benchmark matrices of seeds 1, 3 and 6, projected as `analyze`
+    # projects them: each regime must be the same at every grid size. Today
+    # a fast but smooth turn of the argmax reads as a sudden change on the
+    # coarser grids (seed 3 under ad at 11 and 21 points, for one).
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "einbench"))
+    inputs = importlib.import_module("inputs")
+    regimes = {}
+    for seed in (1, 3, 6):
+        state, _ = project_to_physical(inputs.tomography_matrix(seed)[0])
+        for family in ("ad", "pd"):
+            regimes[seed, family] = [
+                sweep(state, family, np.linspace(0.0, 1.0, points)).regime
+                for points in (11, 21, 41, 201)
+            ]
+    assert all(len(set(found)) == 1 for found in regimes.values()), regimes

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from einselect import (
     REGIME_CONSTANT,
     REGIME_DECAY_THEN_CONSTANT,
+    REGIME_MONOTONIC_DECAY,
+    DensityMatrix,
     InvalidInputError,
     ProjectiveBasis,
     VerificationOutcome,
@@ -27,7 +30,7 @@ from einselect import (
     verify_theorem1,
     verify_theorem2,
 )
-from einselect import verify
+from einselect import correlations, qstate, verify
 from einselect.dynamics import max_increase
 from einselect.verify import trace_distance
 
@@ -78,6 +81,30 @@ def test_trace_distance_basics():
     d = trace_distance(a, b)
     assert 0.0 <= d <= 1.0
     assert d == pytest.approx(trace_distance(b, a), abs=1e-15)
+    assert trace_distance(a.entries, b.entries) == d
+
+
+@pytest.mark.parametrize("seed", [0, 1, 29, 109])
+def test_random_cq_state_is_the_checked_draw_of_its_entries(seed, monkeypatch):
+    # Seeds 29 and 109 redraw their branches once, so four branches are drawn.
+    draws = []
+    entries = verify._random_state_entries
+
+    def counted(rng, dim):
+        draws.append(dim)
+        return entries(rng, dim)
+
+    monkeypatch.setattr(verify, "_random_state_entries", counted)
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    rho, basis = random_cq_state(old)
+    branches = len(draws)
+    m, pointer = verify._cq_entries(new)
+    assert branches == len(draws) - branches == (4 if seed in (29, 109) else 2)
+    checked = DensityMatrix(m)
+    assert rho.entries.tobytes() == checked.entries.tobytes() == m.tobytes()
+    assert rho.eigenvalues.tobytes() == checked.eigenvalues.tobytes()
+    assert pointer == basis
+    assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_theorem1_suite_passes_on_reduced_trials():
@@ -104,6 +131,38 @@ def test_remark_suite_passes():
     outcome = verify_remark(np.linspace(0.0, 1.0, 41))
     assert outcome.passed
     assert outcome.trials == 41
+
+
+def _remark_report(j_max, j_z=(0.0, 0.0, 0.0), regime=REGIME_MONOTONIC_DECAY, transition_p=None):
+    # A stand-in for the remark's three-point sweep at p = 0, 0.5 and 1.
+    records = tuple(
+        SimpleNamespace(p=p, j_z=z, j_max=j) for p, z, j in zip((0.0, 0.5, 1.0), j_z, j_max)
+    )
+    return SimpleNamespace(records=records, regime=regime, transition_p=transition_p)
+
+
+@pytest.mark.parametrize(
+    "report, failures, worst",
+    [
+        (_remark_report((0.3, 0.1, 0.0)), 0, 0.0),
+        (_remark_report((0.3, 0.1, 0.0), j_z=(0.0, 1e-6, 0.0)), 1, 1e-6),
+        (_remark_report((0.3, 0.1, 0.0), j_z=(0.0, 1e-12, 0.0)), 0, 0.0),
+        (_remark_report((0.3, -0.1, -0.2)), 1, 0.1),
+        (_remark_report((0.3, 0.35, 0.0)), 1, 0.35 - 0.3),
+        (_remark_report((0.3, 0.1, 0.05)), 1, 0.05),
+        (_remark_report((0.3, 0.1, 0.0), regime=REGIME_CONSTANT), 1, 0.0),
+        (_remark_report((0.3, 0.1, 0.0), transition_p=0.5), 1, 0.0),
+        (_remark_report((0.3, 0.3, 0.2), j_z=(2e-3, 0.0, 0.0), regime=REGIME_CONSTANT), 4, 0.2),
+    ],
+)
+def test_remark_counts_each_failing_check(report, failures, worst, monkeypatch):
+    # Each of the remark's five checks fails in turn, then four at once: the
+    # failures are the checks that fail, and the worst violation the largest
+    # of the pointer J above its tolerance, the negative interior j_max, the
+    # largest increase and the final j_max above 1e-9.
+    monkeypatch.setattr(verify, "sweep", lambda *args: report)
+    outcome = verify_remark()
+    assert outcome == VerificationOutcome("remark", 3, failures, worst, 0)
 
 
 def test_suites_reject_zero_trials():
@@ -134,6 +193,23 @@ def test_suites_are_deterministic():
     first = verify_theorem1(trials=20, seed=9)
     second = verify_theorem1(trials=20, seed=9)
     assert first == second
+
+
+def test_lemma1_checks_each_chunk_of_states_once(monkeypatch):
+    # Every check of a (n, 4, 4) stack, wherever it is made: one per judged
+    # chunk of 64, 64 and 2 trials, and none per drawn state.
+    sizes = []
+    check = qstate.check_states
+
+    def counted(m):
+        if m.shape[1:] == (4, 4):
+            sizes.append(len(m))
+        return check(m)
+
+    monkeypatch.setattr(qstate, "check_states", counted)
+    monkeypatch.setattr(correlations, "check_states", counted)
+    assert verify_lemma1(trials=130).passed
+    assert sizes == [64, 64, 2]
 
 
 def test_outcome_passed_property():
@@ -225,6 +301,12 @@ def _theorem2_reference(rng):
     return (ok, violation), (report.records, report.transition_p)
 
 
+def _lemma1_measured_rows(chunk):
+    # Per trial: j_max, the stored argmax angles and the J row of _lemma1_measure's arrays.
+    j_max, axes, _, j = verify._lemma1_measure(chunk)
+    return zip(j_max.tolist(), correlations._angles(axes), j.tolist())
+
+
 REFERENCES = {
     "theorem1": _theorem1_reference,
     "theorem2": _theorem2_reference,
@@ -254,9 +336,9 @@ def test_stacked_suites_equal_the_per_trial_reference(suite, seed, trials):
     if suite == "lemma1":
         # every lemma1 violation is 0.0, so compare what the verdicts read
         measured = [
-            (j_max, argmax, [j[0] - other for other in j[1:]])
-            for j_max, argmax, _, j in verify._trials(
-                trials, seed, verify._lemma1_draw, verify._lemma1_measure
+            (j_max, correlations._basis(*angles), [j[0] - other for other in j[1:]])
+            for j_max, angles, j in verify._trials(
+                trials, seed, verify._lemma1_draw, _lemma1_measured_rows
             )
         ]
         assert measured == [details for _, details in expected]
