@@ -17,7 +17,10 @@ included. One `analyze` run draws 200 samples on an 11-point grid, more
 than one chunk of stacked sweeps holds (`dynamics._SWEEP_STATES` states),
 so the recording crosses a chunk boundary. Another passes `--gamma` to
 `analyze` with bands: only the point-estimate sweep reads it, and it must
-leave the bands as they are. `--slow` adds `verify --suite all` at the
+leave the bands as they are. Two fine-grid `sweep`s of the same general
+state scan every neighbouring pair of records for a sudden change: 201
+points under ad, which decays with no jump, and 41 points under a tilted
+pointer basis, which jumps. `--slow` adds `verify --suite all` at the
 default trial counts (about 5 s more on a shared 2-core host).
 """
 
@@ -77,6 +80,10 @@ def commands(matrix: str, slow: bool) -> list:
                  "--format", "json"])
     cmds.append(["analyze", "--matrix-file", matrix, "--samples", "3", "--grid", "11",
                  "--gamma", "2.5", "--format", "json"])
+    cmds.append(["sweep", "--matrix-file", matrix, "--grid", "201", "--channel", "ad",
+                 "--format", "json"])
+    cmds.append(["sweep", "--matrix-file", matrix, "--channel", "pointer", "--theta", "1.2",
+                 "--phi", "0.4", "--grid", "41", "--format", "json"])
     if slow:
         cmds += [["verify", "--suite", "all"], ["verify", "--suite", "all", "--format", "json"]]
     return cmds

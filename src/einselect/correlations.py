@@ -47,9 +47,10 @@ on all 515. Every J value comes from the kernel through one step that takes
 each state's best candidate (_best_candidates).
 The stacked search and measurement (_maximize, _measure) return arrays:
 values and argmax axes as 3-vectors. _angles alone turns an axis into the
-stored (theta, phi). Only the public edge wraps them: _records stores the
-angles in each CorrelationRecord, and maximize_classical_correlation, the
-one-state case, builds the ProjectiveBasis of its result (_basis).
+stored (theta, phi), with phi in [0, 2 pi) (_phi). Only the public edge
+wraps them: _records builds the CorrelationRecords from _measure's arrays,
+and maximize_classical_correlation, the one-state case, builds the
+ProjectiveBasis of its result.
 
 J at a fixed basis (j_z, j_x), mutual information and S(rho_s) come from the
 density matrices themselves: a stack of states gives its reduced states and,
@@ -101,6 +102,16 @@ def _nonnegative(values, tol: float, label: str) -> np.ndarray:
     return np.where(values < 0.0, 0.0, values)
 
 
+def _phi(phi: float) -> float:
+    """phi reduced to [0, 2 pi), the one rule for a stored azimuth.
+
+    A % that rounds up to 2 pi (phi just below 0) gives 0.0, so each axis
+    has one stored phi.
+    """
+    phi %= 2.0 * math.pi
+    return phi if phi < 2.0 * math.pi else 0.0
+
+
 @dataclass(frozen=True)
 class ProjectiveBasis:
     """A complete pair of orthogonal rank-1 projectors on the apparatus qubit.
@@ -122,9 +133,8 @@ class ProjectiveBasis:
         if th < -1e-9 or th > math.pi + 1e-9:
             raise InvalidInputError(f"theta must lie in [0, pi], got {th}")
         th = min(max(th, 0.0), math.pi)
-        ph = ph % (2.0 * math.pi)
         object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "phi", ph)
+        object.__setattr__(self, "phi", _phi(ph))
 
     @classmethod
     def sigma_z(cls) -> "ProjectiveBasis":
@@ -690,28 +700,14 @@ def _maximize(m: np.ndarray, s_entropy: np.ndarray):
 
 
 def _angles(axes: np.ndarray) -> list[tuple[float, float]]:
-    """The stored (theta, phi) of each (N, 3) axis row, theta in [0, pi] and phi in [0, 2 pi].
+    """The stored (theta, phi) of each (N, 3) axis row, theta in [0, pi] and phi in [0, 2 pi).
 
     These are the angles ProjectiveBasis keeps for the pair (atan2(hypot(x,
     y), z), atan2(y, x)), computed per row with math, not numpy, whose atan2
     and hypot can differ in the last bit. An atan2 just below 0 gives phi =
-    2 pi exactly, as it does in ProjectiveBasis.
+    0.0, as it does in ProjectiveBasis (_phi).
     """
-    return [
-        (math.atan2(math.hypot(x, y), z), math.atan2(y, x) % (2.0 * math.pi))
-        for x, y, z in axes.tolist()
-    ]
-
-
-def _basis(theta: float, phi: float) -> ProjectiveBasis:
-    """The ProjectiveBasis that keeps a pair of _angles bit for bit.
-
-    ProjectiveBasis reduces phi mod 2 pi once more, which would turn a kept
-    phi of exactly 2 pi into 0.0.
-    """
-    basis = ProjectiveBasis(theta, phi)
-    object.__setattr__(basis, "phi", phi)
-    return basis
+    return [(math.atan2(math.hypot(x, y), z), _phi(math.atan2(y, x))) for x, y, z in axes.tolist()]
 
 
 def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, ProjectiveBasis]:
@@ -736,7 +732,7 @@ def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, Projectiv
     """
     m, eigenvalues = _one_state(rho)
     values, axes = _maximize(m, _local_terms(m, eigenvalues, _NO_BASES)[0])
-    return float(values[0]), _basis(*_angles(axes)[0])
+    return float(values[0]), ProjectiveBasis(*_angles(axes)[0])
 
 
 def correlation_records(states, ps) -> list[CorrelationRecord]:
@@ -746,12 +742,15 @@ def correlation_records(states, ps) -> list[CorrelationRecord]:
     and the maximizer reads S(rho_s) from the same pass; the records equal
     the one-state records bit for bit.
     """
-    return _records(*_two_qubit_stack(states), ps)
+    return _records(ps, *_measure(*_two_qubit_stack(states), _SIGMA_ZX))
 
 
-def _records(m: np.ndarray, eigenvalues: np.ndarray, ps) -> list[CorrelationRecord]:
-    """correlation_records on a stack of valid states with known eigenvalues."""
-    j_max, axes, mutual, j = _measure(m, eigenvalues, _SIGMA_ZX)
+def _records(ps, j_max, axes, mutual, j) -> list[CorrelationRecord]:
+    """The records of a stack labelled with ps, from its _measure arrays in the bases _SIGMA_ZX.
+
+    The one rule for a record: discord is the mutual information less j_max,
+    with its sign tolerance, and the angles are the axes' _angles.
+    """
     discords = _nonnegative(mutual - j_max, DISCORD_CLAMP, "discord")
     return [
         CorrelationRecord(p, j_z, j_x, value, theta, phi, mi, discord)
@@ -783,7 +782,7 @@ def correlation_record(rho: DensityMatrix, p: float = 0.0) -> CorrelationRecord:
     J in the sigma_z and sigma_x bases, the maximum with its argmax angles,
     mutual information, and discord.
     """
-    return _records(*_one_state(rho), [p])[0]
+    return _records([p], *_measure(*_one_state(rho), _SIGMA_ZX))[0]
 
 
 def quantum_discord(rho: DensityMatrix) -> float:

@@ -24,7 +24,10 @@ and tau_E may fall on either side of it.
 
 A sweep's grid and channel family are checked once (_sweep_plan); then its
 states stream as one stack through the one stacked sweep (_sweeps), each
-state's records and transition bit for bit those of its own sweep.
+state's records and transition bit for bit those of its own sweep. A chunk's
+records and its jump scan (_jump, one vector pass over neighbouring argmax
+axes) read the same maximizer arrays; detect_transition, which is handed
+records, rebuilds those axes from their stored angles.
 """
 
 from __future__ import annotations
@@ -39,11 +42,14 @@ import numpy as np
 
 from .channels import evolve, kraus_stack
 from .correlations import (
+    _SIGMA_ZX,
     CorrelationRecord,
     ProjectiveBasis,
+    _measure,
+    _records,
+    _two_qubit_stack,
     basis_distance,
     classical_correlations,
-    correlation_records,
 )
 from .errors import InvalidInputError, InvalidStateError
 from .qstate import DensityMatrix, XStateParams, x_state_params
@@ -185,21 +191,24 @@ def _dephasing_basis(
     )
 
 
-def _jump(records: Sequence[CorrelationRecord]) -> Optional[tuple]:
-    """A trajectory's first argmax-basis jump: (lo, hi, kets), or None.
+def _jump(j_max: np.ndarray, axes: np.ndarray) -> tuple:
+    """Each trajectory's first argmax-basis jump, from one vector pass: (owners, pairs).
 
-    lo and hi are the strengths of two neighbouring records, and kets holds
-    the incoming (hi) then the outgoing (lo) basis as a (2, 2, 2) stack. A
-    record at or below BASIS_FLOOR has no basis, so neither pair it belongs
-    to can jump. Each record's basis is built once, as the scan reaches it.
+    j_max (S, N) and axes (S, N, 3) hold the maxima and argmax axes of S
+    trajectories. Records k and k + 1 jump where |a_k . a_{k+1}| is below
+    cos(JUMP_THRESHOLD), that is where the antipodal-identified angle between
+    their axes exceeds JUMP_THRESHOLD. A record at or below BASIS_FLOOR has
+    no basis, so neither pair it belongs to can jump. owners are the
+    trajectories with a jump, in order, and pairs holds the k of each one's
+    first jump.
     """
-    before, b0 = None, None
-    for after in records:
-        b1 = None if after.j_max <= BASIS_FLOOR else ProjectiveBasis(after.opt_theta, after.opt_phi)
-        if b0 is not None and b1 is not None and basis_distance(b0, b1) > JUMP_THRESHOLD:
-            return before.p, after.p, np.array([b1.kets(), b0.kets()])
-        before, b0 = after, b1
-    return None
+    a, b = axes[:, :-1], axes[:, 1:]
+    dots = np.abs(a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2])
+    based = j_max > BASIS_FLOOR
+    jumps = based[:, :-1] & based[:, 1:] & (dots < math.cos(JUMP_THRESHOLD))
+    owners = np.flatnonzero(jumps.any(axis=1))
+    # argmax gives each row's first True; a one-point grid has no pair to give.
+    return owners, jumps.argmax(axis=1)[owners] if owners.size else owners
 
 
 def _crossings(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -259,33 +268,39 @@ def _crossings(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _transitions(
-    states: np.ndarray, basis: Optional[ProjectiveBasis], trajectories: Sequence
+    states: np.ndarray, basis: Optional[ProjectiveBasis], trajectories: Sequence, j_max, axes
 ) -> list:
     """transition_p of each trajectory, from one lockstep root search over the stack.
 
     states holds the (S, 4, 4) entries of the valid initial states, basis is
-    the channel family's (_dephasing_basis), and trajectories holds each
-    state's records. A trajectory without a jump gets None. The crossing
-    J(incoming) - J(outgoing), read on the evolved states by
-    classical_correlations, is negative where the outgoing basis dominates
-    (at the jump's lo) and positive where the incoming one does (at its
-    hi). _crossings finds its root in every bracket at once, so each
-    transition_p is bit for bit what its trajectory gives alone; on a
-    degenerate tie at a grid point the crossing sits at that edge.
+    the channel family's (_dephasing_basis), trajectories holds each state's
+    records, and j_max (S, N) and axes (S, N, 3) their maxima and argmax
+    axes, which _jump scans in one pass. A trajectory without a jump gets
+    None. A jump's bracket is the p of its two records, and its bases are
+    the ProjectiveBasis of each record's stored angles, the incoming (hi)
+    then the outgoing (lo). The crossing J(incoming) - J(outgoing), read on
+    the evolved states by classical_correlations, is negative where the
+    outgoing basis dominates (at the jump's lo) and positive where the
+    incoming one does (at its hi). _crossings finds its root in every bracket
+    at once, so each transition_p is bit for bit what its trajectory gives
+    alone; on a degenerate tie at a grid point the crossing sits at that edge.
     """
-    found = [(s, jump) for s, records in enumerate(trajectories) if (jump := _jump(records))]
+    owners, pairs = _jump(j_max, axes)
     result = [None] * len(trajectories)
-    if not found:
+    if not owners.size:
         return result
-    owners, jumps = zip(*found)
-    m = states[list(owners)]
-    lo, hi, kets = (np.array(column) for column in zip(*jumps))
+    brackets = [trajectories[s][k : k + 2] for s, k in zip(owners.tolist(), pairs.tolist())]
+    lo, hi = (np.array([bracket[end].p for bracket in brackets]) for end in (0, 1))
+    kets = np.array(
+        [[ProjectiveBasis(r.opt_theta, r.opt_phi).kets() for r in b[::-1]] for b in brackets]
+    )
+    m = states[owners]
 
     def crossing(rows: np.ndarray, ps: np.ndarray) -> np.ndarray:
         j = classical_correlations(evolve(kraus_stack(basis, ps), m[rows]), kets[rows])
         return j[:, 0] - j[:, 1]
 
-    for s, p in zip(owners, _crossings(crossing, lo, hi).tolist()):
+    for s, p in zip(owners.tolist(), _crossings(crossing, lo, hi).tolist()):
         result[s] = p
     return result
 
@@ -302,13 +317,16 @@ def detect_transition(
     Scans consecutive records for the first argmax-basis jump larger than
     JUMP_THRESHOLD (antipodal-identified), then refines the crossing point of
     the two competing bases' correlation values down to an interval of 1e-12
-    in p (_crossings). Records whose j_max is below BASIS_FLOOR carry no
-    basis information and never anchor a jump. Returns None when the argmax
-    basis never jumps. This is the one-trajectory case of the stacked root
-    search that sweeps run (_transitions).
+    in p (_crossings). Records whose j_max is at or below BASIS_FLOOR carry
+    no basis information and never anchor a jump. Returns None when the
+    argmax basis never jumps. The axes are rebuilt from the records' stored
+    angles, the one place that does so, and then the stacked root search that
+    sweeps run (_transitions) takes this one trajectory.
     """
     basis = _dephasing_basis(channel_family, pointer_basis)
-    return _transitions(rho0.entries[None], basis, [records])[0]
+    j_max = np.array([[r.j_max for r in records]])
+    axes = np.reshape([ProjectiveBasis(r.opt_theta, r.opt_phi).axis for r in records], (1, -1, 3))
+    return _transitions(rho0.entries[None], basis, [records], j_max, axes)[0]
 
 
 def _after_transition(records: Sequence[CorrelationRecord], transition_p: float) -> list:
@@ -406,10 +424,11 @@ def _sweeps(states, ps: np.ndarray, basis: Optional[ProjectiveBasis]):
     order. ps and basis are a checked grid and dephasing basis (_sweep_plan).
     _SWEEP_STATES states are read at a time, so a generator's states are
     made only as each chunk needs them. Each chunk is one (S N, 4, 4) stack
-    of channel outputs, read by one correlation_records call, and its
-    transitions come from one lockstep root search (_transitions). Each
-    trajectory's records and transition_p are bit for bit what it gives
-    alone; sweep is the S = 1 case.
+    of channel outputs, checked once and read by one _measure pass. Its
+    records come from those arrays (_records), and its j_max and argmax
+    axes, as (S, N) and (S, N, 3), go to one jump scan and one lockstep root
+    search (_transitions). Each trajectory's records and transition_p are
+    bit for bit what it gives alone; sweep is the S = 1 case.
     """
     ops = kraus_stack(basis, ps)
     labels = [float(p) for p in ps]
@@ -418,11 +437,13 @@ def _sweeps(states, ps: np.ndarray, basis: Optional[ProjectiveBasis]):
     while chunk := list(itertools.islice(states, per_chunk)):
         m = np.array(chunk)
         evolved = np.concatenate([evolve(ops, rho) for rho in m])
-        records = correlation_records(evolved, labels * len(m))
+        j_max, axes, mutual, j = _measure(*_two_qubit_stack(evolved), _SIGMA_ZX)
+        records = _records(labels * len(m), j_max, axes, mutual, j)
         trajectories = [
             tuple(records[k : k + ps.size]) for k in range(0, len(records), ps.size)
         ]
-        yield from zip(trajectories, _transitions(m, basis, trajectories))
+        scanned = j_max.reshape(len(m), -1), axes.reshape(len(m), -1, 3)
+        yield from zip(trajectories, _transitions(m, basis, trajectories, *scanned))
 
 
 def _report(

@@ -18,10 +18,10 @@ broadcast product. lemma1 draws unchecked entries too, checks the chunk's
 states with one stacked check, then maximizes them and reads their mutual
 information and J in each trial's pointer and tilted bases in one pass.
 theorem2 streams the chunk's X states through the one stacked sweep
-(dynamics._sweeps) on a constant grid: one correlation_records call per
-chunk and one lockstep root search for the transitions. Judging draws
-nothing, so every trial sees the draws and gives the result it would in a
-one-trial-at-a-time loop, bit for bit.
+(dynamics._sweeps) on a constant grid: one _measure pass per chunk, whose
+arrays give the records and the jump scan, and one lockstep root search for
+the transitions. Judging draws nothing, so every trial sees the draws and
+gives the result it would in a one-trial-at-a-time loop, bit for bit.
 
 The four properties:
   - theorem1: the classical correlation read in the pointer basis is
@@ -50,7 +50,6 @@ from .channels import evolve, kraus_stack
 from .correlations import (
     ProjectiveBasis,
     _angles,
-    _basis,
     _measure,
     _projectors,
     _two_qubit_stack,
@@ -188,9 +187,7 @@ def _tilted_bases(rng: np.random.Generator, basis: ProjectiveBasis) -> list:
     )
     axes = cos_o * n + sin_o * (cos_a * e1 + sin_a * e2)
     return [
-        ProjectiveBasis(
-            math.acos(max(-1.0, min(1.0, z))), math.atan2(y, x) % (2.0 * math.pi)
-        )
+        ProjectiveBasis(math.acos(max(-1.0, min(1.0, z))), math.atan2(y, x))
         for x, y, z in axes.tolist()
     ]
 
@@ -351,7 +348,7 @@ def _lemma1_judge(chunk) -> list:
     for (_, basis, _), value, angles, mi, (j_pointer, *j_tilted) in zip(
         chunk, j_max.tolist(), _angles(axes), mutual.tolist(), j.tolist()
     ):
-        angle = basis_distance(_basis(*angles), basis)
+        angle = basis_distance(ProjectiveBasis(*angles), basis)
         value_dev = abs(value - mi)
         violation = max(
             max(0.0, angle - LEMMA1_ANGLE_TOL),

@@ -258,6 +258,10 @@ def test_detect_transition_requires_a_real_jump(state1):
     # wildly different angles carry no information below the basis floor
     noise = [record(0.0, 1e-12), record(1.0, 1e-12, theta=1.5)]
     assert detect_transition(state1, "pd", noise) is None
+    # one record, or none, has no pair that could jump; nor has a one-point sweep
+    assert detect_transition(state1, "pd", noise[:1]) is None
+    assert detect_transition(state1, "pd", []) is None
+    assert sweep(state1, "pd", [0.5]).transition_p is None
 
 
 def _jump_reference(records):
@@ -279,7 +283,7 @@ def _jump_hex(jump):
     return lo.hex(), hi.hex(), [x.hex() for x in kets.view(float).ravel().tolist()]
 
 
-def test_jump_builds_each_basis_once_and_matches_the_pairwise_scan(state1, monkeypatch):
+def test_jump_matches_the_pairwise_scan_and_sweeps_build_two_bases_per_jump(state1, monkeypatch):
     swept = sweep(state1, "pd", np.linspace(0.0, 1.0, 21)).records
     gap = record(0.5, BASIS_FLOOR, theta=0.7)
     trajectories = [
@@ -291,6 +295,35 @@ def test_jump_builds_each_basis_once_and_matches_the_pairwise_scan(state1, monke
         (record(0.0, 0.9), gap, record(0.75, 0.7, theta=1.5), record(1.0, 0.7, theta=0.2)),
         swept[:10] + (dataclasses.replace(swept[10], j_max=0.0),) + swept[11:],
     ]
+    # Each bracket the vector scan hands to the root search, with the kets
+    # its first crossing call reads: (lo, hi, kets) as the pairwise scan gives them.
+    brackets = []
+
+    def bracketed(f, lo, hi):
+        brackets.append([lo.item(), hi.item()])
+        return _crossings(f, lo, hi)
+
+    def read(evolved, kets):
+        if len(brackets[-1]) == 2:
+            brackets[-1].append(kets[0])
+        return classical_correlations(evolved, kets)
+
+    monkeypatch.setattr(dynamics, "_crossings", bracketed)
+    monkeypatch.setattr(dynamics, "classical_correlations", read)
+    found = []
+    for records in trajectories:
+        brackets.clear()
+        detect_transition(state1, "pd", records)
+        got = tuple(brackets[0]) if brackets else None
+        assert _jump_hex(got) == _jump_hex(_jump_reference(records))
+        found.append(got is not None)
+    assert found == [True, False, True, True]
+    monkeypatch.undo()
+
+    # A three-chunk stacked sweep builds the bases of each jump's two records
+    # and no others: the scan reads the maximizer's axes.
+    plan = _sweep_plan("pd", np.linspace(0.0, 1.0, 21), None)
+    entries = np.array([rho.entries for rho in _mixed_states()])
     built = []
 
     def counting_basis(*args):
@@ -298,12 +331,9 @@ def test_jump_builds_each_basis_once_and_matches_the_pairwise_scan(state1, monke
         return ProjectiveBasis(*args)
 
     monkeypatch.setattr(dynamics, "ProjectiveBasis", counting_basis)
-    for records in trajectories:
-        built.clear()
-        got = dynamics._jump(records)
-        assert len(built) <= len(records)
-        assert _jump_hex(got) == _jump_hex(_jump_reference(records))
-    assert [dynamics._jump(r) is None for r in trajectories] == [False, True, False, False]
+    monkeypatch.setattr(dynamics, "_SWEEP_STATES", 5 * 21)
+    jumps = sum(t is not None for _, t in _sweeps(entries, *plan))
+    assert 0 < len(built) <= 2 * jumps
 
 
 def test_max_increase():
@@ -465,6 +495,18 @@ def test_stacked_sweeps_equal_the_per_state_sweeps(family, grid, monkeypatch):
     # A generator of the same entries is read a chunk at a time to the same sweeps.
     streamed = list(_sweeps((rho.entries for rho in states), *_sweep_plan(family, grid, pointer)))
     assert [_hex(*t) for t in streamed] == [_hex(*t) for t in stacked]
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize("family", ["pd", "ad", "pointer"])
+def test_detect_transition_on_the_records_is_the_sweeps_transition(family, grid):
+    # detect_transition rebuilds the axes from the records' stored angles,
+    # the sweep scans the maximizer's own axes: the same transition_p.
+    pointer = TILTED if family == "pointer" else None
+    for rho in _mixed_states():
+        report = sweep(rho, family, GRIDS[grid], pointer_basis=pointer)
+        again = detect_transition(rho, family, report.records, pointer_basis=pointer)
+        assert _hex((), again) == _hex((), report.transition_p)
 
 
 def _unread():

@@ -336,7 +336,7 @@ def test_stacked_suites_equal_the_per_trial_reference(suite, seed, trials):
     if suite == "lemma1":
         # every lemma1 violation is 0.0, so compare what the verdicts read
         measured = [
-            (j_max, correlations._basis(*angles), [j[0] - other for other in j[1:]])
+            (j_max, ProjectiveBasis(*angles), [j[0] - other for other in j[1:]])
             for j_max, angles, j in verify._trials(
                 trials, seed, verify._lemma1_draw, _lemma1_measured_rows
             )
