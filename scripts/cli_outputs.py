@@ -20,7 +20,10 @@ so the recording crosses a chunk boundary. Another passes `--gamma` to
 leave the bands as they are. Two fine-grid `sweep`s of the same general
 state scan every neighbouring pair of records for a sudden change: 201
 points under ad, which decays with no jump, and 41 points under a tilted
-pointer basis, which jumps. `--slow` adds `verify --suite all` at the
+pointer basis, which jumps. Four failing calls (a usage error, a grid
+too small, flags the remark suite refuses, a missing matrix file) and a
+valid `sweep` after them record the error paths and what follows them in
+the same process. `--slow` adds `verify --suite all` at the
 default trial counts (about 5 s more on a shared 2-core host).
 """
 
@@ -84,6 +87,15 @@ def commands(matrix: str, slow: bool) -> list:
                  "--format", "json"])
     cmds.append(["sweep", "--matrix-file", matrix, "--channel", "pointer", "--theta", "1.2",
                  "--phi", "0.4", "--grid", "41", "--format", "json"])
+    # Failing calls, then a valid one: main() reuses one parser per process.
+    # The missing matrix file has a relative path, so stderr names no DEST.
+    cmds += [
+        ["sweep", "--channel", "bogus"],
+        ["sweep", "--state", STATE_1, "--grid", "1"],
+        ["verify", "--suite", "remark", "--trials", "3"],
+        ["analyze", "--matrix-file", "no-such-file.mat"],
+        ["sweep", "--state", STATE_1, "--grid", "11", "--format", "json"],
+    ]
     if slow:
         cmds += [["verify", "--suite", "all"], ["verify", "--suite", "all", "--format", "json"]]
     return cmds

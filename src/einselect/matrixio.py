@@ -25,7 +25,12 @@ This module is also the only one that knows the output format. Every CLI
 table (trajectories, verification outcomes, emergence, maximization, and
 analysis reports with their Monte Carlo bands) is built as payload dicts and
 written by one CSV table writer, with one cell formatter (12 significant
-digits), or by one JSON writer. Matrix files are written at 17 significant
+digits), or by one JSON writer. The JSON writer gives the bytes of
+`json.dumps(payload, indent=2)` from one call to the C encoder, which
+`indent` would turn off: JSON text never holds a raw newline (the encoder
+escapes it inside strings), so every scalar of a payload is encoded in one
+newline-separated list and the 2-space layout is put around the pieces.
+Matrix files are written at 17 significant
 digits so a write/parse round trip is exact well beyond the 12-digit
 requirement. Nothing time- or machine-dependent is ever emitted, so
 identical inputs produce byte-identical files.
@@ -33,6 +38,7 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, fields
@@ -277,9 +283,63 @@ def csv_table(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _braces(opening: str, items, closing: str, depth: int) -> str:
+    """A non-empty JSON object or array of laid-out items, at indent level depth."""
+    inner = "\n" + "  " * (depth + 1)
+    return opening + inner + ("," + inner).join(items) + "\n" + "  " * depth + closing
+
+
+def _object_template(keys, depth: int, values) -> str:
+    """An object's layout with `%`-escaped keys; values are laid out already."""
+    items = []
+    for key, value in zip(keys, values):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        items.append(json.dumps(key).replace("%", "%%") + ": " + value)
+    return _braces("{", items, "}", depth)
+
+
+@functools.lru_cache(maxsize=64)
+def _record_template(keys: tuple, depth: int) -> str:
+    """The layout of an object of plain scalars, such as each record: one `%s` per value."""
+    return _object_template(keys, depth, ["%s"] * len(keys))
+
+
+def _layout(value, depth: int, leaves: list) -> str:
+    """value's indented text with `%s` for each scalar, which goes onto leaves in order."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        values = value.values()
+        if _SCALARS.issuperset(map(type, values)):
+            leaves.extend(values)
+            return _record_template(tuple(value), depth)
+        return _object_template(value, depth, [_layout(v, depth + 1, leaves) for v in values])
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return _braces("[", [_layout(v, depth + 1, leaves) for v in value], "]", depth)
+    leaves.append(value)
+    return "%s"
+
+
 def json_text(payload) -> str:
-    """Indented JSON. NaN and infinities raise ValueError: JSON cannot carry them."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """The text of json.dumps(payload, indent=2, allow_nan=False) and a newline.
+
+    With `indent` set, json runs its pure-Python encoder, so the scalars are
+    encoded in one C-encoder call without it, separated by newlines. JSON
+    text never holds a raw newline (the encoder escapes it inside strings),
+    so the pieces split apart cleanly and the 2-space layout is built around
+    them. Keys must be str. NaN and infinities raise ValueError (JSON cannot
+    carry them), and a value JSON has no type for, such as np.int64, TypeError.
+    """
+    leaves = []
+    template = _layout(payload, 0, leaves)
+    text = json.dumps(leaves, allow_nan=False, separators=("\n", ": "))
+    return template % tuple(text[1:-1].split("\n") if leaves else ()) + "\n"
 
 
 def _render(fmt: str, columns, rows, payload) -> str:

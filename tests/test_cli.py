@@ -14,7 +14,8 @@ from einselect import (
     sweep,
     write_matrix_file,
 )
-from einselect.cli import main
+from einselect import cli
+from einselect.cli import build_parser, main
 from einselect.matrixio import emit_analysis
 from einselect.verify import random_density_matrix
 
@@ -383,6 +384,45 @@ def test_usage_errors_exit_one(capsys, argv, fragment):
     code, _, err = run(capsys, *argv)
     assert code == 1
     assert fragment in err
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    calls = (
+        ("sweep", "--state", STATE_FLAG, "--grid", "3"),
+        ("emergence", "--state", STATE_FLAG),
+        ("sweep", "--channel", "bogus"),
+        ("maximize", "--state", STATE_FLAG),
+    )
+    try:
+        for argv in calls:
+            run(capsys, *argv)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_failed_calls_leave_nothing_for_the_next_call(capsys):
+    valid = ("sweep", "--state", STATE_FLAG, "--grid", "11", "--format", "json")
+    failing = (("sweep", "--state", STATE_FLAG, "--channel", "bogus"),
+               ("sweep", "--state", STATE_FLAG, "--grid", "1"))
+    alone = {}
+    for argv in (valid, *failing):
+        cli._parser.cache_clear()
+        alone[argv] = run(capsys, *argv)
+    assert [alone[argv][0] for argv in (valid, *failing)] == [0, 1, 1]
+    for argv in failing:
+        cli._parser.cache_clear()
+        assert run(capsys, *argv) == alone[argv]
+        assert run(capsys, *valid) == alone[valid]
 
 
 def test_state_and_matrix_file_are_exclusive(capsys, tmp_path):

@@ -25,6 +25,7 @@ from einselect.matrixio import (
     emit_analysis,
     emit_emergence,
     format_cell,
+    json_text,
 )
 
 
@@ -176,6 +177,20 @@ def test_emit_report_refuses_non_finite_json():
     bad = VerificationOutcome("theorem1", 1, 1, math.nan, 42)
     with pytest.raises(ValueError, match="JSON"):
         emit_report(bad, "json")
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda v: v, lambda v: {"p": 0.5, "j_max": v}, lambda v: {"records": [{"p": 0.5}, {"p": v}]}],
+)
+def test_json_writer_refuses_what_json_dumps_refuses(wrap):
+    # JSON cannot carry NaN or infinities, nor numpy integers
+    for write in (lambda p: json.dumps(p, indent=2, allow_nan=False), json_text):
+        for value in (math.nan, math.inf, -math.inf, np.float64(math.nan)):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                write(wrap(value))
+        with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+            write(wrap(np.int64(3)))
 
 
 def test_numpy_scalars_give_the_json_of_python_scalars(state1, tmp_path):

@@ -1,16 +1,19 @@
-"""Property-based checks of matrix-file ingestion and the physicality projection.
+"""Property-based checks of matrix-file ingestion, the physicality projection and JSON.
 
-Three properties, each over generated inputs:
+Four properties, each over generated inputs:
   - the parser, on arbitrary text (number tokens near the float limit
     included), returns a MatrixFile or raises InvalidInputError or
     DataQualityError, and emits no warning;
   - write_matrix_file followed by parse_matrix_file gives back the raw matrix
     exactly, for near-physical matrices;
-  - project_to_physical is idempotent within 1e-12.
+  - project_to_physical is idempotent within 1e-12;
+  - json_text writes the bytes of json.dumps(indent=2) plus a newline, on
+    nested payloads of the CLI's shapes.
 
 Example counts are bounded so the module runs in a few seconds.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -24,6 +27,7 @@ from einselect import (
     project_to_physical,
     write_matrix_file,
 )
+from einselect.matrixio import json_text
 
 # Function-scoped tmp_path is safe here: every example overwrites its own file.
 PROPERTY_SETTINGS = settings(
@@ -128,3 +132,44 @@ def test_projection_is_idempotent(dim, entries):
     twice, report = project_to_physical(once.entries, max_distance=None)
     np.testing.assert_allclose(twice.entries, once.entries, rtol=0.0, atol=1e-12)
     assert report.projection_distance <= 1e-12
+
+
+# Strings the writer must escape as json does, and the `%` its templates hold.
+AWKWARD_TEXT = st.one_of(
+    st.sampled_from(["p", "j_max", "\n", '"', "\\", "%", "%s", "%%", "%(p)s", "\u00e9\u2192", ""]),
+    st.text(max_size=8),
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    AWKWARD_TEXT,
+)
+
+
+@st.composite
+def record_lists(draw):
+    """A list of objects with the same keys in the same order, as a trajectory's records."""
+    keys = draw(st.lists(AWKWARD_TEXT, min_size=1, max_size=6, unique=True))
+    rows = draw(st.lists(st.lists(JSON_SCALARS, min_size=len(keys), max_size=len(keys)), max_size=4))
+    return [dict(zip(keys, row)) for row in rows]
+
+
+JSON_PAYLOADS = st.recursive(
+    st.one_of(JSON_SCALARS, record_lists()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(AWKWARD_TEXT, children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@PROPERTY_SETTINGS
+@given(payload=JSON_PAYLOADS)
+def test_json_writer_equals_json_dumps(payload):
+    assert json_text(payload) == json.dumps(payload, indent=2, allow_nan=False) + "\n"
