@@ -9,13 +9,19 @@ One builder (_outcome) makes every VerificationOutcome from the suite's
 (ok, violation) results, the remark's five checks included.
 
 A suite runs in two steps (_trials). It draws each trial's inputs from the
-generator, one trial after another, then judges the drawn trials a chunk of
-_CHUNK at a time, each chunk in one stacked pass. theorem1 draws unchecked
-entries, evolves every trial's state at every strength in one Kraus stack,
-reads J of all the chunk's states (each drawn rho among them) in their own
-pointer bases with one check, and forms every block Pi_i rho Pi_i in one
-broadcast product. lemma1 draws unchecked entries too, checks the chunk's
-states with one stacked check, then maximizes them and reads their mutual
+generator, one trial after another, as plain numbers: Gaussian blocks,
+uniforms and weights, never a state or basis object. Then it judges the
+drawn trials a chunk of _CHUNK at a time, each chunk in one stacked pass
+that builds the chunk's inputs as arrays first: its states A A^dag / tr
+(_states), its bases' kets from their angles (_kets), lemma1's
+classical-quantum mixtures (_cq_states) and its tilted bases, from one
+tangent frame per pointer axis (_tilt_angles). random_density_matrix,
+random_basis and random_cq_state are the one-trial case of the same draws
+and builders. theorem1 evolves every trial's state at every strength in one
+Kraus stack, reads J of all the chunk's states (each drawn rho among them)
+in their own pointer bases with one check, and forms every block
+Pi_i rho Pi_i in one broadcast product. lemma1 checks the chunk's states
+with one stacked check, then maximizes them and reads their mutual
 information and J in each trial's pointer and tilted bases in one pass.
 theorem2 streams the chunk's X states through the one stacked sweep
 (dynamics._sweeps) on a constant grid: one _measure pass per chunk, whose
@@ -51,9 +57,9 @@ from .correlations import (
     ProjectiveBasis,
     _angles,
     _measure,
+    _phi,
     _projectors,
     _two_qubit_stack,
-    basis_distance,
     classical_correlation,
     classical_correlations,
 )
@@ -107,23 +113,66 @@ class VerificationOutcome:
         return self.failures == 0
 
 
-def _random_state_entries(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    """The unchecked entries of random_density_matrix's draw: A A^dag over its trace."""
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = a @ a.conj().T
-    return m / m.trace().real
+def _mapped(f, *args) -> np.ndarray:
+    """f of each element of the float sequences args, one at a time, as a float array."""
+    return np.fromiter(map(f, *args), float, len(args[0]))
+
+
+def _axes(theta, phi) -> np.ndarray:
+    """ProjectiveBasis.axis, bit for bit, of each basis with these stored angles, as (N, 3)."""
+    return np.array(
+        [
+            (math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t))
+            for t, p in zip(theta, phi)
+        ]
+    )
+
+
+def _kets(theta, phi) -> np.ndarray:
+    """ProjectiveBasis.kets, bit for bit, of each basis with these stored angles, as (N, 2, 2).
+
+    The rows are |u_0> = (c, e s) and |u_1> = (s, -e c), with c and s the
+    cosine and sine of theta / 2 and e = e^{i phi}, each from math; numpy
+    forms e s and -e c as Python's complex product does.
+    """
+    half = (np.asarray(theta, dtype=float) / 2.0).tolist()
+    phi = np.asarray(phi, dtype=float).tolist()
+    c, s = _mapped(math.cos, half), _mapped(math.sin, half)
+    e = np.empty(len(half), dtype=complex)
+    e.real, e.imag = _mapped(math.cos, phi), _mapped(math.sin, phi)
+    return np.stack([c, e * s, s, -e * c], axis=-1).reshape(-1, 2, 2)
+
+
+def _states(gaussians: np.ndarray) -> np.ndarray:
+    """The unchecked states A A^dag / tr(A A^dag) of (N, 2, d, d) Gaussian pairs, as (N, d, d).
+
+    Each A is G_0 + i G_1 of its pair. random_density_matrix is the N = 1 case.
+    """
+    a = gaussians[:, 0] + 1j * gaussians[:, 1]
+    m = a @ a.conj().swapaxes(-1, -2)
+    return m / m.trace(axis1=-2, axis2=-1).real[:, None, None]
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int = 4) -> DensityMatrix:
-    """A Haar-ish random full-rank state: normalized A A^dag with Gaussian A."""
-    return DensityMatrix(_random_state_entries(rng, dim))
+    """A Haar-ish random full-rank state: normalized A A^dag with Gaussian A (_states)."""
+    return DensityMatrix(_states(rng.normal(size=(1, 2, dim, dim)))[0])
+
+
+def _basis_uniforms(rng: np.random.Generator) -> list:
+    """random_basis's draw: cos(theta) uniform in [-1, 1], then phi uniform in [0, 2 pi)."""
+    return [float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.0, 2.0 * math.pi))]
+
+
+def _basis_angles(uniforms) -> tuple[np.ndarray, np.ndarray]:
+    """The stored theta and phi, as (N,) arrays, of the bases that N _basis_uniforms give."""
+    u, v = zip(*uniforms)
+    return _mapped(math.acos, u), _mapped(_phi, v)
 
 
 def random_basis(rng: np.random.Generator) -> ProjectiveBasis:
-    """A measurement axis uniform on the Bloch sphere."""
-    theta = math.acos(float(rng.uniform(-1.0, 1.0)))
-    phi = float(rng.uniform(0.0, 2.0 * math.pi))
-    return ProjectiveBasis(theta, phi)
+    """A measurement axis uniform on the Bloch sphere (_basis_angles)."""
+    theta, phi = _basis_angles([_basis_uniforms(rng)])
+    return ProjectiveBasis(theta.item(), phi.item())
 
 
 def random_x_state_params(rng: np.random.Generator) -> XStateParams:
@@ -140,17 +189,30 @@ def trace_distance(a, b) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(np.asarray(a) - np.asarray(b)))))
 
 
-def _cq_entries(rng: np.random.Generator) -> tuple[np.ndarray, ProjectiveBasis]:
-    """random_cq_state's draw: the unchecked entries of the mixture, and its pointer basis."""
-    basis = random_basis(rng)
-    branch0 = _random_state_entries(rng, 2)
-    branch1 = _random_state_entries(rng, 2)
-    while trace_distance(branch0, branch1) < CQ_MIN_BRANCH_DISTANCE:
-        branch0 = _random_state_entries(rng, 2)
-        branch1 = _random_state_entries(rng, 2)
-    weight = float(rng.uniform(*CQ_WEIGHT_RANGE))
-    p0, p1 = basis.projectors
-    return weight * np.kron(branch0, p0) + (1.0 - weight) * np.kron(branch1, p1), basis
+def _cq_draw(rng: np.random.Generator):
+    """random_cq_state's draw: its basis's uniforms, two branch states (2, 2, 2) and a weight.
+
+    The redraw of close branches is part of the draw, since it decides how
+    much of the generator one draw reads.
+    """
+    uniforms = _basis_uniforms(rng)
+    branches = _states(rng.normal(size=(2, 2, 2, 2)))
+    while trace_distance(*branches) < CQ_MIN_BRANCH_DISTANCE:
+        branches = _states(rng.normal(size=(2, 2, 2, 2)))
+    return uniforms, branches, float(rng.uniform(*CQ_WEIGHT_RANGE))
+
+
+def _cq_states(kets: np.ndarray, branches: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The unchecked states w rho_0 x Pi_0 + (1 - w) rho_1 x Pi_1, as (N, 4, 4).
+
+    kets are the (N, 2, 2) pointer kets, branches the (N, 2, 2, 2) states
+    rho_i and weights the (N,) w. Each rho_i x Pi_i is the product np.kron
+    makes. random_cq_state is the N = 1 case.
+    """
+    kron = branches[:, :, :, None, :, None] * _projectors(kets)[:, :, None, :, None, :]
+    kron = kron.reshape(-1, 2, 4, 4)
+    w = weights[:, None, None]
+    return w * kron[:, 0] + (1.0 - w) * kron[:, 1]
 
 
 def random_cq_state(rng: np.random.Generator) -> tuple[DensityMatrix, ProjectiveBasis]:
@@ -161,35 +223,38 @@ def random_cq_state(rng: np.random.Generator) -> tuple[DensityMatrix, Projective
     correlation is zero in every basis, so no basis is singled out and the
     uniqueness half of the lemma is vacuous there.
     """
-    m, basis = _cq_entries(rng)
-    return DensityMatrix(m), basis
+    uniforms, branches, weight = _cq_draw(rng)
+    theta, phi = _basis_angles([uniforms])
+    m = _cq_states(_kets(theta, phi), branches[None], np.array([weight]))[0]
+    return DensityMatrix(m), ProjectiveBasis(theta.item(), phi.item())
 
 
-def _tilted_bases(rng: np.random.Generator, basis: ProjectiveBasis) -> list:
-    """LEMMA1_PERTURBATIONS bases whose axes are tilted from basis's by [LEMMA1_MIN_TILT, pi/2].
+def _tilt_angles(axes: np.ndarray, tilts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stored theta and phi, as (N, K) arrays, of each trial's tilted bases.
 
-    Each tilt draws its offset from the axis, then its azimuth around it, in
-    one tangent frame (e1, e2) of the axis.
+    axes are the (N, 3) pointer axes and tilts the (N, K, 2) uniforms of
+    _lemma1_draw. Each tilt turns its axis by its offset, in [LEMMA1_MIN_TILT,
+    pi/2], then around it by its azimuth, in one tangent frame (e1, e2) of
+    the axis.
     """
-    n = basis.axis
-    helper = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(n, helper)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    offset, azimuth = rng.uniform(
-        [LEMMA1_MIN_TILT, 0.0], [math.pi / 2.0, 2.0 * math.pi], (LEMMA1_PERTURBATIONS, 2)
-    ).T.tolist()
+    helper = np.where(np.abs(axes[:, 2:]) < 0.9, (0.0, 0.0, 1.0), (1.0, 0.0, 0.0))
+    e1 = np.cross(axes, helper)
+    # The norm of each e1 as np.linalg.norm takes it of one vector, a dot product.
+    e1 /= np.sqrt(e1[:, None, :] @ e1[:, :, None])[:, 0]
+    e2 = np.cross(axes, e1)
     # The cosines and sines come from math, as for one tilt at a time.
+    offset, azimuth = tilts.reshape(-1, 2).T.tolist()
     cos_o, sin_o, cos_a, sin_a = (
-        np.array([f(x) for x in angles])[:, None]
+        _mapped(f, angles).reshape(tilts.shape[:2] + (1,))
         for angles in (offset, azimuth)
         for f in (math.cos, math.sin)
     )
-    axes = cos_o * n + sin_o * (cos_a * e1 + sin_a * e2)
-    return [
-        ProjectiveBasis(math.acos(max(-1.0, min(1.0, z))), math.atan2(y, x))
-        for x, y, z in axes.tolist()
-    ]
+    x, y, z = np.moveaxis(
+        cos_o * axes[:, None] + sin_o * (cos_a * e1[:, None] + sin_a * e2[:, None]), -1, 0
+    )
+    theta = _mapped(math.acos, np.clip(z, -1.0, 1.0).ravel().tolist())
+    phi = np.fromiter(map(_phi, map(math.atan2, y.ravel().tolist(), x.ravel().tolist())), float)
+    return theta.reshape(z.shape), phi.reshape(z.shape)
 
 
 # Trials are judged this many at a time, so a suite's memory does not grow
@@ -235,19 +300,19 @@ def _run_trials(theorem_id: str, trials: int, seed: int, draw, judge) -> Verific
 
 
 def _theorem1_draw(rng):
-    """One trial's rho, as entries that _theorem1_judge checks with its chunk, and pointer basis."""
-    rho = _random_state_entries(rng, 4)
-    return rho, random_basis(rng)
+    """One trial's draw: the (2, 4, 4) Gaussians of its rho (_states), then its basis's uniforms."""
+    return rng.normal(size=(2, 4, 4)), _basis_uniforms(rng)
 
 
 def _theorem1_judge(chunk) -> list:
     """(ok, violation) per trial, from one pass over every trial's rho and decohered states."""
     strengths = len(THEOREM1_STRENGTHS)
-    kets = np.array([basis.kets() for _, basis in chunk])
+    gaussians, uniforms = zip(*chunk)
+    kets = _kets(*_basis_angles(uniforms))
     ops = kraus_stack(np.repeat(kets, strengths, axis=0), THEOREM1_STRENGTHS * len(chunk))
     # states[t] is trial t's rho, then its evolved states in strength order.
     states = np.empty((len(chunk), 1 + strengths, 4, 4), dtype=complex)
-    states[:, 0] = [rho for rho, _ in chunk]
+    states[:, 0] = _states(np.array(gaussians))
     states[:, 1:] = evolve(ops, np.repeat(states[:, 0], strengths, axis=0)).reshape(
         len(chunk), strengths, 4, 4
     )
@@ -324,31 +389,47 @@ def verify_theorem2(trials: int = 200, seed: int = 7) -> VerificationOutcome:
 
 
 def _lemma1_draw(rng):
-    """One trial's classical-quantum state, as entries that _lemma1_measure checks, and bases."""
-    rho, basis = _cq_entries(rng)
-    return rho, basis, _tilted_bases(rng, basis)
+    """One trial's draw: random_cq_state's (_cq_draw), then (LEMMA1_PERTURBATIONS, 2) tilt uniforms.
+
+    Each tilt's uniforms are its offset from the pointer axis, then its
+    azimuth around it (_tilt_angles).
+    """
+    return *_cq_draw(rng), rng.uniform(
+        (LEMMA1_MIN_TILT, 0.0), (math.pi / 2.0, 2.0 * math.pi), (LEMMA1_PERTURBATIONS, 2)
+    )
 
 
 def _lemma1_measure(chunk):
     """The chunk's j_max, argmax axes, mutual information and J in each trial's bases, as arrays.
 
-    One stacked check covers the chunk's states, and one pass (_measure)
-    gives the maximizer, the mutual information and J in each trial's own
-    pointer basis, then its LEMMA1_PERTURBATIONS tilted bases.
+    The chunk's states are built in one pass (_cq_states) and checked with
+    one stacked check, and one pass (_measure) gives the maximizer, the
+    mutual information and J in each trial's own pointer basis, then its
+    LEMMA1_PERTURBATIONS tilted bases.
     """
+    uniforms, branches, weights, tilts = zip(*chunk)
+    theta, phi = _basis_angles(uniforms)
+    # Each trial's kets: its pointer basis, then its tilted bases.
+    tilted_theta, tilted_phi = _tilt_angles(_axes(theta, phi), np.array(tilts))
+    kets = _kets(
+        np.column_stack([theta, tilted_theta]).ravel(), np.column_stack([phi, tilted_phi]).ravel()
+    ).reshape(len(chunk), -1, 2, 2)
     return _measure(
-        *_two_qubit_stack([rho for rho, _, _ in chunk]),
-        np.array([[b.kets() for b in (basis, *tilted)] for _, basis, tilted in chunk]),
+        *_two_qubit_stack(_cq_states(kets[:, 0], np.array(branches), np.array(weights))), kets
     )
 
 
 def _lemma1_judge(chunk) -> list:
     j_max, axes, mutual, j = _lemma1_measure(chunk)
+    # The argmax and pointer axes, as ProjectiveBasis.axis gives them from stored angles.
+    found = _axes(*zip(*_angles(axes)))
+    pointers = _axes(*_basis_angles([uniforms for uniforms, _, _, _ in chunk]))
     results = []
-    for (_, basis, _), value, angles, mi, (j_pointer, *j_tilted) in zip(
-        chunk, j_max.tolist(), _angles(axes), mutual.tolist(), j.tolist()
+    for a, n, value, mi, (j_pointer, *j_tilted) in zip(
+        found, pointers, j_max.tolist(), mutual.tolist(), j.tolist()
     ):
-        angle = basis_distance(ProjectiveBasis(*angles), basis)
+        # basis_distance of the two axes
+        angle = math.acos(min(abs(float(np.dot(a, n))), 1.0))
         value_dev = abs(value - mi)
         violation = max(
             max(0.0, angle - LEMMA1_ANGLE_TOL),

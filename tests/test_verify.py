@@ -84,27 +84,79 @@ def test_trace_distance_basics():
     assert trace_distance(a.entries, b.entries) == d
 
 
+def _cq_chunk(chunk):
+    # The states and pointer angles that the chunk builders make of _cq_draw's draws.
+    uniforms, branches, weights = zip(*chunk)
+    theta, phi = verify._basis_angles(uniforms)
+    m = verify._cq_states(verify._kets(theta, phi), np.array(branches), np.array(weights))
+    return m, list(zip(theta.tolist(), phi.tolist()))
+
+
 @pytest.mark.parametrize("seed", [0, 1, 29, 109])
 def test_random_cq_state_is_the_checked_draw_of_its_entries(seed, monkeypatch):
-    # Seeds 29 and 109 redraw their branches once, so four branches are drawn.
-    draws = []
-    entries = verify._random_state_entries
+    # Seeds 29 and 109 redraw their branches once, so two pairs of branches are drawn.
+    pairs = []
+    states = verify._states
 
-    def counted(rng, dim):
-        draws.append(dim)
-        return entries(rng, dim)
+    def counted(gaussians):
+        pairs.append(gaussians.shape)
+        return states(gaussians)
 
-    monkeypatch.setattr(verify, "_random_state_entries", counted)
+    monkeypatch.setattr(verify, "_states", counted)
     old, new = np.random.default_rng(seed), np.random.default_rng(seed)
     rho, basis = random_cq_state(old)
-    branches = len(draws)
-    m, pointer = verify._cq_entries(new)
-    assert branches == len(draws) - branches == (4 if seed in (29, 109) else 2)
+    drawn = len(pairs)
+    (m,), (angles,) = _cq_chunk([verify._cq_draw(new)])
+    assert pairs == [(2, 2, 2, 2)] * (2 * drawn) == [(2, 2, 2, 2)] * (4 if seed in (29, 109) else 2)
     checked = DensityMatrix(m)
     assert rho.entries.tobytes() == checked.entries.tobytes() == m.tobytes()
     assert rho.eigenvalues.tobytes() == checked.eigenvalues.tobytes()
-    assert pointer == basis
+    assert (basis.theta, basis.phi) == angles
     assert new.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize("trials", [1, 64])
+@pytest.mark.parametrize("seed", [0, 1, 29, 109])
+def test_random_draws_are_rows_of_the_chunk_builders(seed, trials):
+    # random_density_matrix, random_basis and random_cq_state, one trial at a
+    # time, against the suites' draws built a chunk at a time (N = 1 and a
+    # full chunk), bit for bit and with the generator left in the same state.
+    old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = [(random_density_matrix(old, 4), random_basis(old)) for _ in range(trials)]
+    gaussians, uniforms = zip(*[verify._theorem1_draw(new) for _ in range(trials)])
+    states = verify._states(np.array(gaussians))
+    theta, phi = verify._basis_angles(uniforms)
+    kets = verify._kets(theta, phi)
+    for (rho, basis), m, pair, k in zip(expected, states, zip(theta.tolist(), phi.tolist()), kets):
+        assert rho.entries.tobytes() == m.tobytes()
+        assert (basis.theta, basis.phi) == pair
+        assert basis.kets().tobytes() == k.tobytes()
+    assert new.bit_generator.state == old.bit_generator.state
+
+    expected = [random_cq_state(old) for _ in range(trials)]
+    m, angles = _cq_chunk([verify._cq_draw(new) for _ in range(trials)])
+    for (rho, basis), entries, pair in zip(expected, m, angles):
+        assert rho.entries.tobytes() == entries.tobytes()
+        assert (basis.theta, basis.phi) == pair
+    assert new.bit_generator.state == old.bit_generator.state
+
+
+def test_suites_build_no_basis_object_per_draw(monkeypatch):
+    # theorem1 reads its pointer kets from angles, and lemma1 its pointer and
+    # tilted kets, so neither builds a ProjectiveBasis per drawn basis; lemma1's
+    # judge may build one per trial to compare its argmax with the pointer.
+    built = []
+    post_init = ProjectiveBasis.__post_init__
+
+    def counted(basis):
+        built.append(basis)
+        post_init(basis)
+
+    monkeypatch.setattr(ProjectiveBasis, "__post_init__", counted)
+    assert verify_theorem1(trials=130).passed
+    assert built == []
+    assert verify_lemma1(trials=130).passed
+    assert len(built) <= 130
 
 
 def test_theorem1_suite_passes_on_reduced_trials():
@@ -351,12 +403,30 @@ def test_stacked_suites_equal_the_per_trial_reference(suite, seed, trials):
 @pytest.mark.parametrize("seed", [3, 11])
 def test_tilts_from_one_frame_equal_the_one_at_a_time_draws(seed):
     # Pointer axes near and away from the poles, the exact Pauli axes among
-    # them, take both branches of the frame's helper axis.
+    # them, take both branches of the frame's helper axis; theta = pi is the
+    # south pole.
     rng = np.random.default_rng(seed)
     bases = [random_basis(rng) for _ in range(40)]
     bases += [ProjectiveBasis.sigma_z(), ProjectiveBasis.sigma_x(), ProjectiveBasis(math.pi, 0.0)]
     old, new = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
-    for basis in bases:
-        expected = [_perturbed_basis(old, basis) for _ in range(verify.LEMMA1_PERTURBATIONS)]
-        assert verify._tilted_bases(new, basis) == expected
+    expected = [
+        _perturbed_basis(old, basis) for basis in bases for _ in range(verify.LEMMA1_PERTURBATIONS)
+    ]
+    # Each pointer basis's tilt uniforms, read as _lemma1_draw reads them.
+    tilts = np.array(
+        [
+            new.uniform(
+                (verify.LEMMA1_MIN_TILT, 0.0),
+                (math.pi / 2.0, 2.0 * math.pi),
+                (verify.LEMMA1_PERTURBATIONS, 2),
+            )
+            for _ in bases
+        ]
+    )
+    theta, phi = verify._tilt_angles(np.array([basis.axis for basis in bases]), tilts)
+    assert theta.shape == phi.shape == (len(bases), verify.LEMMA1_PERTURBATIONS)
+    pairs = list(zip(theta.ravel().tolist(), phi.ravel().tolist()))
+    assert pairs == [(basis.theta, basis.phi) for basis in expected]
+    kets = verify._kets(theta.ravel(), phi.ravel())
+    assert kets.tobytes() == np.array([basis.kets() for basis in expected]).tobytes()
     assert new.uniform() == old.uniform()
