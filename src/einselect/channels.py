@@ -32,7 +32,7 @@ def _check_trace_preserving(ops: np.ndarray) -> None:
     """Raise unless a (N, K, 2, 2) stack is finite and each row has sum_k K^dag K = I (1e-12)."""
     if not np.isfinite(ops).all():
         raise InvalidStateError("Kraus operators must be finite numbers")
-    dev = np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=1) - _I2)
+    dev = np.abs(np.einsum("nkji,nkjl->nil", ops.conj(), ops) - _I2)
     if dev.max() > _TP_TOL:
         worst = dev.max(axis=(-2, -1))
         raise InvalidStateError(

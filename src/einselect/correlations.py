@@ -55,7 +55,8 @@ ProjectiveBasis of its result.
 J at a fixed basis (j_z, j_x), mutual information and S(rho_s) come from the
 density matrices themselves: a stack of states gives its reduced states and,
 from one einsum, both outcomes' conditional states in each of its K bases,
-and one check_states call (one eigvalsh) covers all of them. The bases are
+and one check_states call covers all of them, whose qubit spectra are a
+closed form with eigvalsh's bits and no LAPACK call. The bases are
 measurement kets, a (K, 2, 2) set shared by the stack or a (N, K, 2, 2) set
 with one per state, so one pass can read each state in its own bases. The
 sign tolerance runs once over each resulting array. classical_correlations
@@ -394,10 +395,11 @@ def _local_terms(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray):
     holds K bases per state as (N, K, 2, 2) measurement kets, or K bases
     shared by the stack as (K, 2, 2); K may be 0. Mutual information is
     S(rho_s) + S(rho_a) - S(rho), and J = S(rho_s) - sum_i p_i S(rho_s | i),
-    to which an outcome that never happens adds nothing. One check and one
-    eigvalsh cover both reduced states and every conditional state, in the
-    order rho_s, rho_a, then each basis's two outcomes. Returns (s_system,
-    mutual, j): (N,), (N,) and (N, K), before any sign tolerance.
+    to which an outcome that never happens adds nothing. One check_states
+    call validates both reduced states and every conditional state and gives
+    their spectra in closed form, in the order rho_s, rho_a, then each
+    basis's two outcomes. Returns (s_system, mutual, j): (N,), (N,) and
+    (N, K), before any sign tolerance.
     """
     if kets.ndim == 3:
         kets = np.broadcast_to(kets, (len(m),) + kets.shape)

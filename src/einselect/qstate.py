@@ -1,8 +1,11 @@
 """Exact density-matrix algebra for one- and two-qubit states.
 
 Construction and validation of states, the X-state family, partial trace,
-and von Neumann entropy (in bits). Two-qubit basis ordering is
-|system> tensor |apparatus>: index (s, a) -> 2 s + a.
+and von Neumann entropy (in bits). Validation also gives each state's
+spectrum: a qubit's in closed form (_qubit_spectra, bit for bit what
+eigvalsh gives, without a LAPACK call), a pair's from eigvalsh.
+Two-qubit basis ordering is |system> tensor |apparatus>: index (s, a) ->
+2 s + a.
 All values are immutable after construction and all operations are pure.
 """
 
@@ -33,11 +36,12 @@ def check_states(m: np.ndarray) -> np.ndarray:
     """Validate a (N, d, d) stack of density matrices; return their eigenvalues.
 
     Each state must be finite, Hermitian within HERMITICITY_TOL, of unit trace
-    within TRACE_TOL, and have no eigenvalue below -PSD_FLOOR. One eigvalsh
-    covers the stack, and the ascending eigenvalues come back as (N, d). For
-    the first state that fails, raises InvalidStateError with the text that
-    DensityMatrix gives that state alone, which is this check on a (1, d, d)
-    view.
+    within TRACE_TOL, and have no eigenvalue below -PSD_FLOOR. The ascending
+    eigenvalues come back as (N, d): for qubits from _qubit_spectra, which
+    gives eigvalsh's bits without calling LAPACK, and for pairs from one
+    eigvalsh over the stack. For the first state that fails, raises
+    InvalidStateError with the text that DensityMatrix gives that state
+    alone, which is this check on a (1, d, d) view.
     """
     # An inf or nan entry makes its element of m - m^dag inf or nan, which
     # fails the <= comparisons below.
@@ -45,10 +49,75 @@ def check_states(m: np.ndarray) -> np.ndarray:
         herm = np.abs(m - m.conj().swapaxes(-1, -2))
     tr = m.trace(axis1=-2, axis2=-1)
     if herm.max() <= HERMITICITY_TOL and np.abs(tr - 1.0).max() <= TRACE_TOL:
-        vals = np.linalg.eigvalsh(m)
+        vals = _qubit_spectra(m) if m.shape[-1] == 2 else np.linalg.eigvalsh(m)
+        # A nan eigenvalue (an overflowed qubit spectrum) fails this too.
         if vals[:, 0].min() >= -PSD_FLOOR:
             return vals
     raise InvalidStateError(_first_failure(m, herm.max(axis=(-2, -1)), tr))
+
+
+# LAPACK's dlamch('E') and zlarfg's threshold dlamch('S') / dlamch('E').
+_EPS = 2.0**-53
+_SAFMIN = 2.0**-969
+
+
+def _qubit_spectra(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (N, 2, 2) Hermitian stack, bit for bit eigvalsh's.
+
+    Repeats the arithmetic of LAPACK zheevd (jobz 'N', lower triangle), which
+    np.linalg.eigvalsh runs on each matrix: zhetd2 (_tridiagonal), then
+    dsterf's two split tests and dlae2. It assumes what check_states checks,
+    a trace near 1: no zheevd or dsterf rescaling (|m[1, 0]| below about
+    1e146) and no dlae2 branch for a trace <= 0. Past about |m[1, 0]| =
+    1e154 the lowest eigenvalue comes out nan.
+    """
+    out = np.empty((len(m), 2))
+    a = m[:, 0, 0].real
+    with np.errstate(all="ignore"):
+        c, e = _tridiagonal(m)
+        abs_a = np.abs(a)
+        abs_c = np.abs(c)
+        split = np.abs(e) <= np.sqrt(abs_a) * np.sqrt(abs_c) * _EPS
+        e2 = np.multiply(e, e, out=e)
+        split |= e2 <= _EPS * _EPS * np.abs(a * c)
+        # dlae2 on (a, sqrt(e^2), c); rt is sqrt((a - c)^2 + 4 e^2) as dlae2 scales it.
+        rte = np.sqrt(e2, out=e2)
+        adf = np.abs(a - c)
+        ab = rte + rte
+        rt = np.maximum(adf, ab)
+        rt *= np.sqrt(1.0 + (np.minimum(adf, ab, out=adf) / rt) ** 2)
+        rt1 = 0.5 * ((a + c) + rt)
+        a_max = abs_a > abs_c
+        rt2 = (np.where(a_max, a, c) / rt1) * np.where(a_max, c, a) - (rte / rt1) * rte
+        low = np.where(split, a, rt2)
+        high = np.where(split, c, rt1)
+        np.minimum(low, high, out=out[:, 0])
+        np.maximum(low, high, out=out[:, 1])
+    return out
+
+
+def _tridiagonal(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """zhetd2's tridiagonal form of a (N, 2, 2) stack: its m[1, 1] and off-diagonal.
+
+    zlarfg reflects b = m[1, 0] onto the real axis, rescaling a b below
+    _SAFMIN, and the reflection rounds m[1, 1]. A real b is left as it is.
+    The off-diagonal's sign, which dsterf never reads, may differ.
+    """
+    c = m[:, 1, 1].real
+    b = m[:, 1, 0]
+    # zlarfg's beta is -sign(dlapy3(Re b, Im b, 0), Re b) of b scaled by s;
+    # beta here is minus that, so tau = (1 + Re b / beta, Im b / beta).
+    w = np.maximum(np.abs(b.real), np.abs(b.imag))
+    s = np.where(w < _SAFMIN, 1.0 / _SAFMIN, 1.0)
+    bs = b * s
+    beta = np.copysign((w * s) * np.sqrt((b.real / w) ** 2 + (b.imag / w) ** 2), b.real)
+    tau_r = (beta + bs.real) / beta
+    tau_i = bs.imag / beta
+    # zhemv, zdotc, zaxpy and zher2 on the 1 x 1 trailing block.
+    x_r = tau_r * c
+    w_r = x_r + ((-0.5 * tau_r) * x_r + (-0.5 * tau_i) * (tau_i * c))
+    real = b.imag == 0
+    return np.where(real, c, (c - w_r) - w_r), np.where(real, b.real, beta / s)
 
 
 def _first_failure(m: np.ndarray, herm: np.ndarray, tr: np.ndarray) -> str:
@@ -77,8 +146,8 @@ class DensityMatrix:
     Attributes:
         entries: complex (dim, dim) array; read-only.
         dim: 2 (single qubit) or 4 (system-apparatus pair).
-        eigenvalues: ascending eigvalsh(entries) from the positivity check;
-            read-only.
+        eigenvalues: ascending eigenvalues from the positivity check, bit
+            for bit eigvalsh(entries); read-only.
     """
 
     entries: np.ndarray
@@ -222,8 +291,9 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
 def entropies(eigenvalues: np.ndarray) -> np.ndarray:
     """Entropy -sum lambda_k log2 lambda_k in bits over the last axis, 0 log 0 = 0.
 
-    Takes eigenvalues from check_states; those in [-PSD_FLOOR, 0) count as
-    zero, and the check rejected lower ones.
+    Takes eigenvalues from check_states (a qubit's closed form or a pair's
+    eigvalsh); those in [-PSD_FLOOR, 0) count as zero, and the check
+    rejected lower ones.
     """
     x = np.clip(eigenvalues, 0.0, None)
     return -np.sum(x * np.log2(x, out=np.zeros_like(x), where=x > 0.0), axis=-1)

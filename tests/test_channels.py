@@ -14,7 +14,7 @@ from einselect import (
     pointer_decoherence,
     remark_state,
 )
-from einselect.channels import evolve
+from einselect.channels import _TP_TOL, _check_trace_preserving, evolve
 
 SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
@@ -182,3 +182,39 @@ def test_a_zero_operator_changes_no_bit_of_evolve():
         pairs.append((evolve(np.tile(ops, rows), states), evolve(np.tile(kept, rows), states)))
         for got, want in pairs:
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _matmul_trace_check(ops):
+    """The trace-preservation verdict with sum_k K^dag K as a batched matrix product.
+
+    Returns the message _check_trace_preserving would give, or None.
+    """
+    dev = np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=1) - np.eye(2))
+    if dev.max() <= _TP_TOL:
+        return None
+    worst = dev.max(axis=(-2, -1))
+    return (
+        "channel is not trace preserving: max |sum K^dag K - I| = "
+        f"{worst[np.argmax(worst > _TP_TOL)]:.3e}"
+    )
+
+
+def test_trace_check_keeps_its_verdict_and_message_at_the_tolerance():
+    # Each row is a pair sqrt(x) U, sqrt(1 + delta - x) V of scaled unitaries,
+    # so sum K^dag K = (1 + delta) I: delta just inside 1e-12 passes, just
+    # outside fails, whichever way the sum is formed.
+    rng = np.random.default_rng(30)
+    n = 40
+    unitaries = np.linalg.qr(rng.normal(size=(n, 2, 2, 2)) + 1j * rng.normal(size=(n, 2, 2, 2)))[0]
+    x = rng.uniform(0.1, 0.9, n)
+    for delta, fails in ((0.9e-12, False), (1.1e-12, True)):
+        weights = np.sqrt(np.stack([x, 1.0 + delta - x], axis=1))
+        ops = weights[:, :, None, None] * unitaries
+        expected = _matmul_trace_check(ops)
+        assert (expected is not None) == fails
+        if fails:
+            with pytest.raises(InvalidStateError) as raised:
+                _check_trace_preserving(ops)
+            assert str(raised.value) == expected
+        else:
+            _check_trace_preserving(ops)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einselect import (
     STATE_1,
@@ -13,7 +15,7 @@ from einselect import (
     von_neumann_entropy,
     x_state_params,
 )
-from einselect.qstate import check_states
+from einselect.qstate import PSD_FLOOR, _qubit_spectra, check_states
 
 
 def test_density_matrix_accepts_valid_state():
@@ -189,3 +191,156 @@ def test_von_neumann_entropy_values():
     assert von_neumann_entropy(make_x_state(STATE_1)) == pytest.approx(
         0.7219280948873623, abs=1e-12
     )
+
+
+# The qubit spectra of check_states come from _qubit_spectra, which repeats
+# LAPACK zheevd's arithmetic rather than calling it. These tests pin it bit for
+# bit to np.linalg.eigvalsh, that is to reference LAPACK's arithmetic as
+# numpy's bundled OpenBLAS runs it (scipy-openblas 0.3.31 when this was
+# written; CI prints numpy's BLAS/LAPACK build before the tests). A LAPACK
+# whose zhetd2, zlarfg, dsterf or dlae2 rounds differently fails them.
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+def _unit_trace_stack(rng, n):
+    g = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / m.trace(axis1=1, axis2=2)[:, None, None]
+
+
+def _with_offdiagonal(m, b):
+    m = m.astype(complex)
+    m[:, 1, 0] = b
+    m[:, 0, 1] = np.conj(b)
+    return m
+
+
+def _spectrum_families(rng, n=3000):
+    """Seeded (n, 2, 2) Hermitian stacks that reach each branch of zheevd's 2 x 2 path."""
+    m = _unit_trace_stack(rng, n)
+    ket = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    ket /= np.linalg.norm(ket, axis=1)[:, None]
+    sign = rng.choice([-1.0, 1.0], n)
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    near = 0.5 + sign * 10 ** rng.uniform(-17, -3, n)
+    x = rng.uniform(0, 1, n)
+    # m[1, 1] a few units of 2^-55 from a power of two, where the trailing
+    # update's two roundings (c - w) - w and one rounding of c - 2 w part ways.
+    binade = rng.choice([0.125, 0.25, 0.5], n) + rng.integers(-4, 5, n) * 2.0**-55
+    binade_b = np.sqrt(binade * (1 - binade)) * rng.uniform(0, 1, n) * phase
+    quantized = np.round(m * 16) / 16
+    quantized[:, 1, 1] = 1 - quantized[:, 0, 0].real
+    imaginary_diagonal = m.copy()
+    imaginary_diagonal[:, [0, 1], [0, 1]] += 1j * 4e-13 * rng.uniform(-1, 1, (n, 2))
+    return {
+        "random": m,
+        "pure": np.einsum("ni,nj->nij", ket, ket.conj()),
+        "real b": _with_offdiagonal(m, m[:, 1, 0].real),
+        "tiny imaginary b": _with_offdiagonal(
+            m, m[:, 1, 0].real + 1j * sign * 10 ** rng.uniform(-20, -8, n)
+        ),
+        "small b": _with_offdiagonal(m, 10 ** rng.uniform(-25, -5, n) * phase),
+        "subnormal b": _with_offdiagonal(m, 10 ** rng.uniform(-322, -290, n) * phase),
+        "signed zero real part": _with_offdiagonal(m, -0.0 + 1j * m[:, 1, 0].imag),
+        "near-degenerate diagonal": np.where(
+            np.eye(2, dtype=bool), np.stack([near, 1 - near], axis=1)[:, None, :], m
+        ),
+        "near a power of two": _with_offdiagonal(
+            np.einsum("ni,ij->nij", np.stack([1 - binade, binade], axis=1), np.eye(2)), binade_b
+        ),
+        "diagonal": np.einsum("ni,ij->nij", np.stack([x, 1 - x], axis=1), np.eye(2)),
+        "half identity": np.broadcast_to(np.eye(2) / 2, (n, 2, 2)),
+        "quantized": quantized,
+        "non-PSD": _with_offdiagonal(m, m[:, 1, 0] * rng.uniform(1, 5, n)),
+        "scaled": m * 10 ** rng.uniform(-100, 100, n)[:, None, None],
+        "imaginary diagonal dust": imaginary_diagonal,
+    }
+
+
+def test_qubit_spectra_equal_eigvalsh_bit_for_bit():
+    for name, m in _spectrum_families(np.random.default_rng(30)).items():
+        m = np.ascontiguousarray(m, dtype=complex)
+        expected = np.linalg.eigvalsh(m)
+        got = _qubit_spectra(m)
+        assert got.shape == expected.shape
+        mismatches = int((_bits(got) != _bits(expected)).any(axis=1).sum())
+        assert mismatches == 0, f"{name}: {mismatches} of {len(m)} spectra differ"
+
+
+# Subnormals included, so zlarfg's rescaling of a tiny off-diagonal is reached.
+_ENTRIES = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=_ENTRIES, b_re=_ENTRIES, b_im=_ENTRIES)
+def test_qubit_spectrum_of_any_unit_trace_hermitian_matrix_is_eigvalsh(a, b_re, b_im):
+    m = np.array([[[a, complex(b_re, -b_im)], [complex(b_re, b_im), 1.0 - a]]])
+    expected = np.linalg.eigvalsh(m)
+    assert np.array_equal(_bits(_qubit_spectra(m)), _bits(expected))
+    if expected[0, 0] >= -PSD_FLOOR:
+        assert np.array_equal(_bits(check_states(m)), _bits(expected))
+
+
+def test_qubit_check_calls_no_lapack_when_it_returns(monkeypatch):
+    states = _unit_trace_stack(np.random.default_rng(0), 50)
+    expected = np.linalg.eigvalsh(states)
+
+    def refuse(_):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert np.array_equal(_bits(check_states(states)), _bits(expected))
+    rho = DensityMatrix(states[7])
+    assert np.array_equal(_bits(rho.eigenvalues), _bits(expected[7]))
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        check_states(np.eye(4, dtype=complex)[None] / 4)
+
+
+def _qubit(b, diagonal=(0.5, 0.5)):
+    return np.array([[diagonal[0], np.conj(b)], [b, diagonal[1]]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "entries, text",
+    [
+        (
+            np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex),
+            "not Hermitian: max |m - m^dag| = 2.000e-01 exceeds 1e-12",
+        ),
+        (_qubit(0.0, (0.6, 0.5)), "trace = 1.1+0j differs from 1 by more than 1e-12"),
+        (_qubit(0.1, (np.nan, 1.0)), "entries must be finite numbers"),
+        (_qubit(np.inf), "entries must be finite numbers"),
+        (_qubit(complex(0.1, np.nan)), "entries must be finite numbers"),
+        (
+            _qubit(0.0, (1.001, -0.001)),
+            "not positive semidefinite: smallest eigenvalue -1.000e-03 below -1e-10",
+        ),
+        (
+            _qubit(0.6j),
+            "not positive semidefinite: smallest eigenvalue -1.000e-01 below -1e-10",
+        ),
+        (_qubit(1e150), "not positive semidefinite: smallest eigenvalue -1.000e+150 below -1e-10"),
+        (_qubit(1e200), "not positive semidefinite: smallest eigenvalue -1.000e+200 below -1e-10"),
+        (
+            _qubit(-1e200j),
+            "not positive semidefinite: smallest eigenvalue -1.000e+200 below -1e-10",
+        ),
+        (_qubit(1e300), "not positive semidefinite: smallest eigenvalue -1.000e+300 below -1e-10"),
+    ],
+)
+def test_qubit_state_failures_keep_their_texts(entries, text):
+    with pytest.raises(InvalidStateError) as alone:
+        DensityMatrix(entries)
+    assert str(alone.value) == text
+    half = np.eye(2, dtype=complex) / 2
+    with pytest.raises(InvalidStateError) as stacked:
+        check_states(np.array([half, entries, half]))
+    assert str(stacked.value) == text
+
+
+def test_qubit_eigenvalues_keep_their_bits():
+    rho = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+    assert rho.eigenvalues.tobytes().hex() == "989999999999c93f9a9999999999e93f"
