@@ -38,13 +38,14 @@ the 515-axis pass, then _ascend, the refinement from those axes in lockstep
 over all states: safeguarded Newton steps in a tangent-plane chart, whose
 gradient and Hessian are the same 3-vector algebra (_chart_derivatives; the
 stationarity conditions of Girolami and Adesso, PRA 83, 052108, 2011). The
-coarse pass bounds J before it evaluates it, as branch and bound does: one
-matrix product per block of 4 states gives an upper bound on J at every
-axis, within 0.23% of J - S(rho_s) + 1 (_survivors), and only the axes
-whose bound reaches the largest lower bound, about 1% of them along a
-sweep, go to the kernel, so its values and axes are bit for bit those of J
-on all 515. Every J value comes from the kernel through one step that takes
-each state's best candidate (_best_candidates).
+coarse pass bounds J before it evaluates it, as branch and bound does: two
+matrix products and one table lookup per block of 8 states give an upper
+bound on J at every axis, within 0.23% of J - S(rho_s) + 1 (_survivors),
+and only the axes whose bound reaches the largest lower bound go to the
+kernel (0.56% of them on the benchmark's X-state sweeps), so its values
+and axes are bit for bit those of J on all 515. Every J value comes from
+the kernel through one step that takes each state's best candidate
+(_best_candidates).
 The stacked search and measurement (_maximize, _measure) return arrays:
 values and argmax axes as 3-vectors. _angles alone turns an axis into the
 stored (theta, phi), with phi in [0, 2 pi) (_phi). Only the public edge
@@ -317,20 +318,27 @@ def _phi_at_knots(knots: int) -> np.ndarray:
 
 _PHI = _phi_at_knots(_KNOTS)
 _SLACK = float(np.max(_PHI[1:] / _PHI[:-1])) - 1.0
-# phi at the knot above each interval, and phi(1) = 1 for u = 1 itself.
-_PHI_ABOVE = np.append(_PHI[1:], 1.0)
+# The bound reads u scaled by _KNOTS, which gives the knot index as is, and
+# phi and 2p each scaled by 1/_ROOT; _ROOT^2 = _KNOTS, and every scale is a
+# power of two, so the scaled product rounds exactly as u phi 2p would.
+_ROOT = math.isqrt(_KNOTS)
+# phi at the knot above each interval, and phi(1) = 1 for u = 1 itself, over _ROOT.
+_PHI_ABOVE = np.append(_PHI[1:], 1.0) / _ROOT
 
 
-def _information_above(u: np.ndarray) -> np.ndarray:
-    """A bound on 1 - H((1 + sqrt u)/2) for each u >= 0, the square of a Bloch length.
+def _information_above(scaled: np.ndarray) -> np.ndarray:
+    """_ROOT times a bound on 1 - H((1 + sqrt u)/2), from scaled = _KNOTS u.
 
-    u is clipped to 1, as the kernel clips the length, and NaN reads as 1.
-    The bound, u times phi at the knot above u (_PHI_ABOVE), is at least the
-    information of length sqrt(u) and at most (1 + _SLACK) times it; since
-    u * _KNOTS is exact, each u is read on its own interval.
+    u >= 0 is the square of a Bloch length. u is clipped to 1, as the kernel
+    clips the length, and NaN reads as 1; the float array scaled is clipped
+    in place. The bound, u times phi at the knot above u, is at least the
+    information of length sqrt(u) and at most (1 + _SLACK) times it; the
+    integer part of scaled is u's own interval.
     """
-    u = np.fmin(u, 1.0)
-    return u * _PHI_ABOVE[(_KNOTS * u).astype(np.intp)]
+    np.fmin(scaled, _KNOTS, out=scaled)
+    bound = _PHI_ABOVE[scaled.astype(np.intp)]
+    bound *= scaled
+    return bound
 
 
 # How far below the largest bound, in bits, a pruned axis's bound must lie:
@@ -340,6 +348,8 @@ _PRUNE_MARGIN = 1e-12
 _SIGNED_AXES = np.concatenate(
     [np.ones((1, 2 * _SEARCH_AXES.shape[1])), np.concatenate([_SEARCH_AXES, -_SEARCH_AXES], axis=1)]
 )
+# A Bloch form's rows, [1, s] first, then [r, T], the first scaled by 1/_ROOT.
+_ROW_SCALE = np.array([1.0 / _ROOT, 1.0, 1.0, 1.0])[:, None, None]
 
 
 def _chart_axes(n0, e1, e2, a, b) -> list:
@@ -353,12 +363,17 @@ def _chart_axes(n0, e1, e2, a, b) -> list:
 # The stand-in for the conditional state of an outcome that never happens.
 _HALF_I2 = np.eye(2, dtype=complex) / 2.0
 
-# States per block of the coarse pass's bound, whose product is a (states, 4,
-# 1030) array: blocks of 4 keep each temporary near 128 KiB, and blocks of 8
-# ran slower. J is then evaluated on the surviving pairs of whole states, at
-# most _COARSE_PAIRS at a time, which bounds the kernel's temporaries however
-# many axes survive.
-_COARSE_BLOCK = 4
+# States per block of the coarse pass's bound, whose two products take
+# 256 KiB at 8 states. Over 1005 states, blocks of 8 take about a fifth less
+# time than blocks of 4. Holding all four rows' product and its temporaries
+# at once, as the one-product formula did, makes a workload process grow its
+# heap again at the first block of each sweep (tens of minor faults a sweep,
+# where glibc has trimmed the heap); freeing v's product before any other
+# temporary and clipping in place keep a block's peak near 290 KiB, and a
+# workload process takes no faults there. J is then evaluated on the
+# surviving pairs of whole states, at most _COARSE_PAIRS at a time, which
+# bounds the kernel's temporaries however many axes survive.
+_COARSE_BLOCK = 8
 _COARSE_PAIRS = 1024
 
 
@@ -492,51 +507,66 @@ def _best_candidates(forms: np.ndarray, s_entropy: np.ndarray, owner: np.ndarray
     return values[first], first
 
 
-def _survivors(forms: np.ndarray):
+def _survivors(forms: np.ndarray) -> np.ndarray:
     """The (state, axis) pairs of a block of states that a bound on J cannot rule out.
 
-    One product of the (B, 4, 4) forms with _SIGNED_AXES gives, for each
-    state and search axis n, both outcomes' 2p+- = 1 +- s.n and v+- = r +- T n,
-    hence the square u+- = |v+-|^2 / (2p+-)^2 of the conditional Bloch length.
-    The bound c(n) = sum p+- _information_above(u+-), where an outcome with
-    2p+- <= 0 counts zero, satisfies c/(1 + _SLACK) <= J - S(rho_s) + 1 <= c.
+    Products of the (B, 4, 4) forms' rows with _SIGNED_AXES give, for each
+    state and search axis n, both outcomes' 2p+- = 1 +- s.n, scaled by
+    1/_ROOT, and v+- = r +- T n. With the weight w+- = max(2p+-, 0)/_ROOT,
+    |v+-|^2 / w+-^2 is _KNOTS u+-, where u+- is the square of the
+    conditional Bloch length. The bound c(n) = sum p+- (information above
+    u+-), where an outcome with 2p+- <= 0 counts zero, satisfies
+    c/(1 + _SLACK) <= J - S(rho_s) + 1 <= c; every scale is a power of two,
+    so each c has the bits of sum max(2p+-, 0) u+- phi(knot above u+-) / 2.
     An axis whose c lies more than _PRUNE_MARGIN below the state's largest
     c/(1 + _SLACK) is therefore below the state's maximum J, and cannot tie
-    it. Returns the other pairs as (state, axis) index arrays, in state then
-    axis order; an axis whose bound is NaN is kept.
+    it. Returns the other pairs as flat indices state * 515 + axis, in
+    increasing order; an axis whose bound is NaN is kept.
     """
-    bloch = (forms.reshape(-1, 4) @ _SIGNED_AXES).reshape(len(forms), 4, -1)
-    twice_p = bloch[:, 0]
+    rows = np.multiply(forms.transpose(1, 0, 2), _ROW_SCALE, order="C")
+    v = (rows[1:].reshape(-1, 4) @ _SIGNED_AXES).reshape(3, len(forms), -1)
+    scaled = np.einsum("ask,ask->sk", v, v)
+    # Freed before the other temporaries, which keeps a block's peak low
+    # (see _COARSE_BLOCK).
+    del v
+    weight = rows[0] @ _SIGNED_AXES
+    np.maximum(weight, 0.0, out=weight)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # 2p = 0 gives u = inf or NaN (0/0); both read as 1, weighted by 0.
-        u = np.einsum("sak,sak->sk", bloch[:, 1:], bloch[:, 1:]) / (twice_p * twice_p)
-    term = np.maximum(twice_p, 0.0) * _information_above(u)
+        # 2p = 0 gives inf or NaN (0/0); both read as u = 1, weighted by 0.
+        scaled /= weight * weight
+    term = _information_above(scaled)
+    term *= weight
     axes = _SEARCH_AXES.shape[1]
     # 2 c(n), so the margin is doubled too.
     doubled = term[:, :axes] + term[:, axes:]
     floor = doubled.max(axis=1, keepdims=True) / (1.0 + _SLACK)
-    return np.nonzero(~(doubled + 2.0 * _PRUNE_MARGIN < floor))
+    doubled += 2.0 * _PRUNE_MARGIN
+    return np.flatnonzero(~(doubled < floor))
 
 
 def _survivor_groups(forms: np.ndarray):
     """The pairs that survive the bound (_survivors), in groups of whole states.
 
-    Blocks of _COARSE_BLOCK states are bounded in turn; a group is cut off
-    once more than _COARSE_PAIRS pairs are pending, at the last state that
-    fits, so no group holds more (a state has at most 515). Yields (states,
-    owner, axis): the group's slice of the stack and its pairs' state
-    (counted from the slice's start) and axis indices.
+    Blocks of _COARSE_BLOCK states are bounded in turn, and each block's
+    pairs join the pending ones as flat indices state * 515 + axis. A group
+    is cut off once more than _COARSE_PAIRS pairs are pending, at the last
+    state that fits, so no group holds more (a state has at most 515).
+    Yields (states, owner, axis): the group's slice of the stack and its
+    pairs' state (counted from the slice's start) and axis indices.
     """
-    done, owner, axis = 0, np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    axes = _SEARCH_AXES.shape[1]
+    done, pairs = 0, np.empty(0, dtype=np.intp)
     for start in range(0, len(forms), _COARSE_BLOCK):
-        state, picked = _survivors(forms[start : start + _COARSE_BLOCK])
-        owner, axis = np.concatenate([owner, state + start]), np.concatenate([axis, picked])
-        while owner.size > _COARSE_PAIRS:
-            cut = np.searchsorted(owner, owner[_COARSE_PAIRS])
-            end = int(owner[cut])
-            yield slice(done, end), owner[:cut] - done, axis[:cut]
-            done, owner, axis = end, owner[cut:], axis[cut:]
-    if owner.size:
+        picked = _survivors(forms[start : start + _COARSE_BLOCK]) + start * axes
+        pairs = np.concatenate([pairs, picked])
+        while pairs.size > _COARSE_PAIRS:
+            end = int(pairs[_COARSE_PAIRS]) // axes
+            cut = np.searchsorted(pairs, end * axes)
+            owner, axis = np.divmod(pairs[:cut], axes)
+            yield slice(done, end), owner - done, axis
+            done, pairs = end, pairs[cut:]
+    if pairs.size:
+        owner, axis = np.divmod(pairs, axes)
         yield slice(done, len(forms)), owner - done, axis
 
 

@@ -125,10 +125,13 @@ def monte_carlo_bands(
     first draw; the samples are drawn as _sweeps reads each chunk of them.
 
     A full-precision run (201 grid points, 1000 samples) sweeps 1000
-    trajectories, five per chunk: on a shared 2-core host with one BLAS
-    thread, `analyze --samples 1000` of the general two-qubit state that
-    `einbench/inputs.py --seed 3` writes took 23-24 s under ad and under
-    pd. Tests and quick looks should shrink samples and the grid.
+    trajectories, five per chunk: on a shared 2-core host (Python 3.11,
+    numpy 2.4 with its bundled OpenBLAS) with one BLAS thread,
+    `analyze --samples 1000 --grid 201` of the general two-qubit state that
+    `einbench/inputs.py --seed 3` writes took 6.4-6.8 s under ad and
+    6.2-6.5 s under pd as a whole CLI process, and up to 8.7 s while other
+    tenants loaded the host. Tests and quick looks should shrink samples and
+    the grid.
     """
     ps, basis = _sweep_plan(channel_family, grid, pointer_basis)
     samples, seed = _checked(matrix, samples, seed)

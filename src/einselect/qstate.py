@@ -43,17 +43,47 @@ def check_states(m: np.ndarray) -> np.ndarray:
     InvalidStateError with the text that DensityMatrix gives that state
     alone, which is this check on a (1, d, d) view.
     """
-    # An inf or nan entry makes its element of m - m^dag inf or nan, which
-    # fails the <= comparisons below.
-    with np.errstate(invalid="ignore"):
-        herm = np.abs(m - m.conj().swapaxes(-1, -2))
+    herm = _hermitian_deviations(m)
     tr = m.trace(axis1=-2, axis2=-1)
     if herm.max() <= HERMITICITY_TOL and np.abs(tr - 1.0).max() <= TRACE_TOL:
         vals = _qubit_spectra(m) if m.shape[-1] == 2 else np.linalg.eigvalsh(m)
         # A nan eigenvalue (an overflowed qubit spectrum) fails this too.
         if vals[:, 0].min() >= -PSD_FLOOR:
             return vals
-    raise InvalidStateError(_first_failure(m, herm.max(axis=(-2, -1)), tr))
+    raise InvalidStateError(_first_failure(m, herm.max(axis=1), tr))
+
+
+def _upper_pairs(d: int):
+    """Flat indices of each entry (i, j), i <= j, of a d x d matrix, then of each (j, i).
+
+    Also returns how many entries have i <= j. Built in Python: np.triu_indices
+    would page in numpy code that nothing else runs (64 KiB of resident memory).
+    """
+    upper = [(i, j) for i in range(d) for j in range(i, d)]
+    flat = [i * d + j for i, j in upper] + [j * d + i for i, j in upper]
+    return np.array(flat), len(upper)
+
+
+_UPPER_PAIRS = {d: _upper_pairs(d) for d in (2, 4)}
+
+
+def _hermitian_deviations(m: np.ndarray) -> np.ndarray:
+    """|m_ij - conj(m_ji)| for each i <= j of a (N, d, d) stack, d = 2 or 4.
+
+    Each off-diagonal pair is compared once, since |a - conj(b)| and
+    |b - conj(a)| are the same float, and each diagonal entry with its own
+    conjugate, so each state's maximum has the bits of the full
+    max |m - m^dag|. An inf or nan entry gives inf or nan (a real inf on the
+    diagonal gives inf - inf), which fails the <= comparisons of check_states.
+    Returns (N, d(d + 1)/2).
+    """
+    pairs, half = _UPPER_PAIRS[m.shape[-1]]
+    both = m.reshape(len(m), -1)[:, pairs]
+    upper, lower = both[:, :half], both[:, half:]
+    with np.errstate(invalid="ignore"):
+        np.conjugate(lower, out=lower)
+        np.subtract(upper, lower, out=lower)
+        return np.abs(lower)
 
 
 # LAPACK's dlamch('E') and zlarfg's threshold dlamch('S') / dlamch('E').

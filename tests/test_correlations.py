@@ -38,8 +38,12 @@ from einselect import correlations
 from einselect.correlations import (
     _KNOTS,
     _NO_BASES,
+    _PHI,
+    _PRUNE_MARGIN,
+    _ROOT,
     _SEARCH_AXES,
     _SIGMA_ZX,
+    _SIGNED_AXES,
     _SLACK,
     _angles,
     _ascend,
@@ -49,6 +53,7 @@ from einselect.correlations import (
     _information_above,
     _local_terms,
     _maximize,
+    _survivors,
     bloch_form,
     classical_correlations,
     correlation_record,
@@ -655,7 +660,8 @@ def test_coarse_pass_is_the_full_pass_bit_for_bit_along_sweeps(family):
         _assert_coarse_is_the_full_pass(evolve(kraus, rho.entries))
 
 
-def test_coarse_pass_is_the_full_pass_bit_for_bit_at_the_edges():
+def _edge_stacks():
+    """Stacks where one outcome has p = 0 on a search axis, or a sudden change at p = 0."""
     rng = np.random.default_rng(25)
     system = partial_trace(random_state(26), "system").entries
     apparatus = partial_trace(random_state(27), "apparatus").entries
@@ -665,12 +671,60 @@ def test_coarse_pass_is_the_full_pass_bit_for_bit_at_the_edges():
     kets /= np.linalg.norm(kets, axis=1, keepdims=True)
     stack = [np.kron(system, np.outer(k, k.conj())) for k in kets]
     stack += [np.kron(system, apparatus), random_density_matrix(rng).entries]
-    _assert_coarse_is_the_full_pass(stack)
+    stacks = [np.array(stack)]
     # STATE_2, a state with c = b, and one with |z| + |w| = |c - b|, whose
     # sudden change is at p = 0, under pd.
     pd = kraus_stack(ProjectiveBasis.sigma_z(), np.linspace(0.0, 1.0, 201))
     for params in (STATE_2, XStateParams(0.25, 0.25, 0.1, -0.2), XStateParams(0.4, 0.1, 0.1, 0.2)):
-        _assert_coarse_is_the_full_pass(evolve(pd, make_x_state(params).entries))
+        stacks.append(evolve(pd, make_x_state(params).entries))
+    return stacks
+
+
+def test_coarse_pass_is_the_full_pass_bit_for_bit_at_the_edges():
+    for stack in _edge_stacks():
+        _assert_coarse_is_the_full_pass(stack)
+
+
+def _bound_formula_pairs(forms):
+    """The pairs that _survivors keeps, from its bound written as the formula.
+
+    u = |v|^2/(2p)^2, then max(2p, 0) u phi at the knot above min(u, 1),
+    unscaled; returned as flat indices state * 515 + axis.
+    """
+    bloch = (forms.reshape(-1, 4) @ _SIGNED_AXES).reshape(len(forms), 4, -1)
+    twice_p = bloch[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.einsum("sak,sak->sk", bloch[:, 1:], bloch[:, 1:]) / (twice_p * twice_p)
+    u = np.fmin(u, 1.0)
+    phi_above = np.append(_PHI[1:], 1.0)
+    term = np.maximum(twice_p, 0.0) * (u * phi_above[(_KNOTS * u).astype(np.intp)])
+    axes = _SEARCH_AXES.shape[1]
+    doubled = term[:, :axes] + term[:, axes:]
+    floor = doubled.max(axis=1, keepdims=True) / (1.0 + _SLACK)
+    state, axis = np.nonzero(~(doubled + 2.0 * _PRUNE_MARGIN < floor))
+    return state * axes + axis
+
+
+@pytest.mark.parametrize("block", [1, 4, 8])
+def test_survivors_are_those_of_the_bound_formula(block):
+    # The scaled bound rounds as the formula does, so the same pairs survive,
+    # whatever the block: 201-state pd and ad sweeps (201 is no multiple of 8)
+    # of the stacked-sweep tests' states and more general states, and the
+    # edge stacks, where 2p = 0 exactly on a search axis.
+    from test_dynamics import _mixed_states
+
+    rng = np.random.default_rng(31)
+    grid = np.linspace(0.0, 1.0, 201)
+    stacks = _edge_stacks()
+    for basis in (ProjectiveBasis.sigma_z(), None):
+        kraus = kraus_stack(basis, grid)
+        for rho in _mixed_states() + [random_density_matrix(rng) for _ in range(3)]:
+            stacks.append(evolve(kraus, rho.entries))
+    for stack in stacks:
+        forms = correlations.bloch_forms(stack)
+        for start in range(0, len(forms), block):
+            part = forms[start : start + block]
+            assert _survivors(part).tolist() == _bound_formula_pairs(part).tolist()
 
 
 def test_bound_sends_few_axes_of_x_state_sweeps_to_the_kernel(monkeypatch):
@@ -702,11 +756,11 @@ def test_information_bound_brackets_the_kernel_information():
     above_one = [1.0 + 1e-12, 1.5, 4.0, 1e6]
     u = np.concatenate([np.linspace(0.0, 1.0, 100_001), knots, np.nextafter(knots, 0.0), above_one])
     exact = _bloch_information(np.sqrt(u))
-    bound = _information_above(u)
+    bound = _information_above(_KNOTS * u) / _ROOT
     rounding = 1.0 + 4.0 * np.finfo(float).eps
     assert np.all(exact <= bound * rounding)
     assert np.all(bound <= (1.0 + _SLACK) * exact * rounding)
-    assert _information_above(np.array([np.nan, np.inf])).tolist() == [1.0, 1.0]
+    assert (_information_above(np.array([np.nan, np.inf])) / _ROOT).tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("size", [201, 1024])

@@ -15,7 +15,13 @@ from einselect import (
     von_neumann_entropy,
     x_state_params,
 )
-from einselect.qstate import PSD_FLOOR, _qubit_spectra, check_states
+from einselect.qstate import (
+    PSD_FLOOR,
+    _first_failure,
+    _hermitian_deviations,
+    _qubit_spectra,
+    check_states,
+)
 
 
 def test_density_matrix_accepts_valid_state():
@@ -80,6 +86,67 @@ def test_stacked_check_returns_each_states_eigenvalues():
     vals = check_states(np.array([rho.entries for rho in states]))
     for row, rho in zip(vals, states):
         assert np.array_equal(row, rho.eigenvalues)
+
+
+def _full_deviations(m):
+    """Each state's max |m - m^dag|, from the whole matrix and its conjugate transpose."""
+    with np.errstate(invalid="ignore"):
+        return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+
+def _checked_states(rng, d):
+    """Valid, non-Hermitian, off-trace, non-positive and non-finite d x d states, shuffled."""
+    states = []
+    for _ in range(8):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        states.append(a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    bad = []
+    lopsided = np.diag([1.5, -0.5] + [0.0] * (d - 2)).astype(complex)
+    for k, rho in enumerate(states):
+        i, j = rng.integers(d, size=2)
+        tilted = rho.copy()
+        tilted[i, j] += 10.0 ** -rng.integers(9, 15) * (1j if k % 2 else 1.0)
+        bad += [tilted, rho * 1.001, 0.1 * rho + 0.9 * lopsided]
+    bad.append(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    for value in (np.nan, np.inf, -np.inf, complex(np.inf, 0.0), complex(0.0, np.nan)):
+        for i, j in ((0, 0), (d - 1, d - 1), (0, d - 1), (d - 1, 0)):
+            broken = states[0].copy()
+            broken[i, j] = value
+            bad.append(broken)
+    # A real inf on the diagonal and at both ends of a pair, where inf - inf is nan.
+    both = states[1].copy()
+    both[0, 1] = both[1, 0] = np.inf
+    real = states[2].copy().real.astype(complex)
+    real[1, 1] = np.inf
+    bad += [both, real]
+    stack = np.array(states + bad)
+    return stack[rng.permutation(len(stack))]
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_hermitian_deviations_and_failure_texts_are_the_full_matrix_formulas(d):
+    # Each off-diagonal pair is compared once and each diagonal entry with its
+    # own conjugate: every deviation, nan and inf included, and every failure
+    # text equal those of the full m - m^dag, alone and in stacks.
+    rng = np.random.default_rng(31 + d)
+    stack = _checked_states(rng, d)
+    got, full = _hermitian_deviations(stack).max(axis=1), _full_deviations(stack)
+    assert np.array_equal(np.isnan(got), np.isnan(full))
+    assert got[~np.isnan(got)].tobytes() == full[~np.isnan(full)].tobytes()
+    assert np.isnan(got).sum() >= 4 and np.isinf(got).sum() >= 4
+    texts = set()
+    for part in [stack[k : k + 1] for k in range(len(stack))] + [stack[k:] for k in range(12)]:
+        full, tr = _full_deviations(part), part.trace(axis1=-2, axis2=-1)
+        try:
+            check_states(part)
+        except InvalidStateError as failed:
+            assert str(failed) == _first_failure(part, full, tr)
+            texts.add(str(failed).split(":")[0].split(" =")[0])
+        else:
+            assert full.max() <= 1e-12 and np.abs(tr - 1.0).max() <= 1e-12
+    assert texts == {
+        "entries must be finite numbers", "not Hermitian", "trace", "not positive semidefinite"
+    }
 
 
 def test_density_matrix_tolerates_rounding_dust():
