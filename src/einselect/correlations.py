@@ -56,8 +56,13 @@ ProjectiveBasis of its result.
 J at a fixed basis (j_z, j_x), mutual information and S(rho_s) come from the
 density matrices themselves: a stack of states gives its reduced states and,
 from one einsum, both outcomes' conditional states in each of its K bases,
-and one check_states call covers all of them, whose qubit spectra are a
-closed form with eigvalsh's bits and no LAPACK call. The bases are
+and one check_states call covers all of these qubit states, whose spectra
+are a closed form with eigvalsh's bits and no LAPACK call. A pair's
+spectrum is computed only where it is read: the mutual information
+S(rho_s) + S(rho_a) - S(rho) of _measure and mutual_information takes it
+from check_states' eigvalsh, while classical_correlations, which reads no
+pair spectrum, checks its stack with certify_states, a Cholesky
+factorization with check_states' verdicts and texts. The bases are
 measurement kets, a (K, 2, 2) set shared by the stack or a (N, K, 2, 2) set
 with one per state, so one pass can read each state in its own bases. The
 sign tolerance runs once over each resulting array. classical_correlations
@@ -76,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError, OptimizationError
-from .qstate import DensityMatrix, check_states, entropies, reduced_states
+from .qstate import DensityMatrix, certify_states, check_states, entropies, reduced_states
 
 # Probability below which a measurement outcome never happens and its
 # conditioned state is undefined (contributes zero to the entropy average).
@@ -403,18 +408,17 @@ def _conditional_states(m: np.ndarray, kets: np.ndarray):
     )
 
 
-def _local_terms(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray):
-    """S(rho_s), mutual information and J in each basis, for a stack of valid states.
+def _local_terms(m: np.ndarray, kets: np.ndarray):
+    """S(rho_s), S(rho_a) and J in each basis, for a (N, 4, 4) stack of valid states.
 
-    m is (N, 4, 4) and eigenvalues (N, 4), as check_states gives them. kets
-    holds K bases per state as (N, K, 2, 2) measurement kets, or K bases
-    shared by the stack as (K, 2, 2); K may be 0. Mutual information is
-    S(rho_s) + S(rho_a) - S(rho), and J = S(rho_s) - sum_i p_i S(rho_s | i),
-    to which an outcome that never happens adds nothing. One check_states
-    call validates both reduced states and every conditional state and gives
-    their spectra in closed form, in the order rho_s, rho_a, then each
-    basis's two outcomes. Returns (s_system, mutual, j): (N,), (N,) and
-    (N, K), before any sign tolerance.
+    kets holds K bases per state as (N, K, 2, 2) measurement kets, or K bases
+    shared by the stack as (K, 2, 2); K may be 0. J = S(rho_s) - sum_i p_i
+    S(rho_s | i), to which an outcome that never happens adds nothing. One
+    check_states call validates both reduced states and every conditional
+    state and gives their spectra in closed form, in the order rho_s, rho_a,
+    then each basis's two outcomes; no pair spectrum is read. Returns
+    (s_system, s_apparatus, j): (N,), (N,) and (N, K), before any sign
+    tolerance.
     """
     if kets.ndim == 3:
         kets = np.broadcast_to(kets, (len(m),) + kets.shape)
@@ -424,8 +428,17 @@ def _local_terms(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray):
     ent = entropies(check_states(parts.reshape(-1, 2, 2))).reshape(len(m), -1)
     cond = ent[:, 2:].reshape(probs.shape)
     j = ent[:, :1] - probs[..., 0] * cond[..., 0] - probs[..., 1] * cond[..., 1]
-    mutual = ent[:, 0] + ent[:, 1] - entropies(eigenvalues)
-    return ent[:, 0], mutual, j
+    return ent[:, 0], ent[:, 1], j
+
+
+def _mutual_terms(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray):
+    """_local_terms with the mutual information S(rho_s) + S(rho_a) - S(rho) in place of S(rho_a).
+
+    eigenvalues (N, 4) is the pair spectrum of m, as check_states gives it.
+    Returns (s_system, mutual, j), before any sign tolerance.
+    """
+    s_system, s_apparatus, j = _local_terms(m, kets)
+    return s_system, s_system + s_apparatus - entropies(eigenvalues), j
 
 
 def _one_state(rho: DensityMatrix):
@@ -435,16 +448,22 @@ def _one_state(rho: DensityMatrix):
     return rho.entries[None], rho.eigenvalues[None]
 
 
-def _two_qubit_stack(states) -> tuple[np.ndarray, np.ndarray]:
-    """A (N, 4, 4) stack of two-qubit states as a complex array, with its eigenvalues.
-
-    The stack is checked as DensityMatrix checks each state (check_states).
-    """
+def _two_qubit_array(states) -> np.ndarray:
+    """A (N, 4, 4) stack of N >= 1 two-qubit states as a complex array, shape checked only."""
     m = np.asarray(states, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (4, 4) or len(m) == 0:
         raise InvalidStateError(
             f"expected a (N, 4, 4) stack of N >= 1 two-qubit states, got {m.shape}"
         )
+    return m
+
+
+def _two_qubit_stack(states) -> tuple[np.ndarray, np.ndarray]:
+    """A (N, 4, 4) stack of two-qubit states as a complex array, with its eigenvalues.
+
+    The stack is checked as DensityMatrix checks each state (check_states).
+    """
+    m = _two_qubit_array(states)
     return m, check_states(m)
 
 
@@ -469,24 +488,28 @@ def classical_correlations(states, kets: np.ndarray) -> np.ndarray:
     """J of each state of a (N, 4, 4) stack in each of K fixed bases, in bits, as (N, K).
 
     The bases are measurement kets (ProjectiveBasis.kets): one (K, 2, 2) set
-    shared by the stack, or (N, K, 2, 2) with one set per state. The stack is
-    checked as DensityMatrix checks each state; one more check covers every
-    reduced and conditional state. classical_correlation is the (1, 1) case,
-    and every value is bit for bit its one-state value.
+    shared by the stack, or (N, K, 2, 2) with one set per state. The stack
+    is accepted or refused as DensityMatrix would each state, by
+    certify_states, which computes no spectrum, since J reads none of the
+    pair's; one more check covers every reduced and conditional state.
+    classical_correlation is the (1, 1) case, and every value is bit for bit
+    its one-state value.
     """
-    _, _, j = _local_terms(*_two_qubit_stack(states), kets)
+    m = _two_qubit_array(states)
+    certify_states(m)
+    _, _, j = _local_terms(m, kets)
     return _nonnegative(j, _NEGATIVE_J_TOL, "classical correlation")
 
 
 def classical_correlation(rho: DensityMatrix, basis: ProjectiveBasis) -> float:
     """J for one fixed measurement basis, in bits. Lies in [0, S(rho_s)]."""
-    _, _, j = _local_terms(*_one_state(rho), basis.kets()[None])
+    _, _, j = _local_terms(_one_state(rho)[0], basis.kets()[None])
     return float(_nonnegative(j[0, 0], _NEGATIVE_J_TOL, "classical correlation"))
 
 
 def mutual_information(rho: DensityMatrix) -> float:
     """Total correlations S(rho_s) + S(rho_a) - S(rho_sa), in bits."""
-    _, mutual, _ = _local_terms(*_one_state(rho), _NO_BASES)
+    _, mutual, _ = _mutual_terms(*_one_state(rho), _NO_BASES)
     return float(_nonnegative(mutual[0], _NEGATIVE_J_TOL, "mutual information"))
 
 
@@ -762,8 +785,8 @@ def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, Projectiv
     degenerate maxima the first of sigma_z, sigma_x, sigma_y, then lattice
     order, wins.
     """
-    m, eigenvalues = _one_state(rho)
-    values, axes = _maximize(m, _local_terms(m, eigenvalues, _NO_BASES)[0])
+    m, _ = _one_state(rho)
+    values, axes = _maximize(m, _local_terms(m, _NO_BASES)[0])
     return float(values[0]), ProjectiveBasis(*_angles(axes)[0])
 
 
@@ -795,13 +818,14 @@ def _records(ps, j_max, axes, mutual, j) -> list[CorrelationRecord]:
 def _measure(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray):
     """The maximizer's and the fixed bases' results for a valid stack, as arrays.
 
-    kets are the fixed bases, shared or per state (_local_terms). One
-    _local_terms pass gives the mutual information, the J values and the
+    kets are the fixed bases, shared or per state (_local_terms), and
+    eigenvalues the pair spectrum that the mutual information reads. One
+    _mutual_terms pass gives the mutual information, the J values and the
     S(rho_s) that the maximizer reads; the sign tolerance runs once over the
     maxima, then over the mutual information, then over J. Returns (j_max,
     axes, mutual, j): (N,), the argmax axes (N, 3), (N,) and (N, K).
     """
-    s_system, mutual, j = _local_terms(m, eigenvalues, kets)
+    s_system, mutual, j = _mutual_terms(m, eigenvalues, kets)
     j_max, axes = _maximize(m, s_system)
     mutual = _nonnegative(mutual, _NEGATIVE_J_TOL, "mutual information")
     j = _nonnegative(j, _NEGATIVE_J_TOL, "classical correlation")

@@ -1,9 +1,12 @@
 """Exact density-matrix algebra for one- and two-qubit states.
 
 Construction and validation of states, the X-state family, partial trace,
-and von Neumann entropy (in bits). Validation also gives each state's
-spectrum: a qubit's in closed form (_qubit_spectra, bit for bit what
-eigvalsh gives, without a LAPACK call), a pair's from eigvalsh.
+and von Neumann entropy (in bits). check_states validates a stack and gives
+each state's spectrum: a qubit's in closed form (_qubit_spectra, bit for bit
+what eigvalsh gives, without a LAPACK call), a pair's from eigvalsh.
+certify_states validates a stack of pairs whose spectra no caller reads,
+with one Cholesky factorization in place of the eigensolver; it accepts
+and refuses exactly what check_states does, with the same texts.
 Two-qubit basis ordering is |system> tensor |apparatus>: index (s, a) ->
 2 s + a.
 All values are immutable after construction and all operations are pure.
@@ -39,18 +42,60 @@ def check_states(m: np.ndarray) -> np.ndarray:
     within TRACE_TOL, and have no eigenvalue below -PSD_FLOOR. The ascending
     eigenvalues come back as (N, d): for qubits from _qubit_spectra, which
     gives eigvalsh's bits without calling LAPACK, and for pairs from one
-    eigvalsh over the stack. For the first state that fails, raises
-    InvalidStateError with the text that DensityMatrix gives that state
-    alone, which is this check on a (1, d, d) view.
+    eigvalsh over the stack. A caller that reads no spectrum of a pair
+    stack runs certify_states instead. For the first state that fails,
+    raises InvalidStateError with the text that DensityMatrix gives that
+    state alone, which is this check on a (1, d, d) view.
     """
-    herm = _hermitian_deviations(m)
-    tr = m.trace(axis1=-2, axis2=-1)
-    if herm.max() <= HERMITICITY_TOL and np.abs(tr - 1.0).max() <= TRACE_TOL:
+    herm, tr, passed = _hermitian_unit_trace(m)
+    if passed:
         vals = _qubit_spectra(m) if m.shape[-1] == 2 else np.linalg.eigvalsh(m)
         # A nan eigenvalue (an overflowed qubit spectrum) fails this too.
         if vals[:, 0].min() >= -PSD_FLOOR:
             return vals
     raise InvalidStateError(_first_failure(m, herm.max(axis=1), tr))
+
+
+# Cholesky of m + _CERTIFICATE_SHIFT * I succeeds only where eigvalsh's lowest
+# eigenvalue of m is at least -PSD_FLOOR (certify_states).
+_CERTIFICATE_SHIFT = (PSD_FLOOR - 1e-12) * np.eye(4)
+
+
+def certify_states(m: np.ndarray) -> None:
+    """Validate a (N, 4, 4) stack as check_states does, without computing its spectra.
+
+    After check_states' Hermitian and trace tests, and only if every
+    |m_ij| <= 1, one batched Cholesky factorization of
+    m + (PSD_FLOOR - 1e-12) I certifies positivity. Every valid state has
+    |m_ij| <= 1, so ||m||_2 <= 4: Cholesky's backward error (Demmel, LAPACK
+    Working Note 14, 1989; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 10.5) is then about 2e-15 and eigvalsh's own
+    error about 1e-15, both far below the 1e-12 margin, so a factorization
+    that succeeds proves that check_states accepts the stack. Where the
+    factorization fails, or an entry exceeds 1 in modulus, check_states
+    itself runs and accepts the stack or raises its text. So the stacks
+    accepted and every error text are check_states'; rank-deficient states
+    (pure states, X states at p = 0) pass through the shift.
+    """
+    if _hermitian_unit_trace(m)[2] and np.abs(m).max() <= 1.0:
+        try:
+            np.linalg.cholesky(m + _CERTIFICATE_SHIFT)
+            return
+        except np.linalg.LinAlgError:
+            pass
+    check_states(m)
+
+
+def _hermitian_unit_trace(m: np.ndarray):
+    """The Hermitian and trace tests of a (N, d, d) stack.
+
+    Returns each state's deviations (_hermitian_deviations), each trace,
+    and whether every state is Hermitian within HERMITICITY_TOL and of
+    unit trace within TRACE_TOL; a nan or inf entry fails.
+    """
+    herm = _hermitian_deviations(m)
+    tr = m.trace(axis1=-2, axis2=-1)
+    return herm, tr, herm.max() <= HERMITICITY_TOL and np.abs(tr - 1.0).max() <= TRACE_TOL
 
 
 def _upper_pairs(d: int):

@@ -53,6 +53,7 @@ from einselect.correlations import (
     _information_above,
     _local_terms,
     _maximize,
+    _mutual_terms,
     _survivors,
     bloch_form,
     classical_correlations,
@@ -434,6 +435,31 @@ def test_per_state_bases_equal_the_shared_and_one_state_values():
             classical_correlations(m, wrong)
 
 
+def test_classical_correlations_certify_a_valid_stack_without_eigvalsh(monkeypatch):
+    # theorem1's chunk: 64 states and each one's four dephased states and p = 1
+    # product, 384 in all, each read in its own basis. J reads no pair
+    # spectrum, so the stack's check (certify_states) runs no eigvalsh, and the
+    # values are the one-state values bit for bit.
+    rng = np.random.default_rng(32)
+    rho = np.array([random_density_matrix(rng).entries for _ in range(64)])
+    bases = [ProjectiveBasis(*rng.uniform(0.0, 3.0, 2)) for _ in range(64)]
+    kets = np.repeat([basis.kets() for basis in bases], 6, axis=0)
+    strengths = np.tile(np.linspace(0.0, 1.0, 5), 64)
+    ops = kraus_stack(np.repeat(kets[::6], 5, axis=0), strengths)
+    evolved = evolve(ops, np.repeat(rho, 5, axis=0)).reshape(64, 5, 4, 4)
+    m = np.concatenate([rho[:, None], evolved], axis=1).reshape(-1, 4, 4)
+    expected = [
+        classical_correlation(DensityMatrix(state), basis)
+        for state, basis in zip(m, np.repeat(bases, 6))
+    ]
+
+    def refuse(_):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert classical_correlations(m, kets[:, None])[:, 0].tolist() == expected
+
+
 def test_one_state_functions_do_not_check_a_valid_state_again(monkeypatch):
     # DensityMatrix already checked rho and kept its eigenvalues: the only
     # check left is the one over the reduced and conditional states.
@@ -505,8 +531,7 @@ def test_argmax_stays_exactly_on_the_pauli_axis_at_flat_maxima(params, family):
 def _search_inputs(states):
     """The maximizer's inputs for DensityMatrix states: stack, Bloch forms and S(rho_s)."""
     m = np.array([rho.entries for rho in states])
-    eigenvalues = np.array([rho.eigenvalues for rho in states])
-    return m, correlations.bloch_forms(m), _local_terms(m, eigenvalues, _NO_BASES)[0]
+    return m, correlations.bloch_forms(m), _local_terms(m, _NO_BASES)[0]
 
 
 def _j_at(forms, s_entropy, axes):
@@ -766,14 +791,14 @@ def test_information_bound_brackets_the_kernel_information():
 @pytest.mark.parametrize("size", [201, 1024])
 def test_coarse_pass_memory_stays_within_the_records_high_water_mark(size):
     # The coarse pass may take no more memory than the larger of the full
-    # pass's and that of the _local_terms call of correlation_records, the
+    # pass's and that of the _mutual_terms call of correlation_records, the
     # high-water mark of a records call. The stack holds ad sweeps of general
     # states, whose states near p = 1 keep most of their axes.
     rng = np.random.default_rng(26)
     ad = kraus_stack(None, np.linspace(0.0, 1.0, 201))
     m = np.concatenate([evolve(ad, random_density_matrix(rng).entries) for _ in range(6)])[:size]
     eigenvalues = np.array([DensityMatrix(rho).eigenvalues for rho in m])
-    forms, s_entropy = correlations.bloch_forms(m), _local_terms(m, eigenvalues, _NO_BASES)[0]
+    forms, s_entropy = correlations.bloch_forms(m), _local_terms(m, _NO_BASES)[0]
 
     def peak(run):
         run()
@@ -786,7 +811,7 @@ def test_coarse_pass_memory_stays_within_the_records_high_water_mark(size):
 
     ceiling = max(
         peak(lambda: _full_pass(forms, s_entropy)),
-        peak(lambda: _local_terms(m, eigenvalues, _SIGMA_ZX)),
+        peak(lambda: _mutual_terms(m, eigenvalues, _SIGMA_ZX)),
     )
     assert peak(lambda: _coarse(forms, s_entropy)) <= ceiling
 

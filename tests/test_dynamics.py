@@ -14,6 +14,7 @@ from einselect import (
     STATE_1,
     STATE_2,
     CorrelationRecord,
+    DensityMatrix,
     InvalidInputError,
     InvalidStateError,
     ProjectiveBasis,
@@ -662,3 +663,55 @@ def test_general_state_regime_does_not_depend_on_the_grid(monkeypatch):
                 for points in (11, 21, 41, 201)
             ]
     assert all(len(set(found)) == 1 for found in regimes.values()), regimes
+
+
+def _haar_qubit_unitary(rng):
+    """A Haar-random 2 x 2 unitary: Q of a complex Gaussian's QR, phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("family", ["pd", "ad"])
+def test_system_rotations_change_no_record_field(family):
+    # A unitary on the system commutes with every apparatus channel and leaves
+    # every apparatus measurement's J and I as they are, so each record field,
+    # the regime and the transition are the unrotated sweep's. Values agree to
+    # rounding; the argmax axes and transition_p to the search's precision.
+    rng = np.random.default_rng(55)
+    grid = np.linspace(0.0, 1.0, 21)
+    for _ in range(4):
+        rho = random_density_matrix(rng)
+        base = sweep(rho, family, grid)
+        for _ in range(3):
+            u = np.kron(_haar_qubit_unitary(rng), np.eye(2))
+            rotated = sweep(DensityMatrix(u @ rho.entries @ u.conj().T), family, grid)
+            assert rotated.regime == base.regime
+            assert (rotated.transition_p is None) == (base.transition_p is None)
+            if base.transition_p is not None:
+                assert rotated.transition_p == pytest.approx(base.transition_p, abs=1e-7)
+            for a, b in zip(base.records, rotated.records):
+                for name in ("j_z", "j_x", "j_max", "mutual_info", "discord"):
+                    assert getattr(b, name) == pytest.approx(getattr(a, name), abs=1e-12)
+                if a.j_max > 1e-6:
+                    turn = basis_distance(
+                        ProjectiveBasis(a.opt_theta, a.opt_phi),
+                        ProjectiveBasis(b.opt_theta, b.opt_phi),
+                    )
+                    assert turn <= 1e-6, (a.p, turn)
+
+
+def test_maximal_correlation_and_mutual_information_never_rise_along_p():
+    # Each family composes (the channel at p2 > p1 is the channel at p1 followed
+    # by one of the same family), so by data processing neither J_max nor I can
+    # rise along p. Checked in exact order: on these general states each step
+    # falls by far more than the values' rounding.
+    rng = np.random.default_rng(56)
+    grid = np.linspace(0.0, 1.0, 41)
+    for _ in range(6):
+        rho = random_density_matrix(rng)
+        pointer = ProjectiveBasis(math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi))
+        for family in ("pd", "ad", "pointer"):
+            records = sweep(rho, family, grid, pointer_basis=pointer).records
+            for name in ("j_max", "mutual_info"):
+                values = [getattr(r, name) for r in records]
+                assert all(b <= a for a, b in zip(values, values[1:])), (family, name)

@@ -15,11 +15,13 @@ from einselect import (
     von_neumann_entropy,
     x_state_params,
 )
+from einselect import qstate
 from einselect.qstate import (
     PSD_FLOOR,
     _first_failure,
     _hermitian_deviations,
     _qubit_spectra,
+    certify_states,
     check_states,
 )
 
@@ -411,3 +413,139 @@ def test_qubit_state_failures_keep_their_texts(entries, text):
 def test_qubit_eigenvalues_keep_their_bits():
     rho = DensityMatrix(np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
     assert rho.eigenvalues.tobytes().hex() == "989999999999c93f9a9999999999e93f"
+
+
+# certify_states accepts and refuses exactly what check_states does, with the
+# same texts, without computing a spectrum where its Cholesky factorization
+# succeeds.
+
+
+def _verdict(check, m):
+    """None where check accepts the stack m, else the text it raises."""
+    try:
+        check(m)
+    except InvalidStateError as failed:
+        return str(failed)
+    return None
+
+
+def _with_spectrum(rng, spectra):
+    """States U diag(spectrum) U^dag, one per row of spectra, U the Q of a complex Gaussian."""
+    z = rng.normal(size=(len(spectra), 4, 4)) + 1j * rng.normal(size=(len(spectra), 4, 4))
+    u = np.linalg.qr(z)[0]
+    return np.einsum("nij,nj,nkj->nik", u, np.asarray(spectra, dtype=float), u.conj())
+
+
+def _valid_stacks(rng, n=64):
+    """Seeded valid (n, 4, 4) stacks of full rank, rank 1 and rank 2, and STATE_1 at p = 0."""
+    full = rng.dirichlet(np.ones(4), n)
+    rank1 = np.zeros((n, 4))
+    rank1[:, 0] = 1.0
+    rank2 = np.zeros((n, 4))
+    rank2[:, :2] = rng.dirichlet(np.ones(2), n)
+    return {
+        "full rank": _with_spectrum(rng, full),
+        "rank 1": _with_spectrum(rng, rank1),
+        "rank 2": _with_spectrum(rng, rank2),
+        "STATE_1 at p = 0": np.broadcast_to(make_x_state(STATE_1).entries, (n, 4, 4)),
+    }
+
+
+def test_certify_states_accepts_valid_stacks_without_a_spectrum(monkeypatch):
+    stacks = _valid_stacks(np.random.default_rng(32))
+    for m in stacks.values():
+        check_states(m)
+
+    def refuse(_):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for name, m in stacks.items():
+        assert certify_states(m) is None, name
+
+
+def _lowest_at(rng, lowest, n=8):
+    """(n, 4, 4) states whose exact lowest eigenvalue is lowest, with unit trace."""
+    rest = rng.dirichlet(np.ones(3), n) * (1.0 - lowest)
+    return _with_spectrum(rng, np.column_stack([np.full(n, lowest), rest]))
+
+
+@pytest.mark.parametrize("offset", [-1e-11, -1e-12, -1e-13, 1e-13, 1e-12, 1e-11])
+def test_certify_states_at_the_positivity_floor_is_check_states(offset):
+    # Lowest eigenvalues at -PSD_FLOOR + offset, offset +-1e-13 being
+    # -PSD_FLOOR (1 -+ 1e-3). Below -PSD_FLOOR + 1e-12 the factorization of
+    # m + (PSD_FLOOR - 1e-12) I fails and check_states decides: the verdict
+    # and the text are its own, alone and with valid states around.
+    rng = np.random.default_rng(33)
+    valid = _valid_stacks(rng, 4)["full rank"]
+    states = _lowest_at(rng, -PSD_FLOOR + offset)
+    for k in range(len(states)):
+        for m in (states[k : k + 1], np.concatenate([valid[:2], states[k : k + 1], valid[2:]])):
+            expected = _verdict(check_states, m)
+            assert (expected is None) == (offset > 0)
+            assert _verdict(certify_states, m) == expected
+
+
+def test_certify_states_refuses_invalid_stacks_with_check_states_texts():
+    # Non-Hermitian, off-trace, non-positive, nan and inf states (_checked_states),
+    # alone and in stacks, and Hermitian unit-trace states with an entry above 1
+    # in modulus, valid or not.
+    rng = np.random.default_rng(34)
+    stack = _checked_states(rng, 4)
+    above_one = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex)
+    coherent = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    coherent[0, 1] = coherent[1, 0] = 1.5j
+    parts = [stack[k : k + 1] for k in range(len(stack))] + [stack[k:] for k in range(12)]
+    parts += [above_one[None], coherent[None], np.array([above_one, coherent])]
+    verdicts = set()
+    for part in parts:
+        expected = _verdict(check_states, part)
+        assert _verdict(certify_states, part) == expected
+        verdicts.add(expected if expected is None else expected.split(":")[0].split(" =")[0])
+    assert verdicts == {
+        None,
+        "entries must be finite numbers",
+        "not Hermitian",
+        "trace",
+        "not positive semidefinite",
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lowest=st.one_of(
+        st.floats(-PSD_FLOOR - 2e-12, -PSD_FLOOR + 2e-12),
+        st.floats(-1e-9, 1e-9),
+        st.floats(-1.0, 1.0),
+    ),
+    zeros=st.integers(0, 2),
+)
+def test_certify_states_accepts_only_what_check_states_accepts(seed, lowest, zeros):
+    # A lowest eigenvalue near -PSD_FLOOR, near 0 or anywhere in [-1, 1], and
+    # up to two more exact zeros in the spectrum.
+    rng = np.random.default_rng(seed)
+    rest = rng.dirichlet(np.ones(3))
+    rest[:zeros] = 0.0
+    spectrum = np.append(lowest, rest / rest.sum() * (1.0 - lowest))
+    m = _with_spectrum(rng, spectrum[None])
+    if _verdict(certify_states, m) is None:
+        assert _verdict(check_states, m) is None
+
+
+def test_certify_states_hands_what_it_cannot_certify_to_check_states(monkeypatch):
+    # A valid state with an entry above 1, and valid states just below the
+    # shifted floor, cost one check_states call per stack.
+    above_one = np.diag([1.0 + 5e-11, -5e-11, 0.0, 0.0]).astype(complex)[None]
+    near_floor = _lowest_at(np.random.default_rng(35), -PSD_FLOOR + 1e-13, 3)
+    calls = []
+    check = qstate.check_states
+
+    def counted(m):
+        calls.append(len(m))
+        return check(m)
+
+    monkeypatch.setattr(qstate, "check_states", counted)
+    certify_states(above_one)
+    certify_states(near_floor)
+    assert calls == [1, 3]
