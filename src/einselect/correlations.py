@@ -48,10 +48,14 @@ the kernel through one step that takes each state's best candidate
 (_best_candidates).
 The stacked search and measurement (_maximize, _measure) return arrays:
 values and argmax axes as 3-vectors. _angles alone turns an axis into the
-stored (theta, phi), with phi in [0, 2 pi) (_phi). Only the public edge
-wraps them: _records builds the CorrelationRecords from _measure's arrays,
-and maximize_classical_correlation, the one-state case, builds the
-ProjectiveBasis of its result.
+stored (theta, phi), with phi in [0, 2 pi) (_phi), and stored angles turn
+back into axes and measurement kets by one stacked formula each (_axes,
+_kets), whose N = 1 cases are ProjectiveBasis.axis and .kets; the angle
+between axes is _axis_distances' (basis_distance). A record's arrays are
+_record_arrays': _measure's, then the checked discord. Only the public edge
+wraps them: _records builds the CorrelationRecords of a returned trajectory
+from those arrays, and maximize_classical_correlation, the one-state case,
+builds the ProjectiveBasis of its result.
 
 J at a fixed basis (j_z, j_x), mutual information and S(rho_s) come from the
 density matrices themselves: a stack of states gives its reduced states and,
@@ -119,6 +123,55 @@ def _phi(phi: float) -> float:
     return phi if phi < 2.0 * math.pi else 0.0
 
 
+def _stored_angles(theta, phi) -> tuple[float, float]:
+    """The (theta, phi) that a basis with these angles stores, the one check of a basis's angles.
+
+    Raises InvalidInputError unless both are finite and theta lies in
+    [0, pi] within 1e-9; theta is then clamped to [0, pi] and phi reduced
+    to [0, 2 pi) (_phi). ProjectiveBasis keeps its angles through it, and
+    detect_transition its records'.
+    """
+    th, ph = float(theta), float(phi)
+    for name, value in (("theta", th), ("phi", ph)):
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be a finite number, got {value}")
+    if th < -1e-9 or th > math.pi + 1e-9:
+        raise InvalidInputError(f"theta must lie in [0, pi], got {th}")
+    return min(max(th, 0.0), math.pi), _phi(ph)
+
+
+def _mapped(f, *args) -> np.ndarray:
+    """f of each element of the float sequences args, one at a time, as a float array."""
+    return np.fromiter(map(f, *args), float, len(args[0]))
+
+
+def _axes(theta, phi) -> np.ndarray:
+    """The axis (sin theta cos phi, sin theta sin phi, cos theta) of each stored angle pair, (N, 3).
+
+    The one axis formula: each sine and cosine comes from math, one angle at
+    a time; ProjectiveBasis.axis is the N = 1 case.
+    """
+    sin_theta = _mapped(math.sin, theta)
+    columns = sin_theta * _mapped(math.cos, phi), sin_theta * _mapped(math.sin, phi)
+    return np.stack([*columns, _mapped(math.cos, theta)], axis=-1)
+
+
+def _kets(theta, phi) -> np.ndarray:
+    """The measurement kets of each stored angle pair, as (N, 2, 2) rows |u_0>, |u_1>.
+
+    The one kets formula: the rows are |u_0> = (c, e s) and |u_1> = (s, -e c),
+    with c and s the cosine and sine of theta / 2 and e = e^{i phi}, each
+    from math; numpy forms e s and -e c as Python's complex product does.
+    ProjectiveBasis.kets is the N = 1 case.
+    """
+    half = (np.asarray(theta, dtype=float) / 2.0).tolist()
+    phi = np.asarray(phi, dtype=float).tolist()
+    c, s = _mapped(math.cos, half), _mapped(math.sin, half)
+    e = np.empty(len(half), dtype=complex)
+    e.real, e.imag = _mapped(math.cos, phi), _mapped(math.sin, phi)
+    return np.stack([c, e * s, s, -e * c], axis=-1).reshape(-1, 2, 2)
+
+
 @dataclass(frozen=True)
 class ProjectiveBasis:
     """A complete pair of orthogonal rank-1 projectors on the apparatus qubit.
@@ -132,16 +185,8 @@ class ProjectiveBasis:
     phi: float
 
     def __post_init__(self):
-        th = float(self.theta)
-        ph = float(self.phi)
-        for name, value in (("theta", th), ("phi", ph)):
-            if not math.isfinite(value):
-                raise InvalidInputError(f"{name} must be a finite number, got {value}")
-        if th < -1e-9 or th > math.pi + 1e-9:
-            raise InvalidInputError(f"theta must lie in [0, pi], got {th}")
-        th = min(max(th, 0.0), math.pi)
-        object.__setattr__(self, "theta", th)
-        object.__setattr__(self, "phi", _phi(ph))
+        for name, value in zip(("theta", "phi"), _stored_angles(self.theta, self.phi)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def sigma_z(cls) -> "ProjectiveBasis":
@@ -157,21 +202,15 @@ class ProjectiveBasis:
 
     @property
     def axis(self) -> np.ndarray:
-        """Bloch vector of the first projector."""
-        return np.array(
-            [
-                math.sin(self.theta) * math.cos(self.phi),
-                math.sin(self.theta) * math.sin(self.phi),
-                math.cos(self.theta),
-            ]
-        )
+        """Bloch vector of the first projector, the N = 1 case of _axes."""
+        return _axes([self.theta], [self.phi])[0]
 
     def kets(self) -> np.ndarray:
-        """The two orthonormal measurement kets, as the rows |u_0>, |u_1> of a (2, 2) array."""
-        c = math.cos(self.theta / 2.0)
-        s = math.sin(self.theta / 2.0)
-        e = complex(math.cos(self.phi), math.sin(self.phi))
-        return np.array([[c, e * s], [s, -e * c]], dtype=complex)
+        """The two orthonormal measurement kets, as the rows |u_0>, |u_1> of a (2, 2) array.
+
+        The N = 1 case of _kets.
+        """
+        return _kets([self.theta], [self.phi])[0]
 
     @property
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -189,10 +228,19 @@ def _projectors(kets: np.ndarray) -> np.ndarray:
     return kets[..., :, None] * kets.conj()[..., None, :]
 
 
+def _axis_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The angle between the axes of each row pair of (N, 3) a and b, antipodes identified.
+
+    The one rule, acos(min(|a . b|, 1)): each dot product is np.dot's of the
+    two rows and each acos is math's.
+    """
+    dots = np.abs(a[:, None, :] @ b[:, :, None]).ravel()
+    return _mapped(math.acos, np.minimum(dots, 1.0).tolist())
+
+
 def basis_distance(a: ProjectiveBasis, b: ProjectiveBasis) -> float:
-    """Angle between two measurement axes, identifying antipodal directions."""
-    dot = abs(float(np.dot(a.axis, b.axis)))
-    return math.acos(min(dot, 1.0))
+    """Angle between two measurement axes, identifying antipodal directions (_axis_distances)."""
+    return _axis_distances(a.axis[None], b.axis[None]).item()
 
 
 @dataclass(frozen=True)
@@ -797,20 +845,28 @@ def correlation_records(states, ps) -> list[CorrelationRecord]:
     and the maximizer reads S(rho_s) from the same pass; the records equal
     the one-state records bit for bit.
     """
-    return _records(ps, *_measure(*_two_qubit_stack(states), _SIGMA_ZX))
+    return _records(ps, *_record_arrays(*_two_qubit_stack(states)))
 
 
-def _records(ps, j_max, axes, mutual, j) -> list[CorrelationRecord]:
-    """The records of a stack labelled with ps, from its _measure arrays in the bases _SIGMA_ZX.
+def _record_arrays(m: np.ndarray, eigenvalues: np.ndarray):
+    """The arrays of a valid stack's records: (j_max, axes, mutual, j, discord).
 
-    The one rule for a record: discord is the mutual information less j_max,
-    with its sign tolerance, and the angles are the axes' _angles.
+    The first four are _measure's in the bases _SIGMA_ZX, j as (N, 2) rows
+    (j_z, j_x). The one rule for the discord: the mutual information less
+    j_max, with its sign tolerance, run after _measure's. So j_max lies
+    within CorrelationRecord's bounds: at least 0 after _maximize's sign
+    tolerance, and at most I + DISCORD_CLAMP up to one rounding.
     """
-    discords = _nonnegative(mutual - j_max, DISCORD_CLAMP, "discord")
+    j_max, axes, mutual, j = _measure(m, eigenvalues, _SIGMA_ZX)
+    return j_max, axes, mutual, j, _nonnegative(mutual - j_max, DISCORD_CLAMP, "discord")
+
+
+def _records(ps, j_max, axes, mutual, j, discord) -> list[CorrelationRecord]:
+    """The records, labelled with ps, of a stack's _record_arrays; the angles are _angles'."""
     return [
-        CorrelationRecord(p, j_z, j_x, value, theta, phi, mi, discord)
-        for p, (j_z, j_x), value, (theta, phi), mi, discord in zip(
-            ps, j.tolist(), j_max.tolist(), _angles(axes), mutual.tolist(), discords.tolist()
+        CorrelationRecord(p, j_z, j_x, value, theta, phi, mi, d)
+        for p, (j_z, j_x), value, (theta, phi), mi, d in zip(
+            ps, j.tolist(), j_max.tolist(), _angles(axes), mutual.tolist(), discord.tolist()
         )
     ]
 
@@ -838,7 +894,7 @@ def correlation_record(rho: DensityMatrix, p: float = 0.0) -> CorrelationRecord:
     J in the sigma_z and sigma_x bases, the maximum with its argmax angles,
     mutual information, and discord.
     """
-    return _records([p], *_measure(*_one_state(rho), _SIGMA_ZX))[0]
+    return _records([p], *_record_arrays(*_one_state(rho)))[0]
 
 
 def quantum_discord(rho: DensityMatrix) -> float:

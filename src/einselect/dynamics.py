@@ -23,11 +23,16 @@ by the pointer basis; tau_D = 1/gamma is the conventional decoherence time,
 and tau_E may fall on either side of it.
 
 A sweep's grid and channel family are checked once (_sweep_plan); then its
-states stream as one stack through the one stacked sweep (_sweeps), each
-state's records and transition bit for bit those of its own sweep. A chunk's
-records and its jump scan (_jump, one vector pass over neighbouring argmax
-axes) read the same maximizer arrays; detect_transition, which is handed
-records, rebuilds those axes from their stored angles.
+states stream as one stack through the one stacked sweep (_sweeps), which
+yields each state's arrays (the maximizer's j_max and argmax axes, the mutual
+information, j_z and j_x, the checked discord) and transition, bit for bit
+those of its own sweep. Records are built only for a trajectory that is
+returned (_report, theorem2's judge); the Monte Carlo bands read the arrays.
+A chunk's jump scan (_jump, one vector pass over neighbouring argmax axes)
+and root search (_transitions) read the grid and the same arrays, the kets
+of a jump's two bases coming from their stored angles (_angles, then
+_kets); detect_transition, which is handed records, rebuilds the axes from
+their stored angles (_axes) and hands those angles on.
 """
 
 from __future__ import annotations
@@ -42,11 +47,14 @@ import numpy as np
 
 from .channels import evolve, kraus_stack
 from .correlations import (
-    _SIGMA_ZX,
     CorrelationRecord,
     ProjectiveBasis,
-    _measure,
+    _angles,
+    _axes,
+    _kets,
+    _record_arrays,
     _records,
+    _stored_angles,
     _two_qubit_stack,
     basis_distance,
     classical_correlations,
@@ -268,39 +276,42 @@ def _crossings(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def _transitions(
-    states: np.ndarray, basis: Optional[ProjectiveBasis], trajectories: Sequence, j_max, axes
+    states: np.ndarray, basis: Optional[ProjectiveBasis], ps: np.ndarray, j_max, axes, angles=None
 ) -> list:
     """transition_p of each trajectory, from one lockstep root search over the stack.
 
     states holds the (S, 4, 4) entries of the valid initial states, basis is
-    the channel family's (_dephasing_basis), trajectories holds each state's
-    records, and j_max (S, N) and axes (S, N, 3) their maxima and argmax
-    axes, which _jump scans in one pass. A trajectory without a jump gets
-    None. A jump's bracket is the p of its two records, and its bases are
-    the ProjectiveBasis of each record's stored angles, the incoming (hi)
-    then the outgoing (lo). The crossing J(incoming) - J(outgoing), read on
-    the evolved states by classical_correlations, is negative where the
-    outgoing basis dominates (at the jump's lo) and positive where the
-    incoming one does (at its hi). _crossings finds its root in every bracket
-    at once, so each transition_p is bit for bit what its trajectory gives
-    alone; on a degenerate tie at a grid point the crossing sits at that edge.
+    the channel family's (_dephasing_basis), ps the grid, and j_max (S, N)
+    and axes (S, N, 3) the trajectories' maxima and argmax axes, which _jump
+    scans in one pass. A trajectory without a jump gets None. A jump at k
+    brackets [ps[k], ps[k + 1]], and its bases are those of the stored
+    angles at k + 1 (incoming, hi) and at k (outgoing, lo), whose kets come
+    from one _kets pass. The stored angles are the axes' _angles, or angles
+    (S, N, 2) where records hold them already. The crossing J(incoming) -
+    J(outgoing), read on the evolved states by classical_correlations, is
+    negative where the outgoing basis dominates (at the jump's lo) and
+    positive where the incoming one does (at its hi). _crossings finds its
+    root in every bracket at once, so each transition_p is bit for bit what
+    its trajectory gives alone; on a degenerate tie at a grid point the
+    crossing sits at that edge.
     """
     owners, pairs = _jump(j_max, axes)
-    result = [None] * len(trajectories)
+    result = [None] * len(j_max)
     if not owners.size:
         return result
-    brackets = [trajectories[s][k : k + 2] for s, k in zip(owners.tolist(), pairs.tolist())]
-    lo, hi = (np.array([bracket[end].p for bracket in brackets]) for end in (0, 1))
-    kets = np.array(
-        [[ProjectiveBasis(r.opt_theta, r.opt_phi).kets() for r in b[::-1]] for b in brackets]
-    )
+    ends = owners[:, None], np.stack([pairs + 1, pairs], axis=1)
+    if angles is None:
+        angles = _angles(axes[ends].reshape(-1, 3))
+    else:
+        angles = angles[ends].reshape(-1, 2).tolist()
+    kets = _kets(*zip(*angles)).reshape(-1, 2, 2, 2)
     m = states[owners]
 
     def crossing(rows: np.ndarray, ps: np.ndarray) -> np.ndarray:
         j = classical_correlations(evolve(kraus_stack(basis, ps), m[rows]), kets[rows])
         return j[:, 0] - j[:, 1]
 
-    for s, p in zip(owners.tolist(), _crossings(crossing, lo, hi).tolist()):
+    for s, p in zip(owners.tolist(), _crossings(crossing, ps[pairs], ps[pairs + 1]).tolist()):
         result[s] = p
     return result
 
@@ -319,14 +330,18 @@ def detect_transition(
     the two competing bases' correlation values down to an interval of 1e-12
     in p (_crossings). Records whose j_max is at or below BASIS_FLOOR carry
     no basis information and never anchor a jump. Returns None when the
-    argmax basis never jumps. The axes are rebuilt from the records' stored
-    angles, the one place that does so, and then the stacked root search that
-    sweeps run (_transitions) takes this one trajectory.
+    argmax basis never jumps. The records' angles are checked and kept as a
+    basis keeps them (_stored_angles), which refuses a non-finite angle or a
+    theta outside [0, pi], and the axes are rebuilt from them (_axes), the
+    one place that does so; then the stacked root search that sweeps run
+    (_transitions) takes this one trajectory, with the records' p as its
+    grid and their stored angles.
     """
     basis = _dephasing_basis(channel_family, pointer_basis)
+    ps = np.array([r.p for r in records], dtype=float)
     j_max = np.array([[r.j_max for r in records]])
-    axes = np.reshape([ProjectiveBasis(r.opt_theta, r.opt_phi).axis for r in records], (1, -1, 3))
-    return _transitions(rho0.entries[None], basis, [records], j_max, axes)[0]
+    angles = np.reshape([_stored_angles(r.opt_theta, r.opt_phi) for r in records], (1, -1, 2))
+    return _transitions(rho0.entries[None], basis, ps, j_max, _axes(*angles[0].T)[None], angles)[0]
 
 
 def _after_transition(records: Sequence[CorrelationRecord], transition_p: float) -> list:
@@ -417,46 +432,47 @@ def _sweep_plan(channel_family: str, grid, pointer_basis: Optional[ProjectiveBas
 
 
 def _sweeps(states, ps: np.ndarray, basis: Optional[ProjectiveBasis]):
-    """Sweep each initial state in an iterable over one grid; yield (records, transition_p) each.
+    """Sweep each initial state in an iterable over one grid; yield (arrays, transition_p) each.
 
     states is any iterable (an array, a list, a generator) of the (4, 4)
     entries of valid two-qubit states, and the trajectories come out in its
     order. ps and basis are a checked grid and dephasing basis (_sweep_plan).
     _SWEEP_STATES states are read at a time, so a generator's states are
     made only as each chunk needs them. Each chunk is one (S N, 4, 4) stack
-    of channel outputs, checked once and read by one _measure pass. Its
-    records come from those arrays (_records), and its j_max and argmax
-    axes, as (S, N) and (S, N, 3), go to one jump scan and one lockstep root
-    search (_transitions). Each trajectory's records and transition_p are
-    bit for bit what it gives alone; sweep is the S = 1 case.
+    of channel outputs, checked once and read by one _record_arrays pass,
+    whose sign tolerances and discord check cover every state before any
+    value is yielded. A trajectory's arrays are its rows of those: (j_max,
+    axes, mutual, j, discord), shaped (N,), (N, 3), (N,), (N, 2) and (N,),
+    which _records turns into records where a trajectory is returned. The
+    chunk's j_max and argmax axes, as (S, N) and (S, N, 3), go to one jump
+    scan and one lockstep root search (_transitions). Each trajectory's
+    arrays and transition_p are bit for bit what it gives alone; sweep is
+    the S = 1 case.
     """
     ops = kraus_stack(basis, ps)
-    labels = [float(p) for p in ps]
     per_chunk = max(1, _SWEEP_STATES // ps.size)
     states = iter(states)
     while chunk := list(itertools.islice(states, per_chunk)):
         m = np.array(chunk)
         evolved = np.concatenate([evolve(ops, rho) for rho in m])
-        j_max, axes, mutual, j = _measure(*_two_qubit_stack(evolved), _SIGMA_ZX)
-        records = _records(labels * len(m), j_max, axes, mutual, j)
-        trajectories = [
-            tuple(records[k : k + ps.size]) for k in range(0, len(records), ps.size)
-        ]
-        scanned = j_max.reshape(len(m), -1), axes.reshape(len(m), -1, 3)
-        yield from zip(trajectories, _transitions(m, basis, trajectories, *scanned))
+        arrays = _record_arrays(*_two_qubit_stack(evolved))
+        rows = [a.reshape(len(m), ps.size, *a.shape[1:]) for a in arrays]
+        yield from zip(zip(*rows), _transitions(m, basis, ps, *rows[:2]))
 
 
 def _report(
     rho0: DensityMatrix,
     basis: Optional[ProjectiveBasis],
     gamma: float,
-    records: tuple,
+    ps: np.ndarray,
+    arrays: tuple,
     transition_p: Optional[float],
 ) -> TrajectoryReport:
-    """sweep's report from rho0's trajectory, its dephasing basis and its checked gamma.
+    """sweep's report from rho0's trajectory over ps, its dephasing basis and its checked gamma.
 
-    The closed-form emergence time is added for an X state whose dephasing
-    basis is sigma_z, where emergence_time gives one.
+    arrays and transition_p are what _sweeps yields for rho0; its records
+    are built here (_records). The closed-form emergence time is added for
+    an X state whose dephasing basis is sigma_z, where emergence_time gives one.
     """
     tau_e = None
     if basis is not None and basis_distance(basis, ProjectiveBasis.sigma_z()) < 1e-12:
@@ -468,9 +484,8 @@ def _report(
                 result = None
             if result is not None:
                 tau_e = result.tau_e
-    return TrajectoryReport(
-        records=records, transition_p=transition_p, emergence_time=tau_e, gamma=gamma
-    )
+    records = tuple(_records(ps.tolist(), *arrays))
+    return TrajectoryReport(records, transition_p, emergence_time=tau_e, gamma=gamma)
 
 
 def sweep(
@@ -494,5 +509,5 @@ def sweep(
     """
     gamma = check_gamma(gamma)
     ps, basis = _sweep_plan(channel_family, grid, pointer_basis)
-    ((records, transition),) = _sweeps(rho0.entries[None], ps, basis)
-    return _report(rho0, basis, gamma, records, transition)
+    ((arrays, transition),) = _sweeps(rho0.entries[None], ps, basis)
+    return _report(rho0, basis, gamma, ps, arrays, transition)

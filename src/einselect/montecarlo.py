@@ -12,8 +12,10 @@ drawn and reduced in index order, and nothing depends on wall-clock or
 machine state, so identical arguments reproduce byte-identical outputs. After
 one check of the grid and family (dynamics._sweep_plan) the samples stream
 through the one stacked sweep (dynamics._sweeps), drawn as it reads each
-chunk; each sample's trajectory is bit for bit its own sweep's. `analyze`
-sweeps its point estimate at the head of the same stack (_analysis).
+chunk; each sample's trajectory is bit for bit its own sweep's. The bands
+read each sample's arrays as the sweep yields them, after its checks, and
+build no record. `analyze` sweeps its point estimate at the head of the same
+stack (_analysis), and only the point estimate becomes records.
 
 Independent Gaussian entries are a modeling choice: real tomography errors
 are correlated through the measurement counts, but the correlation structure
@@ -82,12 +84,16 @@ def _draws(matrix: MatrixFile, samples: int, seed: int):
 
 
 def _bands(trajectories, ps: np.ndarray, samples: int, seed: int) -> MonteCarloBands:
-    """The bands over ps, the plan's own grid copy, of the samples' (records, transition_p)."""
+    """The bands over ps, the plan's own grid copy, of the samples' (arrays, transition_p).
+
+    Each sample's series are rows of its _sweeps arrays: j_z and j_x are the
+    columns of j, then j_max and the checked discord.
+    """
     series = {name: np.empty((samples, ps.size)) for name in _QUANTITIES}
     transitions = []
-    for index, (records, transition_p) in enumerate(trajectories):
-        for name in _QUANTITIES:
-            series[name][index] = [getattr(r, name) for r in records]
+    for index, ((j_max, _, _, j, discord), transition_p) in enumerate(trajectories):
+        for name, row in zip(_QUANTITIES, (j[:, 0], j[:, 1], j_max, discord)):
+            series[name][index] = row
         if transition_p is not None:
             transitions.append(transition_p)
 
@@ -123,15 +129,16 @@ def monte_carlo_bands(
     (DEFAULT_GRID_POINTS strengths on [0, 1]). Every input is checked, in
     analyze's order (grid, family, std block, samples, seed), before the
     first draw; the samples are drawn as _sweeps reads each chunk of them.
+    The bands read the samples' arrays (_bands), after the sweep's sign
+    tolerances and discord check, and no sample becomes records.
 
     A full-precision run (201 grid points, 1000 samples) sweeps 1000
     trajectories, five per chunk: on a shared 2-core host (Python 3.11,
     numpy 2.4 with its bundled OpenBLAS) with one BLAS thread,
     `analyze --samples 1000 --grid 201` of the general two-qubit state that
-    `einbench/inputs.py --seed 3` writes took 6.4-6.8 s under ad and
-    6.2-6.5 s under pd as a whole CLI process, and up to 8.7 s while other
-    tenants loaded the host. Tests and quick looks should shrink samples and
-    the grid.
+    `einbench/inputs.py --seed 3` writes took 5.7-6.4 s under ad and
+    5.3-5.7 s under pd as a whole CLI process, while other tenants loaded
+    the host. Tests and quick looks should shrink samples and the grid.
     """
     ps, basis = _sweep_plan(channel_family, grid, pointer_basis)
     samples, seed = _checked(matrix, samples, seed)
@@ -154,8 +161,9 @@ def _analysis(
     and the samples are one stack of sweeps (dynamics._sweeps), the
     point estimate first, so its trajectory is read and its transition found
     in lockstep with the samples'; both results are bit for bit those of the
-    separate calls. The checks run in the separate calls' order: gamma, then the
-    grid and the channel family, then the std block, samples and seed.
+    separate calls. Only the point estimate's arrays become records. The
+    checks run in the separate calls' order: gamma, then the grid and the
+    channel family, then the std block, samples and seed.
     """
     gamma = check_gamma(gamma)
     ps, basis = _sweep_plan(channel_family, grid, pointer_basis)
@@ -164,5 +172,5 @@ def _analysis(
         samples, seed = _checked(matrix, samples, seed)
         states = itertools.chain(states, _draws(matrix, samples, seed))
     trajectories = _sweeps(states, ps, basis)
-    report = _report(matrix.state, basis, gamma, *next(trajectories))
+    report = _report(matrix.state, basis, gamma, ps, *next(trajectories))
     return report, (_bands(trajectories, ps, samples, seed) if samples else None)

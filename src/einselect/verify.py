@@ -13,7 +13,7 @@ generator, one trial after another, as plain numbers: Gaussian blocks,
 uniforms and weights, never a state or basis object. Then it judges the
 drawn trials a chunk of _CHUNK at a time, each chunk in one stacked pass
 that builds the chunk's inputs as arrays first: its states A A^dag / tr
-(_states), its bases' kets from their angles (_kets), lemma1's
+(_states), its bases' kets from their angles (correlations._kets), lemma1's
 classical-quantum mixtures (_cq_states) and its tilted bases, from one
 tangent frame per pointer axis (_tilt_angles). random_density_matrix,
 random_basis and random_cq_state are the one-trial case of the same draws
@@ -25,9 +25,10 @@ with one stacked check, then maximizes them and reads their mutual
 information and J in each trial's pointer and tilted bases in one pass.
 theorem2 streams the chunk's X states through the one stacked sweep
 (dynamics._sweeps) on a constant grid: one _measure pass per chunk, whose
-arrays give the records and the jump scan, and one lockstep root search for
-the transitions. Judging draws nothing, so every trial sees the draws and
-gives the result it would in a one-trial-at-a-time loop, bit for bit.
+arrays give the jump scan and, for the judge, the records (_records), and
+one lockstep root search for the transitions. Judging draws nothing, so
+every trial sees the draws and gives the result it would in a
+one-trial-at-a-time loop, bit for bit.
 
 The four properties:
   - theorem1: the classical correlation read in the pointer basis is
@@ -56,9 +57,14 @@ from .channels import evolve, kraus_stack
 from .correlations import (
     ProjectiveBasis,
     _angles,
+    _axes,
+    _axis_distances,
+    _kets,
+    _mapped,
     _measure,
     _phi,
     _projectors,
+    _records,
     _two_qubit_stack,
     classical_correlation,
     classical_correlations,
@@ -111,36 +117,6 @@ class VerificationOutcome:
     @property
     def passed(self) -> bool:
         return self.failures == 0
-
-
-def _mapped(f, *args) -> np.ndarray:
-    """f of each element of the float sequences args, one at a time, as a float array."""
-    return np.fromiter(map(f, *args), float, len(args[0]))
-
-
-def _axes(theta, phi) -> np.ndarray:
-    """ProjectiveBasis.axis, bit for bit, of each basis with these stored angles, as (N, 3)."""
-    return np.array(
-        [
-            (math.sin(t) * math.cos(p), math.sin(t) * math.sin(p), math.cos(t))
-            for t, p in zip(theta, phi)
-        ]
-    )
-
-
-def _kets(theta, phi) -> np.ndarray:
-    """ProjectiveBasis.kets, bit for bit, of each basis with these stored angles, as (N, 2, 2).
-
-    The rows are |u_0> = (c, e s) and |u_1> = (s, -e c), with c and s the
-    cosine and sine of theta / 2 and e = e^{i phi}, each from math; numpy
-    forms e s and -e c as Python's complex product does.
-    """
-    half = (np.asarray(theta, dtype=float) / 2.0).tolist()
-    phi = np.asarray(phi, dtype=float).tolist()
-    c, s = _mapped(math.cos, half), _mapped(math.sin, half)
-    e = np.empty(len(half), dtype=complex)
-    e.real, e.imag = _mapped(math.cos, phi), _mapped(math.sin, phi)
-    return np.stack([c, e * s, s, -e * c], axis=-1).reshape(-1, 2, 2)
 
 
 def _states(gaussians: np.ndarray) -> np.ndarray:
@@ -351,7 +327,8 @@ def _theorem2_draw(rng) -> DensityMatrix:
 
 def _theorem2_sweeps(chunk) -> list:
     """Per trial: (records, transition_p) of its dephasing sweep, the chunk swept as one stack."""
-    return list(_sweeps((rho.entries for rho in chunk), _THEOREM2_GRID, ProjectiveBasis.sigma_z()))
+    swept = _sweeps((rho.entries for rho in chunk), _THEOREM2_GRID, ProjectiveBasis.sigma_z())
+    return [(tuple(_records(_THEOREM2_GRID.tolist(), *arrays)), t) for arrays, t in swept]
 
 
 def _theorem2_judge(chunk) -> list:
@@ -421,15 +398,13 @@ def _lemma1_measure(chunk):
 
 def _lemma1_judge(chunk) -> list:
     j_max, axes, mutual, j = _lemma1_measure(chunk)
-    # The argmax and pointer axes, as ProjectiveBasis.axis gives them from stored angles.
-    found = _axes(*zip(*_angles(axes)))
+    # basis_distance of the argmax and pointer bases, from their stored angles.
     pointers = _axes(*_basis_angles([uniforms for uniforms, _, _, _ in chunk]))
+    angles = _axis_distances(_axes(*zip(*_angles(axes))), pointers)
     results = []
-    for a, n, value, mi, (j_pointer, *j_tilted) in zip(
-        found, pointers, j_max.tolist(), mutual.tolist(), j.tolist()
+    for angle, value, mi, (j_pointer, *j_tilted) in zip(
+        angles.tolist(), j_max.tolist(), mutual.tolist(), j.tolist()
     ):
-        # basis_distance of the two axes
-        angle = math.acos(min(abs(float(np.dot(a, n))), 1.0))
         value_dev = abs(value - mi)
         violation = max(
             max(0.0, angle - LEMMA1_ANGLE_TOL),

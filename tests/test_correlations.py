@@ -110,6 +110,54 @@ def test_kets_are_orthonormal_and_complete():
     np.testing.assert_allclose(p0 + p1, np.eye(2), atol=1e-14)
 
 
+def _scalar_axis(theta, phi):
+    # ProjectiveBasis.axis as a one-basis formula, sines and cosines from math.
+    return np.array(
+        [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+    )
+
+
+def _scalar_kets(theta, phi):
+    # ProjectiveBasis.kets as a one-basis formula, with Python's complex products.
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    e = complex(math.cos(phi), math.sin(phi))
+    return np.array([[c, e * s], [s, -e * c]], dtype=complex)
+
+
+def _stored_bases(seed, count):
+    # The named bases, the south pole, and bases uniform on the sphere.
+    rng = np.random.default_rng(seed)
+    bases = [ProjectiveBasis.sigma_z(), ProjectiveBasis.sigma_x(), ProjectiveBasis.sigma_y()]
+    bases.append(ProjectiveBasis(math.pi, 0.0))
+    for u, v in rng.uniform((-1.0, 0.0), (1.0, 2.0 * math.pi), (count, 2)).tolist():
+        bases.append(ProjectiveBasis(math.acos(u), v))
+    return bases
+
+
+def test_basis_axis_and_kets_are_rows_of_the_stacked_formulas():
+    # ProjectiveBasis.axis and kets are the N = 1 case of _axes and _kets: every
+    # row of a stack is its basis's, and the one-basis formulas', bit for bit.
+    bases = _stored_bases(12, 300)
+    theta, phi = [b.theta for b in bases], [b.phi for b in bases]
+    axes, kets = correlations._axes(theta, phi), correlations._kets(theta, phi)
+    assert axes.tobytes() == np.array([b.axis for b in bases]).tobytes()
+    assert axes.tobytes() == np.array([_scalar_axis(b.theta, b.phi) for b in bases]).tobytes()
+    assert kets.tobytes() == np.array([b.kets() for b in bases]).tobytes()
+    assert kets.tobytes() == np.array([_scalar_kets(b.theta, b.phi) for b in bases]).tobytes()
+
+
+def test_axis_distances_are_basis_distances_bit_for_bit():
+    # acos(min(|a . b|, 1)) with np.dot's dot product and math's acos, row by
+    # row; equal and antipodal axes give 0.
+    a, b = _stored_bases(13, 200), _stored_bases(14, 200)
+    b[4:8] = a[4:8]
+    b[8:12] = [ProjectiveBasis(math.pi - x.theta, x.phi + math.pi) for x in a[8:12]]
+    expected = [math.acos(min(abs(float(np.dot(x.axis, y.axis))), 1.0)) for x, y in zip(a, b)]
+    got = correlations._axis_distances(np.array([x.axis for x in a]), np.array([y.axis for y in b]))
+    assert got.tolist() == expected == [basis_distance(x, y) for x, y in zip(a, b)]
+    assert max(expected[4:12]) < 1e-7
+
+
 def test_basis_distance_identifies_antipodes():
     assert basis_distance(ProjectiveBasis.sigma_z(), ProjectiveBasis.sigma_x()) == pytest.approx(
         math.pi / 2, abs=1e-12

@@ -37,7 +37,7 @@ from einselect import (
     x_state_params,
 )
 from einselect.channels import evolve, kraus_stack
-from einselect.correlations import classical_correlations
+from einselect.correlations import _angles, _kets, classical_correlations
 from einselect import dynamics
 from einselect.dynamics import BASIS_FLOOR, JUMP_THRESHOLD, _crossings, _sweep_plan, _sweeps, max_increase
 from einselect.verify import random_density_matrix
@@ -321,20 +321,29 @@ def test_jump_matches_the_pairwise_scan_and_sweeps_build_two_bases_per_jump(stat
     assert found == [True, False, True, True]
     monkeypatch.undo()
 
-    # A three-chunk stacked sweep builds the bases of each jump's two records
-    # and no others: the scan reads the maximizer's axes.
+    # A three-chunk stacked sweep builds the kets of each jump's two records
+    # and no others, and no ProjectiveBasis: the scan reads the maximizer's
+    # axes, and the kets are the pairwise scan's, bit for bit.
     plan = _sweep_plan("pd", np.linspace(0.0, 1.0, 21), None)
-    entries = np.array([rho.entries for rho in _mixed_states()])
+    states = _mixed_states()
     built = []
 
-    def counting_basis(*args):
-        built.append(args)
-        return ProjectiveBasis(*args)
+    def counting_kets(theta, phi):
+        built.append(_kets(theta, phi))
+        return built[-1]
 
-    monkeypatch.setattr(dynamics, "ProjectiveBasis", counting_basis)
+    def no_basis(*args):
+        pytest.fail("the sweep built a ProjectiveBasis")
+
+    monkeypatch.setattr(dynamics, "_kets", counting_kets)
+    monkeypatch.setattr(dynamics, "ProjectiveBasis", no_basis)
     monkeypatch.setattr(dynamics, "_SWEEP_STATES", 5 * 21)
-    jumps = sum(t is not None for _, t in _sweeps(entries, *plan))
-    assert 0 < len(built) <= 2 * jumps
+    jumps = sum(t is not None for _, t in _sweeps(np.array([rho.entries for rho in states]), *plan))
+    monkeypatch.undo()
+    expected = [_jump_reference(sweep(rho, "pd", plan[0]).records) for rho in states]
+    expected = [jump[2] for jump in expected if jump is not None]
+    assert 0 < len(expected) == jumps
+    assert np.concatenate(built).tobytes() == np.concatenate(expected).tobytes()
 
 
 def test_max_increase():
@@ -461,6 +470,16 @@ def _hex(records, transition_p):
     ]
 
 
+def _arrays_hex(ps, arrays, transition_p):
+    # A trajectory that _sweeps yields, laid out as _hex lays out its records.
+    j_max, axes, mutual, j, discord = arrays
+    theta, phi = zip(*_angles(axes))
+    columns = (ps, j[:, 0], j[:, 1], j_max, theta, phi, mutual, discord)
+    return [None if transition_p is None else transition_p.hex()] + [
+        [float(value).hex() for value in point] for point in zip(*columns)
+    ]
+
+
 def _mixed_states():
     # Reference X states with and without a transition, general states, and
     # X states drawn as theorem2 draws them.
@@ -489,13 +508,14 @@ def test_stacked_sweeps_equal_the_per_state_sweeps(family, grid, monkeypatch):
     entries = np.array([rho.entries for rho in states])
     stacked = list(_sweeps(entries, *_sweep_plan(family, grid, pointer)))
     assert len(stacked) == len(states)
-    for rho, (records, transition_p) in zip(states, stacked):
+    for rho, (arrays, transition_p) in zip(states, stacked):
         report = sweep(rho, family, grid, pointer_basis=pointer)
-        assert _hex(records, transition_p) == _hex(report.records, report.transition_p)
-        _assert_meets_the_bisection(transition_p, _bisection_reference(rho, family, records, pointer))
+        assert _arrays_hex(grid, arrays, transition_p) == _hex(report.records, report.transition_p)
+        reference = _bisection_reference(rho, family, report.records, pointer)
+        _assert_meets_the_bisection(transition_p, reference)
     # A generator of the same entries is read a chunk at a time to the same sweeps.
     streamed = list(_sweeps((rho.entries for rho in states), *_sweep_plan(family, grid, pointer)))
-    assert [_hex(*t) for t in streamed] == [_hex(*t) for t in stacked]
+    assert [_arrays_hex(grid, *t) for t in streamed] == [_arrays_hex(grid, *t) for t in stacked]
 
 
 @pytest.mark.parametrize("grid", sorted(GRIDS))
@@ -508,6 +528,22 @@ def test_detect_transition_on_the_records_is_the_sweeps_transition(family, grid)
         report = sweep(rho, family, GRIDS[grid], pointer_basis=pointer)
         again = detect_transition(rho, family, report.records, pointer_basis=pointer)
         assert _hex((), again) == _hex((), report.transition_p)
+
+
+@pytest.mark.parametrize(
+    "field, value, text",
+    [
+        ("opt_theta", math.nan, "theta must be a finite number, got nan"),
+        ("opt_phi", math.inf, "phi must be a finite number, got inf"),
+        ("opt_theta", 4.0, r"theta must lie in \[0, pi\], got 4.0"),
+    ],
+)
+def test_detect_transition_refuses_a_record_angle_that_no_basis_stores(state1, field, value, text):
+    # The records' angles are checked as a ProjectiveBasis checks its own.
+    records = list(sweep(state1, "pd", np.linspace(0.0, 1.0, 21)).records)
+    records[9] = dataclasses.replace(records[9], **{field: value})
+    with pytest.raises(InvalidInputError, match=f"^{text}$"):
+        detect_transition(state1, "pd", records)
 
 
 def _unread():
@@ -551,7 +587,8 @@ def test_lockstep_brackets_close_on_their_own(monkeypatch):
     assert sizes[0] == 2 * brackets
     steps = sizes[1:]
     assert steps == sorted(steps, reverse=True) and len(set(steps)) > 1
-    for rho, (records, transition_p) in zip(states, stacked):
+    for rho, (_, transition_p) in zip(states, stacked):
+        records = sweep(rho, "pd", GRIDS["squares"]).records
         _assert_meets_the_bisection(transition_p, _bisection_reference(rho, "pd", records))
 
 
@@ -698,6 +735,39 @@ def test_system_rotations_change_no_record_field(family):
                         ProjectiveBasis(b.opt_theta, b.opt_phi),
                     )
                     assert turn <= 1e-6, (a.p, turn)
+
+
+def _assert_same_invariants(base, rotated):
+    # J_max, I and the discord, the regime and the transition of two sweeps.
+    assert rotated.regime == base.regime
+    assert (rotated.transition_p is None) == (base.transition_p is None)
+    if base.transition_p is not None:
+        assert rotated.transition_p == pytest.approx(base.transition_p, abs=1e-7)
+    for a, b in zip(base.records, rotated.records):
+        for name in ("j_max", "mutual_info", "discord"):
+            assert getattr(b, name) == pytest.approx(getattr(a, name), abs=1e-12)
+
+
+def test_apparatus_rotations_carry_pd_to_the_pointer_family_and_commute_with_ad():
+    # With U = (|u_0> |u_1>) the apparatus unitary of the basis (theta, phi),
+    # the pointer family on that basis is U pd U^dag, so it sweeps
+    # (I x U) rho (I x U)^dag as pd sweeps rho; ad commutes with apparatus
+    # z-rotations. J_max, I and the discord are local-unitary invariants, so
+    # they agree to rounding, and transition_p to the search's precision.
+    rng = np.random.default_rng(57)
+    grid = np.linspace(0.0, 1.0, 21)
+    states = [make_x_state(STATE_1)] + [random_density_matrix(rng) for _ in range(4)]
+    for rho in states:
+        base_pd, base_ad = sweep(rho, "pd", grid), sweep(rho, "ad", grid)
+        for _ in range(3):
+            theta, phi = math.acos(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi)
+            basis = ProjectiveBasis(theta, phi)
+            u = np.kron(np.eye(2), basis.kets().T)
+            rotated = DensityMatrix(u @ rho.entries @ u.conj().T)
+            _assert_same_invariants(base_pd, sweep(rotated, "pointer", grid, pointer_basis=basis))
+            r = np.kron(np.eye(2), np.diag([1.0, np.exp(1j * rng.uniform(0.0, 2 * math.pi))]))
+            rotated = DensityMatrix(r @ rho.entries @ r.conj().T)
+            _assert_same_invariants(base_ad, sweep(rotated, "ad", grid))
 
 
 def test_maximal_correlation_and_mutual_information_never_rise_along_p():

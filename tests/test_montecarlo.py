@@ -15,7 +15,9 @@ from einselect import (
     sweep,
     write_matrix_file,
 )
-from einselect import dynamics, montecarlo
+from einselect import correlations, dynamics, montecarlo
+from einselect.correlations import DISCORD_CLAMP, CorrelationRecord
+from einselect.errors import OptimizationError
 from einselect.dynamics import DEFAULT_GRID_POINTS
 from einselect.matrixio import bands_payload, float_range_guard, json_text, project_to_physical
 from einselect.verify import random_density_matrix
@@ -106,6 +108,44 @@ def test_bands_over_many_chunks_equal_the_per_sample_sweeps(tmp_path, monkeypatc
     expected = _bands_reference(parsed, family, grid, 7, 5, pointer)
     assert 0 < expected.transition_count < 7
     assert_bands_equal(bands, expected)
+
+
+def test_bands_build_no_record_and_a_banded_analysis_only_its_point_estimates(
+    tmp_path, monkeypatch
+):
+    # The bands read the sweep's arrays; only a returned trajectory has records.
+    parsed = matrix_file(tmp_path, 0.02)
+    built = []
+
+    def counted(*fields):
+        built.append(fields[0])
+        return CorrelationRecord(*fields)
+
+    monkeypatch.setattr(correlations, "CorrelationRecord", counted)
+    monkeypatch.setattr(dynamics, "_SWEEP_STATES", 2 * GRID_11.size)
+    monte_carlo_bands(parsed, "ad", GRID_11, samples=5, seed=2)
+    assert built == []
+    report, _ = montecarlo._analysis(
+        parsed, "ad", GRID_11, gamma=1.0, samples=5, seed=2, pointer_basis=None
+    )
+    assert built == GRID_11.tolist() == [r.p for r in report.records]
+
+
+def test_a_sample_whose_maximum_exceeds_its_mutual_information_is_refused(tmp_path, monkeypatch):
+    # The discord check runs on every sample's arrays, as it ran on its records,
+    # so the text names the discord, the first value below -DISCORD_CLAMP.
+    parsed = matrix_file(tmp_path, 0.02)
+    measure = correlations._measure
+
+    def exceeding(m, eigenvalues, kets):
+        j_max, axes, mutual, j = measure(m, eigenvalues, kets)
+        j_max[3] = mutual[3] + 3.0 * DISCORD_CLAMP
+        return j_max, axes, mutual, j
+
+    monkeypatch.setattr(correlations, "_measure", exceeding)
+    text = r"^discord evaluated to -3\.000e-06, below -1e-06$"
+    with pytest.raises(OptimizationError, match=text):
+        monte_carlo_bands(parsed, "ad", GRID_11, samples=3, seed=2)
 
 
 def test_bands_refuse_a_grid_that_is_not_increasing(tmp_path):
