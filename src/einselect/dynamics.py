@@ -27,12 +27,15 @@ states stream as one stack through the one stacked sweep (_sweeps), which
 yields each state's arrays (the maximizer's j_max and argmax axes, the mutual
 information, j_z and j_x, the checked discord) and transition, bit for bit
 those of its own sweep. Records are built only for a trajectory that is
-returned (_report, theorem2's judge); the Monte Carlo bands read the arrays.
-A chunk's jump scan (_jump, one vector pass over neighbouring argmax axes)
-and root search (_transitions) read the grid and the same arrays, the kets
-of a jump's two bases coming from their stored angles (_angles, then
-_kets); detect_transition, which is handed records, rebuilds the axes from
-their stored angles (_axes) and hands those angles on.
+returned (_report); the Monte Carlo bands and the verify suites read the
+arrays. A chunk's jump scan (_jump, one vector pass over neighbouring argmax
+axes) and root search (_transitions) read the grid and the same arrays, the
+kets of a jump's two bases coming from their stored angles (_angles, then
+_kets); detect_transition, which is handed records, checks their p as a
+grid (_grid), rebuilds the axes from their stored angles (_axes) and hands
+those angles on. A trajectory's verdicts are array rules over its grid and
+j_max too: its regime (_regime, whose record edge is classify_regime), the
+plateau tail at or after its transition (_tail) and its largest rise (_rise).
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ class TrajectoryReport:
 
     @property
     def regime(self) -> str:
-        """The trajectory's regime, classify_regime(records, transition_p)."""
+        """The trajectory's regime, classify_regime(records, transition_p) (_regime)."""
         return classify_regime(self.records, self.transition_p)
 
     @property
@@ -330,54 +333,61 @@ def detect_transition(
     the two competing bases' correlation values down to an interval of 1e-12
     in p (_crossings). Records whose j_max is at or below BASIS_FLOOR carry
     no basis information and never anchor a jump. Returns None when the
-    argmax basis never jumps. The records' angles are checked and kept as a
-    basis keeps them (_stored_angles), which refuses a non-finite angle or a
-    theta outside [0, pi], and the axes are rebuilt from them (_axes), the
-    one place that does so; then the stacked root search that sweeps run
-    (_transitions) takes this one trajectory, with the records' p as its
-    grid and their stored angles.
+    argmax basis never jumps, or when there are no records. The channel
+    family is checked first. The records' p must be a grid that a sweep
+    accepts (_grid: finite, within [0, 1], strictly increasing). Their angles
+    are checked and kept as a basis keeps them (_stored_angles), which
+    refuses a non-finite angle or a theta outside [0, pi], and the axes are
+    rebuilt from them (_axes), the one place that does so; then the stacked
+    root search that sweeps run (_transitions) takes this one trajectory,
+    with the records' p as its grid and their stored angles.
     """
     basis = _dephasing_basis(channel_family, pointer_basis)
-    ps = np.array([r.p for r in records], dtype=float)
+    if not records:
+        return None
+    ps = _grid([r.p for r in records])
     j_max = np.array([[r.j_max for r in records]])
     angles = np.reshape([_stored_angles(r.opt_theta, r.opt_phi) for r in records], (1, -1, 2))
     return _transitions(rho0.entries[None], basis, ps, j_max, _axes(*angles[0].T)[None], angles)[0]
 
 
-def _after_transition(records: Sequence[CorrelationRecord], transition_p: float) -> list:
-    """The records at or after transition_p (to _BRACKET_WIDTH in p), where the plateau is read."""
-    # transition_p is a closed bracket's midpoint: a record on the crossing's grid point stays.
-    return [r for r in records if r.p >= transition_p - _BRACKET_WIDTH]
+def _tail(ps: np.ndarray, transition_p: float) -> np.ndarray:
+    """The plateau tail: a mask of the grid points at or after transition_p, to _BRACKET_WIDTH."""
+    # transition_p is a closed bracket's midpoint: the crossing's own grid point stays.
+    return ps >= transition_p - _BRACKET_WIDTH
+
+
+def _regime(ps: np.ndarray, j_max: np.ndarray, transition_p: Optional[float]) -> str:
+    """One of the four regimes of a trajectory with grid ps and maxima j_max, both (N,), N >= 1.
+
+    The plateau test checks whether max - min of j_max stays below PLATEAU_TOL,
+    over the whole range when no transition was detected and over the tail
+    (_tail) otherwise. Monotonicity of j_max is a theorem-level property
+    verified by the property suites, not part of the label choice.
+    """
+    if transition_p is None:
+        spread = j_max.max() - j_max.min()
+        return REGIME_CONSTANT if spread < PLATEAU_TOL else REGIME_MONOTONIC_DECAY
+    tail = j_max[_tail(ps, transition_p)]
+    if not tail.size:
+        return REGIME_SUDDEN_CHANGE
+    plateau = tail.max() - tail.min() < PLATEAU_TOL
+    return REGIME_DECAY_THEN_CONSTANT if plateau else REGIME_SUDDEN_CHANGE
 
 
 def classify_regime(
     records: Sequence[CorrelationRecord], transition_p: Optional[float]
 ) -> str:
-    """Assign one of the four trajectory regimes.
-
-    The plateau test checks whether max - min of j_max stays below PLATEAU_TOL,
-    over the whole range when no transition was detected and over
-    p >= transition_p otherwise. Monotonicity of j_max is a theorem-level
-    property verified by the property suites, not part of the label choice.
-    """
+    """Assign one of the four trajectory regimes: _regime of the records' p and j_max."""
     if not records:
         raise InvalidInputError("cannot classify an empty record list")
-    if transition_p is None:
-        j = [r.j_max for r in records]
-        return REGIME_CONSTANT if max(j) - min(j) < PLATEAU_TOL else REGIME_MONOTONIC_DECAY
-    tail = [r.j_max for r in _after_transition(records, transition_p)]
-    if not tail:
-        return REGIME_SUDDEN_CHANGE
-    plateau = max(tail) - min(tail) < PLATEAU_TOL
-    return REGIME_DECAY_THEN_CONSTANT if plateau else REGIME_SUDDEN_CHANGE
+    ps, j_max = np.array([r.p for r in records]), np.array([r.j_max for r in records])
+    return _regime(ps, j_max, transition_p)
 
 
-def max_increase(records: Sequence[CorrelationRecord]) -> float:
-    """Largest consecutive increase of j_max along the sweep (0 when none)."""
-    worst = 0.0
-    for before, after in zip(records, records[1:]):
-        worst = max(worst, after.j_max - before.j_max)
-    return worst
+def _rise(j_max: np.ndarray) -> float:
+    """Largest consecutive increase of j_max (N,) along its grid, 0.0 when none."""
+    return max([0.0] + np.diff(j_max).tolist())
 
 
 def emergence_time(params: XStateParams, gamma: float = 1.0) -> Optional[EmergenceResult]:
@@ -413,11 +423,11 @@ def emergence_time(params: XStateParams, gamma: float = 1.0) -> Optional[Emergen
 _SWEEP_STATES = 1024
 
 
-def _sweep_plan(channel_family: str, grid, pointer_basis: Optional[ProjectiveBasis]):
-    """A sweep's checked grid and dephasing basis: (ps, basis), the one check of both.
+def _grid(grid) -> np.ndarray:
+    """A checked grid as its own float copy (None: DEFAULT_GRID_POINTS strengths on [0, 1]).
 
-    ps is the grid's own float copy (None: DEFAULT_GRID_POINTS strengths on
-    [0, 1]); the grid is checked before the channel family.
+    The one grid rule: a nonempty 1-d sequence of finite strengths within
+    [0, 1], strictly increasing.
     """
     ps = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS) if grid is None else np.array(grid, dtype=float)
     if ps.ndim != 1 or ps.size == 0:
@@ -428,7 +438,15 @@ def _sweep_plan(channel_family: str, grid, pointer_basis: Optional[ProjectiveBas
         raise InvalidInputError("grid must lie within [0, 1]")
     if np.any(np.diff(ps) <= 0.0):
         raise InvalidInputError("grid must be strictly increasing")
-    return ps, _dephasing_basis(channel_family, pointer_basis)
+    return ps
+
+
+def _sweep_plan(channel_family: str, grid, pointer_basis: Optional[ProjectiveBasis]):
+    """A sweep's checked grid and dephasing basis: (ps, basis), the one check of both.
+
+    ps is _grid's; the grid is checked before the channel family.
+    """
+    return _grid(grid), _dephasing_basis(channel_family, pointer_basis)
 
 
 def _sweeps(states, ps: np.ndarray, basis: Optional[ProjectiveBasis]):

@@ -284,8 +284,8 @@ STATE_1 = XStateParams(c=0.4, b=0.1, z=0.1, w=0.4)
 STATE_2 = XStateParams(c=0.4, b=0.1, z=0.1, w=0.15)
 
 
-def make_x_state(params: XStateParams) -> DensityMatrix:
-    """Build the X-state density matrix for the given parameters.
+def _x_entries(params: XStateParams) -> np.ndarray:
+    """The (4, 4) complex entries of the X state with the given parameters, unchecked.
 
     Layout in the |00>, |01>, |10>, |11> basis (system qubit first):
     diagonal (c, b, b, c), entries [0,3] = [3,0] = w, [1,2] = [2,1] = z.
@@ -296,7 +296,12 @@ def make_x_state(params: XStateParams) -> DensityMatrix:
     m[1, 1] = m[2, 2] = b
     m[0, 3] = m[3, 0] = w
     m[1, 2] = m[2, 1] = z
-    return DensityMatrix(m)
+    return m
+
+
+def make_x_state(params: XStateParams) -> DensityMatrix:
+    """Build the X-state density matrix for the given parameters (_x_entries)."""
+    return DensityMatrix(_x_entries(params))
 
 
 def x_state_params(rho: DensityMatrix) -> XStateParams | None:

@@ -23,10 +23,13 @@ in their own pointer bases with one check, and forms every block
 Pi_i rho Pi_i in one broadcast product. lemma1 checks the chunk's states
 with one stacked check, then maximizes them and reads their mutual
 information and J in each trial's pointer and tilted bases in one pass.
-theorem2 streams the chunk's X states through the one stacked sweep
-(dynamics._sweeps) on a constant grid: one _measure pass per chunk, whose
-arrays give the jump scan and, for the judge, the records (_records), and
-one lockstep root search for the transitions. Judging draws nothing, so
+theorem2 draws its X states as entries (qstate._x_entries) and streams the
+chunk's through the one stacked sweep (dynamics._sweeps) on a constant grid:
+one _measure pass per chunk, whose arrays give the jump scan and the
+judge's verdicts (dynamics._regime, _tail and _rise, the rules a record's
+trajectory is judged by too), and one lockstep root search for the
+transitions. The remark reads the same arrays of its one sweep, so no suite
+builds a CorrelationRecord. Judging draws nothing, so
 every trial sees the draws and gives the result it would in a
 one-trial-at-a-time loop, bit for bit.
 
@@ -55,6 +58,7 @@ import numpy as np
 
 from .channels import evolve, kraus_stack
 from .correlations import (
+    _SIGMA_ZX,
     ProjectiveBasis,
     _angles,
     _axes,
@@ -64,24 +68,22 @@ from .correlations import (
     _measure,
     _phi,
     _projectors,
-    _records,
     _two_qubit_stack,
-    classical_correlation,
     classical_correlations,
 )
 from .dynamics import (
     REGIME_CONSTANT,
     REGIME_DECAY_THEN_CONSTANT,
     REGIME_MONOTONIC_DECAY,
-    _after_transition,
     _count,
+    _regime,
+    _rise,
     _seed,
+    _sweep_plan,
     _sweeps,
-    classify_regime,
-    max_increase,
-    sweep,
+    _tail,
 )
-from .qstate import DensityMatrix, XStateParams, make_x_state, remark_state
+from .qstate import DensityMatrix, XStateParams, _x_entries, remark_state
 
 _I2 = np.eye(2, dtype=complex)
 
@@ -316,36 +318,35 @@ def verify_theorem1(trials: int = 1000, seed: int = 42) -> VerificationOutcome:
     return _run_trials("theorem1", trials, seed, _theorem1_draw, _theorem1_judge)
 
 
-def _theorem2_draw(rng) -> DensityMatrix:
-    """An X state with positive pointer correlation, J_z > 1e-3 (redrawn until so)."""
-    sigma_z = ProjectiveBasis.sigma_z()
-    rho = make_x_state(random_x_state_params(rng))
-    while classical_correlation(rho, sigma_z) <= 1e-3:
-        rho = make_x_state(random_x_state_params(rng))
-    return rho
+def _theorem2_draw(rng) -> np.ndarray:
+    """The (4, 4) entries of an X state with positive pointer correlation, J_z > 1e-3.
 
-
-def _theorem2_sweeps(chunk) -> list:
-    """Per trial: (records, transition_p) of its dephasing sweep, the chunk swept as one stack."""
-    swept = _sweeps((rho.entries for rho in chunk), _THEOREM2_GRID, ProjectiveBasis.sigma_z())
-    return [(tuple(_records(_THEOREM2_GRID.tolist(), *arrays)), t) for arrays, t in swept]
+    The state is redrawn until J_z, read in the sigma_z kets of _SIGMA_ZX, is so.
+    """
+    m = _x_entries(random_x_state_params(rng))
+    while classical_correlations(m[None], _SIGMA_ZX[:1])[0, 0] <= 1e-3:
+        m = _x_entries(random_x_state_params(rng))
+    return m
 
 
 def _theorem2_judge(chunk) -> list:
+    """(ok, violation) per trial, from the arrays of the chunk's dephasing sweeps (one stack)."""
     results = []
-    for records, transition_p in _theorem2_sweeps(chunk):
-        regime = classify_regime(records, transition_p)
+    for (j_max, _, _, j, _), transition_p in _sweeps(
+        chunk, _THEOREM2_GRID, ProjectiveBasis.sigma_z()
+    ):
+        regime = _regime(_THEOREM2_GRID, j_max, transition_p)
         ok = regime in (REGIME_CONSTANT, REGIME_DECAY_THEN_CONSTANT)
-        increase = max_increase(records)
+        increase = _rise(j_max)
         violation = max(0.0, increase - THEOREM2_MONOTONE_SLACK)
         if increase > THEOREM2_MONOTONE_SLACK:
             ok = False
         if regime == REGIME_DECAY_THEN_CONSTANT:
-            # classify_regime gives this regime only with a transition.
+            # _regime gives this regime only with a transition.
             if not transition_p < 1.0:
                 ok = False
-            tail = _after_transition(records, transition_p)
-            level_dev = max(abs(r.j_max - r.j_z) for r in tail)
+            tail = _tail(_THEOREM2_GRID, transition_p)
+            level_dev = max(np.abs(j_max[tail] - j[tail, 0]).tolist())
             violation = max(violation, max(0.0, level_dev - THEOREM2_PLATEAU_TOL))
             if level_dev > THEOREM2_PLATEAU_TOL:
                 ok = False
@@ -436,32 +437,32 @@ def verify_remark(grid=None) -> VerificationOutcome:
     """The zero-pointer-correlation counterexample behaves as claimed.
 
     Sweeps (I + sigma_x x sigma_x)/4 through sigma_z dephasing on grid
-    (sweep's default grid when None) and checks: J in the pointer basis
-    vanishes (< 1e-12) at every strength, the maximal correlation is positive
-    before p = 1, strictly decreasing, and gone at p = 1, and the trajectory
-    classifies as monotonic decay with no plateau and no finite transition -
-    so theorem2's positive-pointer-correlation hypothesis is necessary.
+    (sweep's default grid when None) and checks, on the sweep's arrays: J in
+    the pointer basis vanishes (< 1e-12) at every strength, the maximal
+    correlation is positive before p = 1, strictly decreasing, and gone at
+    p = 1, and the trajectory classifies as monotonic decay (_regime) with no
+    plateau and no finite transition - so theorem2's
+    positive-pointer-correlation hypothesis is necessary.
     """
-    report = sweep(remark_state(), "pd", grid)
-    records = report.records
+    ps, basis = _sweep_plan("pd", grid, None)
+    ((arrays, transition_p),) = _sweeps(remark_state().entries[None], ps, basis)
+    j_max, _, _, j, _ = arrays
 
-    worst_jz = max(abs(r.j_z) for r in records)
-    interior = [r.j_max for r in records if r.p < 1.0]
+    worst_jz = max(np.abs(j[:, 0]).tolist())
+    interior = j_max[ps < 1.0].tolist()
     min_interior = min(interior) if interior else 1.0
-    strictly_decreasing = all(
-        after.j_max < before.j_max for before, after in zip(records, records[1:])
-    )
-    final = records[-1].j_max if records[-1].p == 1.0 else 0.0
-    regime_ok = report.regime == REGIME_MONOTONIC_DECAY and report.transition_p is None
+    strictly_decreasing = bool(np.all(j_max[1:] < j_max[:-1]))
+    final = j_max[-1].item() if ps[-1] == 1.0 else 0.0
+    regime_ok = _regime(ps, j_max, transition_p) == REGIME_MONOTONIC_DECAY and transition_p is None
 
     checks = [
         (not worst_jz > REMARK_POINTER_TOL, worst_jz if worst_jz > REMARK_POINTER_TOL else 0.0),
         (not min_interior <= 0.0, max(0.0, -min_interior)),
-        (strictly_decreasing, max_increase(records)),
+        (strictly_decreasing, _rise(j_max)),
         (not final > 1e-9, final if final > 1e-9 else 0.0),
         (regime_ok, 0.0),
     ]
-    return _outcome("remark", len(records), 0, checks)
+    return _outcome("remark", ps.size, 0, checks)
 
 
 SUITES = ("theorem1", "theorem2", "lemma1", "remark")

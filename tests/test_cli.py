@@ -249,12 +249,14 @@ def test_verify_refuses_a_negative_seed(capsys, suite):
 
 def test_verify_calls_the_suites_through_the_cli_module(capsys, monkeypatch):
     # einbench/tracer.py wraps the suites by rebinding these module attributes,
-    # so a dispatch that bypasses them would hide every suite call from it
+    # so a dispatch that bypasses them would hide every suite call from it.
+    # A drawn suite gets only the flags that were given, so it keeps its own
+    # default for the others.
     calls = []
 
     def stub(name):
         def suite(*args, **kwargs):
-            calls.append(name)
+            calls.append((name, args, kwargs))
             return VerificationOutcome(name, 1, 0, 0.0, 0)
 
         return suite
@@ -263,7 +265,18 @@ def test_verify_calls_the_suites_through_the_cli_module(capsys, monkeypatch):
         monkeypatch.setattr(f"einselect.cli.verify_{name}", stub(name))
     code, _, _ = run(capsys, "verify", "--suite", "all", "--trials", "1")
     assert code == 0
-    assert calls == ["theorem1", "theorem2", "lemma1", "remark"]
+    assert [name for name, _, _ in calls] == ["theorem1", "theorem2", "lemma1", "remark"]
+    assert [kwargs for _, _, kwargs in calls[:3]] == [{"trials": 1}] * 3
+    calls.clear()
+    given = [
+        ((), {}),
+        (("--seed", "4"), {"seed": 4}),
+        (("--trials", "2", "--seed", "0"), {"trials": 2, "seed": 0}),
+    ]
+    for flags, kwargs in given:
+        code, _, _ = run(capsys, "verify", "--suite", "theorem2", *flags)
+        assert code == 0
+        assert calls.pop() == ("theorem2", (), kwargs)
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

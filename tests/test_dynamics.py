@@ -39,7 +39,7 @@ from einselect import (
 from einselect.channels import evolve, kraus_stack
 from einselect.correlations import _angles, _kets, classical_correlations
 from einselect import dynamics
-from einselect.dynamics import BASIS_FLOOR, JUMP_THRESHOLD, _crossings, _sweep_plan, _sweeps, max_increase
+from einselect.dynamics import BASIS_FLOOR, JUMP_THRESHOLD, _crossings, _rise, _sweep_plan, _sweeps
 from einselect.verify import random_density_matrix
 
 TAU_E_STATE_1 = math.log(5.0 / 3.0)  # ln |(z+w)/(c-b)| = ln(0.5/0.3)
@@ -265,6 +265,34 @@ def test_detect_transition_requires_a_real_jump(state1):
     assert sweep(state1, "pd", [0.5]).transition_p is None
 
 
+@pytest.mark.parametrize("family, points", [("pd", 8), ("ad", 11)])
+def test_detect_transition_refuses_records_whose_p_is_no_grid(family, points):
+    # Records in reverse order, with a repeated p, with a NaN p outside the
+    # jump's bracket or with a p above 1 are refused as a sweep refuses such
+    # a grid, not read as a transition.
+    if family == "pd":
+        rho = make_x_state(STATE_1)
+    else:
+        rho = random_density_matrix(np.random.default_rng(0))
+    records = sweep(rho, family, np.linspace(0.0, 1.0, points)).records
+    assert detect_transition(rho, family, records) is not None
+    nan = dataclasses.replace(records[0], p=math.nan)
+    above = dataclasses.replace(records[-1], p=1.5)
+    refused = [
+        (records[::-1], "^grid must be strictly increasing$"),
+        (records[:4] + records[3:], "^grid must be strictly increasing$"),
+        ((nan,) + records[1:], "^grid points must be finite numbers$"),
+        (records[:-1] + (above,), r"^grid must lie within \[0, 1\]$"),
+    ]
+    for bad, text in refused:
+        with pytest.raises(InvalidInputError, match=text):
+            detect_transition(rho, family, bad)
+        # The channel family is still checked first.
+        with pytest.raises(InvalidInputError, match="^unknown channel family"):
+            detect_transition(rho, "depolarizing", bad)
+    assert detect_transition(rho, family, []) is None
+
+
 def _jump_reference(records):
     # the scan as it ran pair by pair, building both records' bases each time
     for before, after in zip(records, records[1:]):
@@ -347,10 +375,10 @@ def test_jump_matches_the_pairwise_scan_and_sweeps_build_two_bases_per_jump(stat
 
 
 def test_max_increase():
-    rising = [record(0.0, 0.1), record(0.5, 0.4), record(1.0, 0.2)]
-    assert max_increase(rising) == pytest.approx(0.3, abs=1e-15)
-    falling = [record(0.0, 0.4), record(1.0, 0.2)]
-    assert max_increase(falling) == 0.0
+    rising = np.array([0.1, 0.4, 0.2])
+    assert _rise(rising) == pytest.approx(0.3, abs=1e-15)
+    falling = np.array([0.4, 0.2])
+    assert _rise(falling) == 0.0
 
 
 def test_trajectory_report_validation():

@@ -1,5 +1,5 @@
+import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,12 +7,12 @@ import pytest
 from einselect import (
     REGIME_CONSTANT,
     REGIME_DECAY_THEN_CONSTANT,
-    REGIME_MONOTONIC_DECAY,
     DensityMatrix,
     InvalidInputError,
     ProjectiveBasis,
     VerificationOutcome,
     apply_to_apparatus,
+    CorrelationRecord,
     basis_distance,
     classical_correlation,
     make_x_state,
@@ -30,8 +30,7 @@ from einselect import (
     verify_theorem1,
     verify_theorem2,
 )
-from einselect import correlations, qstate, verify
-from einselect.dynamics import max_increase
+from einselect import correlations, dynamics, qstate, verify
 from einselect.verify import trace_distance
 
 
@@ -145,18 +144,26 @@ def test_suites_build_no_basis_object_per_draw(monkeypatch):
     # theorem1 reads its pointer kets from angles, and lemma1 its pointer and
     # tilted kets, so neither builds a ProjectiveBasis per drawn basis; lemma1's
     # judge may build one per trial to compare its argmax with the pointer.
+    # theorem2 draws X-state entries and reads their J_z in the sigma_z kets,
+    # so it builds no DensityMatrix and no ProjectiveBasis per draw: its judge
+    # builds one sigma_z basis per chunk of 64 trials.
     built = []
-    post_init = ProjectiveBasis.__post_init__
+    for cls in (ProjectiveBasis, DensityMatrix):
+        post_init = cls.__post_init__
 
-    def counted(basis):
-        built.append(basis)
-        post_init(basis)
+        def counted(obj, post_init=post_init):
+            built.append(obj)
+            post_init(obj)
 
-    monkeypatch.setattr(ProjectiveBasis, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__post_init__", counted)
     assert verify_theorem1(trials=130).passed
     assert built == []
     assert verify_lemma1(trials=130).passed
     assert len(built) <= 130
+    sigma_z = ProjectiveBasis.sigma_z()
+    built.clear()
+    assert verify_theorem2(trials=130).passed
+    assert built == [sigma_z] * 3
 
 
 def test_theorem1_suite_passes_on_reduced_trials():
@@ -185,12 +192,12 @@ def test_remark_suite_passes():
     assert outcome.trials == 41
 
 
-def _remark_report(j_max, j_z=(0.0, 0.0, 0.0), regime=REGIME_MONOTONIC_DECAY, transition_p=None):
-    # A stand-in for the remark's three-point sweep at p = 0, 0.5 and 1.
-    records = tuple(
-        SimpleNamespace(p=p, j_z=z, j_max=j) for p, z, j in zip((0.0, 0.5, 1.0), j_z, j_max)
-    )
-    return SimpleNamespace(records=records, regime=regime, transition_p=transition_p)
+def _remark_report(j_max, j_z=(0.0, 0.0, 0.0), transition_p=None):
+    # A stand-in for what _sweeps yields for the remark's three-point sweep at
+    # p = 0, 0.5 and 1: (j_max, axes, mutual, j, discord) and the transition.
+    zeros = np.zeros(3)
+    arrays = np.array(j_max), np.zeros((3, 3)), zeros, np.column_stack([j_z, zeros]), zeros
+    return arrays, transition_p
 
 
 @pytest.mark.parametrize(
@@ -202,19 +209,48 @@ def _remark_report(j_max, j_z=(0.0, 0.0, 0.0), regime=REGIME_MONOTONIC_DECAY, tr
         (_remark_report((0.3, -0.1, -0.2)), 1, 0.1),
         (_remark_report((0.3, 0.35, 0.0)), 1, 0.35 - 0.3),
         (_remark_report((0.3, 0.1, 0.05)), 1, 0.05),
-        (_remark_report((0.3, 0.1, 0.0), regime=REGIME_CONSTANT), 1, 0.0),
+        # decreasing, positive inside and 0 at p = 1, but flat within PLATEAU_TOL
+        (_remark_report((2e-7, 1e-7, 0.0)), 1, 0.0),
         (_remark_report((0.3, 0.1, 0.0), transition_p=0.5), 1, 0.0),
-        (_remark_report((0.3, 0.3, 0.2), j_z=(2e-3, 0.0, 0.0), regime=REGIME_CONSTANT), 4, 0.2),
+        (_remark_report((0.2, 0.2, 0.2), j_z=(2e-3, 0.0, 0.0)), 4, 0.2),
     ],
 )
 def test_remark_counts_each_failing_check(report, failures, worst, monkeypatch):
     # Each of the remark's five checks fails in turn, then four at once: the
     # failures are the checks that fail, and the worst violation the largest
     # of the pointer J above its tolerance, the negative interior j_max, the
-    # largest increase and the final j_max above 1e-9.
-    monkeypatch.setattr(verify, "sweep", lambda *args: report)
-    outcome = verify_remark()
+    # largest increase and the final j_max above 1e-9. The regime is the one
+    # rule's (dynamics._regime) on the stand-in arrays: constant for the flat
+    # ones, sudden change for the transition at 0.5.
+    grids = []
+
+    def stand_in(states, ps, basis):
+        grids.append(ps.tolist())
+        yield report
+
+    monkeypatch.setattr(verify, "_sweeps", stand_in)
+    outcome = verify_remark([0.0, 0.5, 1.0])
     assert outcome == VerificationOutcome("remark", 3, failures, worst, 0)
+    assert grids == [[0.0, 0.5, 1.0]]
+
+
+def test_suites_build_no_record(monkeypatch):
+    # theorem2's judge and the remark read their sweeps' arrays, and theorem1
+    # and lemma1 never sweep: no suite builds a CorrelationRecord.
+    built = []
+
+    def counted(*fields):
+        built.append(fields[0])
+        return CorrelationRecord(*fields)
+
+    monkeypatch.setattr(correlations, "CorrelationRecord", counted)
+    assert verify_theorem2(trials=70).passed
+    assert verify_remark(np.linspace(0.0, 1.0, 41)).passed
+    assert verify_theorem1(trials=5).passed
+    assert verify_lemma1(trials=5).passed
+    assert built == []
+    # The regime the suites judge is the one rule that classify_regime applies.
+    assert verify._regime is dynamics._regime
 
 
 def test_suites_reject_zero_trials():
@@ -338,7 +374,9 @@ def _theorem2_reference(rng):
         rho = make_x_state(random_x_state_params(rng))
     report = sweep(rho, "pd", np.linspace(0.0, 1.0, verify.THEOREM2_GRID_POINTS))
     ok = report.regime in (REGIME_CONSTANT, REGIME_DECAY_THEN_CONSTANT)
-    increase = max_increase(report.records)
+    increase = 0.0
+    for before, after in zip(report.records, report.records[1:]):
+        increase = max(increase, after.j_max - before.j_max)
     violation = max(0.0, increase - verify.THEOREM2_MONOTONE_SLACK)
     if increase > verify.THEOREM2_MONOTONE_SLACK:
         ok = False
@@ -351,6 +389,24 @@ def _theorem2_reference(rng):
         if level_dev > verify.THEOREM2_PLATEAU_TOL:
             ok = False
     return (ok, violation), (report.records, report.transition_p)
+
+
+def _records_hex(records, transition_p):
+    # A trajectory's records as float.hex strings, so -0.0 and 0.0 differ.
+    fields = [f.name for f in dataclasses.fields(CorrelationRecord)]
+    return [None if transition_p is None else transition_p.hex()] + [
+        [float(getattr(r, name)).hex() for name in fields] for r in records
+    ]
+
+
+def _arrays_hex(ps, arrays, transition_p):
+    # A trajectory that _sweeps yields, laid out as _records_hex lays out its records.
+    j_max, axes, mutual, j, discord = arrays
+    theta, phi = zip(*correlations._angles(axes))
+    columns = (ps, j[:, 0], j[:, 1], j_max, theta, phi, mutual, discord)
+    return [None if transition_p is None else transition_p.hex()] + [
+        [float(value).hex() for value in point] for point in zip(*columns)
+    ]
 
 
 def _lemma1_measured_rows(chunk):
@@ -369,7 +425,7 @@ REFERENCES = {
 @pytest.mark.parametrize("trials", [1, 7, 130])
 @pytest.mark.parametrize("seed", [3, 5, 42])
 @pytest.mark.parametrize("suite", sorted(REFERENCES))
-def test_stacked_suites_equal_the_per_trial_reference(suite, seed, trials):
+def test_stacked_suites_equal_the_per_trial_reference(suite, seed, trials, monkeypatch):
     # 130 trials span more than one judged chunk.
     reference = REFERENCES[suite]
     rng = np.random.default_rng(seed)
@@ -395,9 +451,19 @@ def test_stacked_suites_equal_the_per_trial_reference(suite, seed, trials):
         ]
         assert measured == [details for _, details in expected]
     if suite == "theorem2":
-        # every theorem2 violation is 0.0 too: compare the stacked sweeps
-        swept = list(verify._trials(trials, seed, verify._theorem2_draw, verify._theorem2_sweeps))
-        assert swept == [details for _, details in expected]
+        # every theorem2 violation is 0.0 too: compare the arrays the judge
+        # reads with the per-trial sweeps' records, bit for bit
+        judged = []
+        sweeps = verify._sweeps
+
+        def recorded(*args):
+            for arrays, transition_p in sweeps(*args):
+                judged.append(_arrays_hex(verify._THEOREM2_GRID, arrays, transition_p))
+                yield arrays, transition_p
+
+        monkeypatch.setattr(verify, "_sweeps", recorded)
+        assert list(verify._trials(trials, seed, draw, judge)) == results
+        assert judged == [_records_hex(*details) for _, details in expected]
 
 
 @pytest.mark.parametrize("seed", [3, 11])
