@@ -39,11 +39,12 @@ over all states: safeguarded Newton steps in a tangent-plane chart, whose
 gradient and Hessian are the same 3-vector algebra (_chart_derivatives; the
 stationarity conditions of Girolami and Adesso, PRA 83, 052108, 2011). The
 coarse pass bounds J before it evaluates it, as branch and bound does: two
-matrix products and one table lookup per block of 8 states give an upper
-bound on J at every axis, within 0.23% of J - S(rho_s) + 1 (_survivors),
-and only the axes whose bound reaches the largest lower bound go to the
-kernel (0.56% of them on the benchmark's X-state sweeps), so its values
-and axes are bit for bit those of J on all 515. Every J value comes from
+float32 matrix products and one table lookup per block of 16 states give an
+upper bound on J at every axis, within 0.23% of J - S(rho_s) + 1 and a
+derived float32 error budget (_survivors), and only the axes whose bound
+reaches the largest lower bound, less that budget, go to the kernel (0.81%
+of them on the benchmark's X-state sweeps), so its values and axes are bit
+for bit those of J on all 515. Every J value comes from
 the kernel through one step that takes each state's best candidate
 (_best_candidates).
 The stacked search and measurement (_maximize, _measure) return arrays:
@@ -358,8 +359,7 @@ _SEARCH_AXES = _search_axes(512)
 # x^2 phi(x^2), where phi(u) = sum_k u^(k-1) / (2k (2k - 1) ln 2) has positive
 # coefficients: it increases on [0, 1], from 1/(2 ln 2) to 1. So on each
 # interval between the knots i / _KNOTS, phi lies between its values at the
-# two ends, whose ratio is at most 1 + _SLACK (0.23%, on the last interval,
-# where phi rises fastest).
+# two ends.
 _KNOTS = 1024
 
 
@@ -370,13 +370,24 @@ def _phi_at_knots(knots: int) -> np.ndarray:
 
 
 _PHI = _phi_at_knots(_KNOTS)
-_SLACK = float(np.max(_PHI[1:] / _PHI[:-1])) - 1.0
 # The bound reads u scaled by _KNOTS, which gives the knot index as is, and
 # phi and 2p each scaled by 1/_ROOT; _ROOT^2 = _KNOTS, and every scale is a
-# power of two, so the scaled product rounds exactly as u phi 2p would.
+# power of two, so no scale rounds.
 _ROOT = math.isqrt(_KNOTS)
-# phi at the knot above each interval, and phi(1) = 1 for u = 1 itself, over _ROOT.
-_PHI_ABOVE = np.append(_PHI[1:], 1.0) / _ROOT
+
+
+def _rounded_up(table: np.ndarray) -> np.ndarray:
+    """table as float32, each entry that the cast rounds down raised by one ulp."""
+    low = table.astype(np.float32)
+    return np.where(low < table, np.nextafter(low, np.float32(np.inf)), low)
+
+
+# phi at the knot above each interval, and phi(1) = 1 for u = 1 itself, over
+# _ROOT, in float32 and never below the float64 values. On interval i, phi is
+# at least _PHI[i], so the table exceeds it by a factor of at most 1 + _SLACK
+# (0.23%, on the last interval, where phi rises fastest).
+_PHI_ABOVE = _rounded_up(np.append(_PHI[1:], 1.0) / _ROOT)
+_SLACK = float(np.max(_ROOT * _PHI_ABOVE / _PHI)) - 1.0
 
 
 def _information_above(scaled: np.ndarray) -> np.ndarray:
@@ -386,23 +397,68 @@ def _information_above(scaled: np.ndarray) -> np.ndarray:
     clips the length, and NaN reads as 1; the float array scaled is clipped
     in place. The bound, u times phi at the knot above u, is at least the
     information of length sqrt(u) and at most (1 + _SLACK) times it; the
-    integer part of scaled is u's own interval.
+    integer part of scaled is u's own interval. The table's float32 entries
+    are multiplied in scaled's dtype.
     """
     np.fmin(scaled, _KNOTS, out=scaled)
-    bound = _PHI_ABOVE[scaled.astype(np.intp)]
+    bound = _PHI_ABOVE[scaled.astype(np.intp)].astype(scaled.dtype, copy=False)
     bound *= scaled
     return bound
 
 
-# How far below the largest bound, in bits, a pruned axis's bound must lie:
-# far more than the rounding of the bound and of the kernel's J.
-_PRUNE_MARGIN = 1e-12
-# Every search axis as [1; n], then as [1; -n], a (4, 1030) array.
+# The bound runs in float32, whose unit roundoff is _U; this is its error
+# budget in the standard model (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., ch. 2-3; gamma_k = k _U / (1 - k _U)). Per outcome,
+# P = 2p, x = |v| / P <= 1 is the conditional Bloch length and P I(x) the
+# information, I(x) = 1 - H((1 + x)/2); 2G = sum P I(x) = 2 (J - S(rho_s) + 1).
+# - The casts of the form and of the axis and the K = 4 products give 2p and
+#   each row of v as sum a_j b_j (1 + theta_6): |e_P| <= gamma_6 (1 + |s|),
+#   |e_v| <= gamma_6 (|r| + ||T||_F), and a state's |r|^2 + |s|^2 + ||T||_F^2
+#   <= 3 gives |e_P| + |e_v| <= 4 gamma_6 = _ETA.
+# - |v|^2, w^2 and the division round u by (1 + theta_5), so x by at most
+#   3 _U, relative; clipping u to 1 only moves x toward its exact value.
+# - The table bounds u phi on the computed u's own interval, so a knot index
+#   misread next to a knot costs only I(computed x) - I(x). Where P > 4 _ETA,
+#   the computed P exceeds 3P/4 and P |dx| <= _BETA = (4/3) _ETA (1 + 3 _U)
+#   + 6 _U. I' = artanh(x) / ln 2 grows toward x = 1, where it has no bound,
+#   yet I(1) - I(1 - d) = H(d / 2) (binary entropy), so P |dI| <=
+#   P H(_BETA / (2P)): since P dx = O(_U), the cost stays O(_U log(1/_U))
+#   as 2p -> 0 and u -> 1. P H(_BETA / (2P)) is concave in P and P+ + P- =
+#   2, so both outcomes lose at most 2 H(_BETA / 2), plus |e_P| each on
+#   I <= 1. Where P <= 4 _ETA, the computed and exact terms both lie in
+#   [0, 5 _ETA]. In every case the two outcomes together miss 2G by at most
+#   _LOSS.
+# - The lookup's two products and the outcomes' sum: (1 + theta_3) on at
+#   most (1 + _SLACK) 2(G + _LOSS) < 2.01.
+# - Form entries below 2^-121 lose relative precision, and |v|^2 underflows:
+#   each moves a term by less than 1e-30.
+# So the float32 doubled bound d lies in [2G - _BOUND_ERROR, (1 + _SLACK) 2G
+# + _BOUND_ERROR], 5.6e-5. An axis is pruned where d + _PRUNE_MARGIN lies
+# below max d / (1 + _SLACK), each side rounded once more (the sum by _U of
+# 2.01, the floor, with its cast of 1 + _SLACK, by 3 _U of 2.01). Then 2G at
+# the axis lies below 2G at the axis of the largest bound by at least
+# _PRUNE_MARGIN - 2 _BOUND_ERROR - 4 _U 2.01 = 4 _KERNEL_ROUNDING, and the
+# kernel's J, far more accurate than that, keeps the order of the two.
+# _PRUNE_MARGIN is 1.1e-4, in the doubled units that _survivors compares.
+_U = 2.0**-24
+
+
+def _gamma(k: int) -> float:
+    return k * _U / (1.0 - k * _U)
+
+
+_ETA = 4.0 * _gamma(6)
+_BETA = 4.0 * _ETA * (1.0 + 3.0 * _U) / 3.0 + 6.0 * _U
+_LOSS = 5.0 * _ETA + 2.0 * float(entropies(np.array([_BETA / 2.0, 1.0 - _BETA / 2.0])))
+_BOUND_ERROR = (1.0 + _SLACK) * ((1.0 + _gamma(3)) * _LOSS + 2.01 * _gamma(3))
+_KERNEL_ROUNDING = 1e-12
+_PRUNE_MARGIN = 2.0 * _BOUND_ERROR + 4.0 * _U * 2.01 + 4.0 * _KERNEL_ROUNDING
+# Every search axis as [1; n], then as [1; -n], a (4, 1030) float32 array.
 _SIGNED_AXES = np.concatenate(
     [np.ones((1, 2 * _SEARCH_AXES.shape[1])), np.concatenate([_SEARCH_AXES, -_SEARCH_AXES], axis=1)]
-)
+).astype(np.float32)
 # A Bloch form's rows, [1, s] first, then [r, T], the first scaled by 1/_ROOT.
-_ROW_SCALE = np.array([1.0 / _ROOT, 1.0, 1.0, 1.0])[:, None, None]
+_ROW_SCALE = np.array([1.0 / _ROOT, 1.0, 1.0, 1.0], dtype=np.float32)[:, None, None]
 
 
 def _chart_axes(n0, e1, e2, a, b) -> list:
@@ -416,17 +472,18 @@ def _chart_axes(n0, e1, e2, a, b) -> list:
 # The stand-in for the conditional state of an outcome that never happens.
 _HALF_I2 = np.eye(2, dtype=complex) / 2.0
 
-# States per block of the coarse pass's bound, whose two products take
-# 256 KiB at 8 states. Over 1005 states, blocks of 8 take about a fifth less
-# time than blocks of 4. Holding all four rows' product and its temporaries
-# at once, as the one-product formula did, makes a workload process grow its
-# heap again at the first block of each sweep (tens of minor faults a sweep,
-# where glibc has trimmed the heap); freeing v's product before any other
-# temporary and clipping in place keep a block's peak near 290 KiB, and a
-# workload process takes no faults there. J is then evaluated on the
-# surviving pairs of whole states, at most _COARSE_PAIRS at a time, which
-# bounds the kernel's temporaries however many axes survive.
-_COARSE_BLOCK = 8
+# States per block of the coarse pass's bound. Its float32 v product takes
+# 197,760 bytes at 16 states, what the float64 one took at 8, and over 1005
+# states blocks of 16 take about a sixth less time than blocks of 8. Holding
+# all four rows' product and its temporaries at once makes a workload
+# process grow its heap again at the first block of each sweep (tens of
+# minor faults a sweep, where glibc has trimmed the heap); freeing v's
+# product before any other temporary and clipping in place keep a block's
+# peak near 330 KiB, the gather's intp indices the largest part of it. J is
+# then evaluated on the surviving pairs of whole states, at most
+# _COARSE_PAIRS at a time, which bounds the kernel's temporaries however
+# many axes survive.
+_COARSE_BLOCK = 16
 _COARSE_PAIRS = 1024
 
 
@@ -578,23 +635,20 @@ def _best_candidates(forms: np.ndarray, s_entropy: np.ndarray, owner: np.ndarray
     return values[first], first
 
 
-def _survivors(forms: np.ndarray) -> np.ndarray:
-    """The (state, axis) pairs of a block of states that a bound on J cannot rule out.
+def _doubled_bounds(forms: np.ndarray) -> np.ndarray:
+    """A float32 bound 2 c(n) on 2 (J - S(rho_s) + 1), for each state of a block and search axis.
 
-    Products of the (B, 4, 4) forms' rows with _SIGNED_AXES give, for each
-    state and search axis n, both outcomes' 2p+- = 1 +- s.n, scaled by
-    1/_ROOT, and v+- = r +- T n. With the weight w+- = max(2p+-, 0)/_ROOT,
-    |v+-|^2 / w+-^2 is _KNOTS u+-, where u+- is the square of the
-    conditional Bloch length. The bound c(n) = sum p+- (information above
-    u+-), where an outcome with 2p+- <= 0 counts zero, satisfies
-    c/(1 + _SLACK) <= J - S(rho_s) + 1 <= c; every scale is a power of two,
-    so each c has the bits of sum max(2p+-, 0) u+- phi(knot above u+-) / 2.
-    An axis whose c lies more than _PRUNE_MARGIN below the state's largest
-    c/(1 + _SLACK) is therefore below the state's maximum J, and cannot tie
-    it. Returns the other pairs as flat indices state * 515 + axis, in
-    increasing order; an axis whose bound is NaN is kept.
+    The (B, 4, 4) forms are cast to float32 once, and products of their rows
+    with _SIGNED_AXES give, for each state and search axis n, both outcomes'
+    2p+- = 1 +- s.n, scaled by 1/_ROOT, and v+- = r +- T n. With the weight
+    w+- = max(2p+-, 0)/_ROOT, |v+-|^2 / w+-^2 is _KNOTS u+-, where u+- is the
+    square of the conditional Bloch length. c(n) = sum p+- (information
+    above u+-), where an outcome with 2p+- <= 0 counts zero, satisfies
+    c/(1 + _SLACK) <= J - S(rho_s) + 1 <= c in exact arithmetic, and the
+    float32 value of 2c lies within _BOUND_ERROR of that bracket. Returns
+    (B, 515).
     """
-    rows = np.multiply(forms.transpose(1, 0, 2), _ROW_SCALE, order="C")
+    rows = np.multiply(forms.transpose(1, 0, 2), _ROW_SCALE, dtype=np.float32, order="C")
     v = (rows[1:].reshape(-1, 4) @ _SIGNED_AXES).reshape(3, len(forms), -1)
     scaled = np.einsum("ask,ask->sk", v, v)
     # Freed before the other temporaries, which keeps a block's peak low
@@ -602,16 +656,28 @@ def _survivors(forms: np.ndarray) -> np.ndarray:
     del v
     weight = rows[0] @ _SIGNED_AXES
     np.maximum(weight, 0.0, out=weight)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # 2p = 0 gives inf or NaN (0/0); both read as u = 1, weighted by 0.
         scaled /= weight * weight
     term = _information_above(scaled)
     term *= weight
     axes = _SEARCH_AXES.shape[1]
-    # 2 c(n), so the margin is doubled too.
-    doubled = term[:, :axes] + term[:, axes:]
+    return term[:, :axes] + term[:, axes:]
+
+
+def _survivors(forms: np.ndarray) -> np.ndarray:
+    """The (state, axis) pairs of a block of states that a bound on J cannot rule out.
+
+    An axis whose doubled bound (_doubled_bounds) lies more than
+    _PRUNE_MARGIN below the state's largest doubled bound over 1 + _SLACK
+    is below the state's maximum J, and cannot tie it: the margin covers the
+    bound's float32 rounding and the kernel's. Returns the other pairs as
+    flat indices state * 515 + axis, in increasing order; an axis whose
+    bound is NaN is kept.
+    """
+    doubled = _doubled_bounds(forms)
     floor = doubled.max(axis=1, keepdims=True) / (1.0 + _SLACK)
-    doubled += 2.0 * _PRUNE_MARGIN
+    doubled += _PRUNE_MARGIN
     return np.flatnonzero(~(doubled < floor))
 
 

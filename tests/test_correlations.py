@@ -1,3 +1,4 @@
+import functools
 import importlib
 import math
 import tracemalloc
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einselect import (
     STATE_1,
@@ -36,20 +39,19 @@ from einselect import (
 from einselect.channels import evolve, kraus_stack
 from einselect import correlations
 from einselect.correlations import (
+    _BOUND_ERROR,
     _KNOTS,
     _NO_BASES,
-    _PHI,
-    _PRUNE_MARGIN,
     _ROOT,
     _SEARCH_AXES,
     _SIGMA_ZX,
-    _SIGNED_AXES,
     _SLACK,
     _angles,
     _ascend,
     _bloch_correlation,
     _bloch_information,
     _coarse,
+    _doubled_bounds,
     _information_above,
     _local_terms,
     _maximize,
@@ -758,32 +760,17 @@ def test_coarse_pass_is_the_full_pass_bit_for_bit_at_the_edges():
         _assert_coarse_is_the_full_pass(stack)
 
 
-def _bound_formula_pairs(forms):
-    """The pairs that _survivors keeps, from its bound written as the formula.
+@functools.cache
+def _bound_cases():
+    """Bloch forms and J on all 515 search axes, for the stacks the bound is checked on.
 
-    u = |v|^2/(2p)^2, then max(2p, 0) u phi at the knot above min(u, 1),
-    unscaled; returned as flat indices state * 515 + axis.
+    The edge stacks, where 2p = 0 exactly on a search axis, and 201-state pd
+    and ad sweeps (201 is no multiple of 8 or 16) of the stacked-sweep
+    tests' states and of more general states. Their ad grids end at p = 1,
+    a product state, where J is rounding dust on every axis. Each case is
+    (forms, j, information): j is the kernel's J (N, 515) and information
+    its sum of p+- (1 - H(conditional state)), J - S(rho_s) + 1 in float64.
     """
-    bloch = (forms.reshape(-1, 4) @ _SIGNED_AXES).reshape(len(forms), 4, -1)
-    twice_p = bloch[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.einsum("sak,sak->sk", bloch[:, 1:], bloch[:, 1:]) / (twice_p * twice_p)
-    u = np.fmin(u, 1.0)
-    phi_above = np.append(_PHI[1:], 1.0)
-    term = np.maximum(twice_p, 0.0) * (u * phi_above[(_KNOTS * u).astype(np.intp)])
-    axes = _SEARCH_AXES.shape[1]
-    doubled = term[:, :axes] + term[:, axes:]
-    floor = doubled.max(axis=1, keepdims=True) / (1.0 + _SLACK)
-    state, axis = np.nonzero(~(doubled + 2.0 * _PRUNE_MARGIN < floor))
-    return state * axes + axis
-
-
-@pytest.mark.parametrize("block", [1, 4, 8])
-def test_survivors_are_those_of_the_bound_formula(block):
-    # The scaled bound rounds as the formula does, so the same pairs survive,
-    # whatever the block: 201-state pd and ad sweeps (201 is no multiple of 8)
-    # of the stacked-sweep tests' states and more general states, and the
-    # edge stacks, where 2p = 0 exactly on a search axis.
     from test_dynamics import _mixed_states
 
     rng = np.random.default_rng(31)
@@ -793,11 +780,87 @@ def test_survivors_are_those_of_the_bound_formula(block):
         kraus = kraus_stack(basis, grid)
         for rho in _mixed_states() + [random_density_matrix(rng) for _ in range(3)]:
             stacks.append(evolve(kraus, rho.entries))
-    for stack in stacks:
-        forms = correlations.bloch_forms(stack)
-        for start in range(0, len(forms), block):
-            part = forms[start : start + block]
-            assert _survivors(part).tolist() == _bound_formula_pairs(part).tolist()
+    return [_bound_case(stack) for stack in stacks]
+
+
+def _bound_case(stack):
+    forms = correlations.bloch_forms(stack)
+    columns = forms.transpose(1, 2, 0)[..., None]
+    s_entropy = _local_terms(stack, _NO_BASES)[0]
+    j = _bloch_correlation(columns, s_entropy[:, None], *_SEARCH_AXES)
+    # With S(rho_s) = 1 the kernel returns its information sum as it stands.
+    information = _bloch_correlation(columns, 1.0, *_SEARCH_AXES)
+    return forms, j, information
+
+
+def _assert_survivors_keep_the_maximum(forms, j, block):
+    """Every pair that _survivors drops has J strictly below its state's maximum."""
+    top = j.max(axis=1, keepdims=True)
+    for start in range(0, len(forms), block):
+        kept = np.zeros(j[start : start + block].size, dtype=bool)
+        kept[_survivors(forms[start : start + block])] = True
+        dropped = ~kept.reshape(-1, j.shape[1])
+        below = j[start : start + block] < top[start : start + block]
+        assert np.all(below[dropped]), start
+
+
+@pytest.mark.parametrize("block", [1, 4, 8, 16])
+def test_survivors_drop_only_axes_below_the_maximum(block):
+    # Whatever the block, and so whatever shape its float32 products take,
+    # no axis that reaches the state's maximum J over all 515 axes is dropped.
+    for forms, j, _ in _bound_cases():
+        _assert_survivors_keep_the_maximum(forms, j, block)
+
+
+def _drawn_stack(kind, seed, size):
+    """size states of one kind from seed: full rank, pure apparatus marginal, or ad at p = 1."""
+    rng = np.random.default_rng(seed)
+    stack = []
+    for _ in range(size):
+        if kind == "full rank":
+            a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m = a @ a.conj().T
+            stack.append(m / m.trace().real)
+        elif kind == "pure apparatus":
+            # Along sigma_z, sigma_x, sigma_y (search axes) or anywhere.
+            drawn = rng.normal(size=2) + 1j * rng.normal(size=2)
+            ket = np.asarray([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0j], drawn][rng.integers(4)])
+            ket /= np.linalg.norm(ket)
+            system = partial_trace(random_density_matrix(rng), "system").entries
+            stack.append(np.kron(system, np.outer(ket, ket.conj())))
+        else:
+            damped = evolve(kraus_stack(None, np.array([1.0])), random_density_matrix(rng).entries)
+            stack.append(damped[0])
+    return np.array(stack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["full rank", "pure apparatus", "ad at p = 1"]),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 16),
+)
+def test_survivors_keep_the_maximum_of_drawn_states(kind, seed, size):
+    # Full-rank states; products with a pure apparatus marginal, where one
+    # outcome has p = 0 on the axis of the marginal and the conditional
+    # states are pure; and ad states at p = 1, products whose J is rounding
+    # dust on every axis, so the bound must keep every axis the dust's first
+    # maximum could be. The drawn stack is one block.
+    forms, j, _ = _bound_case(_drawn_stack(kind, seed, size))
+    _assert_survivors_keep_the_maximum(forms, j, size)
+
+
+def test_survivor_bound_lies_within_its_budget_of_the_float64_formula():
+    # The float32 doubled bound d of each pair lies in [2G - E, (1 + _SLACK)
+    # 2G + E], G = J - S(rho_s) + 1 from the float64 kernel and E the
+    # documented _BOUND_ERROR; pruning is sound because of this bracket.
+    for forms, _, information in _bound_cases():
+        doubled = np.concatenate(
+            [_doubled_bounds(forms[start : start + 16]) for start in range(0, len(forms), 16)]
+        ).astype(float)
+        exact = 2.0 * information
+        assert np.all(doubled >= exact - _BOUND_ERROR)
+        assert np.all(doubled <= (1.0 + _SLACK) * exact + _BOUND_ERROR)
 
 
 def test_bound_sends_few_axes_of_x_state_sweeps_to_the_kernel(monkeypatch):
