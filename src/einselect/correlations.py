@@ -58,24 +58,16 @@ wraps them: _records builds the CorrelationRecords of a returned trajectory
 from those arrays, and maximize_classical_correlation, the one-state case,
 builds the ProjectiveBasis of its result.
 
-J at a fixed basis (j_z, j_x), mutual information and S(rho_s) come from the
-density matrices themselves: a stack of states gives its reduced states and,
-from one einsum, both outcomes' conditional states in each of its K bases,
-and one check_states call covers all of these qubit states, whose spectra
-are a closed form with eigvalsh's bits and no LAPACK call. A pair's
-spectrum is computed only where it is read: the mutual information
-S(rho_s) + S(rho_a) - S(rho) of _measure and mutual_information takes it
-from check_states' eigvalsh, while classical_correlations, which reads no
-pair spectrum, checks its stack with certify_states, a Cholesky
-factorization with check_states' verdicts and texts. The bases are
-measurement kets, a (K, 2, 2) set shared by the stack or a (N, K, 2, 2) set
-with one per state, so one pass can read each state in its own bases. The
-sign tolerance runs once over each resulting array. classical_correlations
-and correlation_records take such a stack; classical_correlation,
-conditional_state, mutual_information, correlation_record and
-maximize_classical_correlation are their one-state cases, and give bit for
-bit the same values as the stack. The one-state cases reuse the eigenvalues
-that DensityMatrix computed, so they do not check the state again.
+A record's j_z, j_x, S(rho_s) and S(rho_a) come from the same forms
+(_fixed_terms): a qubit of Bloch length x has entropy 1 - g(x), g =
+_bloch_information, and j_z and j_x are the kernel's J at the search's
+exact sigma_z and sigma_x axes, so never above j_max. That pass checks the
+reduced and conditional states by Bloch length (check_bloch_lengths). The
+density-matrix J stays public: classical_correlations, over K bases given
+as kets, certifies its pair stack (certify_states) and checks its qubit
+states (check_states); classical_correlation and conditional_state are
+its one-state cases. A one-state function gives its stack's bits, reusing
+a DensityMatrix's eigenvalues.
 """
 
 from __future__ import annotations
@@ -86,7 +78,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidStateError, OptimizationError
-from .qstate import DensityMatrix, certify_states, check_states, entropies, reduced_states
+from .qstate import DensityMatrix, certify_states, check_bloch_lengths, check_states, entropies
+from .qstate import reduced_states
 
 # Probability below which a measurement outcome never happens and its
 # conditioned state is undefined (contributes zero to the entropy average).
@@ -219,11 +212,6 @@ class ProjectiveBasis:
         return (p0, p1)
 
 
-# The kets of no basis, and of sigma_z then sigma_x, shared by a stack.
-_NO_BASES = np.empty((0, 2, 2), dtype=complex)
-_SIGMA_ZX = np.array([ProjectiveBasis.sigma_z().kets(), ProjectiveBasis.sigma_x().kets()])
-
-
 def _projectors(kets: np.ndarray) -> np.ndarray:
     """|u_i><u_i| for each ket of a (..., 2, 2) array of kets, as (..., 2, 2, 2)."""
     return kets[..., :, None] * kets.conj()[..., None, :]
@@ -312,14 +300,15 @@ def bloch_form(rho: DensityMatrix) -> np.ndarray:
     return bloch_forms(rho.entries[None])[0]
 
 
-def _bloch_correlation(form: np.ndarray, s_entropy, nx, ny, nz) -> np.ndarray:
+def _bloch_correlation(form: np.ndarray, s_entropy, nx, ny, nz, lengths=None) -> np.ndarray:
     """Classical correlation for apparatus measurement axes (nx, ny, nz).
 
     J = S(rho_s) - 1 + sum_+- p+- (1 - H(conditional state)), where the
     conditional Bloch length is |r +- T n| / (1 +- s.n). form[a, b] and
     s_entropy broadcast elementwise against the axis arrays: one state's
     (4, 4) form against a batch of axes, or per-state columns against a
-    (states, axes) block.
+    (states, axes) block. A list lengths receives each outcome's length, +
+    then -, where p+- >= OUTCOME_FLOOR, and 0 elsewhere.
     """
     sn = form[0, 1] * nx + form[0, 2] * ny + form[0, 3] * nz
     tn = [form[i, 1] * nx + form[i, 2] * ny + form[i, 3] * nz for i in (1, 2, 3)]
@@ -333,7 +322,27 @@ def _bloch_correlation(form: np.ndarray, s_entropy, nx, ny, nz) -> np.ndarray:
         # An outcome that never happens (prob <= 0) contributes nothing.
         ratio = np.divide(length, 2.0 * prob, out=np.zeros_like(length), where=prob > 0.0)
         total = total + prob * _bloch_information(ratio)
+        if lengths is not None:
+            lengths.append(np.where(prob >= OUTCOME_FLOOR, ratio, 0.0))
     return total
+
+
+def _fixed_terms(forms: np.ndarray, axes: np.ndarray):
+    """S(rho_s), S(rho_s) + S(rho_a) and J at fixed axes, from a valid stack's Bloch forms.
+
+    axes are K axes shared by the stack, (K, 3), or K per state, (N, K, 3).
+    A qubit of Bloch vector x has entropy 1 - g(|x|), g = _bloch_information,
+    and J is the kernel's, bit for bit _best_candidates' at the same axis.
+    The reduced states, then each axis's conditional states, are checked by
+    Bloch length (check_bloch_lengths). Returns (N,), (N,) and (N, K) arrays,
+    before any sign tolerance.
+    """
+    local = np.sqrt(np.stack([_dot(v, v) for v in (forms[:, 1:, 0].T, forms[:, 0, 1:].T)], 1))
+    entropy, lengths = 1.0 - _bloch_information(local), []
+    form = forms.transpose(1, 2, 0)[..., None]
+    j = _bloch_correlation(form, entropy[:, :1], *np.moveaxis(axes, -1, 0), lengths)
+    check_bloch_lengths(np.concatenate([local, np.stack(lengths, -1).reshape(len(forms), -1)], 1))
+    return entropy[:, 0], entropy[:, 0] + entropy[:, 1], j
 
 
 def _search_axes(points: int) -> np.ndarray:
@@ -354,6 +363,7 @@ def _search_axes(points: int) -> np.ndarray:
 
 
 _SEARCH_AXES = _search_axes(512)
+_NO_AXES = np.empty((0, 3))
 
 # The coarse pass bounds J before it evaluates it. 1 - H((1 + x)/2) =
 # x^2 phi(x^2), where phi(u) = sum_k u^(k-1) / (2k (2k - 1) ln 2) has positive
@@ -519,9 +529,8 @@ def _local_terms(m: np.ndarray, kets: np.ndarray):
     kets holds K bases per state as (N, K, 2, 2) measurement kets, or K bases
     shared by the stack as (K, 2, 2); K may be 0. J = S(rho_s) - sum_i p_i
     S(rho_s | i), to which an outcome that never happens adds nothing. One
-    check_states call validates both reduced states and every conditional
-    state and gives their spectra in closed form, in the order rho_s, rho_a,
-    then each basis's two outcomes; no pair spectrum is read. Returns
+    check_states call validates and gives the spectra of rho_s, rho_a, then
+    each basis's two conditional states; no pair spectrum is read. Returns
     (s_system, s_apparatus, j): (N,), (N,) and (N, K), before any sign
     tolerance.
     """
@@ -534,16 +543,6 @@ def _local_terms(m: np.ndarray, kets: np.ndarray):
     cond = ent[:, 2:].reshape(probs.shape)
     j = ent[:, :1] - probs[..., 0] * cond[..., 0] - probs[..., 1] * cond[..., 1]
     return ent[:, 0], ent[:, 1], j
-
-
-def _mutual_terms(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray):
-    """_local_terms with the mutual information S(rho_s) + S(rho_a) - S(rho) in place of S(rho_a).
-
-    eigenvalues (N, 4) is the pair spectrum of m, as check_states gives it.
-    Returns (s_system, mutual, j), before any sign tolerance.
-    """
-    s_system, s_apparatus, j = _local_terms(m, kets)
-    return s_system, s_system + s_apparatus - entropies(eigenvalues), j
 
 
 def _one_state(rho: DensityMatrix):
@@ -613,8 +612,9 @@ def classical_correlation(rho: DensityMatrix, basis: ProjectiveBasis) -> float:
 
 
 def mutual_information(rho: DensityMatrix) -> float:
-    """Total correlations S(rho_s) + S(rho_a) - S(rho_sa), in bits."""
-    _, mutual, _ = _mutual_terms(*_one_state(rho), _NO_BASES)
+    """Total correlations S(rho_s) + S(rho_a) - S(rho_sa), in bits, _measure's."""
+    m, eigenvalues = _one_state(rho)
+    mutual = _fixed_terms(bloch_forms(m), _NO_AXES)[1] - entropies(eigenvalues)
     return float(_nonnegative(mutual[0], _NEGATIVE_J_TOL, "mutual information"))
 
 
@@ -855,15 +855,14 @@ def _ascend(forms: np.ndarray, s_entropy: np.ndarray, values: np.ndarray, axes: 
     return best, axes
 
 
-def _maximize(m: np.ndarray, s_entropy: np.ndarray):
-    """maximize_classical_correlation for each state of a valid stack with known S(rho_s).
+def _maximize(forms: np.ndarray, s_entropy: np.ndarray):
+    """maximize_classical_correlation for a valid stack's (N, 4, 4) Bloch forms and S(rho_s).
 
     The coarse pass, then the ascent (_ascend) from its best axes, then the
     sign tolerance on the maxima. Returns the values (N,) and the argmax axes
     (N, 3), each row bit for bit its state's one-state result; _angles turns
     the axes into the stored (theta, phi).
     """
-    forms = bloch_forms(m)
     best, axes = _ascend(forms, s_entropy, *_coarse(forms, s_entropy))
     return _nonnegative(best, _NEGATIVE_J_TOL, "maximal classical correlation"), axes
 
@@ -899,17 +898,16 @@ def maximize_classical_correlation(rho: DensityMatrix) -> tuple[float, Projectiv
     degenerate maxima the first of sigma_z, sigma_x, sigma_y, then lattice
     order, wins.
     """
-    m, _ = _one_state(rho)
-    values, axes = _maximize(m, _local_terms(m, _NO_BASES)[0])
+    values, axes, _, _ = _measure(*_one_state(rho), _NO_AXES)
     return float(values[0]), ProjectiveBasis(*_angles(axes)[0])
 
 
 def correlation_records(states, ps) -> list[CorrelationRecord]:
     """correlation_record for each state of a (N, 4, 4) stack, labelled with ps.
 
-    One check covers the stack, one more its reduced and conditional states,
-    and the maximizer reads S(rho_s) from the same pass; the records equal
-    the one-state records bit for bit.
+    One check covers the stack, and one pass over its Bloch forms (_measure)
+    gives every record field; the records equal the one-state records bit
+    for bit.
     """
     return _records(ps, *_record_arrays(*_two_qubit_stack(states)))
 
@@ -917,13 +915,14 @@ def correlation_records(states, ps) -> list[CorrelationRecord]:
 def _record_arrays(m: np.ndarray, eigenvalues: np.ndarray):
     """The arrays of a valid stack's records: (j_max, axes, mutual, j, discord).
 
-    The first four are _measure's in the bases _SIGMA_ZX, j as (N, 2) rows
-    (j_z, j_x). The one rule for the discord: the mutual information less
-    j_max, with its sign tolerance, run after _measure's. So j_max lies
-    within CorrelationRecord's bounds: at least 0 after _maximize's sign
-    tolerance, and at most I + DISCORD_CLAMP up to one rounding.
+    The first four are _measure's at the search's exact sigma_z and sigma_x
+    axes, j as (N, 2) rows (j_z, j_x). The one rule for the discord: the
+    mutual information less j_max, with its sign tolerance, run after
+    _measure's. So j_max lies within CorrelationRecord's bounds: at least 0
+    after _maximize's sign tolerance, and at most I + DISCORD_CLAMP up to
+    one rounding.
     """
-    j_max, axes, mutual, j = _measure(m, eigenvalues, _SIGMA_ZX)
+    j_max, axes, mutual, j = _measure(m, eigenvalues, _SEARCH_AXES[:, :2].T)
     return j_max, axes, mutual, j, _nonnegative(mutual - j_max, DISCORD_CLAMP, "discord")
 
 
@@ -937,21 +936,21 @@ def _records(ps, j_max, axes, mutual, j, discord) -> list[CorrelationRecord]:
     ]
 
 
-def _measure(m: np.ndarray, eigenvalues: np.ndarray, kets: np.ndarray):
-    """The maximizer's and the fixed bases' results for a valid stack, as arrays.
+def _measure(m: np.ndarray, eigenvalues: np.ndarray, axes: np.ndarray):
+    """The maximizer's and the fixed axes' results for a valid stack, as arrays.
 
-    kets are the fixed bases, shared or per state (_local_terms), and
-    eigenvalues the pair spectrum that the mutual information reads. One
-    _mutual_terms pass gives the mutual information, the J values and the
-    S(rho_s) that the maximizer reads; the sign tolerance runs once over the
-    maxima, then over the mutual information, then over J. Returns (j_max,
-    axes, mutual, j): (N,), the argmax axes (N, 3), (N,) and (N, K).
+    eigenvalues are the pair spectrum that the mutual information reads, and
+    axes the fixed axes (_fixed_terms). The stack's Bloch forms, built once,
+    give _fixed_terms' reads and the maximizer's. The sign tolerance runs
+    once over the maxima, then over the mutual information, then over J.
+    Returns (j_max, axes, mutual, j): (N,), the argmax axes (N, 3), (N,)
+    and (N, K).
     """
-    s_system, mutual, j = _mutual_terms(m, eigenvalues, kets)
-    j_max, axes = _maximize(m, s_system)
-    mutual = _nonnegative(mutual, _NEGATIVE_J_TOL, "mutual information")
-    j = _nonnegative(j, _NEGATIVE_J_TOL, "classical correlation")
-    return j_max, axes, mutual, j
+    forms = bloch_forms(m)
+    s_system, local, j = _fixed_terms(forms, axes)
+    j_max, best = _maximize(forms, s_system)
+    mutual = _nonnegative(local - entropies(eigenvalues), _NEGATIVE_J_TOL, "mutual information")
+    return j_max, best, mutual, _nonnegative(j, _NEGATIVE_J_TOL, "classical correlation")
 
 
 def correlation_record(rho: DensityMatrix, p: float = 0.0) -> CorrelationRecord:

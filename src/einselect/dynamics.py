@@ -416,10 +416,10 @@ def emergence_time(params: XStateParams, gamma: float = 1.0) -> Optional[Emergen
 
 # Trajectories are swept this many states (trajectories times grid points) at
 # a time, at least one trajectory per chunk, so the memory of a many-trajectory
-# sweep does not grow with its trajectory count. A chunk's maximizer and
-# entropy intermediates take about 2.5 KB per state: at 1024 states a
-# 1000-sample, 201-point analyze peaks about 3 MiB above a one-sample-at-a-time
-# loop, and larger chunks run no faster there.
+# sweep does not grow with its trajectory count. A chunk's record reads take
+# about 1.2 KB per state at their peak (tracemalloc), most of it the
+# maximizer's ascent, and larger chunks run no faster in a 1000-sample,
+# 201-point analyze.
 _SWEEP_STATES = 1024
 
 

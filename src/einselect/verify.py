@@ -18,11 +18,12 @@ classical-quantum mixtures (_cq_states) and its tilted bases, from one
 tangent frame per pointer axis (_tilt_angles). random_density_matrix,
 random_basis and random_cq_state are the one-trial case of the same draws
 and builders. theorem1 evolves every trial's state at every strength in one
-Kraus stack, reads J of all the chunk's states (each drawn rho among them)
-in their own pointer bases with one check, and forms every block
-Pi_i rho Pi_i in one broadcast product. lemma1 checks the chunk's states
-with one stacked check, then maximizes them and reads their mutual
-information and J in each trial's pointer and tilted bases in one pass.
+Kraus stack, certifies all the chunk's states (each drawn rho among them)
+with one check, reads J at their own pointer axes from their Bloch forms
+(correlations._fixed_terms), and forms every block Pi_i rho Pi_i in one
+broadcast product. lemma1 checks the chunk's states with one stacked check,
+then maximizes them and reads their mutual information and J at each
+trial's pointer and tilted axes in the same pass over their forms.
 theorem2 draws its X states as entries (qstate._x_entries) and streams the
 chunk's through the one stacked sweep (dynamics._sweeps) on a constant grid:
 one _measure pass per chunk, whose arrays give the jump scan and the
@@ -58,17 +59,20 @@ import numpy as np
 
 from .channels import evolve, kraus_stack
 from .correlations import (
-    _SIGMA_ZX,
+    _NEGATIVE_J_TOL,
     ProjectiveBasis,
     _angles,
     _axes,
     _axis_distances,
+    _fixed_terms,
     _kets,
     _mapped,
     _measure,
+    _nonnegative,
     _phi,
     _projectors,
     _two_qubit_stack,
+    bloch_forms,
     classical_correlations,
 )
 from .dynamics import (
@@ -83,9 +87,11 @@ from .dynamics import (
     _sweeps,
     _tail,
 )
-from .qstate import DensityMatrix, XStateParams, _x_entries, remark_state
+from .qstate import DensityMatrix, XStateParams, _x_entries, certify_states, remark_state
 
 _I2 = np.eye(2, dtype=complex)
+# The kets of sigma_z, as a one-basis set that a stack shares.
+_SIGMA_Z = ProjectiveBasis.sigma_z().kets()[None]
 
 THEOREM1_TOL = 1e-10
 THEOREM1_STRENGTHS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -286,7 +292,8 @@ def _theorem1_judge(chunk) -> list:
     """(ok, violation) per trial, from one pass over every trial's rho and decohered states."""
     strengths = len(THEOREM1_STRENGTHS)
     gaussians, uniforms = zip(*chunk)
-    kets = _kets(*_basis_angles(uniforms))
+    theta, phi = _basis_angles(uniforms)
+    kets = _kets(theta, phi)
     ops = kraus_stack(np.repeat(kets, strengths, axis=0), THEOREM1_STRENGTHS * len(chunk))
     # states[t] is trial t's rho, then its evolved states in strength order.
     states = np.empty((len(chunk), 1 + strengths, 4, 4), dtype=complex)
@@ -294,9 +301,11 @@ def _theorem1_judge(chunk) -> list:
     states[:, 1:] = evolve(ops, np.repeat(states[:, 0], strengths, axis=0)).reshape(
         len(chunk), strengths, 4, 4
     )
-    j = classical_correlations(
-        states.reshape(-1, 4, 4), np.repeat(kets, strengths + 1, axis=0)[:, None]
-    ).reshape(len(chunk), -1)
+    m = states.reshape(-1, 4, 4)
+    certify_states(m)
+    axes = np.repeat(_axes(theta, phi), strengths + 1, axis=0)[:, None]
+    j = _fixed_terms(bloch_forms(m), axes)[2]
+    j = _nonnegative(j, _NEGATIVE_J_TOL, "classical correlation").reshape(len(chunk), -1)
     violation = np.abs(j[:, 1:] - j[:, :1]).max(axis=1)
     # lifted[t, i] = I x Pi_i, the products np.kron(_I2, basis.projectors[i]) makes.
     lifted = _I2[:, None, :, None] * _projectors(kets)[:, :, None, :, None, :]
@@ -321,10 +330,10 @@ def verify_theorem1(trials: int = 1000, seed: int = 42) -> VerificationOutcome:
 def _theorem2_draw(rng) -> np.ndarray:
     """The (4, 4) entries of an X state with positive pointer correlation, J_z > 1e-3.
 
-    The state is redrawn until J_z, read in the sigma_z kets of _SIGMA_ZX, is so.
+    The state is redrawn until J_z, read in the sigma_z kets _SIGMA_Z, is so.
     """
     m = _x_entries(random_x_state_params(rng))
-    while classical_correlations(m[None], _SIGMA_ZX[:1])[0, 0] <= 1e-3:
+    while classical_correlations(m[None], _SIGMA_Z)[0, 0] <= 1e-3:
         m = _x_entries(random_x_state_params(rng))
     return m
 
@@ -382,19 +391,16 @@ def _lemma1_measure(chunk):
 
     The chunk's states are built in one pass (_cq_states) and checked with
     one stacked check, and one pass (_measure) gives the maximizer, the
-    mutual information and J in each trial's own pointer basis, then its
-    LEMMA1_PERTURBATIONS tilted bases.
+    mutual information and J at each trial's own pointer axis, then at its
+    LEMMA1_PERTURBATIONS tilted axes, each axis from its stored angles.
     """
     uniforms, branches, weights, tilts = zip(*chunk)
     theta, phi = _basis_angles(uniforms)
-    # Each trial's kets: its pointer basis, then its tilted bases.
-    tilted_theta, tilted_phi = _tilt_angles(_axes(theta, phi), np.array(tilts))
-    kets = _kets(
-        np.column_stack([theta, tilted_theta]).ravel(), np.column_stack([phi, tilted_phi]).ravel()
-    ).reshape(len(chunk), -1, 2, 2)
-    return _measure(
-        *_two_qubit_stack(_cq_states(kets[:, 0], np.array(branches), np.array(weights))), kets
-    )
+    pointers = _axes(theta, phi)
+    tilted = _axes(*(angles.ravel() for angles in _tilt_angles(pointers, np.array(tilts))))
+    axes = np.concatenate([pointers[:, None], tilted.reshape(len(chunk), -1, 3)], axis=1)
+    m = _cq_states(_kets(theta, phi), np.array(branches), np.array(weights))
+    return _measure(*_two_qubit_stack(m), axes)
 
 
 def _lemma1_judge(chunk) -> list:

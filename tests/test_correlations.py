@@ -37,14 +37,13 @@ from einselect import (
     von_neumann_entropy,
 )
 from einselect.channels import evolve, kraus_stack
-from einselect import correlations
+from einselect import correlations, qstate
 from einselect.correlations import (
     _BOUND_ERROR,
     _KNOTS,
-    _NO_BASES,
+    _NO_AXES,
     _ROOT,
     _SEARCH_AXES,
-    _SIGMA_ZX,
     _SLACK,
     _angles,
     _ascend,
@@ -53,9 +52,9 @@ from einselect.correlations import (
     _coarse,
     _doubled_bounds,
     _information_above,
+    _fixed_terms,
     _local_terms,
     _maximize,
-    _mutual_terms,
     _survivors,
     bloch_form,
     classical_correlations,
@@ -373,7 +372,9 @@ def test_sweep_records_equal_standalone_records(family):
     # A sweep evolves, checks and measures all its grid points as one stack.
     # Every channel output and record field must equal, bit for bit, what the
     # one-state functions give point by point. That rests on numpy reducing a
-    # stack in the same order as a single state, which this test pins.
+    # stack in the same order as a single state, which this test pins. j_z
+    # and j_x are the kernel's, read on the Bloch form: bit for bit
+    # correlation_record's, and within 4e-15 of the density-matrix J.
     tilted = ProjectiveBasis(0.9, 2.2)
     families = {
         "pd": (ProjectiveBasis.sigma_z(), phase_damping),
@@ -381,6 +382,7 @@ def test_sweep_records_equal_standalone_records(family):
         "pointer": (tilted, lambda p: pointer_decoherence(tilted, p)),
     }
     basis, channel = families[family]
+    pauli_x = ProjectiveBasis.sigma_x()
     grid = np.linspace(0.0, 1.0, 41)
     rng = np.random.default_rng(5)
     states = [make_x_state(STATE_1)] + [random_density_matrix(rng) for _ in range(3)]
@@ -392,10 +394,13 @@ def test_sweep_records_equal_standalone_records(family):
             assert np.array_equal(output, evolved.entries)
             j_max, argmax = maximize_classical_correlation(evolved)
             mi = mutual_information(evolved)
+            alone = correlation_record(evolved, record.p)
+            for value, axis in ((alone.j_z, ProjectiveBasis.sigma_z()), (alone.j_x, pauli_x)):
+                assert abs(value - classical_correlation(evolved, axis)) <= 4e-15
             assert record == CorrelationRecord(
                 p=record.p,
-                j_z=classical_correlation(evolved, ProjectiveBasis.sigma_z()),
-                j_x=classical_correlation(evolved, ProjectiveBasis.sigma_x()),
+                j_z=alone.j_z,
+                j_x=alone.j_x,
                 j_max=j_max,
                 opt_theta=argmax.theta,
                 opt_phi=argmax.phi,
@@ -404,7 +409,7 @@ def test_sweep_records_equal_standalone_records(family):
                     correlations._nonnegative(mi - j_max, correlations.DISCORD_CLAMP, "discord")
                 ),
             )
-            assert correlation_record(evolved, record.p) == record
+            assert alone == record
 
 
 def test_stacked_correlation_skips_an_impossible_outcome():
@@ -486,9 +491,9 @@ def test_per_state_bases_equal_the_shared_and_one_state_values():
 
 
 def test_classical_correlations_certify_a_valid_stack_without_eigvalsh(monkeypatch):
-    # theorem1's chunk: 64 states and each one's four dephased states and p = 1
-    # product, 384 in all, each read in its own basis. J reads no pair
-    # spectrum, so the stack's check (certify_states) runs no eigvalsh, and the
+    # 64 states and each one's four dephased states and p = 1 product, 384 in
+    # all, each read in its own basis. J reads no pair spectrum, so the pair
+    # stack's check (certify_states) runs no eigvalsh of a pair, and the
     # values are the one-state values bit for bit.
     rng = np.random.default_rng(32)
     rho = np.array([random_density_matrix(rng).entries for _ in range(64)])
@@ -503,16 +508,22 @@ def test_classical_correlations_certify_a_valid_stack_without_eigvalsh(monkeypat
         for state, basis in zip(m, np.repeat(bases, 6))
     ]
 
-    def refuse(_):
-        raise AssertionError("eigvalsh called")
+    eigvalsh = np.linalg.eigvalsh
+
+    def refuse(stack):
+        if stack.shape[-1] == 4:
+            raise AssertionError("eigvalsh called on pairs")
+        return eigvalsh(stack)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
     assert classical_correlations(m, kets[:, None])[:, 0].tolist() == expected
 
 
 def test_one_state_functions_do_not_check_a_valid_state_again(monkeypatch):
-    # DensityMatrix already checked rho and kept its eigenvalues: the only
-    # check left is the one over the reduced and conditional states.
+    # DensityMatrix already checked rho and kept its eigenvalues. The
+    # maximizer, the record and the mutual information read the Bloch form
+    # and run no check_states at all; the density-matrix J checks only its
+    # reduced and conditional states, once.
     rho = make_x_state(STATE_1)
     shapes = []
     check = correlations.check_states
@@ -522,17 +533,17 @@ def test_one_state_functions_do_not_check_a_valid_state_again(monkeypatch):
         return check(m)
 
     monkeypatch.setattr(correlations, "check_states", counting)
+    monkeypatch.setattr(qstate, "check_states", counting)
     calls = [
-        lambda: maximize_classical_correlation(rho),
-        lambda: correlation_record(rho),
-        lambda: classical_correlation(rho, ProjectiveBasis.sigma_x()),
-        lambda: mutual_information(rho),
+        (lambda: maximize_classical_correlation(rho), []),
+        (lambda: correlation_record(rho), []),
+        (lambda: classical_correlation(rho, ProjectiveBasis.sigma_x()), [(4, 2, 2)]),
+        (lambda: mutual_information(rho), []),
     ]
-    for call in calls:
+    for call, expected in calls:
         shapes.clear()
         call()
-        assert len(shapes) == 1
-        assert shapes[0][1:] == (2, 2)
+        assert shapes == expected
 
 
 def _binary_entropy(x):
@@ -581,7 +592,8 @@ def test_argmax_stays_exactly_on_the_pauli_axis_at_flat_maxima(params, family):
 def _search_inputs(states):
     """The maximizer's inputs for DensityMatrix states: stack, Bloch forms and S(rho_s)."""
     m = np.array([rho.entries for rho in states])
-    return m, correlations.bloch_forms(m), _local_terms(m, _NO_BASES)[0]
+    forms = correlations.bloch_forms(m)
+    return m, forms, _fixed_terms(forms, _NO_AXES)[0]
 
 
 def _j_at(forms, s_entropy, axes):
@@ -606,7 +618,7 @@ def test_ascent_from_a_lattice_neighbour_reaches_the_maximizer_result():
     overlap[overlap > 1.0 - 1e-15] = -1.0
     start = _SEARCH_AXES[:, np.argmax(overlap, axis=1)].T
     values, axes = _ascend(forms, s_entropy, _j_at(forms, s_entropy, start), start)
-    maxima, argmax = _maximize(m, s_entropy)
+    maxima, argmax = _maximize(forms, s_entropy)
     assert np.max(np.abs(values - maxima)) <= 1e-12
     turn = np.arccos(np.minimum(np.abs(np.sum(axes * argmax, axis=1)), 1.0))
     assert np.max(turn) <= 1e-6
@@ -685,7 +697,7 @@ def test_ascent_from_the_coarse_pass_is_the_maximizer_bit_for_bit(size):
     rng = np.random.default_rng(size)
     m, forms, s_entropy = _search_inputs([random_density_matrix(rng) for _ in range(size)])
     values, axes = _ascend(forms, s_entropy, *_coarse(forms, s_entropy))
-    maxima, argmax = _maximize(m, s_entropy)
+    maxima, argmax = _maximize(forms, s_entropy)
     assert maxima.tobytes() == values.tobytes()
     assert argmax.tobytes() == axes.tobytes()
     for i in range(size):
@@ -786,7 +798,7 @@ def _bound_cases():
 def _bound_case(stack):
     forms = correlations.bloch_forms(stack)
     columns = forms.transpose(1, 2, 0)[..., None]
-    s_entropy = _local_terms(stack, _NO_BASES)[0]
+    s_entropy = _fixed_terms(forms, _NO_AXES)[0]
     j = _bloch_correlation(columns, s_entropy[:, None], *_SEARCH_AXES)
     # With S(rho_s) = 1 the kernel returns its information sum as it stands.
     information = _bloch_correlation(columns, 1.0, *_SEARCH_AXES)
@@ -866,9 +878,9 @@ def test_survivor_bound_lies_within_its_budget_of_the_float64_formula():
 def test_bound_sends_few_axes_of_x_state_sweeps_to_the_kernel(monkeypatch):
     evaluated = []
 
-    def counted(form, s_entropy, nx, ny, nz):
+    def counted(form, s_entropy, nx, ny, nz, lengths=None):
         evaluated.append(np.broadcast(s_entropy, nx).size)
-        return _bloch_correlation(form, s_entropy, nx, ny, nz)
+        return _bloch_correlation(form, s_entropy, nx, ny, nz, lengths)
 
     monkeypatch.setattr(correlations, "_bloch_correlation", counted)
     rng = np.random.default_rng(20)
@@ -902,14 +914,14 @@ def test_information_bound_brackets_the_kernel_information():
 @pytest.mark.parametrize("size", [201, 1024])
 def test_coarse_pass_memory_stays_within_the_records_high_water_mark(size):
     # The coarse pass may take no more memory than the larger of the full
-    # pass's and that of the _mutual_terms call of correlation_records, the
-    # high-water mark of a records call. The stack holds ad sweeps of general
-    # states, whose states near p = 1 keep most of their axes.
+    # pass's and that of the fixed-axis reads of correlation_records
+    # (_fixed_terms at sigma_z and sigma_x). The stack holds ad sweeps of
+    # general states, whose states near p = 1 keep most of their axes.
     rng = np.random.default_rng(26)
     ad = kraus_stack(None, np.linspace(0.0, 1.0, 201))
     m = np.concatenate([evolve(ad, random_density_matrix(rng).entries) for _ in range(6)])[:size]
-    eigenvalues = np.array([DensityMatrix(rho).eigenvalues for rho in m])
-    forms, s_entropy = correlations.bloch_forms(m), _local_terms(m, _NO_BASES)[0]
+    forms = correlations.bloch_forms(m)
+    s_entropy = _fixed_terms(forms, _NO_AXES)[0]
 
     def peak(run):
         run()
@@ -922,7 +934,7 @@ def test_coarse_pass_memory_stays_within_the_records_high_water_mark(size):
 
     ceiling = max(
         peak(lambda: _full_pass(forms, s_entropy)),
-        peak(lambda: _mutual_terms(m, eigenvalues, _SIGMA_ZX)),
+        peak(lambda: _fixed_terms(forms, _SEARCH_AXES[:, :2].T)),
     )
     assert peak(lambda: _coarse(forms, s_entropy)) <= ceiling
 
@@ -1095,3 +1107,180 @@ def test_chart_derivatives_match_finite_differences_of_j():
     np.testing.assert_allclose(h22, (j(0, h) - 2 * centre + j(0, -h)) / h**2, rtol=1e-4, atol=1e-6)
     cross = (j(h, h) - j(h, -h) - j(-h, h) + j(-h, -h)) / (4 * h * h)
     np.testing.assert_allclose(h12, cross, rtol=1e-4, atol=1e-6)
+
+
+# The fixed-axis reads of a record (_fixed_terms) come from the Bloch form.
+# They are checked against the density-matrix reads (_local_terms and the
+# pair spectrum), against a decimal oracle where those lose accuracy, and
+# against their own one-state cases.
+
+_ZX_AXES = _SEARCH_AXES[:, :2].T
+_ZX_KETS = np.array([ProjectiveBasis.sigma_z().kets(), ProjectiveBasis.sigma_x().kets()])
+_SIGMA_X = ProjectiveBasis.sigma_x()
+
+
+def _near_pure(rng, size, exponents):
+    # (1 - eps) |psi><psi| + eps I/4, eps = 10^u with u uniform in exponents.
+    stack = []
+    for eps in 10.0 ** rng.uniform(*exponents, size):
+        ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+        ket /= np.linalg.norm(ket)
+        stack.append((1.0 - eps) * np.outer(ket, ket.conj()) + eps * np.eye(4) / 4.0)
+    return np.array(stack)
+
+
+def _damped_near_one(rng, states, exponents, ends=()):
+    # ad at p = 1 - 10^-k for 20 k over exponents, then at ends, of random states.
+    ps = 1.0 - np.geomspace(10.0 ** exponents[0], 10.0 ** exponents[1], 20)
+    ad = kraus_stack(None, np.append(ps, ends))
+    return np.concatenate([evolve(ad, random_density_matrix(rng).entries) for _ in range(states)])
+
+
+def _form_read_stacks(seed):
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 1.0, 201)
+    pd, tilted = kraus_stack(ProjectiveBasis.sigma_z(), grid), ProjectiveBasis(0.9, 2.2)
+    product = np.kron(np.diag([0.7, 0.3]), np.diag([1.0, 0.0])).astype(complex)
+    return {
+        "random": np.array([random_density_matrix(rng).entries for _ in range(200)]),
+        "X states": np.concatenate(
+            [evolve(pd, make_x_state(random_x_state_params(rng)).entries) for _ in range(5)]
+        ),
+        # the apparatus in |0>: sigma_z's outcome 1 never happens
+        "impossible outcome": product[None],
+        "ad at p -> 1": _damped_near_one(rng, 5, (-3, -1)),
+        "tilted pointer": np.concatenate(
+            [
+                evolve(kraus_stack(tilted, grid), random_density_matrix(rng).entries)
+                for _ in range(3)
+            ]
+        ),
+    }
+
+
+def _density_matrix_reads(m):
+    # S(rho_s), S(rho_s) + S(rho_a), J at sigma_z and sigma_x, and I, from the density matrices.
+    s_system, s_apparatus, j = _local_terms(m, _ZX_KETS)
+    local = s_system + s_apparatus
+    return s_system, local, j, local - qstate.entropies(np.linalg.eigvalsh(m))
+
+
+@pytest.mark.parametrize("seed", [36, 37])
+def test_form_reads_lie_within_4e15_of_the_density_matrix_reads(seed):
+    # j_z, j_x and I as a record reads them (_measure), S(rho_s) and
+    # S(rho_s) + S(rho_a) as _fixed_terms gives them to it. Near purity the
+    # density-matrix reads lose accuracy themselves (by 4.1e-15 at 10^-3 from
+    # a pure state, and more nearer); a decimal oracle covers those states.
+    for name, m in _form_read_stacks(seed).items():
+        s_system, local, _ = _fixed_terms(correlations.bloch_forms(m), _ZX_AXES)
+        _, _, mutual, j = correlations._measure(m, qstate.check_states(m), _ZX_AXES)
+        for value, expected in zip((s_system, local, j, mutual), _density_matrix_reads(m)):
+            assert np.max(np.abs(value - expected)) <= 4e-15, name
+
+
+def _decimal_reads(rho, axes):
+    """S(rho_s), S(rho_s) + S(rho_a) and J at each axis, in 40-digit decimal arithmetic.
+
+    The Bloch form Re Tr(rho sigma_a x sigma_b) is summed exactly from the
+    float entries of rho; a qubit of Bloch length x has entropy
+    H((1 + x)/2) + H((1 - x)/2), and J = S(rho_s) - sum_+- p+- S(rho_s | +-).
+    """
+    from decimal import Decimal, localcontext
+
+    paulis = [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1))]
+    with localcontext() as ctx:
+        ctx.prec = 40
+        entries = [[(Decimal(z.real), Decimal(z.imag)) for z in row] for row in rho.tolist()]
+        form = [[Decimal(0)] * 4 for _ in range(4)]
+        for a in range(4):
+            for b in range(4):
+                for i in range(4):
+                    for k in range(4):
+                        w = complex(paulis[a][k // 2][i // 2]) * complex(paulis[b][k % 2][i % 2])
+                        re, im = entries[i][k]
+                        form[a][b] += re * Decimal(w.real) - im * Decimal(w.imag)
+        half, ln2 = Decimal(1) / 2, Decimal(2).ln()
+
+        def entropy(x):
+            x = min(max(x, Decimal(0)), Decimal(1))
+            terms = [(1 + sign * x) * half for sign in (1, -1)]
+            return -sum(q * q.ln() / ln2 for q in terms if q > 0)
+
+        def length(v):
+            return sum(x * x for x in v).sqrt()
+
+        r, s = [form[i][0] for i in (1, 2, 3)], [form[0][i] for i in (1, 2, 3)]
+        s_system = entropy(length(r))
+        j = []
+        for n in axes.tolist():
+            n = [Decimal(x) for x in n]
+            sn = sum(s[i] * n[i] for i in range(3))
+            tn = [sum(form[i][k + 1] * n[k] for k in range(3)) for i in (1, 2, 3)]
+            value = s_system
+            for sign in (1, -1):
+                p = (1 + sign * sn) * half
+                if p > 0:
+                    value -= p * entropy(length([r[i] + sign * tn[i] for i in range(3)]) / (2 * p))
+            j.append(float(value))
+        return float(s_system), float(s_system + entropy(length(s))), j
+
+
+@pytest.mark.parametrize("seed", [38, 39])
+def test_form_reads_meet_a_decimal_oracle_near_purity(seed):
+    # From 10^-1 to 10^-12 from a pure state, and from p = 1 under ad, and at
+    # p = 1, an entropy's slope log(1/eps) amplifies every rounding (J's
+    # slope in a conditional length x, artanh(x)/ln 2, is ~20 at 10^-12 from
+    # x = 1). The density-matrix reads miss this oracle by up to 1.1e-14
+    # there (an apparatus eigenvalue of ~1e-16 that eigvalsh rounds to 0
+    # costs 5.6e-15 at p = 1), so the two reads may disagree by more than
+    # 4e-15; the form reads stay within 8e-15 of it (5.3e-15 seen on 12
+    # seeds).
+    rng = np.random.default_rng(seed)
+    near_one = _damped_near_one(rng, 3, (-12, -3), [1.0])
+    for m in (_near_pure(rng, 80, (-12.0, -1.0)), near_one):
+        s_system, local, j = _fixed_terms(correlations.bloch_forms(m), _ZX_AXES)
+        for k, rho in enumerate(m):
+            exact_s, exact_local, exact_j = _decimal_reads(rho, _ZX_AXES)
+            assert abs(s_system[k] - exact_s) <= 8e-15
+            assert abs(local[k] - exact_local) <= 8e-15
+            assert np.max(np.abs(j[k] - exact_j)) <= 8e-15
+
+
+def test_stacked_form_reads_equal_their_one_state_cases():
+    # Shared axes, per-state axes and one state at a time give the same bits,
+    # for no axis, the record's two and 21 drawn axes.
+    rng = np.random.default_rng(39)
+    stacks = _form_read_stacks(40)
+    m = np.concatenate([stack[:7] for stack in stacks.values()])
+    forms = correlations.bloch_forms(m)
+    drawn = rng.normal(size=(len(m), 21, 3))
+    drawn /= np.linalg.norm(drawn, axis=-1, keepdims=True)
+    for axes in (_NO_AXES, _ZX_AXES, drawn[0]):
+        each = np.ascontiguousarray(np.broadcast_to(axes, (len(m),) + axes.shape))
+        for a, b in zip(_fixed_terms(forms, axes), _fixed_terms(forms, each)):
+            assert a.tobytes() == b.tobytes()
+    shared, per_state = _fixed_terms(forms, _ZX_AXES), _fixed_terms(forms, drawn)
+    for k in range(len(m)):
+        for axes, stacked in ((_ZX_AXES, shared), (drawn[k : k + 1], per_state)):
+            alone = _fixed_terms(forms[k : k + 1], axes)
+            for a, b in zip(alone, stacked):
+                assert a.tobytes() == b[k : k + 1].tobytes()
+
+
+def test_records_accept_a_pair_whose_conditional_state_amplifies_its_hermitian_dust():
+    # The pair deviates from Hermitian by 5e-13, within HERMITICITY_TOL, in
+    # the block of sigma_z's outcome 1, of probability 0.01: that outcome's
+    # conditional state deviates by 5e-11. The density-matrix J checks it as
+    # a density matrix and refuses the pair; a record reads its Bloch length
+    # on the pair's (real) form and accepts it, with J within 4e-15 of the
+    # density-matrix J of the pair's Hermitian part.
+    m = np.diag([0.5, 0.005, 0.49, 0.005]).astype(complex)
+    m[1, 3] = m[3, 1] = 0.001 + 2.5e-13j
+    qstate.check_states(m[None])
+    message = r"^not Hermitian: max \|m - m\^dag\| = 5\.000e-11 exceeds 1e-12$"
+    with pytest.raises(InvalidStateError, match=message):
+        classical_correlations(m[None], _ZX_KETS)
+    (record,) = correlation_records(m[None], [0.0])
+    hermitian = DensityMatrix((m + m.conj().T) / 2.0)
+    for value, basis in ((record.j_z, ProjectiveBasis.sigma_z()), (record.j_x, _SIGMA_X)):
+        assert abs(value - classical_correlation(hermitian, basis)) <= 4e-15

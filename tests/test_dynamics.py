@@ -730,13 +730,11 @@ def test_general_state_regime_does_not_depend_on_the_grid(monkeypatch):
     assert all(len(set(found)) == 1 for found in regimes.values()), regimes
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 18")
 def test_j_max_is_at_least_j_z_and_j_x_on_every_record():
-    # j_max is a maximum over a set of axes that holds sigma_z and sigma_x.
-    # Today j_z and j_x come from the density-matrix J, which rounds unlike
-    # the kernel's j_max: hundreds of records under pd and under ad, and a
-    # few under the tilted pointer basis, read a j_max below j_z or j_x, by
-    # up to about 1.3e-15.
+    # j_max is a maximum over a set of axes that holds sigma_z and sigma_x,
+    # and j_z and j_x are the same kernel's J at those exact axes, so no
+    # record reads a j_max below either. When they came from the
+    # density-matrix J, hundreds of these records did, by up to 1.3e-15.
     below = {}
     for family in ("pd", "ad", "pointer"):
         pointer = TILTED if family == "pointer" else None

@@ -7,8 +7,10 @@ import pytest
 from einselect import (
     REGIME_CONSTANT,
     REGIME_DECAY_THEN_CONSTANT,
+    STATE_1,
     DensityMatrix,
     InvalidInputError,
+    InvalidStateError,
     ProjectiveBasis,
     VerificationOutcome,
     apply_to_apparatus,
@@ -30,7 +32,8 @@ from einselect import (
     verify_theorem1,
     verify_theorem2,
 )
-from einselect import correlations, dynamics, qstate, verify
+from einselect import correlations, dynamics, montecarlo, qstate, verify
+from einselect.matrixio import parse_matrix_file, write_matrix_file
 from einselect.verify import trace_distance
 
 
@@ -306,20 +309,30 @@ def test_outcome_passed_property():
 
 
 # The per-trial loops the suites ran before they were stacked, built from the
-# one-state public functions only. Each takes one trial's draws from rng and
-# returns ((ok, violation), details).
+# one-state public functions, and the one-state read of J at a fixed axis.
+# Each takes one trial's draws from rng and returns ((ok, violation), details).
+
+
+def _form_j(rho, basis):
+    # J at basis's axis, read on rho's Bloch form as the suites read it; it
+    # lies within 4e-15 of the density-matrix J.
+    forms = correlations.bloch_forms(rho.entries[None])
+    j = correlations._fixed_terms(forms, basis.axis[None])[2][0, 0]
+    j = float(correlations._nonnegative(j, correlations._NEGATIVE_J_TOL, "classical correlation"))
+    assert abs(j - classical_correlation(rho, basis)) <= 4e-15
+    return j
 
 
 def _theorem1_reference(rng):
     rho = random_density_matrix(rng, 4)
     basis = random_basis(rng)
     lifted = [np.kron(np.eye(2, dtype=complex), proj) for proj in basis.projectors]
-    j_ref = classical_correlation(rho, basis)
+    j_ref = _form_j(rho, basis)
     blocks_ref = [p_i @ rho.entries @ p_i for p_i in lifted]
     violation = 0.0
     for q in verify.THEOREM1_STRENGTHS:
         evolved = apply_to_apparatus(pointer_decoherence(basis, q), rho)
-        violation = max(violation, abs(classical_correlation(evolved, basis) - j_ref))
+        violation = max(violation, abs(_form_j(evolved, basis) - j_ref))
         for p_i, ref in zip(lifted, blocks_ref):
             dev = np.max(np.abs(p_i @ evolved.entries @ p_i - ref))
             violation = max(violation, float(dev))
@@ -354,11 +367,11 @@ def _lemma1_reference(rng):
         max(0.0, value_dev - verify.LEMMA1_VALUE_TOL),
     )
     ok = angle <= verify.LEMMA1_ANGLE_TOL and value_dev <= verify.LEMMA1_VALUE_TOL
-    j_pointer = classical_correlation(rho, basis)
+    j_pointer = _form_j(rho, basis)
     margins = []
     for _ in range(verify.LEMMA1_PERTURBATIONS):
         tilted = _perturbed_basis(rng, basis)
-        margin = j_pointer - classical_correlation(rho, tilted)
+        margin = j_pointer - _form_j(rho, tilted)
         margins.append(margin)
         if margin <= 0.0:
             ok = False
@@ -496,3 +509,75 @@ def test_tilts_from_one_frame_equal_the_one_at_a_time_draws(seed):
     kets = verify._kets(theta.ravel(), phi.ravel())
     assert kets.tobytes() == np.array([basis.kets() for basis in expected]).tobytes()
     assert new.uniform() == old.uniform()
+
+
+# A pair that check_states accepts, whose eigenvalue -5e-11 (within
+# PSD_FLOOR) lies on |11>, where sigma_z's outcome 1 has probability 1e-9:
+# that outcome's conditional state has eigenvalue -5e-11 / 1e-9 = -0.05.
+_REFUSED_PAIR = np.diag([0.6, 1e-9 + 5e-11, 0.4 - 1e-9, -5e-11]).astype(complex)
+_REFUSAL = "not positive semidefinite: smallest eigenvalue -5.000e-02 below -1e-10"
+
+
+def test_a_conditional_state_below_the_floor_is_refused_by_every_form_read(monkeypatch):
+    # The Bloch-length test refuses the conditional state as check_states
+    # refused it when records and suites built it as a density matrix.
+    stack = np.repeat(_REFUSED_PAIR[None], 2, axis=0)
+    qstate.check_states(stack)
+    qstate.certify_states(stack)
+    half = np.eye(2, dtype=complex) / 2.0
+    sigma_z = [1.0, 0.0]  # the uniforms of the sigma_z basis (_basis_angles)
+    monkeypatch.setattr(verify, "_states", lambda gaussians: stack[: len(gaussians)])
+    monkeypatch.setattr(verify, "_cq_states", lambda kets, branches, weights: stack[: len(kets)])
+    refusing = [
+        lambda: correlations.correlation_records(stack, [0.0, 0.5]),
+        lambda: verify._theorem1_judge([(None, sigma_z)] * 2),
+        lambda: verify._lemma1_measure([(sigma_z, np.array([half, half]), 0.5, np.ones((20, 2)))]),
+    ]
+    for call in refusing:
+        with pytest.raises(InvalidStateError) as refused:
+            call()
+        assert str(refused.value) == _REFUSAL
+
+
+def test_records_and_suites_build_no_reduced_or_conditional_state(tmp_path, monkeypatch):
+    # sweep, analyze (its point estimate and its bands) and the theorem1 and
+    # lemma1 judges read every fixed-basis value from the Bloch form. Only
+    # the crossing reads of _transitions (classical_correlations) still build
+    # density matrices; STATE_1's sweep has one crossing.
+    crossing = []
+    read = dynamics.classical_correlations
+
+    def crossing_read(*args):
+        crossing.append(True)
+        try:
+            return read(*args)
+        finally:
+            crossing.pop()
+
+    def refused(name):
+        original = getattr(correlations, name)
+
+        def stand_in(*args):
+            if not crossing:
+                raise AssertionError(f"{name} called")
+            return original(*args)
+
+        return stand_in
+
+    monkeypatch.setattr(dynamics, "classical_correlations", crossing_read)
+    for name in ("_local_terms", "_conditional_states"):
+        monkeypatch.setattr(correlations, name, refused(name))
+    assert sweep(make_x_state(STATE_1), "pd").transition_p is not None
+    sweep(random_density_matrix(np.random.default_rng(4)), "ad", np.linspace(0.0, 1.0, 21))
+    path = tmp_path / "state.mat"
+    write_matrix_file(path, make_x_state(STATE_1), std=np.full((4, 4), 0.01))
+    parsed = parse_matrix_file(path)
+    for samples in (0, 4):
+        montecarlo._analysis(
+            parsed, "ad", np.linspace(0.0, 1.0, 11), gamma=1.0, samples=samples, seed=2,
+            pointer_basis=None,
+        )
+    assert verify_theorem1(trials=70).passed
+    assert verify_lemma1(trials=3).passed
+    with pytest.raises(AssertionError, match="_local_terms called"):
+        classical_correlation(make_x_state(STATE_1), ProjectiveBasis.sigma_z())
